@@ -284,7 +284,7 @@ def homology_cmd(in_path, field):
     with open(in_path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
             _die(f"not a JSON document: {exc}")
     try:
         K, _, _ = complex_from_doc(doc)
@@ -303,13 +303,16 @@ def homology_cmd(in_path, field):
 @click.option("--max-n", type=int, default=None,
               help="cap on n (never widens a suite's documented range)")
 @click.option("--m", type=int, default=None, help="cap on grid density")
+@click.option("--samples", type=click.IntRange(min=1), default=None,
+              help="random samples for the sampled suites"
+                   " (default: each suite's own)")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--report", "report_path", type=click.Path(dir_okay=False),
               default=None, help="write the report as canonical JSON")
-def verify(suite, max_n, m, seed, report_path):
+def verify(suite, max_n, m, samples, seed, report_path):
     """Run a named verification suite; exit 0 only if it passes."""
     try:
-        rep = run_suite(suite, max_n=max_n, m=m, seed=seed)
+        rep = run_suite(suite, max_n=max_n, m=m, samples=samples, seed=seed)
     except ValueError as exc:
         _die(str(exc))
     click.echo(rep.to_text(), nl=False)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
+from math import gcd
 from typing import Callable, Sequence
 
 from .mesh import SimplicialComplex
@@ -51,88 +51,76 @@ class BettiReport:
                 "euler": self.euler}
 
 
-class _Reducer:
-    """Incremental column reduction; deterministic largest-row pivots."""
+class _Engine:
+    """Column reduction with deterministic largest-row pivots.
 
-    def __init__(self, f2: bool):
+    Over Q a column is a {row: int} dict, reduced fraction-free: the two
+    columns are cross-multiplied by their low entries over the gcd of
+    those, and the result is divided by the gcd of its entries.  Over F2
+    a column is a set of rows, reduced by symmetric difference.  With
+    log, every column carries the combination of input tags it equals,
+    and the combination of each column that reduces to zero is kept in
+    `cycles`.
+    """
+
+    def __init__(self, f2: bool, log: bool = False):
         self.f2 = f2
+        self.log = log
         self.pivots: dict = {}
-        self.rank = 0
+        self.combs: dict = {}
+        self.cycles: list = []
 
-    def _reduce(self, col: dict) -> dict:
+    def add(self, col, tag=None) -> None:
+        """Reduce col in place, then keep it as a pivot or log its cycle."""
+        comb = None
+        if self.log:
+            comb = {tag} if self.f2 else {tag: 1}
         while col:
             low = max(col)
             other = self.pivots.get(low)
             if other is None:
-                return col
+                self.pivots[low] = col
+                if comb is not None:
+                    self.combs[low] = comb
+                return
             if self.f2:
-                for r in other:
-                    if r in col:
-                        del col[r]
-                    else:
-                        col[r] = 1
+                col ^= other
+                if comb is not None:
+                    comb ^= self.combs[low]
             else:
-                factor = col[low] / other[low]
-                for r, v in other.items():
-                    nv = col.get(r, Fraction(0)) - factor * v
-                    if nv:
-                        col[r] = nv
-                    else:
-                        col.pop(r, None)
-        return col
-
-    def add(self, col: dict) -> bool:
-        col = self._reduce(dict(col))
-        if col:
-            self.pivots[max(col)] = col
-            self.rank += 1
-            return True
-        return False
+                _eliminate(col, comb, other, self.combs.get(low), low)
+        if comb is not None:
+            self.cycles.append(comb)
 
 
-class _CycleTracker:
-    """Column reduction that reports the combination making a column 0."""
+def _eliminate(col: dict, comb, other: dict, ocomb, low) -> None:
+    """col <- (b col - a other) / content, a and b the entries at low.
 
-    def __init__(self, f2: bool):
-        self.f2 = f2
-        self.pivots: dict = {}
-
-    def feed(self, col: dict, tag):
-        col = dict(col)
-        comb = {tag: 1 if self.f2 else Fraction(1)}
-        while col:
-            low = max(col)
-            entry = self.pivots.get(low)
-            if entry is None:
-                self.pivots[low] = (col, comb)
-                return None
-            other, ocomb = entry
-            if self.f2:
-                for r in other:
-                    if r in col:
-                        del col[r]
-                    else:
-                        col[r] = 1
-                for r in ocomb:
-                    if r in comb:
-                        del comb[r]
-                    else:
-                        comb[r] = 1
+    A logged comb takes the same steps against ocomb, and the content
+    is taken over both, so col stays the combination comb describes.
+    """
+    a, b = col[low], other[low]
+    g = gcd(a, b)
+    ka, kb = b // g, a // g
+    if ka < 0:
+        ka, kb = -ka, -kb
+    for vec, ovec in ((col, other), (comb, ocomb)):
+        if vec is None:
+            continue
+        if ka != 1:
+            for r in vec:
+                vec[r] *= ka
+        for r, v in ovec.items():
+            nv = vec.get(r, 0) - kb * v
+            if nv:
+                vec[r] = nv
             else:
-                factor = col[low] / other[low]
-                for r, v in other.items():
-                    nv = col.get(r, Fraction(0)) - factor * v
-                    if nv:
-                        col[r] = nv
-                    else:
-                        col.pop(r, None)
-                for r, v in ocomb.items():
-                    nv = comb.get(r, Fraction(0)) - factor * v
-                    if nv:
-                        comb[r] = nv
-                    else:
-                        comb.pop(r, None)
-        return comb
+                del vec[r]
+    g = gcd(*col.values(), *(comb.values() if comb else ()))
+    if g > 1:
+        for vec in (col, comb or {}):
+            for r in vec:
+                vec[r] //= g
 
 
 def _validate(K: SimplicialComplex):
@@ -144,47 +132,75 @@ def _validate(K: SimplicialComplex):
             raise ValueError(f"bad simplex {t}")
 
 
-def _chain_data(K: SimplicialComplex):
-    faces = K.faces()
-    simp = {d: sorted(faces[d]) for d in sorted(faces)}
-    idx = {d: {s: i for i, s in enumerate(simp[d])} for d in simp}
+def _chain_data(*complexes: SimplicialComplex):
+    """Sorted faces by dimension of the disjoint union, with their indices.
+
+    Vertex indices of each complex are shifted past those of the ones
+    before it, so in every dimension the simplices of earlier complexes
+    come first.
+    """
+    simp: dict = {}
+    shift = 0
+    for K in complexes:
+        for d, fs in K.faces().items():
+            if shift:
+                fs = (tuple(v + shift for v in s) for s in fs)
+            simp.setdefault(d, []).extend(sorted(fs))
+        shift += len(K.vertices)
+    idx = {d: {s: i for i, s in enumerate(ss)} for d, ss in simp.items()}
     return simp, idx
 
 
-def _boundary_columns(simp, idx, d: int, f2: bool):
-    cols = []
-    for s in simp[d]:
-        col = {}
-        for i in range(len(s)):
-            face = s[:i] + s[i + 1:]
-            col[idx[d - 1][face]] = 1 if f2 else (
-                Fraction(1) if i % 2 == 0 else Fraction(-1))
-        cols.append(col)
-    return cols
+def _boundary_columns(simp, idx, d: int, f2: bool, skip=()):
+    """(index, column) of each d-simplex whose index is not in skip.
+
+    Columns are sets of face indices over F2 and {face index: +-1}
+    dicts over Q; a vertex has the empty column.
+    """
+    rows = idx.get(d - 1)
+    signs = (1, -1) * (d // 2 + 1)
+    for j, s in enumerate(simp.get(d, ())):
+        if j in skip:
+            continue
+        faces = [rows[s[:i] + s[i + 1:]] for i in range(d + 1)] if d else ()
+        yield j, set(faces) if f2 else dict(zip(faces, signs))
+
+
+def _reductions(simp, idx, f2: bool, top: int, log: bool = False):
+    """Reduce the boundary maps from dimension top down to 0.
+
+    Yields (d, engine) once the engine holds the reduced columns of the
+    map from dimension d; the caller may add more cycles to it before
+    resuming.  Clearing: the row of every pivot at dimension d + 1 is
+    the leading simplex of a cycle, so its own column would reduce to
+    zero and is skipped.  With log, the cycles an engine keeps are then
+    a basis of homology in its dimension.
+    """
+    cleared: dict = {}
+    for d in range(top, -1, -1):
+        eng = _Engine(f2, log)
+        for j, col in _boundary_columns(simp, idx, d, f2, cleared):
+            eng.add(col, j)
+        yield d, eng
+        cleared = eng.pivots
+
+
+def _betti_numbers(simp, ranks: dict) -> tuple:
+    return tuple(len(simp[d]) - ranks[d] - ranks.get(d + 1, 0)
+                 for d in range(max(simp) + 1))
 
 
 def betti(K: SimplicialComplex, field="q") -> BettiReport:
     """Betti numbers of K in every dimension, by exact rank computation."""
     tag = _normalize_field(field)
-    f2 = tag == "f2"
     _validate(K)
     if not K.tops and not K.vertices:
         return BettiReport(tag, (), 0)
     simp, idx = _chain_data(K)
-    dim = max(simp)
-    ranks = {}
-    for d in range(1, dim + 1):
-        red = _Reducer(f2)
-        for col in _boundary_columns(simp, idx, d, f2):
-            red.add(col)
-        ranks[d] = red.rank
-    bs = []
-    euler = 0
-    for d in range(dim + 1):
-        nd = len(simp[d])
-        euler += nd if d % 2 == 0 else -nd
-        bs.append(nd - ranks.get(d, 0) - ranks.get(d + 1, 0))
-    return BettiReport(tag, tuple(bs), euler)
+    ranks = {d: len(eng.pivots)
+             for d, eng in _reductions(simp, idx, tag == "f2", max(simp))}
+    return BettiReport(tag, _betti_numbers(simp, ranks),
+                       euler_characteristic(K))
 
 
 def euler_characteristic(K: SimplicialComplex) -> int:
@@ -265,26 +281,6 @@ def _sort_sign(seq) -> int:
     return -1 if inv % 2 else 1
 
 
-def _homology_reps(simp, idx, d: int, f2: bool):
-    """Cycle representatives spanning homology in dimension d."""
-    if d not in simp:
-        return []
-    tracker = _CycleTracker(f2)
-    cycles = []
-    if d == 0:
-        cycles = [{p: 1 if f2 else Fraction(1)} for p in range(len(simp[0]))]
-    else:
-        for p, col in enumerate(_boundary_columns(simp, idx, d, f2)):
-            comb = tracker.feed(col, p)
-            if comb is not None:
-                cycles.append(comb)
-    red = _Reducer(f2)
-    if d + 1 in simp:
-        for col in _boundary_columns(simp, idx, d + 1, f2):
-            red.add(col)
-    return [c for c in cycles if red.add(c)]
-
-
 def mayer_vietoris_assemble(ka: SimplicialComplex, kb: SimplicialComplex,
                             kint: SimplicialComplex, map_a: dict,
                             map_b: dict, field="q") -> BettiReport:
@@ -295,64 +291,48 @@ def mayer_vietoris_assemble(ka: SimplicialComplex, kb: SimplicialComplex,
     of the union come from the long exact sequence, with the connecting
     ranks computed from mapped cycle representatives.
     """
-    f2 = _normalize_field(field) == "f2"
+    tag = _normalize_field(field)
+    f2 = tag == "f2"
     for K in (ka, kb, kint):
         _validate(K)
     _check_inclusion(kint, ka, map_a)
     _check_inclusion(kint, kb, map_b)
-    sa, ia = _chain_data(ka)
-    sb, ib = _chain_data(kb)
     si, ii = _chain_data(kint)
-    ba = betti(ka, "f2" if f2 else "q").betti
-    bb = betti(kb, "f2" if f2 else "q").betti
-    bi = betti(kint, "f2" if f2 else "q").betti
+    reps = {d: eng.cycles
+            for d, eng in _reductions(si, ii, f2, kint.dim, log=True)}
+    # both pieces at once: the chain complex of A (+) B is that of A |_| B
+    su, iu = _chain_data(ka, kb)
+    shift = len(ka.vertices)
 
-    def _mapped(cycle: dict, d: int):
+    def _mapped(cycle, d: int):
         # image of an intersection cycle in the A (+) B chain group
-        out = {}
-        for p, coeff in cycle.items():
+        out = set() if f2 else {}
+        for p in cycle:
             s = si[d][p]
             img_a = [map_a[i] for i in s]
-            img_b = [map_b[i] for i in s]
-            ra = ("a", ia[d][tuple(sorted(img_a))])
-            rb = ("b", ib[d][tuple(sorted(img_b))])
+            img_b = [map_b[i] + shift for i in s]
+            ra = iu[d][tuple(sorted(img_a))]
+            rb = iu[d][tuple(sorted(img_b))]
+            # the inclusions are injective: no two simplices share an image
             if f2:
-                for r in (ra, rb):
-                    if r in out:
-                        del out[r]
-                    else:
-                        out[r] = 1
+                out.update((ra, rb))
             else:
-                out[ra] = out.get(ra, Fraction(0)) + coeff * _sort_sign(img_a)
-                out[rb] = out.get(rb, Fraction(0)) + coeff * _sort_sign(img_b)
-                for r in (ra, rb):
-                    if not out[r]:
-                        del out[r]
+                out[ra] = cycle[p] * _sort_sign(img_a)
+                out[rb] = cycle[p] * _sort_sign(img_b)
         return out
 
-    psi = {}
-    for d in range(kint.dim + 1):
-        red = _Reducer(f2)
-        if d + 1 in sa:
-            for col in _boundary_columns(sa, ia, d + 1, f2):
-                red.add({("a", r): v for r, v in col.items()})
-        if d + 1 in sb:
-            for col in _boundary_columns(sb, ib, d + 1, f2):
-                red.add({("b", r): v for r, v in col.items()})
-        rank = 0
-        for cycle in _homology_reps(si, ii, d, f2):
-            if red.add(_mapped(cycle, d)):
-                rank += 1
-        psi[d] = rank
-
     top = max(ka.dim, kb.dim)
-    bs = []
+    ranks, psi = {}, {}
+    for d, eng in _reductions(su, iu, f2, top + 1):
+        ranks[d] = len(eng.pivots)
+        for cycle in reps.get(d - 1, ()):
+            eng.add(_mapped(cycle, d - 1))
+        psi[d - 1] = len(eng.pivots) - ranks[d]
+    bs = list(_betti_numbers(su, ranks)) if top >= 0 else []
     for d in range(top + 1):
-        val = (ba[d] if d < len(ba) else 0) + (bb[d] if d < len(bb) else 0)
-        val -= psi.get(d, 0)
+        bs[d] -= psi[d]
         if d >= 1:
-            val += (bi[d - 1] if d - 1 < len(bi) else 0) - psi.get(d - 1, 0)
-        bs.append(val)
+            bs[d] += len(reps.get(d - 1, ())) - psi[d - 1]
     euler = (euler_characteristic(ka) + euler_characteristic(kb)
              - euler_characteristic(kint))
-    return BettiReport("f2" if f2 else "q", tuple(bs), euler)
+    return BettiReport(tag, tuple(bs), euler)

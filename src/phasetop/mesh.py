@@ -529,19 +529,51 @@ def complex_to_doc(K: SimplicialComplex, n: int, m: int) -> dict:
     }
 
 
+def _doc_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _doc_disc_point(c) -> DiscPoint:
+    if not (isinstance(c, list) and len(c) == 2
+            and all(isinstance(t, str) for t in c)):
+        raise ValueError(f"disc coordinate {c!r} is not a [radius, angle]"
+                         " pair of strings")
+    return DiscPoint(parse_fraction(c[0]), Angle(parse_fraction(c[1])))
+
+
 def complex_from_doc(doc: dict):
-    """Rebuild (complex, n, m) from a mesh document."""
-    verts = [
-        ModelPoint(tuple(DiscPoint(parse_fraction(r), Angle(parse_fraction(a)))
-                         for r, a in z))
-        for z in doc["vertices"]
-    ]
+    """Rebuild (complex, n, m) from a mesh document.
+
+    Raises ValueError on anything complex_to_doc cannot write: a
+    non-object, a missing key, n not a positive integer, m not a
+    positive even integer, a vertex without exactly n coordinates, or a
+    simplex that is not a list of distinct vertex indices.
+    """
+    if not isinstance(doc, dict):
+        raise ValueError("mesh document must be a JSON object")
+    missing = [k for k in ("n", "m", "vertices", "simplices") if k not in doc]
+    if missing:
+        raise ValueError(f"mesh document lacks {', '.join(missing)}")
+    n, m = doc["n"], doc["m"]
+    if not _doc_int(n) or n < 1:
+        raise ValueError(f"n must be a positive integer, not {n!r}")
+    if not _doc_int(m) or m < 2 or m % 2:
+        raise ValueError(f"m must be a positive even integer, not {m!r}")
+    for key in ("vertices", "simplices"):
+        if not isinstance(doc[key], list):
+            raise ValueError(f"mesh document {key} must be a list")
+    verts = []
+    for z in doc["vertices"]:
+        if not isinstance(z, list) or len(z) != n:
+            raise ValueError(f"vertex {z!r} does not have n={n} coordinates")
+        verts.append(ModelPoint(tuple(_doc_disc_point(c) for c in z)))
     if len(set(verts)) != len(verts):
         raise ValueError("mesh document repeats a vertex coordinate")
     tops = []
     for s in doc["simplices"]:
-        t = tuple(int(i) for i in s)
-        if any(i < 0 or i >= len(verts) for i in t) or len(set(t)) != len(t):
-            raise ValueError(f"bad simplex {s}")
-        tops.append(t)
-    return SimplicialComplex(verts, tops), int(doc["n"]), int(doc["m"])
+        if (not isinstance(s, list) or not all(_doc_int(i) for i in s)
+                or any(i < 0 or i >= len(verts) for i in s)
+                or len(set(s)) != len(s)):
+            raise ValueError(f"bad simplex {s!r}")
+        tops.append(tuple(s))
+    return SimplicialComplex(verts, tops), n, m

@@ -1,5 +1,6 @@
 import json
 
+import pytest
 from click.testing import CliRunner
 
 from phasetop.cli import main
@@ -141,6 +142,93 @@ def test_homology_rejects_bad_documents():
         r = runner.invoke(main, ["homology", "--in", "halfbad.json"])
         assert r.exit_code == 1
     r = invoke("homology", "--in", "no-such-file.json")
+    assert r.exit_code == 2
+
+
+def _homology_of(doc):
+    runner = CliRunner()
+    with runner.isolated_filesystem():
+        with open("doc.json", "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        return runner.invoke(main, ["homology", "--in", "doc.json"])
+
+
+def _good_doc():
+    return {"n": 2, "m": 2, "vertices": [[["1", "0"], ["1", "1/2"]],
+                                         [["1", "1/2"], ["1", "0"]]],
+            "simplices": [[0, 1]]}
+
+
+def assert_clean_error(r, fragment):
+    assert r.exit_code == 1
+    assert r.exception is None or isinstance(r.exception, SystemExit)
+    assert "Error:" in r.output and fragment in r.output
+    assert "Traceback" not in r.output
+
+
+def test_homology_accepts_the_good_doc():
+    r = _homology_of(_good_doc())
+    assert r.exit_code == 0
+    assert r.output.strip() == "betti (1,0) euler 1 over Q"
+
+
+def test_homology_rejects_non_object_document():
+    assert_clean_error(_homology_of([1, 2, 3]), "JSON object")
+
+
+@pytest.mark.parametrize("key", ["n", "m", "vertices", "simplices"])
+def test_homology_rejects_missing_key(key):
+    doc = _good_doc()
+    del doc[key]
+    assert_clean_error(_homology_of(doc), key)
+
+
+def test_homology_rejects_non_list_simplices():
+    doc = _good_doc()
+    doc["simplices"] = {"0": [0, 1]}
+    assert_clean_error(_homology_of(doc), "simplices must be a list")
+    doc["simplices"] = [7]
+    assert_clean_error(_homology_of(doc), "bad simplex")
+
+
+def test_homology_rejects_coordinate_count_other_than_n():
+    doc = _good_doc()
+    doc["n"] = 3
+    assert_clean_error(_homology_of(doc), "n=3 coordinates")
+
+
+def test_homology_rejects_malformed_coordinates():
+    doc = _good_doc()
+    doc["vertices"][0][0] = [1, 0]
+    assert_clean_error(_homology_of(doc), "pair of strings")
+    doc["vertices"][0][0] = ["2", "0"]
+    assert_clean_error(_homology_of(doc), "radius")
+
+
+@pytest.mark.parametrize("m", [3, 0, -2, "2"])
+def test_homology_rejects_odd_or_non_positive_m(m):
+    doc = _good_doc()
+    doc["m"] = m
+    assert_clean_error(_homology_of(doc), "positive even integer")
+
+
+def test_verify_passes_samples_through():
+    runner = CliRunner()
+    with runner.isolated_filesystem():
+        r = runner.invoke(main, ["verify", "gamma-roundtrip", "--max-n", "2",
+                                 "--samples", "3", "--report", "rep.json"])
+        assert r.exit_code == 0
+        with open("rep.json", "rb") as fh:
+            doc = json.loads(fh.read())
+        assert doc["params"]["samples"] == 3
+        assert all(c["params"]["samples"] == 3 for c in doc["checks"])
+        r = runner.invoke(main, ["verify", "gamma-roundtrip", "--max-n", "2",
+                                 "--report", "rep.json"])
+        assert r.exit_code == 0
+        with open("rep.json", "rb") as fh:
+            doc = json.loads(fh.read())
+        assert "samples" not in doc["params"]
+    r = invoke("verify", "gamma-roundtrip", "--samples", "0")
     assert r.exit_code == 2
 
 
