@@ -32,13 +32,14 @@ from .cells import (
 )
 from .gluing import verify_slice_claims
 from .mesh import (
-    FullSpacePieces,
+    MeshValidityError,
     assemble_full,
     assemble_slice,
+    boundary_subcomplex,
     complex_from_doc,
     complex_to_doc,
 )
-from .homology import betti
+from .homology import betti, euler_characteristic
 from .suites import SUITES, run_suite
 
 
@@ -244,7 +245,7 @@ def mesh_slice(n, m, out_path):
     """Mesh the glued slice and write it to a file."""
     try:
         K = assemble_slice(n, m)
-    except ValueError as exc:
+    except (ValueError, MeshValidityError) as exc:
         _die(str(exc))
     with open(out_path, "w", encoding="utf-8") as fh:
         json.dump(complex_to_doc(K, n, m), fh, indent=2, sort_keys=True)
@@ -262,16 +263,45 @@ def mesh_full(n, m, out_path):
     """Mesh the full covector space and write it to a file."""
     try:
         K = assemble_full(n, m)
-    except ValueError as exc:
+    except (ValueError, MeshValidityError) as exc:
         _die(str(exc))
-    if isinstance(K, FullSpacePieces):
-        _die("chart interfaces did not match; no single complex produced"
-             " (use the Mayer-Vietoris fallback on the pieces)")
     with open(out_path, "w", encoding="utf-8") as fh:
         json.dump(complex_to_doc(K, n, m), fh, indent=2, sort_keys=True)
         fh.write("\n")
     click.echo(f"wrote {out_path}: full space n={n} m={m},"
                f" {len(K.tops)} top simplices")
+
+
+def _read_mesh(in_path):
+    """The complex of a mesh document file; a clean error if malformed."""
+    with open(in_path, "r", encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:
+            _die(f"not a JSON document: {exc}")
+    try:
+        K, _, _ = complex_from_doc(doc)
+    except ValueError as exc:
+        _die(str(exc))
+    return K
+
+
+@mesh.command("stats")
+@click.option("--in", "in_path", type=click.Path(exists=True, dir_okay=False),
+              required=True)
+def mesh_stats(in_path):
+    """Size and shape of a mesh document: f-vectors, purity, Euler."""
+    K = _read_mesh(in_path)
+    yes_no = {True: "yes", False: "no"}
+    click.echo(f"dimension: {K.dim}")
+    click.echo(f"f-vector: {K.f_vector()}")
+    click.echo(f"pure: {yes_no[K.is_pure()]}")
+    click.echo(f"closed pseudomanifold: {yes_no[K.is_closed_pseudomanifold()]}")
+    click.echo(f"euler characteristic: {euler_characteristic(K)}")
+    if K.is_pure():
+        click.echo(f"boundary f-vector: {boundary_subcomplex(K).f_vector()}")
+    else:
+        click.echo("boundary f-vector: undefined (not pure)")
 
 
 @main.command("homology")
@@ -281,16 +311,7 @@ def mesh_full(n, m, out_path):
               show_default=True)
 def homology_cmd(in_path, field):
     """Betti numbers of a mesh document."""
-    with open(in_path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except ValueError as exc:
-            _die(f"not a JSON document: {exc}")
-    try:
-        K, _, _ = complex_from_doc(doc)
-        click.echo(str(betti(K, field)))
-    except ValueError as exc:
-        _die(str(exc))
+    click.echo(str(betti(_read_mesh(in_path), field)))
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,8 @@ vectors use "+", "-", "0".
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
@@ -23,7 +25,6 @@ from .phase import (
     Angle,
     Phase,
     ZERO,
-    min_enclosing_arc,
     mul,
     parse_fraction,
     sign_hyper_sum_list,
@@ -49,9 +50,6 @@ __all__ = [
     "sign_is_covector",
     "sign_leq_vec",
 ]
-
-HALF = Fraction(1, 2)
-
 
 @dataclass(frozen=True)
 class PhaseVector:
@@ -95,6 +93,33 @@ def support(x: PhaseVector) -> tuple[int, ...]:
     return tuple(i + 1 for i, e in enumerate(x) if not e.is_zero)
 
 
+def _spans_half(ticks: Sequence[int], whole: int) -> bool:
+    """Zero test for the nonzero phases at angles tick/whole turns.
+
+    The empty sum contains zero.  Otherwise zero appears exactly when
+    the largest gap g between cyclically consecutive angles satisfies
+    2g <= whole, i.e. the minimal enclosing arc is at least half a turn.
+    One angle, however often repeated, leaves a gap of a whole turn.
+    """
+    if not ticks:
+        return True
+    s = sorted(set(ticks))
+    gap = max([whole + s[0] - s[-1], *map(operator.sub, s[1:], s)])
+    return 2 * gap <= whole
+
+
+def _tick_scale(xs: Sequence[Phase]) -> tuple[list, int]:
+    """Each entry's angle in ticks (None for zero) and the turn length.
+
+    The turn length is the lcm of the angles' denominators, so every
+    angle is a whole number of ticks.
+    """
+    turns = [None if e.angle is None else e.angle.turns for e in xs]
+    whole = math.lcm(*(t.denominator for t in turns if t is not None))
+    return ([None if t is None else t.numerator * (whole // t.denominator)
+             for t in turns], whole)
+
+
 def zero_in_sum(xs: Sequence[Phase]) -> bool:
     """Whether zero lies in the iterated hyperaddition of the entries.
 
@@ -103,12 +128,8 @@ def zero_in_sum(xs: Sequence[Phase]) -> bool:
     when the nonzero angles cannot fit in an open half-circle, i.e.
     their minimal enclosing arc has length >= 1/2 turn.
     """
-    angles = [e.angle for e in xs if not e.is_zero]
-    if not angles:
-        return True
-    if len(angles) == 1:
-        return False
-    return min_enclosing_arc(angles).length >= HALF
+    ticks, whole = _tick_scale(xs)
+    return _spans_half([t for t in ticks if t is not None], whole)
 
 
 def _require_units(v: PhaseVector) -> None:
@@ -143,10 +164,11 @@ def find_zero_triple(x: PhaseVector) -> tuple[int, int, int] | None:
     dropping entries outside a spanning triple keeps the enclosing arc
     long; zero entries inside a triple are harmless filler.
     """
-    n = len(x)
-    for j, k, l in itertools.combinations(range(n), 3):
-        if zero_in_sum([x[j], x[k], x[l]]):
-            return (j + 1, k + 1, l + 1)
+    ticks, whole = _tick_scale(x)
+    for triple in itertools.combinations(range(len(x)), 3):
+        if _spans_half([ticks[i] for i in triple if ticks[i] is not None],
+                       whole):
+            return tuple(i + 1 for i in triple)
     return None
 
 
@@ -182,14 +204,13 @@ def enumerate_covectors(field: str, n: int, m: int | None = None) -> list:
     if field == "phase":
         if m is None or m < 2 or m % 2 != 0:
             raise ValueError("phase enumeration needs even m >= 2")
-        ones = all_ones(n)
+        # tick -1 is the zero element, tick k the angle k/m
+        alphabet = _phase_alphabet(m)
         out = []
-        for combo in itertools.product(_phase_alphabet(m), repeat=n):
-            if all(e.is_zero for e in combo):
-                continue
-            x = PhaseVector(combo)
-            if is_covector(ones, x):
-                out.append(x)
+        for combo in itertools.product(range(-1, m), repeat=n):
+            ticks = [t for t in combo if t >= 0]
+            if ticks and _spans_half(ticks, m):
+                out.append(PhaseVector(tuple(alphabet[t + 1] for t in combo)))
         return out
     if field == "sign":
         out = []

@@ -6,7 +6,8 @@ triangulated by the staircase (Kuhn) construction, which respects every
 parameter-comparison hyperplane; that makes cell constraints and chart
 interfaces simplex-aligned, so assemblies glue by nothing more than
 exact vertex equality.  All coordinates are rational and no tolerance
-appears anywhere.
+appears anywhere.  Assembly runs on integer tick keys of the grid; the
+complexes returned carry exact model points.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
 from .cells import CellLabel, PLabel, bx_member, ul_label
-from .order_complex import DiscPoint, ModelPoint, rotate
+from .order_complex import DiscPoint, ModelPoint
 from .phase import Angle, format_fraction, min_enclosing_arc, parse_fraction
 
 __all__ = [
@@ -38,15 +39,8 @@ __all__ = [
     "complex_from_doc",
 ]
 
-HALF = Fraction(1, 2)
-
-
 class MeshValidityError(Exception):
     """Raised when assembled charts disagree on a shared interface."""
-
-
-def _vertex_key(z: ModelPoint):
-    return tuple((c.radius, c.angle.turns) for c in z)
 
 
 @dataclass(eq=False)
@@ -106,26 +100,62 @@ class SimplicialComplex:
         return all(c == 2 for c in self.codim1_incidence().values())
 
 
+# ---------------------------------------------------------------------------
+# Tick keys
+# ---------------------------------------------------------------------------
+#
+# Every mesh vertex at resolution m lies on the angle grid of step 1/(2m):
+# each disc coordinate is the centre, or the point of the unit circle at
+# angle k/(2m).  Inside this module such a coordinate is the int k, or -1
+# for the centre, and a vertex is the tuple of its coordinates' ticks (its
+# key).  Keys sort like the (radius, angle) pairs of their coordinates,
+# which is the vertex order of every complex built here.  Assembly hashes
+# keys; model points are made once per vertex, when a complex is emitted.
+
+
+def _point_of(m: int) -> Callable:
+    """The map from tick keys at resolution m to their model points."""
+    discs = [DiscPoint(Fraction(1), Angle(Fraction(k, 2 * m)))
+             for k in range(2 * m)] + [DiscPoint.center()]
+    return lambda key: ModelPoint(tuple(discs[c] for c in key))
+
+
+def _ticks(z: ModelPoint, m: int) -> tuple:
+    """The tick key of a model point; ValueError off the 1/(2m) grid."""
+    key = []
+    for c in z.coords:
+        if c.radius == 0:
+            key.append(-1)
+            continue
+        k = c.angle.turns * (2 * m)
+        if c.radius != 1 or k.denominator != 1:
+            raise ValueError(f"vertex {z} is off the 1/{2 * m} grid")
+        key.append(k.numerator)
+    return tuple(key)
+
+
+def _emit(K: SimplicialComplex, m: int) -> SimplicialComplex:
+    """The complex over model points of a complex over tick keys."""
+    return SimplicialComplex(list(map(_point_of(m), K.vertices)), K.tops)
+
+
 class _Builder:
-    """Accumulates simplices, interning vertices by exact equality."""
+    """Accumulates simplices over orderable vertex keys.
+
+    The keys are tick keys, or the vertex indices of a parent complex.
+    The built complex lists its keys in sorted order, and each top
+    keeps the vertex order in which it was first added.
+    """
 
     def __init__(self):
         self._index: dict = {}
-        self._points: list = []
         self._tops: dict = {}
 
-    def vertex(self, p) -> int:
-        i = self._index.get(p)
-        if i is None:
-            i = len(self._points)
-            self._index[p] = i
-            self._points.append(p)
-        return i
-
-    def add(self, pts: Sequence):
-        idxs = tuple(self.vertex(p) for p in pts)
+    def add(self, keys: Sequence):
+        index = self._index
+        idxs = tuple(index.setdefault(k, len(index)) for k in keys)
         if len(set(idxs)) != len(idxs):
-            raise MeshValidityError(f"degenerate simplex {pts}")
+            raise MeshValidityError(f"degenerate simplex {keys}")
         self._tops.setdefault(tuple(sorted(idxs)), idxs)
 
     def add_complex(self, K: SimplicialComplex):
@@ -133,16 +163,14 @@ class _Builder:
             self.add([K.vertices[i] for i in t])
 
     def complex(self) -> SimplicialComplex:
-        if self._points and all(isinstance(p, ModelPoint) for p in self._points):
-            order = sorted(range(len(self._points)),
-                           key=lambda i: _vertex_key(self._points[i]))
-        else:
-            order = list(range(len(self._points)))
-        remap = {old: new for new, old in enumerate(order)}
-        verts = [self._points[i] for i in order]
+        keys = list(self._index)
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        remap = [0] * len(keys)
+        for new, old in enumerate(order):
+            remap[old] = new
         tops = [tuple(remap[i] for i in t) for t in self._tops.values()]
         tops.sort(key=lambda t: tuple(sorted(t)))
-        return SimplicialComplex(verts, tops)
+        return SimplicialComplex([keys[i] for i in order], tops)
 
 
 # ---------------------------------------------------------------------------
@@ -171,39 +199,41 @@ def _chains(dims: tuple) -> list:
 def _product_tops(factors: Sequence[Sequence[tuple]]):
     """Staircase top simplices of a product of cell lists.
 
-    Each factor is a list of cells; a cell is a tuple of vertex objects
-    in its local order.  Yields tuples of product vertices (per-factor
-    vertex tuples) in chain order.
+    Each factor is a list of cells; a cell is a tuple of ticks in its
+    local order.  Yields tuples of product vertices (tick keys) in
+    chain order.
     """
+    # the cells of one factor share a dimension, so every box has the
+    # same lattice points and the same chains
+    dims = tuple(len(f[0]) - 1 for f in factors)
+    chains = _chains(dims)
+    box = list(itertools.product(*(range(d + 1) for d in dims)))
     for combo in itertools.product(*factors):
-        dims = tuple(len(c) - 1 for c in combo)
-        for chain in _chains(dims):
-            yield tuple(
-                tuple(cell[p] for cell, p in zip(combo, pos)) for pos in chain
-            )
-
-
-def _point_cells(p: DiscPoint) -> list:
-    return [(p,)]
-
-
-def _upper_cells(m: int) -> list:
-    vs = [DiscPoint(Fraction(1), Angle(Fraction(i, 2 * m))) for i in range(m + 1)]
-    return [(vs[i], vs[i + 1]) for i in range(m)]
-
-
-def _lower_cells(m: int) -> list:
-    # ascending parameter; the last edge wraps through angle 0
-    vs = [DiscPoint(Fraction(1), Angle(HALF + Fraction(i, 2 * m)))
-          for i in range(m + 1)]
-    return [(vs[i], vs[i + 1]) for i in range(m)]
+        vertex = {pos: tuple(map(tuple.__getitem__, combo, pos))
+                  for pos in box}
+        for chain in chains:
+            yield tuple(map(vertex.__getitem__, chain))
 
 
 def _fan_cells(m: int) -> list:
-    c = DiscPoint.center()
-    ring = [DiscPoint(Fraction(1), Angle(Fraction(j, 2 * m)))
-            for j in range(2 * m)]
-    return [(c, ring[j], ring[(j + 1) % (2 * m)]) for j in range(2 * m)]
+    return [(-1, j, (j + 1) % (2 * m)) for j in range(2 * m)]
+
+
+def _factor_cells(lab: PLabel, m: int) -> list:
+    """The cells meshing one coordinate of a chart.
+
+    Half circles get m edges and discs a fan over a 2m-gon.
+    """
+    if lab == PLabel.ONE:
+        return [(0,)]
+    if lab == PLabel.MINUS_ONE:
+        return [(m,)]
+    if lab == PLabel.UPPER:
+        return [(i, i + 1) for i in range(m)]
+    if lab == PLabel.LOWER:
+        # ascending parameter; the last edge wraps through angle 0
+        return [(m + i, (m + i + 1) % (2 * m)) for i in range(m)]
+    return _fan_cells(m)
 
 
 def _check_m(m: int):
@@ -213,17 +243,10 @@ def _check_m(m: int):
 
 @dataclass
 class MeshChart:
-    """One meshed cell: its label, resolution, grid, and embedding.
-
-    `grid` lists the per-coordinate factor cells; `embedding` maps every
-    grid vertex tuple to its exact model point (degenerate grid corners
-    merge because equal coordinates intern to one vertex).
-    """
+    """One meshed cell: its label, resolution and complex."""
 
     cell: Union[CellLabel, str]
     m: int
-    grid: tuple
-    embedding: dict
     complex: SimplicialComplex
 
 
@@ -240,37 +263,20 @@ def mesh_cell(x: CellLabel, m: int) -> SimplicialComplex:
 
 def mesh_chart(x: CellLabel, m: int) -> MeshChart:
     _check_m(m)
-    factors = []
-    for lab in x:
-        if lab == PLabel.ONE:
-            factors.append(_point_cells(DiscPoint.of(1, 0)))
-        elif lab == PLabel.MINUS_ONE:
-            factors.append(_point_cells(DiscPoint.of(1, HALF)))
-        elif lab == PLabel.UPPER:
-            factors.append(_upper_cells(m))
-        elif lab == PLabel.LOWER:
-            factors.append(_lower_cells(m))
-        else:
-            factors.append(_fan_cells(m))
-    b = _Builder()
-    member_memo: dict = {}
-    embedding: dict = {}
+    point = _point_of(m)
+    memo: dict = {}
 
-    def member(z: ModelPoint) -> bool:
-        r = member_memo.get(z)
+    def member(key) -> bool:
+        r = memo.get(key)
         if r is None:
-            r = bx_member(x, z, "closed")
-            member_memo[z] = r
+            r = memo[key] = bx_member(x, point(key), "closed")
         return r
 
-    for simplex in _product_tops(factors):
-        pts = [ModelPoint(v) for v in simplex]
-        if all(member(z) for z in pts):
-            for grid_v, z in zip(simplex, pts):
-                embedding[grid_v] = z
-            b.add(pts)
-    return MeshChart(x, m, tuple(tuple(f) for f in factors), embedding,
-                     b.complex())
+    b = _Builder()
+    for simplex in _product_tops([_factor_cells(lab, m) for lab in x]):
+        if all(member(key) for key in simplex):
+            b.add(simplex)
+    return MeshChart(x, m, _emit(b.complex(), m))
 
 
 # ---------------------------------------------------------------------------
@@ -287,24 +293,16 @@ def slice_pieces(n: int, m: int) -> dict:
             for j in range(1, n) for k in range(1, n)}
 
 
-def _interface_faces(K: SimplicialComplex, other: CellLabel) -> set:
-    """Faces of K all of whose vertices lie in the other closed cell."""
-    memo: dict = {}
+def _interface_faces(K: SimplicialComplex, keys: list, inside: set) -> set:
+    """Faces of K whose vertices all lie in another closed cell.
 
-    def member(p):
-        r = memo.get(p)
-        if r is None:
-            r = bx_member(other, p, "closed")
-            memo[p] = r
-        return r
-
-    out = set()
-    for fs in K.faces().values():
-        for f in fs:
-            pts = [K.vertices[i] for i in f]
-            if all(member(p) for p in pts):
-                out.add(frozenset(pts))
-    return out
+    keys[i] is the tick key of K.vertices[i], and `inside` holds the
+    keys of the points in the other cell.  Faces are returned as
+    frozensets of tick keys.
+    """
+    ins = {i for i, key in enumerate(keys) if key in inside}
+    return {frozenset([keys[i] for i in f])
+            for fs in K.faces().values() for f in fs if ins.issuperset(f)}
 
 
 def assemble_slice(n: int, m: int) -> SimplicialComplex:
@@ -315,25 +313,34 @@ def assemble_slice(n: int, m: int) -> SimplicialComplex:
     set of faces on their overlap, and a mismatch is a hard error.
     """
     pieces = slice_pieces(n, m)
+    keys = {jk: [_ticks(z, m) for z in K.vertices]
+            for jk, K in pieces.items()}
+    points = {key: z for jk, K in pieces.items()
+              for key, z in zip(keys[jk], K.vertices)}
+    # each vertex of the slice is tested once against each cell
     labels = {jk: ul_label(jk[0], jk[1], n) for jk in pieces}
+    inside = {jk: {key for key, z in points.items()
+                   if bx_member(x, z, "closed")}
+              for jk, x in labels.items()}
     for a, b in itertools.combinations(sorted(pieces), 2):
-        sa = _interface_faces(pieces[a], labels[b])
-        sb = _interface_faces(pieces[b], labels[a])
+        sa = _interface_faces(pieces[a], keys[a], inside[b])
+        sb = _interface_faces(pieces[b], keys[b], inside[a])
         if sa != sb:
             witness = next(iter(sa ^ sb))
             raise MeshValidityError(
                 f"charts {a} and {b} disagree on their overlap near "
-                f"{[str(p) for p in sorted(witness, key=_vertex_key)]}")
+                f"{[str(points[key]) for key in sorted(witness)]}")
     out = _Builder()
     for jk in sorted(pieces):
-        out.add_complex(pieces[jk])
-    return out.complex()
+        out.add_complex(SimplicialComplex(keys[jk], pieces[jk].tops))
+    return _emit(out.complex(), m)
 
 
 def boundary_subcomplex(K: SimplicialComplex) -> SimplicialComplex:
     """Closure of the codimension-1 faces lying in exactly one top.
 
     The input must be pure; a closed complex yields the empty complex.
+    The boundary keeps the vertex order of K.
     """
     if not K.is_pure():
         raise MeshValidityError("boundary of a non-pure complex")
@@ -346,8 +353,9 @@ def boundary_subcomplex(K: SimplicialComplex) -> SimplicialComplex:
     for f, c in K.codim1_incidence().items():
         if c == 1:
             keep = set(f)
-            b.add([K.vertices[i] for i in parent[f] if i in keep])
-    return b.complex()
+            b.add([i for i in parent[f] if i in keep])
+    B = b.complex()
+    return SimplicialComplex([K.vertices[i] for i in B.vertices], B.tops)
 
 
 def _model_vertices(K: SimplicialComplex) -> bool:
@@ -374,33 +382,47 @@ class FullSpacePieces:
     interface: SimplicialComplex
 
 
-def _full_circle_vertex(a: Angle, w: DiscPoint) -> ModelPoint:
-    return ModelPoint((DiscPoint(Fraction(1), a),
-                       DiscPoint(Fraction(1), a + Angle(HALF)), w))
+def _antipodal_pair(a: int, m: int) -> tuple:
+    """The ticks of the circle points at angles a and a + 1/2."""
+    return (a, (a + m) % (2 * m))
 
 
-def _build_regions(m: int):
+def _build_regions(m: int) -> tuple:
+    """The rotation and base regions and their torus, on tick keys.
+
+    Raises MeshValidityError when the two regions induce different
+    triangulations of the torus.
+    """
     S = assemble_slice(3, m)
-    grid = [Angle(Fraction(q, 2 * m)) for q in range(2 * m)]
+    keys = [_ticks(z, m) for z in S.vertices]
+
+    def rotate(key, q):
+        return tuple(c if c < 0 else (c + q) % (2 * m) for c in key)
 
     ba = _Builder()
     for t in S.tops:
-        pts = [S.vertices[i] for i in t]
+        pts = [keys[i] for i in t]
+        chains = _chains((len(pts) - 1, 1))
         for q in range(2 * m):
             # descending rotation order cancels the shear on the torus
-            cell_phi = (grid[(q + 1) % (2 * m)], grid[q])
-            for chain in _chains((len(pts) - 1, 1)):
-                ba.add([rotate(cell_phi[pq], pts[pp]) for pp, pq in chain])
+            cell_phi = ((q + 1) % (2 * m), q)
+            for chain in chains:
+                ba.add([rotate(pts[pp], cell_phi[pq]) for pp, pq in chain])
 
     bb = _Builder()
     fan = _fan_cells(m)
     for i in range(2 * m):
-        cell_alpha = (grid[i], grid[(i + 1) % (2 * m)])
+        cell_alpha = (i, (i + 1) % (2 * m))
         for fcell in fan:
             for chain in _chains((1, len(fcell) - 1)):
-                bb.add([_full_circle_vertex(cell_alpha[pa], fcell[pf])
+                bb.add([_antipodal_pair(cell_alpha[pa], m) + (fcell[pf],)
                         for pa, pf in chain])
-    return ba.complex(), bb.complex()
+    region_a, region_b = ba.complex(), bb.complex()
+    torus = boundary_subcomplex(region_a)
+    if torus.top_point_sets() != boundary_subcomplex(region_b).top_point_sets():
+        raise MeshValidityError(
+            "the two full-space regions disagree on the interface torus")
+    return region_a, region_b, torus
 
 
 def full_space_pieces(n: int, m: int) -> FullSpacePieces:
@@ -408,44 +430,28 @@ def full_space_pieces(n: int, m: int) -> FullSpacePieces:
     if n != 3:
         raise ValueError("the two-region splitting exists for n = 3 only")
     _check_m(m)
-    region_a, region_b = _build_regions(m)
-    ta = boundary_subcomplex(region_a)
-    tb = boundary_subcomplex(region_b)
-    if ta.top_point_sets() != tb.top_point_sets():
-        raise MeshValidityError(
-            "the two full-space regions disagree on the interface torus")
-    return FullSpacePieces(region_a, region_b, ta)
+    return FullSpacePieces(*(_emit(K, m) for K in _build_regions(m)))
 
 
-def assemble_full(n: int, m: int) -> Union[SimplicialComplex, FullSpacePieces]:
+def assemble_full(n: int, m: int) -> SimplicialComplex:
     """Triangulation of the whole compact space for n = 2 or n = 3.
 
-    For n = 3 the rotation and base regions are glued along their torus.
-    Should the exact interface check ever fail, the unglued pieces are
-    returned instead so homology can assemble them; with the descending
-    rotation convention the check holds, so the normal result is one
-    complex.
+    For n = 3 the rotation and base regions are glued along their torus;
+    MeshValidityError is raised if they triangulate it differently.
     """
     _check_m(m)
+    b = _Builder()
     if n == 2:
-        b = _Builder()
-        vs = [ModelPoint((DiscPoint(Fraction(1), a),
-                          DiscPoint(Fraction(1), a + Angle(HALF))))
-              for a in (Angle(Fraction(j, 2 * m)) for j in range(2 * m))]
         for j in range(2 * m):
-            b.add([vs[j], vs[(j + 1) % (2 * m)]])
-        return b.complex()
-    if n == 3:
-        region_a, region_b = _build_regions(m)
-        ta = boundary_subcomplex(region_a)
-        tb = boundary_subcomplex(region_b)
-        if ta.top_point_sets() != tb.top_point_sets():
-            return FullSpacePieces(region_a, region_b, ta)
-        b = _Builder()
+            b.add([_antipodal_pair(j, m),
+                   _antipodal_pair((j + 1) % (2 * m), m)])
+    elif n == 3:
+        region_a, region_b, _ = _build_regions(m)
         b.add_complex(region_a)
         b.add_complex(region_b)
-        return b.complex()
-    raise ValueError("full-space meshes exist for n = 2 and n = 3 only")
+    else:
+        raise ValueError("full-space meshes exist for n = 2 and n = 3 only")
+    return _emit(b.complex(), m)
 
 
 # ---------------------------------------------------------------------------
@@ -547,7 +553,7 @@ def complex_from_doc(doc: dict):
     Raises ValueError on anything complex_to_doc cannot write: a
     non-object, a missing key, n not a positive integer, m not a
     positive even integer, a vertex without exactly n coordinates, or a
-    simplex that is not a list of distinct vertex indices.
+    simplex that is not a nonempty list of distinct vertex indices.
     """
     if not isinstance(doc, dict):
         raise ValueError("mesh document must be a JSON object")
@@ -571,7 +577,8 @@ def complex_from_doc(doc: dict):
         raise ValueError("mesh document repeats a vertex coordinate")
     tops = []
     for s in doc["simplices"]:
-        if (not isinstance(s, list) or not all(_doc_int(i) for i in s)
+        if (not isinstance(s, list) or not s
+                or not all(_doc_int(i) for i in s)
                 or any(i < 0 or i >= len(verts) for i in s)
                 or len(set(s)) != len(s)):
             raise ValueError(f"bad simplex {s!r}")

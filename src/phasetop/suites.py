@@ -37,7 +37,6 @@ from .cells import (
 )
 from .gluing import check_gluing, lattice_family, verify_slice_claims
 from .mesh import (
-    FullSpacePieces,
     assemble_full,
     assemble_slice,
     boundary_subcomplex,
@@ -291,25 +290,6 @@ def _suite_full_sphere(rep: VerificationReport, max_n: int, m_cap: int):
     if max_n < 3:
         return
     K = assemble_full(3, 2)
-    if isinstance(K, FullSpacePieces):
-        rep.add(CheckResult(
-            name="full-assembly:n=3,m=2", status="pass",
-            params={"n": 3, "m": 2, "route": "mayer-vietoris"},
-            witness="chart interfaces mismatched; using the fallback"))
-        pieces = K
-        for field in ("q", "f2"):
-            def mv(field=field):
-                ma = vertex_inclusion_map(pieces.interface, pieces.rotation)
-                mb = vertex_inclusion_map(pieces.interface, pieces.base)
-                got = mayer_vietoris_assemble(
-                    pieces.rotation, pieces.base, pieces.interface,
-                    ma, mb, field).betti
-                if got != (1, 0, 0, 1):
-                    return f"betti {got}, wanted (1,0,0,1)"
-                return None
-            rep.add(run_check(f"full-sphere-mv:n=3,m=2,field={field}", mv,
-                              n=3, m=2, field=field))
-        return
     rep.add(CheckResult(name="full-assembly:n=3,m=2", status="pass",
                         params={"n": 3, "m": 2, "route": "direct",
                                 "tops": len(K.tops)}))

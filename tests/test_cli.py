@@ -129,6 +129,34 @@ def test_mesh_rejects_odd_m():
         assert r.exit_code == 1
 
 
+def test_mesh_stats_of_the_slice():
+    runner = CliRunner()
+    with runner.isolated_filesystem():
+        r = runner.invoke(main, ["mesh", "slice", "--n", "3", "--m", "2",
+                                 "--out", "s.json"])
+        assert r.exit_code == 0
+        r = runner.invoke(main, ["mesh", "stats", "--in", "s.json"])
+    assert r.exit_code == 0
+    assert r.output.splitlines() == [
+        "dimension: 2",
+        "f-vector: (11, 26, 16)",
+        "pure: yes",
+        "closed pseudomanifold: no",
+        "euler characteristic: 1",
+        "boundary f-vector: (4, 4)",
+    ]
+
+
+def test_mesh_stats_rejects_a_bad_document():
+    runner = CliRunner()
+    with runner.isolated_filesystem():
+        with open("bad.json", "w", encoding="utf-8") as fh:
+            json.dump({"n": 2, "m": 2, "vertices": [], "simplices": [[0]]},
+                      fh)
+        r = runner.invoke(main, ["mesh", "stats", "--in", "bad.json"])
+    assert_clean_error(r, "bad simplex")
+
+
 def test_homology_rejects_bad_documents():
     runner = CliRunner()
     with runner.isolated_filesystem():
@@ -188,6 +216,8 @@ def test_homology_rejects_non_list_simplices():
     doc["simplices"] = {"0": [0, 1]}
     assert_clean_error(_homology_of(doc), "simplices must be a list")
     doc["simplices"] = [7]
+    assert_clean_error(_homology_of(doc), "bad simplex")
+    doc["simplices"] = [[0, 1], []]
     assert_clean_error(_homology_of(doc), "bad simplex")
 
 

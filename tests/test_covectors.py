@@ -2,6 +2,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from phasetop.covectors import (
     PhaseVector,
@@ -213,3 +214,70 @@ def test_sign_predicates():
     assert not sign_leq_vec((-1, 1), (1, 1))
     with pytest.raises(ValueError):
         sign_is_covector((1, 0), (1, 1))
+
+
+# ---------------------------------------------------------------------------
+# Differential tests: the integer kernel against the fold oracle
+# ---------------------------------------------------------------------------
+
+off_grid = st.integers(1, 10**6).flatmap(
+    lambda q: st.integers(0, q - 1).map(lambda p: F(p, q)))
+
+
+@st.composite
+def phase_lists(draw, max_len=7):
+    """Off-grid phases with zeros, repeated angles, exact antipodes and
+    angles a hair's breadth from an antipode."""
+    turns = []
+    for _ in range(draw(st.integers(0, max_len))):
+        kind = draw(st.sampled_from(
+            ["zero", "fresh", "fresh", "repeat", "antipode", "near"]))
+        earlier = [t for t in turns if t is not None]
+        if kind == "zero":
+            turns.append(None)
+        elif kind == "fresh" or not earlier:
+            turns.append(draw(off_grid))
+        else:
+            t = draw(st.sampled_from(earlier))
+            if kind == "antipode":
+                t += F(1, 2)
+            elif kind == "near":
+                t += F(1, 2) + F(draw(st.sampled_from([-1, 1])),
+                                 draw(st.integers(10**6, 10**12)))
+            turns.append(t % 1)
+    return [ZERO if t is None else Phase.of(t) for t in turns]
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(phase_lists())
+def test_zero_in_sum_matches_fold_oracle_off_grid(xs):
+    assert zero_in_sum(xs) == hyper_sum_list(xs).contains_zero
+
+
+@pytest.mark.parametrize("m", [2, 4])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_enumerate_covectors_is_the_oracle_filter_of_the_grid(n, m):
+    alphabet = [ZERO] + [Phase.of(F(k, m)) for k in range(m)]
+    want = [PhaseVector(c) for c in itertools.product(alphabet, repeat=n)
+            if any(not e.is_zero for e in c)
+            and hyper_sum_list(c).contains_zero]
+    assert enumerate_covectors("phase", n, m) == want
+
+
+def oracle_triple(x):
+    for t in itertools.combinations(range(len(x)), 3):
+        if hyper_sum_list([x[i] for i in t]).contains_zero:
+            return tuple(i + 1 for i in t)
+    return None
+
+
+@settings(derandomize=True, max_examples=250, deadline=None)
+@given(phase_lists())
+def test_find_zero_triple_is_the_first_oracle_triple(xs):
+    x = PhaseVector(tuple(xs))
+    assert find_zero_triple(x) == oracle_triple(x)
+
+
+def test_find_zero_triple_is_the_first_oracle_triple_on_the_grid():
+    for x in enumerate_covectors("phase", 5, 4):
+        assert find_zero_triple(x) == oracle_triple(x)

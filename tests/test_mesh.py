@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 
@@ -10,6 +11,8 @@ from phasetop.mesh import (
     FullSpacePieces,
     MeshValidityError,
     SimplicialComplex,
+    _point_of,
+    _ticks,
     assemble_full,
     assemble_slice,
     boundary_subcomplex,
@@ -64,7 +67,6 @@ def test_odd_or_tiny_m_rejected():
 def test_chart_vertices_lie_in_their_cell():
     for m in (2, 4):
         ch = mesh_chart(ul_label(2, 1, 3), m)
-        assert len(ch.embedding) == len(ch.complex.vertices)
         for z in ch.complex.vertices:
             assert bx_member(ch.cell, z, "closed")
 
@@ -251,3 +253,64 @@ def test_doc_requires_geometric_vertices():
     K = SimplicialComplex(["a", "b"], [(0, 1)])
     with pytest.raises(ValueError):
         complex_to_doc(K, 2, 2)
+
+
+# sha256 of the mesh documents (as `phasetop mesh` writes them) recorded
+# before vertices were keyed by integer ticks inside the module
+MESH_DOC_SHA256 = {
+    (assemble_slice, 3, 4):
+        "d144f9a4ffc56bef294df0d228e49557236b50fd6a29b117abf508502c382b89",
+    (assemble_slice, 4, 2):
+        "c9656a75fdf5240434e28332c13a9c7d97430af1d08578c2ff3d7ffc6ab9ca82",
+    (assemble_full, 2, 4):
+        "d51b788f66258830630ea04e16815e09f83302732b1c6a01515d584e85aff81c",
+    (assemble_full, 3, 2):
+        "afe0c4ae2404f93082feba93153413e6cbc88759e07a1066e6e91d4b7e9df3e8",
+}
+
+
+@pytest.mark.parametrize("build,n,m", sorted(
+    MESH_DOC_SHA256, key=lambda k: (k[0].__name__, k[1], k[2])),
+    ids=lambda v: getattr(v, "__name__", str(v)))
+def test_mesh_documents_are_pinned(build, n, m):
+    doc = complex_to_doc(build(n, m), n, m)
+    text = json.dumps(doc, indent=2, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == MESH_DOC_SHA256[
+        (build, n, m)]
+
+
+def test_ticks_round_trip(slice32, full32):
+    for K, m in ((slice32, 2), (full32, 2), (assemble_slice(3, 4), 4)):
+        keys = [_ticks(z, m) for z in K.vertices]
+        assert list(map(_point_of(m), keys)) == K.vertices
+        # tick order is the vertex order of every emitted complex
+        assert keys == sorted(keys)
+    centre = ModelPoint((DiscPoint.center(), DiscPoint.of(1, Fraction(3, 4))))
+    assert _ticks(centre, 2) == (-1, 3)
+    assert _ticks(centre, 4) == (-1, 6)
+
+
+@pytest.mark.parametrize("coord", [
+    DiscPoint.of(Fraction(1, 2), 0),    # inside the disc, off centre
+    DiscPoint.of(1, Fraction(1, 8)),    # on the circle, between ticks
+])
+def test_ticks_reject_off_grid_vertices(coord):
+    z = ModelPoint((DiscPoint.of(1, 0), coord))
+    with pytest.raises(ValueError, match="off the 1/4 grid"):
+        _ticks(z, 2)
+
+
+def test_interface_mismatch_is_an_error_naming_points(monkeypatch):
+    import phasetop.mesh as mesh_module
+
+    pieces = slice_pieces(3, 2)
+    K, other = pieces[(1, 2)], set(pieces[(2, 1)].vertices)
+    # drop every top of one chart at a vertex it shares with another
+    v = next(i for i, z in enumerate(K.vertices) if z in other)
+    pieces[(1, 2)] = SimplicialComplex(
+        K.vertices, [t for t in K.tops if v not in t])
+    monkeypatch.setattr(mesh_module, "slice_pieces", lambda n, m: pieces)
+    with pytest.raises(MeshValidityError,
+                       match=r"charts \(\d, \d\) and \(\d, \d\) disagree "
+                             r"on their overlap near \['1@"):
+        assemble_slice(3, 2)
