@@ -28,7 +28,6 @@ __all__ = [
     "CellLabel",
     "in_pn",
     "pn_elements",
-    "generator",
     "ul_label",
     "meet",
     "meet_all",
@@ -169,23 +168,13 @@ def pn_elements(n: int) -> list[CellLabel]:
     return out
 
 
-def generator(j: int, k: int, n: int) -> CellLabel:
-    """The standard generator with 1 <= j <= k <= n-1.
-
-    j = k places -1 at j; j < k places U at j and L at k; the rest of
-    the head is F and the last coordinate is 1.
-    """
-    if not 1 <= j <= k <= n - 1:
-        raise ValueError("need 1 <= j <= k <= n-1")
-    return ul_label(j, k, n)
-
-
 def ul_label(j: int, k: int, n: int) -> CellLabel:
     """The chart label for any ordered pair (j, k) in [n-1]^2.
 
-    Same shape as `generator` but without the j <= k restriction: the
-    union of these over all k covers the region where coordinate j runs
-    over the upper half-circle.
+    j = k places -1 at j; otherwise U sits at j and L at k.  The rest of
+    the head is F and the last coordinate is 1.  The union of these over
+    all k covers the region where coordinate j runs over the upper
+    half-circle.
     """
     if not (1 <= j <= n - 1 and 1 <= k <= n - 1):
         raise ValueError("indices must lie in [1, n-1]")

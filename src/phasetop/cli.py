@@ -320,7 +320,7 @@ def homology_cmd(in_path, field):
 
 
 @main.command("verify")
-@click.argument("suite", type=click.Choice(SUITES + ("all",)))
+@click.argument("suite", type=click.Choice([*SUITES, "all"]))
 @click.option("--max-n", type=int, default=None,
               help="cap on n (never widens a suite's documented range)")
 @click.option("--m", type=int, default=None, help="cap on grid density")

@@ -41,6 +41,8 @@ __all__ = [
     "GluingReport",
     "check_gluing",
     "lattice_family",
+    "chart_family",
+    "dimension_witness",
     "sample_charts_point",
     "random_slice_point",
     "verify_slice_claims",
@@ -138,6 +140,26 @@ def lattice_family(cells: Sequence[CellLabel], ambient_dim: int) -> GluingFamily
         return a != b and cell_leq(a, b)
 
     return GluingFamily(list(cells), ambient_dim, nu, meet_of, in_boundary)
+
+
+def chart_family(J: Sequence[int], n: int) -> GluingFamily:
+    """The chart family of J: one meet over J of ul_label(j, k, n) per k.
+
+    Its cells should have dimension 2n - 3 - |J|, the family's ambient
+    dimension; for a single j these are the charts of coordinate j.
+    """
+    cells = [meet_all([ul_label(j, k, n) for j in J]) for k in range(1, n)]
+    return lattice_family(cells, 2 * n - 3 - len(J))
+
+
+def dimension_witness(f: GluingFamily) -> str | None:
+    """None if every cell has the ambient dimension, else the first that has not."""
+    for k, c in enumerate(f.cells, 1):
+        got = f.dim_of(c)
+        if got != f.ambient_dim:
+            return (f"k={k}: nu({format_cell_label(c)}) = {got},"
+                    f" wanted {f.ambient_dim}")
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -269,10 +291,6 @@ def random_slice_point(rng: random.Random, n: int, den: int = 8) -> ModelPoint:
 # ---------------------------------------------------------------------------
 
 
-def _gluing_summary(fam: GluingFamily) -> str | None:
-    return check_gluing(fam).summary()
-
-
 def verify_slice_claims(n: int, samples: int = 1000, seed: int = 0) -> VerificationReport:
     """Combinatorial and sampled verification of the slice decomposition.
 
@@ -289,7 +307,6 @@ def verify_slice_claims(n: int, samples: int = 1000, seed: int = 0) -> Verificat
         suite="slice-claims", seed=seed, params={"n": n, "samples": samples}
     )
     idx = list(range(1, n))  # the constrained coordinates
-    d = 2 * n - 4
 
     def meets_admissible():
         charts = [ul_label(j, k, n) for j in idx for k in idx]
@@ -306,32 +323,19 @@ def verify_slice_claims(n: int, samples: int = 1000, seed: int = 0) -> Verificat
     rep.add(run_check("meets-stay-admissible", meets_admissible, n=n))
 
     for j in idx:
-        fam = lattice_family([ul_label(j, k, n) for k in idx], d)
-        rep.add(run_check(
-            f"family-gluing:j={j}",
-            lambda fam=fam: _gluing_summary(fam),
-            n=n, d=d,
-        ))
+        rep.add(run_check(f"family-gluing:j={j}",
+                          lambda j=j: check_gluing(chart_family((j,), n)).summary(),
+                          n=n, d=2 * n - 4))
 
     for size in range(2, n):
         for J in itertools.combinations(idx, size):
-            cells = [meet_all([ul_label(j, k, n) for j in J]) for k in idx]
-            want = 2 * n - 3 - size
-
-            def dim_witness(cells=cells, want=want):
-                for k, c in zip(idx, cells):
-                    if nu(c) != want:
-                        return f"k={k}: nu({c}) = {nu(c)}, expected {want}"
-                return None
-
             jtag = ",".join(str(j) for j in J)
-            rep.add(run_check(f"cross-dim:J={{{jtag}}}", dim_witness, n=n))
-            fam = lattice_family(cells, want)
-            rep.add(run_check(
-                f"cross-gluing:J={{{jtag}}}",
-                lambda fam=fam: _gluing_summary(fam),
-                n=n, d=want,
-            ))
+            rep.add(run_check(f"cross-dim:J={{{jtag}}}",
+                              lambda J=J: dimension_witness(chart_family(J, n)),
+                              n=n))
+            rep.add(run_check(f"cross-gluing:J={{{jtag}}}",
+                              lambda J=J: check_gluing(chart_family(J, n)).summary(),
+                              n=n, d=2 * n - 3 - size))
 
     if n > 4:
         for name in ("sampled:boundary-containment", "sampled:chart-intersection",

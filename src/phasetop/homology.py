@@ -4,7 +4,7 @@ Betti numbers come from sparse column reduction of boundary matrices
 with a deterministic pivot order, in exact arithmetic.  Also here: the
 order complex of a finite poset, and a Mayer-Vietoris assembly that
 computes the homology of a union from two pieces and their common
-subcomplex, used as the gluing fallback and as a cross-check.
+subcomplex, used as a cross-check of the direct computation.
 """
 
 from __future__ import annotations

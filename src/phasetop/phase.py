@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 __all__ = [
     "Angle",
@@ -141,45 +141,10 @@ class Arc:
         # offset of a past the start, measured forward around the circle
         return _mod1(a.turns - self.start.turns) <= self.length
 
-    def contains_arc(self, other: "Arc") -> bool:
-        if self.is_full_circle:
-            return True
-        if other.is_full_circle:
-            return False
-        off = _mod1(other.start.turns - self.start.turns)
-        return off + other.length <= self.length
-
     def __str__(self) -> str:
         if self.is_full_circle:
             return "[full circle]"
         return f"[{self.start}, {self.end()}]"
-
-
-def _merge_arcs(arcs: Sequence[Arc]) -> tuple[Arc, ...]:
-    """Normalize a set of arcs: merge overlaps, canonicalize a full cover."""
-    arcs = [a for a in arcs]
-    if any(a.is_full_circle for a in arcs):
-        return (Arc(Angle(Fraction(0)), ONE),)
-    if not arcs:
-        return ()
-    # unroll: each arc as (start in [0,1), end = start + length, end < 2)
-    spans = sorted((a.start.turns, a.start.turns + a.length) for a in arcs)
-    merged: list[list[Fraction]] = []
-    for s, e in spans:
-        if merged and s <= merged[-1][1]:
-            merged[-1][1] = max(merged[-1][1], e)
-        else:
-            merged.append([s, e])
-    # wrap: the last span may spill past 1 and swallow spans at the front
-    while len(merged) > 1 and merged[-1][1] >= merged[0][0] + 1:
-        if merged[-1][1] >= merged[0][1] + 1:
-            merged.pop(0)
-        else:
-            merged[-1][1] = merged[0][1] + 1
-            merged.pop(0)
-    if len(merged) == 1 and merged[0][1] - merged[0][0] >= 1:
-        return (Arc(Angle(Fraction(0)), ONE),)
-    return tuple(Arc(Angle(s), e - s) for s, e in merged)
 
 
 @dataclass(frozen=True)
@@ -192,10 +157,6 @@ class PhaseSet:
 
     contains_zero: bool
     arcs: tuple[Arc, ...]
-
-    @staticmethod
-    def make(contains_zero: bool, arcs: Iterable[Arc]) -> "PhaseSet":
-        return PhaseSet(contains_zero, _merge_arcs(tuple(arcs)))
 
     @staticmethod
     def just_zero() -> "PhaseSet":
@@ -215,11 +176,6 @@ class PhaseSet:
         if p.is_zero:
             return self.contains_zero
         return any(a.contains(p.angle) for a in self.arcs)
-
-    def union(self, other: "PhaseSet") -> "PhaseSet":
-        return PhaseSet.make(
-            self.contains_zero or other.contains_zero, self.arcs + other.arcs
-        )
 
     def phases(self) -> list[Phase]:
         """The elements of the set, when it is finite (points only)."""

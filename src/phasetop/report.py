@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable
 
 __all__ = ["CheckResult", "VerificationReport", "run_check"]
@@ -50,8 +50,12 @@ class VerificationReport:
     def add(self, result: CheckResult) -> None:
         self.checks.append(result)
 
-    def extend(self, results: Iterable[CheckResult]) -> None:
-        self.checks.extend(results)
+    def extend(self, results: Iterable[CheckResult], prefix: str = "",
+               **params) -> None:
+        """Append results, each name prefixed and params merged in."""
+        for c in results:
+            self.add(replace(c, name=prefix + c.name,
+                             params=dict(c.params, **params)))
 
     def to_doc(self, include_timings: bool = False) -> dict:
         return {

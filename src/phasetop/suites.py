@@ -2,18 +2,20 @@
 
 Each suite certifies one acceptance claim and returns a deterministic
 VerificationReport; "all" chains every suite.  Scales are capped at the
-documented desk-scale ranges, so a verify run terminates in minutes.
+documented desk-scale ranges held in `SUITES`, so a verify run
+terminates in minutes.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from .phase import Phase, hyper_sum_list
 from .covectors import (
-    all_ones,
     enumerate_covectors,
     format_phase_vector,
     find_zero_triple,
@@ -28,14 +30,13 @@ from .order_complex import (
     random_join_point,
     random_model_point,
 )
-from .cells import (
-    format_cell_label,
-    meet_all,
-    nu,
-    ul_label,
-    verify_meet_glb,
+from .cells import format_cell_label, verify_meet_glb
+from .gluing import (
+    chart_family,
+    check_gluing,
+    dimension_witness,
+    verify_slice_claims,
 )
-from .gluing import check_gluing, lattice_family, verify_slice_claims
 from .mesh import (
     assemble_full,
     assemble_slice,
@@ -50,36 +51,9 @@ from .homology import (
     mayer_vietoris_assemble,
     vertex_inclusion_map,
 )
-from .report import CheckResult, VerificationReport, run_check
+from .report import VerificationReport, run_check
 
-__all__ = ["SUITES", "run_suite"]
-
-SUITES = (
-    "lemma-zero-oracle",
-    "pieces",
-    "sign-spheres",
-    "gamma-roundtrip",
-    "pn-combinatorics",
-    "slice-claims",
-    "slice-mesh",
-    "boundary-ident",
-    "full-sphere",
-)
-
-# widest n each suite accepts; --max-n only narrows these
-_N_CAP = {
-    "lemma-zero-oracle": 5,
-    "pieces": 5,
-    "sign-spheres": 5,
-    "gamma-roundtrip": 6,
-    "pn-combinatorics": 7,
-    "slice-claims": 4,
-    "slice-mesh": 4,
-    "boundary-ident": 4,
-    "full-sphere": 3,
-}
-_N_FLOOR = {"sign-spheres": 3, "pn-combinatorics": 3, "slice-claims": 3,
-            "slice-mesh": 3, "boundary-ident": 3, "full-sphere": 2}
+__all__ = ["SUITES", "Suite", "run_suite"]
 
 
 def _grid_phases(m: int) -> list[Phase]:
@@ -90,14 +64,24 @@ def _grids(m_cap: int) -> list[int]:
     return [m for m in (2, 4, 6, 8) if m <= m_cap]
 
 
-def _suite_zero_oracle(rep: VerificationReport, max_n: int, m_cap: int):
+def _built(rep: VerificationReport, name: str, build: Callable, **params):
+    """Run build() as the check `name`: its result, or None if it failed."""
+    out = []
+    rep.add(run_check(name, lambda: out.append(build()), **params))
+    return out[0] if out else None
+
+
+def _betti_witness(K, want: tuple, field: str = "q") -> str | None:
+    got = betti(K, field).betti
+    return None if got == want else f"betti {got}, wanted {want}"
+
+
+def _suite_zero_oracle(rep, ns, m_cap, samples, seed):
     for m in _grids(m_cap):
         alphabet = _grid_phases(m)
-        for n in range(1, max_n + 1):
+        for n in ns:
             def agree(alphabet=alphabet, n=n):
-                count = 0
                 for xs in itertools.product(alphabet, repeat=n):
-                    count += 1
                     if zero_in_sum(xs) != hyper_sum_list(xs).contains_zero:
                         return "mismatch at " + ",".join(str(p) for p in xs)
                 return None
@@ -106,15 +90,13 @@ def _suite_zero_oracle(rep: VerificationReport, max_n: int, m_cap: int):
                               m=m, n=n, inputs=total))
 
 
-def _suite_pieces(rep: VerificationReport, max_n: int, m_cap: int):
+def _suite_pieces(rep, ns, m_cap, samples, seed):
     for m in _grids(m_cap):
-        for n in range(3, max_n + 1):
+        for n in ns:
             def triples(m=m, n=n):
-                checked = 0
                 for x in enumerate_covectors("phase", n, m):
                     if len(support(x)) < 3:
                         continue
-                    checked += 1
                     t = find_zero_triple(x)
                     if t is None:
                         return f"no zero triple for {format_phase_vector(x)}"
@@ -128,25 +110,22 @@ def _suite_pieces(rep: VerificationReport, max_n: int, m_cap: int):
             rep.add(run_check(f"zero-triples:m={m},n={n}", triples, m=m, n=n))
 
 
-def _suite_sign_spheres(rep: VerificationReport, max_n: int):
+def _suite_sign_spheres(rep, ns, m_cap, samples, seed):
     from .homology import order_complex_of_poset
 
-    for n in range(3, max_n + 1):
+    for n in ns:
         vs = [v for v in enumerate_covectors("sign", n)
               if len(sign_support(v)) >= 2]
         K = order_complex_of_poset(vs, sign_leq_vec)
         want = (1,) + (0,) * (n - 3) + (1,)
         for field in ("q", "f2"):
-            def spherical(K=K, field=field, want=want):
-                got = betti(K, field).betti
-                return None if got == want else f"betti {got}, wanted {want}"
-            rep.add(run_check(f"sign-sphere:n={n},field={field}", spherical,
+            rep.add(run_check(f"sign-sphere:n={n},field={field}",
+                              lambda K=K, w=want, f=field: _betti_witness(K, w, f),
                               n=n, field=field, elements=len(vs),
                               chains=len(K.tops)))
 
 
-def _suite_gamma(rep: VerificationReport, max_n: int, samples: int, seed: int):
-    ns = list(range(2, max_n + 1))
+def _suite_gamma(rep, ns, m_cap, samples, seed):
     per = max(1, -(-samples // len(ns)))
     for n in ns:
         def round_trips(n=n):
@@ -163,38 +142,27 @@ def _suite_gamma(rep: VerificationReport, max_n: int, samples: int, seed: int):
                           n=n, samples=per))
 
 
-def _suite_pn(rep: VerificationReport, max_n: int):
-    for n in range(3, max_n + 1):
-        d = 2 * n - 4
+def _suite_pn(rep, ns, m_cap, samples, seed):
+    for n in ns:
         idx = range(1, n)
         for j in idx:
-            cells = [ul_label(j, k, n) for k in idx]
-            def row_glues(cells=cells, d=d):
-                return check_gluing(lattice_family(cells, d)).summary()
-            rep.add(run_check(f"family-gluing:n={n},j={j}", row_glues,
-                              n=n, j=j))
+            rep.add(run_check(
+                f"family-gluing:n={n},j={j}",
+                lambda j=j, n=n: check_gluing(chart_family((j,), n)).summary(),
+                n=n, j=j))
         for size in range(1, n):
             for J in itertools.combinations(idx, size):
                 jtag = ",".join(str(j) for j in J)
-                def cross(J=J, n=n):
-                    want = 2 * n - 3 - len(J)
-                    for k in range(1, n):
-                        mt = meet_all([ul_label(j, k, n) for j in J])
-                        if nu(mt) != want:
-                            return (f"nu({format_cell_label(mt)}) = {nu(mt)}"
-                                    f" at k={k}, wanted {want}")
-                    return None
-                rep.add(run_check(f"cross-dim:n={n},J={{{jtag}}}", cross,
-                                  n=n, J=jtag))
+                rep.add(run_check(
+                    f"cross-dim:n={n},J={{{jtag}}}",
+                    lambda J=J, n=n: dimension_witness(chart_family(J, n)),
+                    n=n, J=jtag))
                 if size >= 2:
-                    def cross_glue(J=J, n=n):
-                        cells = [meet_all([ul_label(j, k, n) for j in J])
-                                 for k in range(1, n)]
-                        fam = lattice_family(cells, 2 * n - 3 - len(J))
-                        return check_gluing(fam).summary()
-                    rep.add(run_check(f"cross-gluing:n={n},J={{{jtag}}}",
-                                      cross_glue, n=n, J=jtag))
-    for n in range(3, min(max_n, 5) + 1):
+                    rep.add(run_check(
+                        f"cross-gluing:n={n},J={{{jtag}}}",
+                        lambda J=J, n=n: check_gluing(chart_family(J, n)).summary(),
+                        n=n, J=jtag))
+    for n in range(ns.start, min(ns.stop, 6)):
         def glb(n=n):
             ok, pair = verify_meet_glb(n)
             if ok:
@@ -205,94 +173,66 @@ def _suite_pn(rep: VerificationReport, max_n: int):
         rep.add(run_check(f"meet-glb:n={n}", glb, n=n))
 
 
-def _suite_slice_claims(rep: VerificationReport, max_n: int, samples: int,
-                        seed: int):
-    for n in range(3, max_n + 1):
+def _suite_slice_claims(rep, ns, m_cap, samples, seed):
+    for n in ns:
         sub = verify_slice_claims(n, samples=samples, seed=seed)
-        for c in sub.checks:
-            rep.add(CheckResult(name=f"n={n}:{c.name}", status=c.status,
-                                params=dict(c.params, n=n), witness=c.witness,
-                                runtime_s=c.runtime_s))
+        rep.extend(sub.checks, prefix=f"n={n}:", n=n)
 
 
-def _ball_checks(rep: VerificationReport, n: int, m: int):
-    state = {}
+def _suite_slice_mesh(rep, ns, m_cap, samples, seed):
+    for n in ns:
+        for m in _grids(m_cap) if n == 3 else (2,):
+            K = _built(rep, f"slice-validity:n={n},m={m}",
+                       lambda n=n, m=m: assemble_slice(n, m), n=n, m=m)
+            if K is None:
+                continue
+            want = (1,) + (0,) * (2 * n - 4)
+            for field in ("q", "f2"):
+                rep.add(run_check(
+                    f"slice-betti:n={n},m={m},field={field}",
+                    lambda K=K, w=want, f=field: _betti_witness(K, w, f),
+                    n=n, m=m, field=field, tops=len(K.tops)))
 
-    def build():
-        state["K"] = assemble_slice(n, m)
-        return None
+            def chi(K=K):
+                e = euler_characteristic(K)
+                return None if e == 1 else f"euler characteristic {e}"
 
-    rep.add(run_check(f"slice-validity:n={n},m={m}", build, n=n, m=m))
-    if "K" not in state:
-        return
-    K = state["K"]
-    want = (1,) + (0,) * (2 * n - 4)
-    for field in ("q", "f2"):
-        def ball(field=field):
-            got = betti(K, field).betti
-            return None if got == want else f"betti {got}, wanted {want}"
-        rep.add(run_check(f"slice-betti:n={n},m={m},field={field}", ball,
-                          n=n, m=m, field=field, tops=len(K.tops)))
-
-    def chi():
-        e = euler_characteristic(K)
-        return None if e == 1 else f"euler characteristic {e}"
-
-    rep.add(run_check(f"slice-euler:n={n},m={m}", chi, n=n, m=m))
+            rep.add(run_check(f"slice-euler:n={n},m={m}", chi, n=n, m=m))
 
 
-def _suite_slice_mesh(rep: VerificationReport, max_n: int, m_cap: int):
-    for m in (2, 4):
-        if m <= m_cap:
-            _ball_checks(rep, 3, m)
-    if max_n >= 4:
-        _ball_checks(rep, 4, 2)
-
-
-def _suite_boundary(rep: VerificationReport, max_n: int, m_cap: int):
-    for m in (2, 4):
-        if m > m_cap:
-            continue
+def _suite_boundary(rep, ns, m_cap, samples, seed):
+    for m in _grids(m_cap):
         def ident(m=m):
             B = boundary_subcomplex(assemble_slice(3, m))
             ok, why = complex_isomorphic(B, assemble_full(2, m),
                                          drop_last_coordinate)
             return None if ok else why
         rep.add(run_check(f"boundary-circle:m={m}", ident, n=3, m=m))
-    if max_n >= 4:
-        state = {}
-
-        def build():
-            state["B"] = boundary_subcomplex(assemble_slice(4, 2))
-            return None
-
-        rep.add(run_check("boundary-build:n=4,m=2", build, n=4, m=2))
-        if "B" in state:
-            for field in ("q", "f2"):
-                def sphere(field=field):
-                    got = betti(state["B"], field).betti
-                    if got != (1, 0, 0, 1):
-                        return f"betti {got}, wanted (1,0,0,1)"
-                    return None
-                rep.add(run_check(
-                    f"boundary-sphere:n=4,m=2,field={field}", sphere,
-                    n=4, m=2, field=field))
-
-
-def _suite_full_sphere(rep: VerificationReport, max_n: int, m_cap: int):
-    for m in (2, 4):
-        if m > m_cap:
-            continue
-        def circle(m=m):
-            got = betti(assemble_full(2, m)).betti
-            return None if got == (1, 1) else f"betti {got}, wanted (1,1)"
-        rep.add(run_check(f"full-circle:n=2,m={m}", circle, n=2, m=m))
-    if max_n < 3:
+    if 4 not in ns:
         return
-    K = assemble_full(3, 2)
-    rep.add(CheckResult(name="full-assembly:n=3,m=2", status="pass",
-                        params={"n": 3, "m": 2, "route": "direct",
-                                "tops": len(K.tops)}))
+    B = _built(rep, "boundary-build:n=4,m=2",
+               lambda: boundary_subcomplex(assemble_slice(4, 2)), n=4, m=2)
+    if B is None:
+        return
+    for field in ("q", "f2"):
+        rep.add(run_check(f"boundary-sphere:n=4,m=2,field={field}",
+                          lambda f=field: _betti_witness(B, (1, 0, 0, 1), f),
+                          n=4, m=2, field=field))
+
+
+def _suite_full_sphere(rep, ns, m_cap, samples, seed):
+    for m in _grids(m_cap):
+        rep.add(run_check(
+            f"full-circle:n=2,m={m}",
+            lambda m=m: _betti_witness(assemble_full(2, m), (1, 1)),
+            n=2, m=m))
+    if 3 not in ns:
+        return
+    K = _built(rep, "full-assembly:n=3,m=2", lambda: assemble_full(3, 2),
+               n=3, m=2, route="direct")
+    if K is None:
+        return
+    rep.checks[-1].params["tops"] = len(K.tops)  # known once the build passed
 
     def closed():
         if not K.is_closed_pseudomanifold():
@@ -301,12 +241,8 @@ def _suite_full_sphere(rep: VerificationReport, max_n: int, m_cap: int):
 
     rep.add(run_check("full-pseudomanifold:n=3,m=2", closed, n=3, m=2))
     for field in ("q", "f2"):
-        def sphere(field=field):
-            got = betti(K, field).betti
-            if got != (1, 0, 0, 1):
-                return f"betti {got}, wanted (1,0,0,1)"
-            return None
-        rep.add(run_check(f"full-sphere:n=3,m=2,field={field}", sphere,
+        rep.add(run_check(f"full-sphere:n=3,m=2,field={field}",
+                          lambda f=field: _betti_witness(K, (1, 0, 0, 1), f),
                           n=3, m=2, field=field))
 
     def cross_check():
@@ -324,35 +260,43 @@ def _suite_full_sphere(rep: VerificationReport, max_n: int, m_cap: int):
                       n=3, m=2))
 
 
-def _one_suite(rep: VerificationReport, suite: str, max_n: int | None,
-               m: int | None, samples: int | None, seed: int):
-    cap = _N_CAP[suite]
-    top = cap if max_n is None else min(max_n, cap)
-    if top < _N_FLOOR.get(suite, 1):
-        raise ValueError(f"suite {suite} needs max_n >= "
-                         f"{_N_FLOOR.get(suite, 1)}")
-    m_cap = 8 if m is None else m
-    if m_cap < 2 or m_cap % 2 != 0:
-        raise ValueError("m must be an even number >= 2")
-    if suite == "lemma-zero-oracle":
-        _suite_zero_oracle(rep, top, m_cap)
-    elif suite == "pieces":
-        _suite_pieces(rep, top, m_cap)
-    elif suite == "sign-spheres":
-        _suite_sign_spheres(rep, top)
-    elif suite == "gamma-roundtrip":
-        _suite_gamma(rep, top, 10000 if samples is None else samples, seed)
-    elif suite == "pn-combinatorics":
-        _suite_pn(rep, top)
-    elif suite == "slice-claims":
-        _suite_slice_claims(rep, top, 1000 if samples is None else samples,
-                            seed)
-    elif suite == "slice-mesh":
-        _suite_slice_mesh(rep, top, 4 if m is None else m_cap)
-    elif suite == "boundary-ident":
-        _suite_boundary(rep, top, 4 if m is None else m_cap)
-    elif suite == "full-sphere":
-        _suite_full_sphere(rep, top, 4 if m is None else m_cap)
+@dataclass(frozen=True)
+class Suite:
+    """A suite's function and its documented scale.
+
+    `ns` is every n the suite checks, `m_cap` the densest grid it meshes
+    and `samples` its sample count (None where nothing is sampled);
+    `--max-n` and `--m` only truncate these.
+    """
+
+    run: Callable
+    ns: range
+    m_cap: int
+    samples: int | None = None
+
+
+SUITES = {
+    "lemma-zero-oracle": Suite(_suite_zero_oracle, range(1, 6), 8),
+    "pieces": Suite(_suite_pieces, range(3, 6), 8),
+    "sign-spheres": Suite(_suite_sign_spheres, range(3, 6), 8),
+    "gamma-roundtrip": Suite(_suite_gamma, range(2, 7), 8, 10000),
+    "pn-combinatorics": Suite(_suite_pn, range(3, 8), 8),
+    "slice-claims": Suite(_suite_slice_claims, range(3, 5), 8, 1000),
+    "slice-mesh": Suite(_suite_slice_mesh, range(3, 5), 4),
+    "boundary-ident": Suite(_suite_boundary, range(3, 5), 4),
+    "full-sphere": Suite(_suite_full_sphere, range(2, 4), 4),
+}
+
+
+def _scales(name: str, max_n: int | None, m: int | None):
+    """The suite's n range and m cap, truncated by max_n and m."""
+    spec = SUITES[name]
+    ns = spec.ns
+    if max_n is not None:
+        ns = range(ns.start, min(ns.stop, max_n + 1))
+    if not ns:
+        raise ValueError(f"suite {name} needs max_n >= {ns.start}")
+    return ns, spec.m_cap if m is None else min(m, spec.m_cap)
 
 
 def run_suite(suite: str, *, max_n: int | None = None, m: int | None = None,
@@ -365,18 +309,18 @@ def run_suite(suite: str, *, max_n: int | None = None, m: int | None = None,
     """
     if suite != "all" and suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}")
+    if m is not None and (m < 2 or m % 2 != 0):
+        raise ValueError("m must be an even number >= 2")
+    names = list(SUITES) if suite == "all" else [suite]
+    scales = {name: _scales(name, max_n, m) for name in names}
     params = {"max_n": max_n, "m": m, "samples": samples}
     rep = VerificationReport(
         suite=suite, seed=seed,
         params={k: v for k, v in params.items() if v is not None})
-    if suite == "all":
-        for name in SUITES:
-            sub = VerificationReport(suite=name, seed=seed)
-            _one_suite(sub, name, max_n, m, samples, seed)
-            for c in sub.checks:
-                rep.add(CheckResult(name=f"{name}:{c.name}", status=c.status,
-                                    params=c.params, witness=c.witness,
-                                    runtime_s=c.runtime_s))
-    else:
-        _one_suite(rep, suite, max_n, m, samples, seed)
+    for name in names:
+        spec = SUITES[name]
+        sub = VerificationReport(suite=name, seed=seed)
+        spec.run(sub, *scales[name],
+                 spec.samples if samples is None else samples, seed)
+        rep.extend(sub.checks, prefix=f"{name}:" if suite == "all" else "")
     return rep

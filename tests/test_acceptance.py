@@ -116,12 +116,11 @@ def test_criterion_9_full_space_sphere():
     assert checks["full-circle:n=2,m=2"].status == "pass"
     assert checks["full-circle:n=2,m=4"].status == "pass"
     route = checks["full-assembly:n=3,m=2"].params["route"]
-    assert route in ("direct", "mayer-vietoris")
-    if route == "direct":
-        assert checks["full-pseudomanifold:n=3,m=2"].status == "pass"
-        assert checks["full-sphere:n=3,m=2,field=q"].status == "pass"
-        assert checks["full-sphere:n=3,m=2,field=f2"].status == "pass"
-        assert checks["full-sphere-mv-cross-check:n=3,m=2"].status == "pass"
+    assert route == "direct"
+    assert checks["full-pseudomanifold:n=3,m=2"].status == "pass"
+    assert checks["full-sphere:n=3,m=2,field=q"].status == "pass"
+    assert checks["full-sphere:n=3,m=2,field=f2"].status == "pass"
+    assert checks["full-sphere-mv-cross-check:n=3,m=2"].status == "pass"
     # the desk-scale limit: nothing above n=3 is ever meshed
     wide = run_suite("full-sphere", max_n=9, m=2)
     assert all(c.params.get("n", 0) <= 3 for c in wide.checks)

@@ -10,7 +10,6 @@ from phasetop.cells import (
     bx_sample,
     cell_leq,
     format_cell_label,
-    generator,
     in_pn,
     lower_param,
     meet,
@@ -77,30 +76,24 @@ def test_cell_label_validates():
     assert len(x) == 4
 
 
-def test_generator_shapes():
-    assert generator(1, 2, 4) == L("U,L,F,1")
-    assert generator(1, 1, 4) == L("-1,F,F,1")
-    assert generator(2, 3, 4) == L("F,U,L,1")
-    with pytest.raises(ValueError):
-        generator(2, 1, 4)
-    with pytest.raises(ValueError):
-        generator(1, 4, 4)
-
-
 def test_ul_label_covers_reversed_pairs():
     assert ul_label(2, 1, 4) == L("L,U,F,1")
     assert ul_label(3, 3, 4) == L("F,F,-1,1")
-    assert ul_label(1, 2, 4) == generator(1, 2, 4)
+    assert ul_label(1, 2, 4) == L("U,L,F,1")
+    assert ul_label(1, 1, 4) == L("-1,F,F,1")
+    assert ul_label(2, 3, 4) == L("F,U,L,1")
     with pytest.raises(ValueError):
         ul_label(0, 1, 4)
+    with pytest.raises(ValueError):
+        ul_label(1, 4, 4)
 
 
 def test_meet_examples():
-    assert meet(generator(1, 2, 4), generator(1, 3, 4)) == L("U,L,L,1")
-    assert meet(generator(1, 2, 4), generator(2, 3, 4)) == L("U,-1,L,1")
+    assert meet(ul_label(1, 2, 4), ul_label(1, 3, 4)) == L("U,L,L,1")
+    assert meet(ul_label(1, 2, 4), ul_label(2, 3, 4)) == L("U,-1,L,1")
     x = L("U,L,F,1")
     assert meet(x, x) == x
-    assert meet_all([generator(1, k, 4) for k in (1, 2, 3)]) == L("-1,L,L,1")
+    assert meet_all([ul_label(1, k, 4) for k in (1, 2, 3)]) == L("-1,L,L,1")
 
 
 def test_meet_is_glb_exhaustive_small():
@@ -129,7 +122,7 @@ def test_nu_values():
     assert nu(L("-1,F,F,1")) == 4
     assert nu(L("U,L,L,1")) == 3
     assert nu(L("-1,-1,-1,1")) == 0
-    assert nu(meet_all([generator(1, k, 4) for k in (2, 3)])) == 3
+    assert nu(meet_all([ul_label(1, k, 4) for k in (2, 3)])) == 3
 
 
 def test_nu_strictly_monotone():

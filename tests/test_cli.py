@@ -286,3 +286,5 @@ def test_verify_rejects_unknown_suite_and_bad_params():
     assert r.exit_code == 2
     r = invoke("verify", "sign-spheres", "--max-n", "1")
     assert r.exit_code == 1
+    assert_clean_error(invoke("verify", "gamma-roundtrip", "--max-n", "1"),
+                       "suite gamma-roundtrip needs max_n >= 2")

@@ -13,7 +13,9 @@ from phasetop.cells import (
 )
 from phasetop.gluing import (
     GluingFamily,
+    chart_family,
     check_gluing,
+    dimension_witness,
     lattice_family,
     random_slice_point,
     sample_charts_point,
@@ -38,6 +40,18 @@ def test_row_families_pass_for_small_n():
         d = 2 * n - 4
         for j in range(1, n):
             assert check_gluing(lattice_family(charts_row(j, n), d)).passed
+
+
+def test_chart_family_meets_over_j():
+    fam = chart_family((1,), 4)
+    assert fam.cells == charts_row(1, 4) and fam.ambient_dim == 4
+    fam = chart_family((1, 2), 4)
+    assert fam.cells == [meet(ul_label(1, k, 4), ul_label(2, k, 4))
+                         for k in (1, 2, 3)]
+    assert fam.ambient_dim == 3
+    assert dimension_witness(fam) is None
+    assert dimension_witness(lattice_family(fam.cells, 4)).startswith(
+        "k=1: nu(")
 
 
 def test_corrupted_dimension_oracle_flags_every_subset():

@@ -110,17 +110,6 @@ def test_hyper_sum_list_order_independent():
     assert len(results) == 1
 
 
-def test_phase_set_merge_wraparound():
-    # two arcs that together wrap the whole circle collapse to the circle
-    a = Arc(Angle(F(0)), F(1, 2))
-    b = Arc(Angle(F(1, 2)), F(1, 2))
-    s = PhaseSet.make(False, [a, b])
-    assert s.is_full_circle
-    # wrapping merge that stays partial
-    s = PhaseSet.make(False, [Arc(Angle(F(7, 8)), F(1, 4)), Arc(Angle(F(1, 8)), F(1, 8))])
-    assert s.arcs == (Arc(Angle(F(7, 8)), F(3, 8)),)
-
-
 def test_min_enclosing_arc_examples():
     arc = min_enclosing_arc([Angle(F(0)), Angle(F(1, 8)), Angle(F(1, 4))])
     assert arc == Arc(Angle(F(0)), F(1, 4))

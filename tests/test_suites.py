@@ -1,5 +1,9 @@
+import hashlib
+
 import pytest
 
+from phasetop import suites
+from phasetop.mesh import MeshValidityError
 from phasetop.suites import SUITES, run_suite
 
 
@@ -13,6 +17,19 @@ def test_max_n_below_suite_floor_rejected():
         run_suite("sign-spheres", max_n=2)
     with pytest.raises(ValueError):
         run_suite("slice-claims", max_n=1)
+    with pytest.raises(ValueError, match="max_n >= 2"):
+        run_suite("gamma-roundtrip", max_n=1)
+    with pytest.raises(ValueError, match="max_n >= 3"):
+        run_suite("pieces", max_n=2)
+
+
+@pytest.mark.parametrize("name", list(SUITES))
+def test_every_suite_runs_at_its_floor(name):
+    floor = SUITES[name].ns.start
+    rep = run_suite(name, max_n=floor, m=2, samples=2)
+    assert rep.passed and rep.checks
+    with pytest.raises(ValueError, match=f"needs max_n >= {floor}"):
+        run_suite(name, max_n=floor - 1, m=2, samples=2)
 
 
 def test_odd_m_rejected():
@@ -49,6 +66,23 @@ def test_all_prefixes_and_covers_every_suite():
     assert rep.suite == "all"
     for name in SUITES:
         assert any(c.name.startswith(name + ":") for c in rep.checks), name
+    # the canonical bytes of a wider run are pinned
+    wide = run_suite("all", max_n=4, m=2, samples=5, seed=1)
+    assert len(wide.checks) == 78
+    assert hashlib.sha256(wide.to_bytes()).hexdigest() == (
+        "59666854e5afcc4ce900eaf2fb23ece8b50974ccdbcafbf9960c8895eceb6295")
+
+
+def test_failed_full_assembly_is_reported_not_raised(monkeypatch):
+    def broken(n, m):
+        raise MeshValidityError("regions disagree")
+
+    monkeypatch.setattr(suites, "assemble_full", broken)
+    rep = run_suite("full-sphere", max_n=3, m=2)
+    assert not rep.passed
+    failed = {c.name: c for c in rep.checks if c.status == "fail"}
+    assert "regions disagree" in failed["full-assembly:n=3,m=2"].witness
+    assert not any(c.name.startswith("full-sphere:n=3") for c in rep.checks)
 
 
 def test_report_carries_seed_and_params():
