@@ -13,6 +13,7 @@ Text form: comma-separated tokens from {1, -1, U, L, F}.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from enum import Enum
@@ -60,30 +61,14 @@ class PLabel(Enum):
         return self.value
 
 
-_HASSE_UP = {
-    PLabel.ONE: {PLabel.UPPER, PLabel.LOWER},
-    PLabel.MINUS_ONE: {PLabel.UPPER, PLabel.LOWER},
-    PLabel.UPPER: {PLabel.FULL},
-    PLabel.LOWER: {PLabel.FULL},
-    PLabel.FULL: set(),
+_POINTS = frozenset({PLabel.ONE, PLabel.MINUS_ONE})
+_BELOW = {  # the symbols strictly below each symbol
+    PLabel.ONE: frozenset(),
+    PLabel.MINUS_ONE: frozenset(),
+    PLabel.UPPER: _POINTS,
+    PLabel.LOWER: _POINTS,
+    PLabel.FULL: _POINTS | {PLabel.UPPER, PLabel.LOWER},
 }
-
-
-def _strictly_below(a: PLabel) -> frozenset[PLabel]:
-    out: set[PLabel] = set()
-    frontier = {a}
-    while frontier:
-        nxt: set[PLabel] = set()
-        for b, ups in _HASSE_UP.items():
-            if ups & frontier:
-                nxt.add(b)
-        nxt -= out
-        out |= nxt
-        frontier = nxt
-    return frozenset(out)
-
-
-_BELOW = {a: _strictly_below(a) for a in PLabel}
 
 
 def p_leq(a: PLabel, b: PLabel) -> bool:
@@ -154,17 +139,14 @@ def in_pn(labels: Sequence[PLabel]) -> bool:
 
 def pn_elements(n: int) -> list[CellLabel]:
     """All admissible labels of length n, lexicographic in token order."""
-    import itertools
-
+    if n < 3:  # in_pn says so too, but product() fails first for n < 1
+        raise ValueError("cell labels need n >= 3")
     head_alphabet = [PLabel.ONE, PLabel.MINUS_ONE, PLabel.UPPER, PLabel.LOWER, PLabel.FULL]
     out = []
     for head in itertools.product(head_alphabet, repeat=n - 1):
         labs = head + (PLabel.ONE,)
-        try:
-            if in_pn(labs):
-                out.append(CellLabel(labs))
-        except ValueError:
-            pass
+        if in_pn(labs):
+            out.append(CellLabel(labs))
     return out
 
 

@@ -24,7 +24,6 @@ from .covectors import (
 from .order_complex import delta_member, parse_model_point
 from .cells import (
     format_cell_label,
-    in_pn,
     meet,
     nu,
     parse_cell_label,
@@ -43,11 +42,18 @@ from .homology import betti, euler_characteristic
 from .suites import SUITES, run_suite
 
 
-def _die(message: str) -> None:
-    raise click.ClickException(message)
+class _Main(click.Group):
+    """The one error boundary: bad input or an unusable path is a one-line
+    "Error: ..." with exit 1; any other exception keeps its traceback."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (ValueError, MeshValidityError, OSError) as exc:
+            raise click.ClickException(str(exc)) from exc
 
 
-@click.group()
+@click.group(cls=_Main)
 def main():
     """Exact tools for phase covectors, cell meshes, and homology."""
 
@@ -68,16 +74,11 @@ def hf():
               help="comma-separated elements, e.g. 0,1/2,z or +,-,0")
 def hf_sum(field, elems):
     """Multivalued sum of a list of elements."""
-    try:
-        if field == "phase":
-            xs = list(parse_phase_vector(elems))
-            click.echo(str(hyper_sum_list(xs)))
-        else:
-            xs = list(parse_sign_vector(elems))
-            out = sorted(sign_hyper_sum_list(xs))
-            click.echo("{" + ", ".join(str(s) for s in out) + "}")
-    except ValueError as exc:
-        _die(str(exc))
+    if field == "phase":
+        click.echo(str(hyper_sum_list(list(parse_phase_vector(elems)))))
+    else:
+        out = sorted(sign_hyper_sum_list(list(parse_sign_vector(elems))))
+        click.echo("{" + ", ".join(str(s) for s in out) + "}")
 
 
 # ---------------------------------------------------------------------------
@@ -97,12 +98,9 @@ def covector():
               help="candidate covector, z entries allowed")
 def covector_check(v_text, x_text):
     """True iff zero lies in the twisted sum of v and x."""
-    try:
-        v = parse_phase_vector(v_text)
-        x = parse_phase_vector(x_text)
-        click.echo("true" if is_covector(v, x) else "false")
-    except ValueError as exc:
-        _die(str(exc))
+    v = parse_phase_vector(v_text)
+    x = parse_phase_vector(x_text)
+    click.echo("true" if is_covector(v, x) else "false")
 
 
 @covector.command("enumerate")
@@ -112,15 +110,9 @@ def covector_check(v_text, x_text):
               help="grid density for the phase field (even)")
 def covector_enumerate(field, n, m):
     """All nonzero covectors of the all-ones vector, one per line."""
-    try:
-        out = enumerate_covectors(field, n, m)
-    except ValueError as exc:
-        _die(str(exc))
-    for x in out:
-        if field == "phase":
-            click.echo(format_phase_vector(x))
-        else:
-            click.echo(format_sign_vector(x))
+    fmt = format_phase_vector if field == "phase" else format_sign_vector
+    for x in enumerate_covectors(field, n, m):
+        click.echo(fmt(x))
 
 
 # ---------------------------------------------------------------------------
@@ -139,12 +131,9 @@ def delta():
               help="model point, e.g. 1@0;1/2@1/4")
 def delta_member_cmd(v_text, z_text):
     """True iff the disc tuple lies in the covector space of v."""
-    try:
-        v = parse_phase_vector(v_text)
-        z = parse_model_point(z_text)
-        click.echo("true" if delta_member(v, z) else "false")
-    except ValueError as exc:
-        _die(str(exc))
+    v = parse_phase_vector(v_text)
+    z = parse_model_point(z_text)
+    click.echo("true" if delta_member(v, z) else "false")
 
 
 # ---------------------------------------------------------------------------
@@ -158,14 +147,10 @@ def pn():
 
 
 def _parse_label_in(text: str, n: int):
-    try:
-        x = parse_cell_label(text)
-    except ValueError as exc:
-        _die(str(exc))
+    x = parse_cell_label(text)
     if len(x) != n:
-        _die(f"label {text!r} has {len(x)} coordinates, expected {n}")
-    if not in_pn(x):
-        _die(f"label {text!r} is not an admissible cell")
+        raise ValueError(f"label {text!r} has {len(x)} coordinates,"
+                         f" expected {n}")
     return x
 
 
@@ -173,11 +158,7 @@ def _parse_label_in(text: str, n: int):
 @click.option("--n", type=int, required=True)
 def pn_list(n):
     """All cell labels, one per line."""
-    try:
-        cells = pn_elements(n)
-    except ValueError as exc:
-        _die(str(exc))
-    for x in cells:
+    for x in pn_elements(n):
         click.echo(format_cell_label(x))
 
 
@@ -213,14 +194,12 @@ def glue():
 
 @glue.command("verify-slice")
 @click.option("--n", type=int, required=True)
-@click.option("--samples", type=int, default=1000, show_default=True)
+@click.option("--samples", type=click.IntRange(min=1), default=1000,
+              show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 def glue_verify_slice(n, samples, seed):
     """Combinatorial and sampled checks for the slice chart families."""
-    try:
-        rep = verify_slice_claims(n, samples=samples, seed=seed)
-    except ValueError as exc:
-        _die(str(exc))
+    rep = verify_slice_claims(n, samples=samples, seed=seed)
     click.echo(rep.to_text(), nl=False)
     if not rep.passed:
         sys.exit(1)
@@ -243,15 +222,7 @@ def mesh():
               required=True)
 def mesh_slice(n, m, out_path):
     """Mesh the glued slice and write it to a file."""
-    try:
-        K = assemble_slice(n, m)
-    except (ValueError, MeshValidityError) as exc:
-        _die(str(exc))
-    with open(out_path, "w", encoding="utf-8") as fh:
-        json.dump(complex_to_doc(K, n, m), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    click.echo(f"wrote {out_path}: slice n={n} m={m},"
-               f" {len(K.tops)} top simplices")
+    _write_mesh(assemble_slice(n, m), n, m, out_path, "slice")
 
 
 @mesh.command("full")
@@ -261,29 +232,25 @@ def mesh_slice(n, m, out_path):
               required=True)
 def mesh_full(n, m, out_path):
     """Mesh the full covector space and write it to a file."""
-    try:
-        K = assemble_full(n, m)
-    except (ValueError, MeshValidityError) as exc:
-        _die(str(exc))
+    _write_mesh(assemble_full(n, m), n, m, out_path, "full space")
+
+
+def _write_mesh(K, n, m, out_path, what):
     with open(out_path, "w", encoding="utf-8") as fh:
         json.dump(complex_to_doc(K, n, m), fh, indent=2, sort_keys=True)
         fh.write("\n")
-    click.echo(f"wrote {out_path}: full space n={n} m={m},"
+    click.echo(f"wrote {out_path}: {what} n={n} m={m},"
                f" {len(K.tops)} top simplices")
 
 
 def _read_mesh(in_path):
-    """The complex of a mesh document file; a clean error if malformed."""
+    """The complex of a mesh document file."""
     with open(in_path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         except ValueError as exc:
-            _die(f"not a JSON document: {exc}")
-    try:
-        K, _, _ = complex_from_doc(doc)
-    except ValueError as exc:
-        _die(str(exc))
-    return K
+            raise ValueError(f"not a JSON document: {exc}") from exc
+    return complex_from_doc(doc)[0]
 
 
 @mesh.command("stats")
@@ -332,10 +299,7 @@ def homology_cmd(in_path, field):
               default=None, help="write the report as canonical JSON")
 def verify(suite, max_n, m, samples, seed, report_path):
     """Run a named verification suite; exit 0 only if it passes."""
-    try:
-        rep = run_suite(suite, max_n=max_n, m=m, samples=samples, seed=seed)
-    except ValueError as exc:
-        _die(str(exc))
+    rep = run_suite(suite, max_n=max_n, m=m, samples=samples, seed=seed)
     click.echo(rep.to_text(), nl=False)
     if report_path:
         with open(report_path, "wb") as fh:

@@ -303,6 +303,8 @@ def verify_slice_claims(n: int, samples: int = 1000, seed: int = 0) -> Verificat
     """
     if n < 3:
         raise ValueError("need n >= 3")
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
     rep = VerificationReport(
         suite="slice-claims", seed=seed, params={"n": n, "samples": samples}
     )

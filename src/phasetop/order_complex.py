@@ -16,17 +16,15 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .covectors import (
     PhaseVector,
-    all_ones,
     is_covector,
     leq_vec,
-    rescale,
     support,
 )
-from .phase import Angle, Phase, ZERO, format_fraction, mul, parse_fraction
+from .phase import Angle, Phase, ZERO, format_fraction, parse_fraction
 
 __all__ = [
     "DiscPoint",

@@ -311,6 +311,8 @@ def run_suite(suite: str, *, max_n: int | None = None, m: int | None = None,
         raise ValueError(f"unknown suite {suite!r}")
     if m is not None and (m < 2 or m % 2 != 0):
         raise ValueError("m must be an even number >= 2")
+    if samples is not None and samples < 1:
+        raise ValueError("samples must be >= 1")
     names = list(SUITES) if suite == "all" else [suite]
     scales = {name: _scales(name, max_n, m) for name in names}
     params = {"max_n": max_n, "m": m, "samples": samples}

@@ -117,6 +117,12 @@ def test_pn_element_counts_stable():
     assert len(pn_elements(4)) == 49
 
 
+@pytest.mark.parametrize("n", [-1, 0, 1, 2])
+def test_pn_elements_rejects_small_n(n):
+    with pytest.raises(ValueError, match="n >= 3"):
+        pn_elements(n)
+
+
 def test_nu_values():
     assert nu(L("U,L,F,1")) == 4
     assert nu(L("-1,F,F,1")) == 4

@@ -1,8 +1,10 @@
 import json
+import os
 
 import pytest
 from click.testing import CliRunner
 
+from phasetop import cli
 from phasetop.cli import main
 
 
@@ -288,3 +290,43 @@ def test_verify_rejects_unknown_suite_and_bad_params():
     assert r.exit_code == 1
     assert_clean_error(invoke("verify", "gamma-roundtrip", "--max-n", "1"),
                        "suite gamma-roundtrip needs max_n >= 2")
+
+
+@pytest.mark.parametrize("kind", ["slice", "full"])
+def test_mesh_out_in_missing_directory_is_a_clean_error(kind):
+    runner = CliRunner()
+    with runner.isolated_filesystem():
+        r = runner.invoke(main, ["mesh", kind, "--n", "3", "--m", "2",
+                                 "--out", "missing/x.json"])
+        assert_clean_error(r, "No such file or directory")
+        assert not os.path.exists("missing")
+
+
+def test_verify_report_in_missing_directory_is_a_clean_error():
+    runner = CliRunner()
+    with runner.isolated_filesystem():
+        r = runner.invoke(main, ["verify", "sign-spheres", "--max-n", "3",
+                                 "--report", "missing/r.json"])
+        assert_clean_error(r, "missing/r.json")
+        assert not os.path.exists("missing")
+
+
+def test_pn_list_rejects_small_n():
+    assert_clean_error(invoke("pn", "list", "--n", "2"), "n >= 3")
+
+
+def test_glue_verify_slice_rejects_samples_below_one():
+    r = invoke("glue", "verify-slice", "--n", "3", "--samples", "0")
+    assert r.exit_code == 2
+
+
+def test_other_exceptions_keep_their_traceback(monkeypatch):
+    # the boundary converts only bad input, so a real bug stays visible
+    def boom(*args, **kwargs):
+        raise ZeroDivisionError("a bug")
+
+    monkeypatch.setattr(cli, "nu", boom)
+    r = invoke("pn", "nu", "--n", "3", "--x", "U,L,1")
+    assert r.exit_code == 1
+    assert isinstance(r.exception, ZeroDivisionError)
+    assert "Error:" not in r.output

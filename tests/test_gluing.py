@@ -164,6 +164,12 @@ def test_verify_slice_claims_requires_n_at_least_3():
         verify_slice_claims(2)
 
 
+@pytest.mark.parametrize("samples", [0, -5])
+def test_verify_slice_claims_rejects_samples_below_one(samples):
+    with pytest.raises(ValueError, match="samples must be >= 1"):
+        verify_slice_claims(3, samples=samples)
+
+
 def test_verify_slice_claims_n3():
     rep = verify_slice_claims(3, samples=80, seed=1)
     assert rep.passed

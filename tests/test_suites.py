@@ -37,6 +37,12 @@ def test_odd_m_rejected():
         run_suite("slice-mesh", m=3)
 
 
+@pytest.mark.parametrize("samples", [0, -5])
+def test_samples_below_one_rejected(samples):
+    with pytest.raises(ValueError, match="samples must be >= 1"):
+        run_suite("gamma-roundtrip", max_n=2, samples=samples)
+
+
 def test_caps_never_widen():
     rep = run_suite("full-sphere", max_n=9, m=2)
     assert rep.passed
