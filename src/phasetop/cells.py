@@ -44,6 +44,9 @@ __all__ = [
 
 HALF = Fraction(1, 2)
 ONE_F = Fraction(1)
+# the disc points named by the symbols 1 and -1 (frozen, so shared)
+_ONE_POINT = DiscPoint.of(1, 0)
+_MINUS_ONE_POINT = DiscPoint.of(1, HALF)
 
 
 class PLabel(Enum):
@@ -107,6 +110,12 @@ class CellLabel:
         return format_cell_label(self)
 
 
+_PARTNERS = {  # the symbols that can close a zero sum with each half-circle
+    PLabel.UPPER: {PLabel.LOWER, PLabel.MINUS_ONE},
+    PLabel.LOWER: {PLabel.UPPER, PLabel.MINUS_ONE},
+}
+
+
 def in_pn(labels: Sequence[PLabel]) -> bool:
     """Whether a label tuple is admissible.
 
@@ -118,35 +127,25 @@ def in_pn(labels: Sequence[PLabel]) -> bool:
     n = len(labels)
     if n < 3:
         raise ValueError("cell labels need n >= 3")
-    if labels[n - 1] != PLabel.ONE:
+    head = set(labels[: n - 1])
+    if labels[n - 1] != PLabel.ONE or PLabel.ONE in head:
         return False
-    if any(lab == PLabel.ONE for lab in labels[: n - 1]):
+    if head == {PLabel.FULL}:
         return False
-    head = labels[: n - 1]
-    if all(lab == PLabel.FULL for lab in head):
-        return False
-    for i, lab in enumerate(head):
-        if lab == PLabel.UPPER:
-            wanted = {PLabel.LOWER, PLabel.MINUS_ONE}
-        elif lab == PLabel.LOWER:
-            wanted = {PLabel.UPPER, PLabel.MINUS_ONE}
-        else:
-            continue
-        if not any(j != i and other in wanted for j, other in enumerate(head)):
-            return False
-    return True
+    # a U and its partner never share an index, so the head as a set decides
+    return all(head & want for lab, want in _PARTNERS.items() if lab in head)
 
 
 def pn_elements(n: int) -> list[CellLabel]:
     """All admissible labels of length n, lexicographic in token order."""
-    if n < 3:  # in_pn says so too, but product() fails first for n < 1
+    if n < 3:  # not left to in_pn: its ValueError would read as inadmissible
         raise ValueError("cell labels need n >= 3")
-    head_alphabet = [PLabel.ONE, PLabel.MINUS_ONE, PLabel.UPPER, PLabel.LOWER, PLabel.FULL]
     out = []
-    for head in itertools.product(head_alphabet, repeat=n - 1):
-        labs = head + (PLabel.ONE,)
-        if in_pn(labs):
-            out.append(CellLabel(labs))
+    for head in itertools.product(PLabel, repeat=n - 1):  # in token order
+        try:
+            out.append(CellLabel(head + (PLabel.ONE,)))
+        except ValueError:  # not admissible
+            pass
     return out
 
 
@@ -170,34 +169,28 @@ def ul_label(j: int, k: int, n: int) -> CellLabel:
     return CellLabel(tuple(labs))
 
 
-_MEET_TABLE = {
-    frozenset({PLabel.UPPER, PLabel.LOWER}): PLabel.MINUS_ONE,
-    frozenset({PLabel.UPPER, PLabel.FULL}): PLabel.UPPER,
-    frozenset({PLabel.LOWER, PLabel.FULL}): PLabel.LOWER,
-}
+# the smaller symbol of each comparable pair; {U, L} drops to -1 (the
+# symbol 1 being reserved for the last coordinate) and {1, -1} has no meet
+_MEET = {(a, b): a if p_leq(a, b) else b
+         for a in PLabel for b in PLabel if p_leq(a, b) or p_leq(b, a)}
+_MEET[PLabel.UPPER, PLabel.LOWER] = PLabel.MINUS_ONE
+_MEET[PLabel.LOWER, PLabel.UPPER] = PLabel.MINUS_ONE
 
 
 def meet(x: CellLabel, y: CellLabel) -> CellLabel:
     """Greatest lower bound of two admissible labels.
 
     Componentwise in the symbol order, except that the incomparable pair
-    {U, L} drops to -1 (the symbol 1 being reserved for the last
-    coordinate).  The result is revalidated; a failure would mean the
-    componentwise rule left the admissible set, which does not happen.
+    {U, L} drops to -1.  The result is revalidated; a failure would mean
+    the componentwise rule left the admissible set, which does not happen.
     """
     if len(x) != len(y):
         raise ValueError("labels must share a length")
     out = []
     for a, b in zip(x, y):
-        if a == b or p_leq(a, b):
-            out.append(a)
-        elif p_leq(b, a):
-            out.append(b)
-        else:
-            key = frozenset({a, b})
-            if key not in _MEET_TABLE:
-                raise ValueError(f"no meet for symbols {a}, {b}")
-            out.append(_MEET_TABLE[key])
+        if (a, b) not in _MEET:
+            raise ValueError(f"no meet for symbols {a}, {b}")
+        out.append(_MEET[a, b])
     return CellLabel(tuple(out))
 
 
@@ -303,10 +296,10 @@ def bx_member(x: CellLabel, z: ModelPoint, mode: str = "closed") -> bool:
     l_params: list[Fraction] = []
     for lab, c in zip(x, z.coords):
         if lab == PLabel.ONE:
-            if c != DiscPoint.of(1, 0):
+            if c != _ONE_POINT:
                 return False
         elif lab == PLabel.MINUS_ONE:
-            if c != DiscPoint.of(1, HALF):
+            if c != _MINUS_ONE_POINT:
                 return False
         elif lab == PLabel.UPPER:
             t = upper_param(c)
@@ -348,9 +341,9 @@ def bx_sample(
     coords: list[DiscPoint] = []
     for i, lab in enumerate(x):
         if lab == PLabel.ONE:
-            coords.append(DiscPoint.of(1, 0))
+            coords.append(_ONE_POINT)
         elif lab == PLabel.MINUS_ONE:
-            coords.append(DiscPoint.of(1, HALF))
+            coords.append(_MINUS_ONE_POINT)
         elif lab == PLabel.UPPER:
             coords.append(DiscPoint(ONE_F, Angle(u_ts[i] / 2)))
         elif lab == PLabel.LOWER:

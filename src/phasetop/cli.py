@@ -299,6 +299,8 @@ def homology_cmd(in_path, field):
               default=None, help="write the report as canonical JSON")
 def verify(suite, max_n, m, samples, seed, report_path):
     """Run a named verification suite; exit 0 only if it passes."""
+    if report_path:  # fail on an unusable path before the run; "ab" keeps
+        open(report_path, "ab").close()  # an old report if the run raises
     rep = run_suite(suite, max_n=max_n, m=m, samples=samples, seed=seed)
     click.echo(rep.to_text(), nl=False)
     if report_path:

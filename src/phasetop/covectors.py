@@ -132,21 +132,13 @@ def zero_in_sum(xs: Sequence[Phase]) -> bool:
     return _spans_half([t for t in ticks if t is not None], whole)
 
 
-def _require_units(v: PhaseVector) -> None:
-    if any(e.is_zero for e in v):
-        raise ValueError("unit vector must have no zero entries")
-
-
 def is_covector(v: PhaseVector, x: PhaseVector) -> bool:
     """Whether x is a covector of the unit vector v.
 
     True for the all-zero x; false whenever x has exactly one nonzero
     entry.  v must consist of nonzero phases.
     """
-    if len(v) != len(x):
-        raise ValueError("vector lengths differ")
-    _require_units(v)
-    return zero_in_sum([mul(vk, xk) for vk, xk in zip(v, x)])
+    return zero_in_sum(rescale(v, x))
 
 
 def leq_vec(x: PhaseVector, y: PhaseVector) -> bool:
@@ -180,7 +172,8 @@ def rescale(v: PhaseVector, x: PhaseVector) -> PhaseVector:
     """
     if len(v) != len(x):
         raise ValueError("vector lengths differ")
-    _require_units(v)
+    if any(e.is_zero for e in v):
+        raise ValueError("unit vector must have no zero entries")
     return PhaseVector(tuple(mul(vk, xk) for vk, xk in zip(v, x)))
 
 

@@ -18,6 +18,9 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .cells import (
+    HALF,
+    _MINUS_ONE_POINT,
+    _ONE_POINT,
     CellLabel,
     PLabel,
     bx_member,
@@ -47,8 +50,6 @@ __all__ = [
     "random_slice_point",
     "verify_slice_claims",
 ]
-
-HALF = Fraction(1, 2)
 
 
 @dataclass
@@ -194,10 +195,7 @@ def _intersect_tags(a: str, b: str) -> str | None:
     return None  # {pt1, ptm}: empty intersection
 
 
-_POINT_OF_TAG = {
-    "pt1": DiscPoint.of(1, 0),
-    "ptm": DiscPoint.of(1, HALF),
-}
+_POINT_OF_TAG = {"pt1": _ONE_POINT, "ptm": _MINUS_ONE_POINT}
 
 
 def sample_charts_point(
@@ -282,7 +280,7 @@ def random_slice_point(rng: random.Random, n: int, den: int = 8) -> ModelPoint:
         else:
             r = Fraction(rng.randint(0, den), den)
         coords.append(DiscPoint(r, Angle(Fraction(rng.randint(0, 2 * den - 1), 2 * den))))
-    coords.append(DiscPoint.of(1, 0))
+    coords.append(_ONE_POINT)
     return ModelPoint(tuple(coords))
 
 
@@ -445,13 +443,9 @@ def verify_slice_claims(n: int, samples: int = 1000, seed: int = 0) -> Verificat
                 tl = lower_param(z[l - 1])
                 if tk is None or tl is None:
                     return f"point {z} misses a lower half-circle"
-                if tk <= tl and not bx_member(
-                    meet(ul12[(1, k)], ul12[(2, k)]), z, "closed"
-                ):
+                if tk <= tl and not bx_member(union_cells[k], z, "closed"):
                     return f"t_{k}={tk} <= t_{l}={tl} but {z} misses side {k}"
-                if tl <= tk and not bx_member(
-                    meet(ul12[(1, l)], ul12[(2, l)]), z, "closed"
-                ):
+                if tl <= tk and not bx_member(union_cells[l], z, "closed"):
                     return f"t_{l}={tl} <= t_{k}={tk} but {z} misses side {l}"
         return None
 

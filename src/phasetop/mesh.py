@@ -26,7 +26,6 @@ __all__ = [
     "SimplicialComplex",
     "MeshChart",
     "FullSpacePieces",
-    "mesh_cell",
     "slice_pieces",
     "assemble_slice",
     "boundary_subcomplex",
@@ -250,7 +249,7 @@ class MeshChart:
     complex: SimplicialComplex
 
 
-def mesh_cell(x: CellLabel, m: int) -> SimplicialComplex:
+def mesh_chart(x: CellLabel, m: int) -> MeshChart:
     """Staircase triangulation of one closed cell with exact vertices.
 
     Half-circle parameters are subdivided at step 1/m and discs get a
@@ -258,10 +257,6 @@ def mesh_cell(x: CellLabel, m: int) -> SimplicialComplex:
     inside the cell, which is exact because staircase simplices never
     straddle a parameter-comparison hyperplane.
     """
-    return mesh_chart(x, m).complex
-
-
-def mesh_chart(x: CellLabel, m: int) -> MeshChart:
     _check_m(m)
     point = _point_of(m)
     memo: dict = {}
@@ -289,7 +284,7 @@ def slice_pieces(n: int, m: int) -> dict:
     if n < 3:
         raise ValueError("need n >= 3")
     _check_m(m)
-    return {(j, k): mesh_cell(ul_label(j, k, n), m)
+    return {(j, k): mesh_chart(ul_label(j, k, n), m).complex
             for j in range(1, n) for k in range(1, n)}
 
 
@@ -344,16 +339,16 @@ def boundary_subcomplex(K: SimplicialComplex) -> SimplicialComplex:
     """
     if not K.is_pure():
         raise MeshValidityError("boundary of a non-pure complex")
-    parent: dict = {}
+    seen: dict = {}  # codim-1 face -> [its count of tops, its first top]
     for t in K.tops:
         key = tuple(sorted(t))
         for f in itertools.combinations(key, len(key) - 1):
-            parent.setdefault(f, t)
+            seen.setdefault(f, [0, t])[0] += 1
     b = _Builder()
-    for f, c in K.codim1_incidence().items():
+    for f, (c, t) in seen.items():
         if c == 1:
             keep = set(f)
-            b.add([i for i in parent[f] if i in keep])
+            b.add([i for i in t if i in keep])
     B = b.complex()
     return SimplicialComplex([K.vertices[i] for i in B.vertices], B.tops)
 

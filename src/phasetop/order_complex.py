@@ -79,6 +79,9 @@ class DiscPoint:
         return f"{format_fraction(self.radius)}@{self.angle}"
 
 
+_CENTER = DiscPoint.center()  # frozen, so shared
+
+
 @dataclass(frozen=True)
 class ModelPoint:
     """A tuple of disc points: the disc model of an order-complex point."""
@@ -158,7 +161,7 @@ def join_to_model(p: JoinPoint) -> ModelPoint:
                 radius += w
                 angle = x[j].angle  # chain: same angle in every term
         if radius == 0:
-            coords.append(DiscPoint.center())
+            coords.append(_CENTER)
         else:
             coords.append(DiscPoint(radius, angle))
     return ModelPoint(tuple(coords))
@@ -191,30 +194,19 @@ def model_to_join(z: ModelPoint) -> JoinPoint:
 def delta_member(v: PhaseVector, z: ModelPoint) -> bool:
     """Whether z lies in the order complex of the nonzero covectors of v.
 
-    Equivalent to: the maximum radius is 1 (the chain has no all-zero
-    term) and every radius level set carries a covector of v (which also
-    rules out single-coordinate levels).
+    Equivalent to: the chain of z has no all-zero term (its maximum
+    radius is 1) and every chain vector, one per radius level set, is a
+    covector of v (which also rules out single-coordinate levels).
     """
     if len(v) != len(z):
         raise ValueError("lengths differ")
-    radii = {c.radius for c in z.coords if c.radius > 0}
-    if 1 not in radii:
-        return False
-    for r in radii:
-        vec = PhaseVector(tuple(
-            c.phase if c.radius >= r else ZERO for c in z.coords
-        ))
-        if not is_covector(v, vec):
-            return False
-    return True
+    return all(support(x) and is_covector(v, x)
+               for _, x in model_to_join(z).terms)
 
 
 def rotate(y: Angle, z: ModelPoint) -> ModelPoint:
     """Rotate every nonzero coordinate of z by the angle y."""
-    return ModelPoint(tuple(
-        c if c.radius == 0 else DiscPoint(c.radius, c.angle + y)
-        for c in z.coords
-    ))
+    return rescale_model(PhaseVector((Phase(y),) * len(z)), z)
 
 
 def rescale_model(v: PhaseVector, z: ModelPoint) -> ModelPoint:

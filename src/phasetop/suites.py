@@ -11,11 +11,11 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable
 
-from .phase import Phase, hyper_sum_list
+from .phase import hyper_sum_list
 from .covectors import (
+    _phase_alphabet,
     enumerate_covectors,
     format_phase_vector,
     find_zero_triple,
@@ -56,10 +56,6 @@ from .report import VerificationReport, run_check
 __all__ = ["SUITES", "Suite", "run_suite"]
 
 
-def _grid_phases(m: int) -> list[Phase]:
-    return [Phase.zero()] + [Phase.of(Fraction(k, m)) for k in range(m)]
-
-
 def _grids(m_cap: int) -> list[int]:
     return [m for m in (2, 4, 6, 8) if m <= m_cap]
 
@@ -78,7 +74,7 @@ def _betti_witness(K, want: tuple, field: str = "q") -> str | None:
 
 def _suite_zero_oracle(rep, ns, m_cap, samples, seed):
     for m in _grids(m_cap):
-        alphabet = _grid_phases(m)
+        alphabet = _phase_alphabet(m)
         for n in ns:
             def agree(alphabet=alphabet, n=n):
                 for xs in itertools.product(alphabet, repeat=n):

@@ -1,13 +1,36 @@
 """Acceptance suite: one test per certified claim, at full desk scale.
 
 Each test drives the matching verification suite at the documented
-ranges, asserts a clean pass plus the stated runtime budget, and prints
-one summary line.
+ranges, asserts a clean pass, the pinned sha256 of the report bytes and
+the stated runtime budget, and prints one summary line.
 """
 
+import hashlib
 import time
 
 from phasetop.suites import run_suite
+
+# sha256 of each suite's canonical report at the scale its criterion runs
+REPORT_SHA256 = {
+    "lemma-zero-oracle":
+        "513ef6bb2d15e7c9c9d5f472bffdfdcd89e859010c0b3017d171978b362f23eb",
+    "pieces":
+        "6ccaa02be8644369ef69cd25ac63af3c620b4ce760f81b20338388105ebb7aa5",
+    "sign-spheres":
+        "8b2b5968775e64d80aeca3bc29045f7d9b3552308c5fb5f175cb1a9f31a9a3f1",
+    "gamma-roundtrip":  # samples=10000
+        "e0b822436ad0b82438464123ad013eef974adf2bc7e7b098a5fc63c220574e4e",
+    "pn-combinatorics":
+        "a6ade11aa36b0aee71bb780773922d1004701472196de391c3220d264e71a1fb",
+    "slice-claims":  # samples=1000, seed=0
+        "9deccad3514d91f9a7d2fd6b4feafa1f6bd4deb1fab9c7ab89f3b57d0d6ed8b0",
+    "slice-mesh":
+        "c5c0ada753f4bed3216899ce014efdeb0293f8182f4d6232d8aaae98dc1f35b9",
+    "boundary-ident":
+        "120ab0b40ae9656cf743e89c40daf0448bfd9405c49a996d5243826227b37b6b",
+    "full-sphere":
+        "584eb77761ad355c9dd89cec3148231aab7ce9b61f6b8425740179433a1cb038",
+}
 
 
 def _run(suite, budget_s=None, **kw):
@@ -18,6 +41,7 @@ def _run(suite, budget_s=None, **kw):
     for c in failures:
         print(f"  FAIL {c.name}: {c.witness}")
     assert rep.passed, f"suite {suite} reported {len(failures)} failure(s)"
+    assert hashlib.sha256(rep.to_bytes()).hexdigest() == REPORT_SHA256[suite]
     if budget_s is not None:
         assert dt < budget_s, f"suite {suite} took {dt:.1f}s > {budget_s}s"
     return rep, dt

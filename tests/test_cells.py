@@ -228,3 +228,62 @@ def test_intersection_of_charts_is_meet_sampled():
                     z = bx_sample(g, seed)
                     in_all = all(bx_member(h, z, "closed") for h in fam)
                     assert in_all == bx_member(m, z, "closed")
+
+
+def reference_in_pn(labels):
+    """Slow reference: admissibility by an index loop over the head."""
+    n = len(labels)
+    if labels[n - 1] != PLabel.ONE:
+        return False
+    if any(lab == PLabel.ONE for lab in labels[: n - 1]):
+        return False
+    head = labels[: n - 1]
+    if all(lab == PLabel.FULL for lab in head):
+        return False
+    for i, lab in enumerate(head):
+        if lab == PLabel.UPPER:
+            wanted = {PLabel.LOWER, PLabel.MINUS_ONE}
+        elif lab == PLabel.LOWER:
+            wanted = {PLabel.UPPER, PLabel.MINUS_ONE}
+        else:
+            continue
+        if not any(j != i and other in wanted for j, other in enumerate(head)):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_in_pn_and_pn_elements_match_the_reference(n):
+    for labs in itertools.product(PLabel, repeat=n):
+        assert in_pn(labs) == reference_in_pn(labs), labs
+    want = [CellLabel(head + (PLabel.ONE,))
+            for head in itertools.product(PLabel, repeat=n - 1)
+            if reference_in_pn(head + (PLabel.ONE,))]
+    assert pn_elements(n) == want
+
+
+def brute_symbol_meet(a, b):
+    """The greatest common lower bound of two symbols under p_leq; failing
+    that, the greatest one other than 1 (reserved for the last
+    coordinate); None when the symbols have no common lower bound."""
+    lower = [c for c in PLabel if p_leq(c, a) and p_leq(c, b)]
+    for pool in (lower, [c for c in lower if c != PLabel.ONE]):
+        top = [g for g in pool if all(p_leq(c, g) for c in pool)]
+        if top:
+            return top[0]
+    return None
+
+
+def test_meet_matches_brute_force_on_every_symbol_pair():
+    tail = (PLabel.MINUS_ONE, PLabel.ONE)  # admissible after any head but 1
+    for a, b in itertools.product(PLabel, repeat=2):
+        want = brute_symbol_meet(a, b)
+        if want is None:
+            assert {a, b} == {PLabel.ONE, PLabel.MINUS_ONE}
+            with pytest.raises(ValueError, match="no meet for symbols"):
+                meet((a,) + tail, (b,) + tail)
+        elif PLabel.ONE not in (a, b):
+            got = meet(CellLabel((a,) + tail), CellLabel((b,) + tail))
+            assert got == CellLabel((want,) + tail), (a, b)
+        else:  # 1 meets only at the last coordinate, where both are 1
+            assert want == PLabel.ONE

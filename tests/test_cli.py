@@ -311,6 +311,30 @@ def test_verify_report_in_missing_directory_is_a_clean_error():
         assert not os.path.exists("missing")
 
 
+def test_verify_unwritable_report_fails_before_the_run(monkeypatch):
+    def never(*args, **kwargs):
+        pytest.fail("the suite ran before the report path was opened")
+
+    monkeypatch.setattr(cli, "run_suite", never)
+    runner = CliRunner()
+    with runner.isolated_filesystem():
+        r = runner.invoke(main, ["verify", "sign-spheres", "--max-n", "3",
+                                 "--report", "missing/r.json"])
+        assert_clean_error(r, "missing/r.json")
+
+
+def test_verify_bad_params_keep_an_existing_report():
+    runner = CliRunner()
+    with runner.isolated_filesystem():
+        with open("rep.json", "wb") as fh:
+            fh.write(b"earlier report")
+        r = runner.invoke(main, ["verify", "sign-spheres", "--m", "3",
+                                 "--report", "rep.json"])
+        assert_clean_error(r, "m must be an even number")
+        with open("rep.json", "rb") as fh:
+            assert fh.read() == b"earlier report"
+
+
 def test_pn_list_rejects_small_n():
     assert_clean_error(invoke("pn", "list", "--n", "2"), "n >= 3")
 

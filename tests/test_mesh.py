@@ -21,7 +21,6 @@ from phasetop.mesh import (
     complex_to_doc,
     drop_last_coordinate,
     full_space_pieces,
-    mesh_cell,
     mesh_chart,
     simplex_probe,
     slice_pieces,
@@ -45,7 +44,7 @@ def full32():
 
 
 def test_single_chart_counts():
-    K = mesh_cell(ul_label(1, 2, 3), 2)
+    K = mesh_chart(ul_label(1, 2, 3), 2).complex
     assert K.f_vector() == (6, 9, 4)
     assert K.dim == 2
     assert K.is_pure()
@@ -54,14 +53,14 @@ def test_single_chart_counts():
 def test_fan_counts():
     # disc coordinate meshed as a fan over the subdivided circle
     cell = parse_cell_label("-1,F,1")
-    assert mesh_cell(cell, 4).f_vector() == (9, 16, 8)
-    assert mesh_cell(cell, 8).f_vector() == (17, 32, 16)
+    assert mesh_chart(cell, 4).complex.f_vector() == (9, 16, 8)
+    assert mesh_chart(cell, 8).complex.f_vector() == (17, 32, 16)
 
 
 def test_odd_or_tiny_m_rejected():
     for bad in (1, 3, 0, -2):
         with pytest.raises(ValueError):
-            mesh_cell(ul_label(1, 2, 3), bad)
+            mesh_chart(ul_label(1, 2, 3), bad)
 
 
 def test_chart_vertices_lie_in_their_cell():

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from phasetop.covectors import PhaseVector, all_ones
+from phasetop.covectors import PhaseVector, all_ones, is_covector
 from phasetop.order_complex import (
     DiscPoint,
     JoinPoint,
@@ -153,3 +153,31 @@ def test_model_point_text_round_trip():
     assert parse_model_point("1@0; 3/4@1/4; 0@0") == z
     with pytest.raises(ValueError):
         parse_model_point("1,0")
+
+
+def reference_delta_member(v, z):
+    """Slow reference: one covector test per radius level set of z."""
+    radii = {c.radius for c in z.coords if c.radius > 0}
+    if 1 not in radii:
+        return False
+    for r in radii:
+        vec = PhaseVector(tuple(
+            c.phase if c.radius >= r else ZERO for c in z.coords
+        ))
+        if not is_covector(v, vec):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_delta_member_matches_the_level_set_reference(n):
+    rng = random.Random(f"delta-reference:{n}")
+    twisted = PhaseVector.of([Fraction(2 * k + 1, 8) for k in range(n)])
+    for v in (all_ones(n), twisted):
+        seen = set()
+        for _ in range(500):
+            z = random_model_point(rng, n, den=8)
+            got = delta_member(v, z)
+            assert got == reference_delta_member(v, z), (str(v), str(z))
+            seen.add(got)
+        assert seen == {False, True}
