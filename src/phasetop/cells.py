@@ -140,13 +140,9 @@ def pn_elements(n: int) -> list[CellLabel]:
     """All admissible labels of length n, lexicographic in token order."""
     if n < 3:  # not left to in_pn: its ValueError would read as inadmissible
         raise ValueError("cell labels need n >= 3")
-    out = []
-    for head in itertools.product(PLabel, repeat=n - 1):  # in token order
-        try:
-            out.append(CellLabel(head + (PLabel.ONE,)))
-        except ValueError:  # not admissible
-            pass
-    return out
+    cands = (head + (PLabel.ONE,)
+             for head in itertools.product(PLabel, repeat=n - 1))  # token order
+    return [CellLabel(c) for c in cands if in_pn(c)]
 
 
 def ul_label(j: int, k: int, n: int) -> CellLabel:
@@ -321,6 +317,68 @@ def bx_member(x: CellLabel, z: ModelPoint, mode: str = "closed") -> bool:
     return True
 
 
+def _region(labs: Iterable[PLabel]) -> PLabel | frozenset | None:
+    """Where the regions of the given symbols meet.
+
+    The symbol order is containment, so this is the least symbol.  The
+    incomparable U and L meet in the two points _POINTS; 1 and -1 meet
+    nowhere (None).
+    """
+    region = PLabel.FULL
+    for lab in labs:
+        if region is _POINTS:
+            if lab in _POINTS:
+                region = lab
+        elif p_leq(lab, region):
+            region = lab
+        elif not p_leq(region, lab):
+            if region in _POINTS:
+                return None
+            region = _POINTS
+    return region
+
+
+def _draw(regions: Sequence, charts: Sequence[CellLabel], rng: random.Random,
+          den: int, interior: bool = False, corner: bool = False) -> ModelPoint:
+    """A rational point of the coordinate regions (from _region or symbols).
+
+    The first pass draws the U parameters and picks the points, the
+    second draws L and F, each in coordinate order.  A lower parameter
+    stays below the upper one of every coordinate that is U in a chart
+    with L at it.  interior keeps every draw off the region's boundary;
+    corner draws nothing: the two points, U and L all take -1, and F
+    takes the centre.
+    """
+    lo, hi = (1, den - 1) if interior else (0, den)
+    coords: list = [None] * len(regions)
+    for i, region in enumerate(regions):
+        if region is PLabel.UPPER:
+            u = den if corner else rng.randint(lo, hi)
+            coords[i] = DiscPoint(ONE_F, Angle(Fraction(u, den) / 2))
+        elif region is _POINTS:
+            coords[i] = _MINUS_ONE_POINT if corner else rng.choice(
+                (_ONE_POINT, _MINUS_ONE_POINT))
+        elif region is PLabel.ONE:
+            coords[i] = _ONE_POINT
+        elif region is PLabel.MINUS_ONE:
+            coords[i] = _MINUS_ONE_POINT
+    for i, region in enumerate(regions):
+        if region is PLabel.LOWER:
+            bound = min((upper_param(coords[a]) for x in charts
+                         if x[i] is PLabel.LOWER
+                         for a, lab in enumerate(x) if lab is PLabel.UPPER),
+                        default=ONE_F)
+            t = 0 if corner else bound * Fraction(rng.randint(lo, hi), den)
+            coords[i] = DiscPoint(ONE_F, Angle(HALF + t / 2))
+        elif region is PLabel.FULL:
+            if corner:
+                coords[i] = DiscPoint.center()
+            else:
+                r = Fraction(rng.randint(0, den - 1 if interior else den), den)
+                coords[i] = DiscPoint(r, Angle(Fraction(rng.randint(0, den - 1), den)))
+    return ModelPoint(tuple(coords))
+
+
 def bx_sample(
     x: CellLabel, seed: int, interior: bool = False, den: int = 16
 ) -> ModelPoint:
@@ -331,30 +389,7 @@ def bx_sample(
     rationals.
     """
     rng = random.Random(f"bx:{format_cell_label(x)}:{seed}:{interior}:{den}")
-    lo, hi = (1, den - 1) if interior else (0, den)
-    u_ts = {
-        i: Fraction(rng.randint(lo, hi), den)
-        for i, lab in enumerate(x)
-        if lab == PLabel.UPPER
-    }
-    u_min = min(u_ts.values(), default=ONE_F)
-    coords: list[DiscPoint] = []
-    for i, lab in enumerate(x):
-        if lab == PLabel.ONE:
-            coords.append(_ONE_POINT)
-        elif lab == PLabel.MINUS_ONE:
-            coords.append(_MINUS_ONE_POINT)
-        elif lab == PLabel.UPPER:
-            coords.append(DiscPoint(ONE_F, Angle(u_ts[i] / 2)))
-        elif lab == PLabel.LOWER:
-            # stay below every upper parameter
-            t = u_min * Fraction(rng.randint(lo, hi), den)
-            coords.append(DiscPoint(ONE_F, Angle(HALF + t / 2)))
-        else:  # FULL
-            r = Fraction(rng.randint(0, den - 1 if interior else den), den)
-            a = Fraction(rng.randint(0, den - 1), den)
-            coords.append(DiscPoint(r, Angle(a)))
-    return ModelPoint(tuple(coords))
+    return _draw(x.labels, (x,), rng, den, interior)
 
 
 def parse_cell_label(text: str) -> CellLabel:

@@ -18,11 +18,10 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .cells import (
-    HALF,
-    _MINUS_ONE_POINT,
     _ONE_POINT,
+    _draw,
+    _region,
     CellLabel,
-    PLabel,
     bx_member,
     bx_sample,
     cell_leq,
@@ -33,7 +32,6 @@ from .cells import (
     nu,
     pn_elements,
     ul_label,
-    upper_param,
 )
 from .order_complex import DiscPoint, ModelPoint
 from .phase import Angle
@@ -167,37 +165,6 @@ def dimension_witness(f: GluingFamily) -> str | None:
 # Exact rational sampling of chart intersections
 # ---------------------------------------------------------------------------
 
-# how two coordinate regions intersect; "pm" is the two-point set {1, -1}
-_TAG_OF = {
-    PLabel.ONE: "pt1",
-    PLabel.MINUS_ONE: "ptm",
-    PLabel.UPPER: "U",
-    PLabel.LOWER: "L",
-    PLabel.FULL: "F",
-}
-_CONTAINS = {
-    "F": {"F", "U", "L", "pm", "pt1", "ptm"},
-    "U": {"U", "pm", "pt1", "ptm"},
-    "L": {"L", "pm", "pt1", "ptm"},
-    "pm": {"pm", "pt1", "ptm"},
-    "pt1": {"pt1"},
-    "ptm": {"ptm"},
-}
-
-
-def _intersect_tags(a: str, b: str) -> str | None:
-    if b in _CONTAINS[a]:
-        return b
-    if a in _CONTAINS[b]:
-        return a
-    if {a, b} == {"U", "L"}:
-        return "pm"
-    return None  # {pt1, ptm}: empty intersection
-
-
-_POINT_OF_TAG = {"pt1": _ONE_POINT, "ptm": _MINUS_ONE_POINT}
-
-
 def sample_charts_point(
     charts: Sequence[CellLabel], seed: int, den: int = 16
 ) -> Optional[ModelPoint]:
@@ -212,54 +179,15 @@ def sample_charts_point(
     None signals a provably empty coordinate intersection.
     """
     n = len(charts[0])
-    tags: list[str | None] = ["F"] * n
-    for x in charts:
-        if len(x) != n:
-            raise ValueError("charts must share a length")
-        for i, lab in enumerate(x):
-            if tags[i] is None:
-                return None
-            tags[i] = _intersect_tags(tags[i], _TAG_OF[lab])
-    if any(t is None for t in tags):
+    if any(len(x) != n for x in charts):
+        raise ValueError("charts must share a length")
+    regions = [_region(col) for col in zip(*charts)]
+    if None in regions:
         return None
     key = ";".join(format_cell_label(c) for c in charts)
     rng = random.Random(f"charts:{key}:{seed}:{den}")
-    for attempt in range(8):
-        corner = attempt == 7  # guaranteed-feasible corner
-        coords: list[DiscPoint | None] = [None] * n
-        for i, t in enumerate(tags):
-            if t in _POINT_OF_TAG:
-                coords[i] = _POINT_OF_TAG[t]
-            elif t == "pm":
-                pick = "ptm" if corner else rng.choice(("pt1", "ptm"))
-                coords[i] = _POINT_OF_TAG[pick]
-        for i, t in enumerate(tags):
-            if t == "U":
-                u = Fraction(den if corner else rng.randint(0, den), den)
-                coords[i] = DiscPoint(Fraction(1), Angle(u / 2))
-        for i, t in enumerate(tags):
-            if t == "L":
-                bound = Fraction(1)
-                for x in charts:
-                    if x[i] != PLabel.LOWER:
-                        continue
-                    for a, lab in enumerate(x):
-                        if lab == PLabel.UPPER:
-                            ua = upper_param(coords[a])
-                            bound = min(bound, ua)
-                tl = Fraction(0) if corner else bound * Fraction(
-                    rng.randint(0, den), den
-                )
-                coords[i] = DiscPoint(Fraction(1), Angle(HALF + tl / 2))
-        for i, t in enumerate(tags):
-            if t == "F":
-                if corner:
-                    coords[i] = DiscPoint.center()
-                else:
-                    r = Fraction(rng.randint(0, den), den)
-                    a = Fraction(rng.randint(0, 2 * den - 1), 2 * den)
-                    coords[i] = DiscPoint(r, Angle(a))
-        z = ModelPoint(tuple(coords))
+    for attempt in range(8):  # the last is the guaranteed-feasible corner
+        z = _draw(regions, charts, rng, den, corner=attempt == 7)
         if all(bx_member(x, z, "closed") for x in charts):
             return z
     return None
@@ -363,11 +291,10 @@ def verify_slice_claims(n: int, samples: int = 1000, seed: int = 0) -> Verificat
                       n=n, samples=samples))
 
     def intersection_witness():
-        count = 0
+        subsets = [J for size in range(2, n)
+                   for J in itertools.combinations(idx, size)]
+        per = max(1, -(-samples // max(1, len(idx) * len(subsets) * 3)))
         for j in idx:
-            subsets = [J for size in range(2, n)
-                       for J in itertools.combinations(idx, size)]
-            per = max(1, -(-samples // max(1, len(idx) * len(subsets) * 3)))
             for J in subsets:
                 charts = [ul_label(j, k, n) for k in J]
                 mt = meet_all(charts)
@@ -375,19 +302,16 @@ def verify_slice_claims(n: int, samples: int = 1000, seed: int = 0) -> Verificat
                     z = bx_sample(mt, seed * 7 + s)
                     if not all(bx_member(c, z, "closed") for c in charts):
                         return f"meet sample {z} escapes a chart of j={j}, J={J}"
-                    count += 1
                     z = sample_charts_point(charts, seed * 13 + s)
                     if z is None:
                         return f"no intersection point for j={j}, J={J}"
                     if not bx_member(mt, z, "closed"):
                         return f"intersection point {z} misses the meet {mt}"
-                    count += 1
                     for c in charts:
                         zc = bx_sample(c, seed * 31 + s)
                         in_all = all(bx_member(c2, zc, "closed") for c2 in charts)
                         if in_all != bx_member(mt, zc, "closed"):
                             return f"chart sample {zc} disagrees for j={j}, J={J}"
-                        count += 1
         return None
 
     rep.add(run_check("sampled:chart-intersection", intersection_witness,

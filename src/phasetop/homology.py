@@ -194,7 +194,7 @@ def betti(K: SimplicialComplex, field="q") -> BettiReport:
     """Betti numbers of K in every dimension, by exact rank computation."""
     tag = _normalize_field(field)
     _validate(K)
-    if not K.tops and not K.vertices:
+    if not K.tops:
         return BettiReport(tag, (), 0)
     simp, idx = _chain_data(K)
     ranks = {d: len(eng.pivots)

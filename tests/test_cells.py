@@ -1,9 +1,12 @@
+import hashlib
 import itertools
 from fractions import Fraction
 
 import pytest
 
 from phasetop.cells import (
+    _POINTS,
+    _region,
     CellLabel,
     PLabel,
     bx_member,
@@ -287,3 +290,39 @@ def test_meet_matches_brute_force_on_every_symbol_pair():
             assert got == CellLabel((want,) + tail), (a, b)
         else:  # 1 meets only at the last coordinate, where both are 1
             assert want == PLabel.ONE
+
+
+def brute_symbol_points(lab):
+    """The points of a disc grid lying in the region a symbol names: the
+    centre, plus radii 1/2 and 1 at angles k/16."""
+    grid = [(F(0), F(0))] + [(r, F(k, 16)) for r in (F(1, 2), F(1))
+                             for k in range(16)]
+    return {(r, a) for r, a in grid if {
+        PLabel.ONE: r == 1 and a == 0,
+        PLabel.MINUS_ONE: r == 1 and a == F(1, 2),
+        PLabel.UPPER: r == 1 and a <= F(1, 2),
+        PLabel.LOWER: r == 1 and (a >= F(1, 2) or a == 0),
+        PLabel.FULL: True,
+    }[lab]}
+
+
+def test_symbol_region_matches_brute_force_intersections():
+    for size in range(1, len(PLabel) + 1):
+        for labs in itertools.permutations(PLabel, size):
+            want = set.intersection(*(brute_symbol_points(l) for l in labs))
+            got = _region(labs)
+            if got is None:
+                assert not want, labs
+            else:
+                labs_of = got if got is _POINTS else (got,)
+                got_points = set().union(*(brute_symbol_points(l)
+                                           for l in labs_of))
+                assert got_points == want, labs
+
+
+def test_bx_sample_stream_is_pinned():
+    text = "\n".join(str(bx_sample(x, s, i)) for n in (3, 4)
+                     for x in pn_elements(n) for s in range(5)
+                     for i in (False, True))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "06bc19d38526d0a00fb4808db5d8bca1a64fb8da3b0042c6d7a133115d2cec98")

@@ -202,6 +202,13 @@ def test_homology_accepts_the_good_doc():
     assert r.output.strip() == "betti (1,0) euler 1 over Q"
 
 
+def test_homology_of_vertices_without_simplices_is_empty():
+    r = _homology_of({"n": 1, "m": 2, "vertices": [[["1", "0"]]],
+                      "simplices": []})
+    assert r.exit_code == 0
+    assert r.output.strip() == "betti () euler 0 over Q"
+
+
 def test_homology_rejects_non_object_document():
     assert_clean_error(_homology_of([1, 2, 3]), "JSON object")
 

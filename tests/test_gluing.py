@@ -146,6 +146,18 @@ def test_sample_charts_point_deterministic():
     assert sample_charts_point(charts, 11) == sample_charts_point(charts, 11)
 
 
+def test_sample_charts_point_is_total_on_chart_combinations():
+    # every chart combination used by the slice claims has a point
+    for n in (3, 4):
+        charts = [ul_label(j, k, n) for j in range(1, n) for k in range(1, n)]
+        for size in (1, 2, 3):
+            for combo in itertools.combinations(charts, size):
+                for seed in range(2):
+                    z = sample_charts_point(list(combo), seed)
+                    assert z is not None, combo
+                    assert all(bx_member(c, z, "closed") for c in combo)
+
+
 def test_sample_charts_point_rejects_length_mismatch():
     with pytest.raises(ValueError):
         sample_charts_point([ul_label(1, 2, 3), ul_label(1, 2, 4)], 0)

@@ -127,6 +127,13 @@ def test_empty_complex():
     assert euler_characteristic(K) == 0
 
 
+def test_vertices_without_tops_have_no_homology():
+    # vertices that no simplex uses are not faces, as in `mesh stats`
+    K = SimplicialComplex(["a", "b"], [])
+    assert betti(K) == BettiReport("q", (), 0)
+    assert betti(K, "f2") == BettiReport("f2", (), 0)
+
+
 def test_circle_and_disc():
     assert betti(circle()).betti == (1, 1)
     assert betti(circle(), "f2").betti == (1, 1)
