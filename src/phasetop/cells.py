@@ -20,7 +20,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-from .order_complex import DiscPoint, ModelPoint
+from .order_complex import DiscPoint, ModelPoint, _check_den
 from .phase import Angle
 
 __all__ = [
@@ -55,6 +55,8 @@ class PLabel(Enum):
     UPPER = "U"
     LOWER = "L"
     FULL = "F"
+
+    __hash__ = object.__hash__  # members are singletons; Enum's hash is slow
 
     @property
     def token(self) -> str:
@@ -248,16 +250,29 @@ def nu(x: CellLabel) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _upper(c: DiscPoint) -> tuple[int, int] | None:
+    """upper_param as an unreduced (numerator, denominator) pair."""
+    r, a, d = c.radius, c.angle.turns.numerator, c.angle.turns.denominator
+    if r.numerator != r.denominator or 2 * a > d:
+        return None
+    return 2 * a, d
+
+
+def _lower(c: DiscPoint) -> tuple[int, int] | None:
+    """lower_param as an unreduced (numerator, denominator) pair."""
+    r, a, d = c.radius, c.angle.turns.numerator, c.angle.turns.denominator
+    if r.numerator != r.denominator or 0 < 2 * a < d:
+        return None
+    return (2 * a - d, d) if a else (1, 1)
+
+
 def upper_param(c: DiscPoint) -> Fraction | None:
     """The parameter t of a point (1, t/2) on the upper half-circle.
 
     None when the point is off that half-circle.
     """
-    if c.radius != 1:
-        return None
-    if c.angle.turns > HALF:
-        return None
-    return 2 * c.angle.turns
+    t = _upper(c)
+    return None if t is None else Fraction(*t)
 
 
 def lower_param(c: DiscPoint) -> Fraction | None:
@@ -265,13 +280,8 @@ def lower_param(c: DiscPoint) -> Fraction | None:
 
     The wrap point at angle 0 is t = 1.  None off the half-circle.
     """
-    if c.radius != 1:
-        return None
-    if c.angle.turns == 0:
-        return ONE_F
-    if c.angle.turns < HALF:
-        return None
-    return 2 * (c.angle.turns - HALF)
+    t = _lower(c)
+    return None if t is None else Fraction(*t)
 
 
 def bx_member(x: CellLabel, z: ModelPoint, mode: str = "closed") -> bool:
@@ -288,31 +298,26 @@ def bx_member(x: CellLabel, z: ModelPoint, mode: str = "closed") -> bool:
     if len(x) != len(z):
         raise ValueError("lengths differ")
     strict = mode == "interior"
-    u_params: list[Fraction] = []
-    l_params: list[Fraction] = []
-    for lab, c in zip(x, z.coords):
-        if lab == PLabel.ONE:
-            if c != _ONE_POINT:
+    u_params: list[tuple[int, int]] = []
+    l_params: list[tuple[int, int]] = []
+    for lab, c in zip(x.labels, z.coords):
+        if lab is PLabel.ONE:
+            if c is not _ONE_POINT and c != _ONE_POINT:
                 return False
-        elif lab == PLabel.MINUS_ONE:
-            if c != _MINUS_ONE_POINT:
+        elif lab is PLabel.MINUS_ONE:
+            if c is not _MINUS_ONE_POINT and c != _MINUS_ONE_POINT:
                 return False
-        elif lab == PLabel.UPPER:
-            t = upper_param(c)
-            if t is None or (strict and not 0 < t < 1):
+        elif lab is PLabel.FULL:
+            if strict and c.radius.numerator >= c.radius.denominator:
                 return False
-            u_params.append(t)
-        elif lab == PLabel.LOWER:
-            t = lower_param(c)
-            if t is None or (strict and not 0 < t < 1):
+        else:
+            t = (_upper if lab is PLabel.UPPER else _lower)(c)
+            if t is None or (strict and not 0 < t[0] < t[1]):
                 return False
-            l_params.append(t)
-        else:  # FULL
-            if strict and c.radius >= 1:
-                return False
-    for ta in u_params:
-        for tb in l_params:
-            if tb > ta or (strict and tb == ta):
+            (u_params if lab is PLabel.UPPER else l_params).append(t)
+    for ua, ud in u_params:  # t_L <= t_U by cross-multiplication
+        for lb, ld in l_params:
+            if lb * ud > ua * ld or (strict and lb * ud == ua * ld):
                 return False
     return True
 
@@ -351,25 +356,26 @@ def _draw(regions: Sequence, charts: Sequence[CellLabel], rng: random.Random,
     """
     lo, hi = (1, den - 1) if interior else (0, den)
     coords: list = [None] * len(regions)
+    ups = [0] * len(regions)  # upper parameters over den; 1 is 0, -1 is den
     for i, region in enumerate(regions):
         if region is PLabel.UPPER:
-            u = den if corner else rng.randint(lo, hi)
-            coords[i] = DiscPoint(ONE_F, Angle(Fraction(u, den) / 2))
+            ups[i] = den if corner else rng.randint(lo, hi)
+            coords[i] = DiscPoint(ONE_F, Angle(Fraction(ups[i], 2 * den)))
         elif region is _POINTS:
-            coords[i] = _MINUS_ONE_POINT if corner else rng.choice(
-                (_ONE_POINT, _MINUS_ONE_POINT))
+            ups[i] = den if corner else rng.choice((0, den))
+            coords[i] = _MINUS_ONE_POINT if ups[i] else _ONE_POINT
         elif region is PLabel.ONE:
             coords[i] = _ONE_POINT
         elif region is PLabel.MINUS_ONE:
+            ups[i] = den
             coords[i] = _MINUS_ONE_POINT
     for i, region in enumerate(regions):
         if region is PLabel.LOWER:
-            bound = min((upper_param(coords[a]) for x in charts
-                         if x[i] is PLabel.LOWER
+            bound = min((ups[a] for x in charts if x[i] is PLabel.LOWER
                          for a, lab in enumerate(x) if lab is PLabel.UPPER),
-                        default=ONE_F)
-            t = 0 if corner else bound * Fraction(rng.randint(lo, hi), den)
-            coords[i] = DiscPoint(ONE_F, Angle(HALF + t / 2))
+                        default=den)
+            t = 0 if corner else bound * rng.randint(lo, hi)  # over den**2
+            coords[i] = DiscPoint(ONE_F, Angle(Fraction(den * den + t, 2 * den * den)))
         elif region is PLabel.FULL:
             if corner:
                 coords[i] = DiscPoint.center()
@@ -388,6 +394,7 @@ def bx_sample(
     the same point.  den controls the denominator of the sampled
     rationals.
     """
+    _check_den(den, 2 if interior else 1)
     rng = random.Random(f"bx:{format_cell_label(x)}:{seed}:{interior}:{den}")
     return _draw(x.labels, (x,), rng, den, interior)
 

@@ -15,7 +15,6 @@ vectors use "+", "-", "0".
 from __future__ import annotations
 
 import itertools
-import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,6 +24,7 @@ from .phase import (
     Angle,
     Phase,
     ZERO,
+    _over_lcm,
     mul,
     parse_fraction,
     sign_hyper_sum_list,
@@ -114,10 +114,7 @@ def _tick_scale(xs: Sequence[Phase]) -> tuple[list, int]:
     The turn length is the lcm of the angles' denominators, so every
     angle is a whole number of ticks.
     """
-    turns = [None if e.angle is None else e.angle.turns for e in xs]
-    whole = math.lcm(*(t.denominator for t in turns if t is not None))
-    return ([None if t is None else t.numerator * (whole // t.denominator)
-             for t in turns], whole)
+    return _over_lcm([None if e.angle is None else e.angle.turns for e in xs])
 
 
 def zero_in_sum(xs: Sequence[Phase]) -> bool:

@@ -33,7 +33,7 @@ from .cells import (
     pn_elements,
     ul_label,
 )
-from .order_complex import DiscPoint, ModelPoint
+from .order_complex import DiscPoint, ModelPoint, _check_den
 from .phase import Angle
 from .report import CheckResult, VerificationReport, run_check
 
@@ -178,6 +178,9 @@ def sample_charts_point(
     intersection is nonempty (which covers every chart family here);
     None signals a provably empty coordinate intersection.
     """
+    if not charts:
+        raise ValueError("charts must be a nonempty list of chart labels")
+    _check_den(den)
     n = len(charts[0])
     if any(len(x) != n for x in charts):
         raise ValueError("charts must share a length")
@@ -198,6 +201,7 @@ def random_slice_point(rng: random.Random, n: int, den: int = 8) -> ModelPoint:
 
     Radii are biased toward 1 so the half-circle cells get hit.
     """
+    _check_den(den)
     coords = []
     for _ in range(n - 1):
         roll = rng.random()

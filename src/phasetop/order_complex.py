@@ -21,10 +21,9 @@ from typing import Iterable
 from .covectors import (
     PhaseVector,
     is_covector,
-    leq_vec,
     support,
 )
-from .phase import Angle, Phase, ZERO, format_fraction, parse_fraction
+from .phase import Angle, Phase, ZERO, _over_lcm, format_fraction, parse_fraction
 
 __all__ = [
     "DiscPoint",
@@ -55,9 +54,10 @@ class DiscPoint:
     def __post_init__(self) -> None:
         if not isinstance(self.radius, Fraction):
             object.__setattr__(self, "radius", Fraction(self.radius))
-        if not 0 <= self.radius <= 1:
+        num = self.radius.numerator
+        if not 0 <= num <= self.radius.denominator:
             raise ValueError("disc radius must lie in [0, 1]")
-        if self.radius == 0 and self.angle.turns != 0:
+        if num == 0 and self.angle.turns.numerator != 0:
             object.__setattr__(self, "angle", Angle(Fraction(0)))
 
     @staticmethod
@@ -107,8 +107,8 @@ class JoinPoint:
     """A weighted chain: the join-coordinate form of an order-complex point.
 
     Terms are (weight, vector) pairs with positive rational weights that
-    sum to 1, vectors forming a strict chain in the specialization
-    order, and support sizes strictly increasing term by term.  Zero
+    sum to 1 and vectors forming a strict chain in the specialization
+    order, so support sizes strictly increase term by term.  Zero
     weights are disallowed, so the representation is canonical.
     """
 
@@ -117,22 +117,23 @@ class JoinPoint:
     def __post_init__(self) -> None:
         if not self.terms:
             raise ValueError("join point needs at least one term")
+        nums, whole = _over_lcm([w for w, _ in self.terms])
         n = len(self.terms[0][1])
-        total = Fraction(0)
-        prev: PhaseVector | None = None
-        for w, x in self.terms:
+        prev, prev_size = (), -1
+        for w, (_, x) in zip(nums, self.terms):
             if len(x) != n:
                 raise ValueError("chain vectors must share a length")
             if w <= 0:
                 raise ValueError("weights must be positive")
-            total += w
-            if prev is not None:
-                if not (leq_vec(prev, x) and prev != x):
-                    raise ValueError("vectors must form a strict chain")
-                if len(support(prev)) >= len(support(x)):
-                    raise ValueError("support sizes must strictly increase")
-            prev = x
-        if total != 1:
+            entries = x.entries
+            size = sum(e.angle is not None for e in entries)
+            # a chain step keeps every nonzero entry, so it is strict
+            # exactly when the support grows
+            if not (size > prev_size and all(a is b or a.angle is None or a == b
+                                             for a, b in zip(prev, entries))):
+                raise ValueError("vectors must form a strict chain")
+            prev, prev_size = entries, size
+        if sum(nums) != whole:
             raise ValueError("weights must sum to 1")
 
     @staticmethod
@@ -151,20 +152,18 @@ def join_to_model(p: JoinPoint) -> ModelPoint:
     whose vector is nonzero at j, and angle equal to their common phase
     there; coordinates supported by no term sit at the disc center.
     """
+    nums, whole = _over_lcm([w for w, _ in p.terms])
     n = len(p.terms[0][1])
-    coords = []
-    for j in range(n):
-        radius = Fraction(0)
-        angle: Angle | None = None
-        for w, x in p.terms:
-            if not x[j].is_zero:
-                radius += w
-                angle = x[j].angle  # chain: same angle in every term
-        if radius == 0:
-            coords.append(_CENTER)
-        else:
-            coords.append(DiscPoint(radius, angle))
-    return ModelPoint(tuple(coords))
+    radii = [0] * n
+    angles: list[Angle | None] = [None] * n
+    for w, (_, x) in zip(nums, p.terms):
+        for j, e in enumerate(x.entries):
+            if e.angle is not None:
+                radii[j] += w
+                angles[j] = e.angle  # chain: same angle in every term
+    return ModelPoint(tuple(
+        DiscPoint(Fraction(r, whole), a) if r else _CENTER
+        for r, a in zip(radii, angles)))
 
 
 def model_to_join(z: ModelPoint) -> JoinPoint:
@@ -175,20 +174,15 @@ def model_to_join(z: ModelPoint) -> JoinPoint:
     the coordinates with radius >= r.  Weights are successive radius
     differences, and any slack 1 - max_radius goes to an all-zero term.
     """
-    n = len(z)
-    radii = sorted({c.radius for c in z.coords if c.radius > 0}, reverse=True)
-    terms: list[tuple[Fraction, PhaseVector]] = []
-    if not radii:
-        return JoinPoint(((Fraction(1), PhaseVector((ZERO,) * n)),))
-    if radii[0] < 1:
-        terms.append((1 - radii[0], PhaseVector((ZERO,) * n)))
-    for i, r in enumerate(radii):
-        nxt = radii[i + 1] if i + 1 < len(radii) else Fraction(0)
-        vec = PhaseVector(tuple(
-            c.phase if c.radius >= r else ZERO for c in z.coords
-        ))
-        terms.append((r - nxt, vec))
-    return JoinPoint(tuple(terms))
+    nums, whole = _over_lcm([c.radius for c in z.coords])
+    phases = [Phase(c.angle) if r else ZERO for c, r in zip(z.coords, nums)]
+    # radius 1 is always a level: with no coordinate there, its vector is
+    # the all-zero term that takes the slack
+    levels = sorted({whole, *nums} - {0}, reverse=True)
+    return JoinPoint(tuple(
+        (Fraction(r - nxt, whole), PhaseVector(tuple(
+            ph if num >= r else ZERO for ph, num in zip(phases, nums))))
+        for r, nxt in zip(levels, levels[1:] + [0])))
 
 
 def delta_member(v: PhaseVector, z: ModelPoint) -> bool:
@@ -252,12 +246,18 @@ def _random_fraction(rng: random.Random, den: int = 64) -> Fraction:
     return Fraction(rng.randint(0, den), den)
 
 
+def _check_den(den: int, least: int = 1) -> None:
+    if den < least:
+        raise ValueError(f"den must be >= {least}, got {den}")
+
+
 def random_model_point(rng: random.Random, n: int, den: int = 64) -> ModelPoint:
     """A random disc tuple with rational coordinates.
 
     Radii are biased toward the interesting boundary values 0 and 1 so
     level-set code paths get exercised.
     """
+    _check_den(den)
     coords = []
     for _ in range(n):
         roll = rng.random()
@@ -273,17 +273,18 @@ def random_model_point(rng: random.Random, n: int, den: int = 64) -> ModelPoint:
 
 def random_join_point(rng: random.Random, n: int, den: int = 64) -> JoinPoint:
     """A random canonical weighted chain on n coordinates."""
+    _check_den(den)
     # pick a strictly increasing flag of supports
     order = list(range(n))
     rng.shuffle(order)
     depth = rng.randint(1, n)
     cuts = sorted(rng.sample(range(1, n + 1), depth))
-    angles = [Angle(_random_fraction(rng, den)) for _ in range(n)]
+    phases = [Phase(Angle(_random_fraction(rng, den))) for _ in range(n)]
     vectors = []
     for c in cuts:
         supp = set(order[:c])
         vectors.append(PhaseVector(tuple(
-            Phase(angles[j]) if j in supp else ZERO for j in range(n)
+            phases[j] if j in supp else ZERO for j in range(n)
         )))
     if rng.random() < 0.3:
         vectors.insert(0, PhaseVector((ZERO,) * n))

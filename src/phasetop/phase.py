@@ -14,6 +14,7 @@ operation here is exact: no floating point is used anywhere.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -43,6 +44,13 @@ def _mod1(q: Fraction) -> Fraction:
     return q - (q.numerator // q.denominator)
 
 
+def _over_lcm(qs: Sequence) -> tuple[list, int]:
+    """Numerators over D, the lcm of the denominators, and D; None stays."""
+    d = math.lcm(*(q.denominator for q in qs if q is not None))
+    return [None if q is None else q.numerator * (d // q.denominator)
+            for q in qs], d
+
+
 @dataclass(frozen=True, order=True)
 class Angle:
     """A point on the circle, measured in turns and reduced mod 1."""
@@ -50,9 +58,9 @@ class Angle:
     turns: Fraction
 
     def __post_init__(self) -> None:
-        if not isinstance(self.turns, Fraction):
-            object.__setattr__(self, "turns", Fraction(self.turns))
-        object.__setattr__(self, "turns", _mod1(self.turns))
+        t = self.turns if isinstance(self.turns, Fraction) else Fraction(self.turns)
+        if t is not self.turns or not 0 <= t.numerator < t.denominator:
+            object.__setattr__(self, "turns", _mod1(t))
 
     def __add__(self, other: "Angle") -> "Angle":
         return Angle(self.turns + other.turns)

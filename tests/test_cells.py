@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -26,6 +27,7 @@ from phasetop.cells import (
     verify_meet_glb,
 )
 from phasetop.order_complex import DiscPoint, ModelPoint
+from phasetop.phase import Angle
 
 F = Fraction
 
@@ -326,3 +328,107 @@ def test_bx_sample_stream_is_pinned():
                      for i in (False, True))
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "06bc19d38526d0a00fb4808db5d8bca1a64fb8da3b0042c6d7a133115d2cec98")
+
+
+# ---------------------------------------------------------------------------
+# Differential tests: the integer predicates against the Fraction reference
+# ---------------------------------------------------------------------------
+
+
+def reference_upper_param(c):
+    if c.radius != 1 or c.angle.turns > F(1, 2):
+        return None
+    return 2 * c.angle.turns
+
+
+def reference_lower_param(c):
+    if c.radius != 1:
+        return None
+    if c.angle.turns == 0:
+        return F(1)
+    if c.angle.turns < F(1, 2):
+        return None
+    return 2 * (c.angle.turns - F(1, 2))
+
+
+def reference_bx_member(x, z, mode="closed"):
+    strict = mode == "interior"
+    u_params, l_params = [], []
+    for lab, c in zip(x, z.coords):
+        if lab == PLabel.ONE:
+            if c != DiscPoint.of(1, 0):
+                return False
+        elif lab == PLabel.MINUS_ONE:
+            if c != DiscPoint.of(1, F(1, 2)):
+                return False
+        elif lab == PLabel.UPPER:
+            t = reference_upper_param(c)
+            if t is None or (strict and not 0 < t < 1):
+                return False
+            u_params.append(t)
+        elif lab == PLabel.LOWER:
+            t = reference_lower_param(c)
+            if t is None or (strict and not 0 < t < 1):
+                return False
+            l_params.append(t)
+        elif strict and c.radius >= 1:
+            return False
+    return all(tb < ta if strict else tb <= ta
+               for ta in u_params for tb in l_params)
+
+
+def _mixed_turns(rng):
+    """Angles with small, large and prime denominators, and the points
+    0, 1/2 where the half-circles meet."""
+    q = rng.choice([2, rng.randint(1, 12), rng.randint(1, 10**6),
+                    rng.choice([7919, 65_537, 999_983])])
+    return rng.choice([F(0), F(1, 2), F(rng.randrange(q), q)])
+
+
+def _mixed_disc_point(rng):
+    q = rng.randint(1, 10**6)
+    r = rng.choice([F(0), F(1), F(1), F(1), F(rng.randint(0, q), q)])
+    return DiscPoint(r, Angle(_mixed_turns(rng)))
+
+
+def test_half_circle_params_match_the_reference_on_mixed_denominators():
+    rng = random.Random("half-circle-params")
+    for _ in range(3000):
+        c = _mixed_disc_point(rng)
+        assert upper_param(c) == reference_upper_param(c), str(c)
+        assert lower_param(c) == reference_lower_param(c), str(c)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_bx_member_matches_the_reference_on_mixed_denominators(n):
+    rng = random.Random(f"bx-member-reference:{n}")
+    elems = pn_elements(n)
+    seen = set()
+    for _ in range(1500):
+        x = rng.choice(elems)
+        # start from a point of the cell, then move a few coordinates
+        coords = list(bx_sample(x, rng.randrange(10**6),
+                                den=rng.choice([3, 16, 999_983])).coords)
+        for _ in range(rng.randint(0, 2)):
+            i = rng.randrange(n)
+            c = coords[i]
+            coords[i] = rng.choice([
+                _mixed_disc_point(rng),
+                DiscPoint(c.radius, Angle(c.angle.turns + _mixed_turns(rng) / 10**6)),
+                DiscPoint(c.radius, Angle(c.angle.turns - _mixed_turns(rng) / 10**6)),
+            ])
+        z = ModelPoint(tuple(coords))
+        for mode in ("closed", "interior"):
+            got = bx_member(x, z, mode)
+            assert got == reference_bx_member(x, z, mode), (str(x), str(z), mode)
+            seen.add((mode, got))
+    assert len(seen) == 4
+
+
+def test_bx_member_tie_between_lower_and_upper_params():
+    # t_U = 2/6 and t_L = 1/3 as unreduced pairs: equal, so closed only
+    x = L("U,L,F,1")
+    z = MP((1, "1/6"), (1, "2/3"), ("1/2", "1/7"), (1, 0))
+    assert bx_member(x, z, "closed") and reference_bx_member(x, z)
+    assert not bx_member(x, z, "interior")
+    assert not reference_bx_member(x, z, "interior")

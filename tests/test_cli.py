@@ -1,5 +1,8 @@
 import json
 import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
@@ -361,3 +364,23 @@ def test_other_exceptions_keep_their_traceback(monkeypatch):
     assert r.exit_code == 1
     assert isinstance(r.exception, ZeroDivisionError)
     assert "Error:" not in r.output
+
+
+@pytest.mark.parametrize("args", [
+    ["verify", "pn-combinatorics", "--max-n", "5"],
+    ["verify", "slice-claims", "--max-n", "3", "--samples", "50"],
+], ids=["pn-combinatorics", "slice-claims"])
+def test_report_bytes_do_not_depend_on_the_hash_seed(args, tmp_path):
+    root = pathlib.Path(__file__).resolve().parent.parent
+    reports = []
+    for hash_seed in ("0", "1"):
+        path = tmp_path / f"report-{hash_seed}.json"
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=str(root / "src"))
+        r = subprocess.run(
+            [sys.executable, "-c", "from phasetop.cli import main; main()",
+             *args, "--report", str(path)],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+        assert r.returncode == 0, r.stderr
+        reports.append(path.read_bytes())
+    assert reports[0] == reports[1]

@@ -6,6 +6,7 @@ import pytest
 from phasetop.cells import (
     CellLabel,
     bx_member,
+    bx_sample,
     meet,
     meet_all,
     nu,
@@ -21,6 +22,7 @@ from phasetop.gluing import (
     sample_charts_point,
     verify_slice_claims,
 )
+from phasetop.order_complex import random_join_point, random_model_point
 
 
 def charts_row(j, n):
@@ -214,3 +216,18 @@ def test_verify_slice_claims_deterministic_bytes():
     a = verify_slice_claims(3, samples=40, seed=9)
     b = verify_slice_claims(3, samples=40, seed=9)
     assert a.to_bytes() == b.to_bytes()
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: sample_charts_point([], 0), "charts"),
+    (lambda: sample_charts_point(charts_row(1, 3), 0, den=0), "den"),
+    (lambda: bx_sample(ul_label(1, 2, 3), 0, den=0), "den"),
+    (lambda: bx_sample(ul_label(1, 2, 3), 0, interior=True, den=1), "den"),
+    (lambda: random_slice_point(random.Random(0), 3, den=0), "den"),
+    (lambda: random_model_point(random.Random(0), 3, den=0), "den"),
+    (lambda: random_join_point(random.Random(0), 3, den=0), "den"),
+], ids=["charts-empty", "charts-den0", "bx-den0", "bx-interior-den1",
+        "slice-den0", "model-den0", "join-den0"])
+def test_samplers_reject_bad_arguments_by_name(call, name):
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        call()

@@ -1,9 +1,16 @@
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 
-from phasetop.covectors import PhaseVector, all_ones, is_covector
+from phasetop.covectors import (
+    PhaseVector,
+    all_ones,
+    is_covector,
+    leq_vec,
+    support,
+)
 from phasetop.order_complex import (
     DiscPoint,
     JoinPoint,
@@ -18,7 +25,7 @@ from phasetop.order_complex import (
     rescale_model,
     rotate,
 )
-from phasetop.phase import Angle, ZERO
+from phasetop.phase import Angle, Phase, ZERO
 
 F = Fraction
 
@@ -181,3 +188,174 @@ def test_delta_member_matches_the_level_set_reference(n):
             assert got == reference_delta_member(v, z), (str(v), str(z))
             seen.add(got)
         assert seen == {False, True}
+
+
+# ---------------------------------------------------------------------------
+# Differential tests: the integer port against the Fraction reference
+# ---------------------------------------------------------------------------
+
+
+def reference_disc_point_error(radius, angle):
+    """The Fraction form of DiscPoint's checks: its message, or None."""
+    if not 0 <= Fraction(radius) <= 1:
+        return "disc radius must lie in [0, 1]"
+    return None
+
+
+def reference_join_point_error(terms):
+    """The Fraction form of JoinPoint's checks: its first message, or None."""
+    if not terms:
+        return "join point needs at least one term"
+    n = len(terms[0][1])
+    total = Fraction(0)
+    prev = None
+    for w, x in terms:
+        if len(x) != n:
+            return "chain vectors must share a length"
+        if w <= 0:
+            return "weights must be positive"
+        total += w
+        if prev is not None:
+            if not (leq_vec(prev, x) and prev != x):
+                return "vectors must form a strict chain"
+            if len(support(prev)) >= len(support(x)):
+                return "support sizes must strictly increase"
+        prev = x
+    if total != 1:
+        return "weights must sum to 1"
+    return None
+
+
+def reference_join_to_model(p):
+    n = len(p.terms[0][1])
+    coords = []
+    for j in range(n):
+        radius = Fraction(0)
+        angle = None
+        for w, x in p.terms:
+            if not x[j].is_zero:
+                radius += w
+                angle = x[j].angle
+        coords.append(DiscPoint.center() if radius == 0
+                      else DiscPoint(radius, angle))
+    return ModelPoint(tuple(coords))
+
+
+def reference_model_to_join(z):
+    n = len(z)
+    radii = sorted({c.radius for c in z.coords if c.radius > 0}, reverse=True)
+    terms = []
+    if not radii:
+        return JoinPoint(((Fraction(1), PhaseVector((ZERO,) * n)),))
+    if radii[0] < 1:
+        terms.append((1 - radii[0], PhaseVector((ZERO,) * n)))
+    for i, r in enumerate(radii):
+        nxt = radii[i + 1] if i + 1 < len(radii) else Fraction(0)
+        vec = PhaseVector(tuple(
+            c.phase if c.radius >= r else ZERO for c in z.coords))
+        terms.append((r - nxt, vec))
+    return JoinPoint(tuple(terms))
+
+
+def _mixed_fraction(rng):
+    """A rational in [0, 1] whose denominator is small, large, or prime."""
+    q = rng.choice([rng.randint(1, 12), rng.randint(1, 10**6),
+                    rng.choice([7919, 65_537, 999_983, 10**6])])
+    return Fraction(rng.randint(0, q), q)
+
+
+def _mixed_model_point(rng, n):
+    """Radii with mixed denominators; equal radii in different forms."""
+    pool = [_mixed_fraction(rng) for _ in range(rng.randint(1, n))]
+    pool += [Fraction(0), Fraction(1)]
+    return ModelPoint(tuple(
+        DiscPoint(rng.choice(pool), Angle(_mixed_fraction(rng)))
+        for _ in range(n)))
+
+
+def _mixed_join_point(rng, n):
+    """A canonical chain whose weights have mixed, coprime denominators."""
+    order = rng.sample(range(n), n)
+    cuts = sorted(rng.sample(range(1, n + 1), rng.randint(1, n)))
+    if rng.random() < 0.3:
+        cuts.insert(0, 0)
+    phases = [Phase(Angle(_mixed_fraction(rng))) for _ in range(n)]
+    vectors = [PhaseVector(tuple(phases[j] if j in order[:c] else ZERO
+                                 for j in range(n))) for c in cuts]
+    marks = set()
+    while len(marks) < len(vectors) - 1:
+        marks.add(_mixed_fraction(rng))
+        marks.discard(Fraction(0))
+        marks.discard(Fraction(1))
+    edges = [Fraction(0), *sorted(marks), Fraction(1)]
+    return JoinPoint(tuple((b - a, v) for a, b, v in
+                           zip(edges, edges[1:], vectors)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 7])
+def test_round_trip_maps_match_the_reference_on_mixed_denominators(n):
+    rng = random.Random(f"mixed-denominators:{n}")
+    for _ in range(300):
+        p = _mixed_join_point(rng, n)
+        z = join_to_model(p)
+        assert z == reference_join_to_model(p), str(p)
+        assert model_to_join(z) == reference_model_to_join(z) == p
+        z = _mixed_model_point(rng, n)
+        p = model_to_join(z)
+        assert p == reference_model_to_join(z), str(z)
+        assert join_to_model(p) == reference_join_to_model(p) == z
+
+
+def _error(build):
+    try:
+        build()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+V = PhaseVector.of
+
+
+@pytest.mark.parametrize("terms", [
+    [],
+    [(F(1, 2), V([0]))],  # weights sum to 1/2
+    [(F(1, 3), V([0, None])), (F(1, 2), V([0, "1/3"]))],  # sum 5/6
+    [(F(1, 999_983), V([0, None])), (F(999_983, 1_000_001), V([0, "1/3"]))],
+    [(F(0), V([None, None])), (F(1), V([0, None]))],  # zero weight
+    [(F(-1, 7), V([None, None])), (F(8, 7), V([0, None]))],  # negative
+    [(F(1, 2), V([0, None])), (F(1, 2), V(["1/2", "1/4"]))],  # not a chain
+    [(F(1, 2), V([0, None])), (F(1, 2), V([None, "1/4"]))],  # not a chain
+    [(F(1, 2), V([0, None])), (F(1, 2), V([0, None]))],  # equal supports
+    [(F(1, 2), V([None, None])), (F(1, 2), V([None, None]))],  # both zero
+    [(F(1, 3), V([0, None, None])), (F(1, 3), V([0, "1/5", None])),
+     (F(1, 3), V([0, "1/4", "1/2"]))],  # chain broken at the third term
+    [(F(1, 2), V([0, None])), (F(1, 2), V([0, None, None]))],  # lengths
+    [(F(1, 2), V([0, None])), (F(1, 2), V([0, "1/4"]))],  # valid
+    [(F(1, 4), V([0, None])), (F(0), V([0, "1/4"])),
+     (F(3, 4), V([0, "1/4"]))],  # zero weight before a repeat
+])
+def test_join_point_checks_match_the_reference(terms):
+    assert _error(lambda: JoinPoint(tuple(terms))) == (
+        reference_join_point_error(terms))
+
+
+@pytest.mark.parametrize("radius", [
+    F(-1, 10**6), F(0), F(1, 999_983), F(1), F(1_000_001, 10**6), F(3, 2), 2,
+])
+def test_disc_point_checks_match_the_reference(radius):
+    angle = Angle(F(1, 3))
+    assert _error(lambda: DiscPoint(radius, angle)) == (
+        reference_disc_point_error(radius, angle))
+
+
+def test_gamma_sampler_streams_are_pinned():
+    lines = []
+    for n in range(2, 7):
+        rng = random.Random(f"gamma:{n}:0")
+        for _ in range(200):
+            lines.append(repr(random_join_point(rng, n)))
+            lines.append(repr(random_model_point(rng, n)))
+    assert len(lines) == 2000
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+        "bd609c23e6916ac6cea467c06e0033d1a6b4689bf80a6c566c81d39c35753124")
