@@ -297,15 +297,18 @@ def homology_cmd(in_path, field):
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--report", "report_path", type=click.Path(dir_okay=False),
               default=None, help="write the report as canonical JSON")
-def verify(suite, max_n, m, samples, seed, report_path):
+@click.option("--timings", is_flag=True,
+              help="show each check's wall time and add it to the report"
+                   " (the report is then no longer canonical)")
+def verify(suite, max_n, m, samples, seed, report_path, timings):
     """Run a named verification suite; exit 0 only if it passes."""
     if report_path:  # fail on an unusable path before the run; "ab" keeps
         open(report_path, "ab").close()  # an old report if the run raises
     rep = run_suite(suite, max_n=max_n, m=m, samples=samples, seed=seed)
-    click.echo(rep.to_text(), nl=False)
+    click.echo(rep.to_text(timings), nl=False)
     if report_path:
         with open(report_path, "wb") as fh:
-            fh.write(rep.to_bytes())
+            fh.write(rep.to_bytes(timings))
         click.echo(f"report written to {report_path}")
     if not rep.passed:
         sys.exit(1)

@@ -117,6 +117,13 @@ class JoinPoint:
     def __post_init__(self) -> None:
         if not self.terms:
             raise ValueError("join point needs at least one term")
+        if not all(isinstance(w, Fraction) for w, _ in self.terms):
+            try:
+                terms = tuple((Fraction(w), x) for w, x in self.terms)
+            except (TypeError, ValueError, ArithmeticError) as exc:
+                raise ValueError(
+                    f"weights must be rational numbers: {exc}") from exc
+            object.__setattr__(self, "terms", terms)
         nums, whole = _over_lcm([w for w, _ in self.terms])
         n = len(self.terms[0][1])
         prev, prev_size = (), -1

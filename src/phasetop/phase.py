@@ -46,7 +46,7 @@ def _mod1(q: Fraction) -> Fraction:
 
 def _over_lcm(qs: Sequence) -> tuple[list, int]:
     """Numerators over D, the lcm of the denominators, and D; None stays."""
-    d = math.lcm(*(q.denominator for q in qs if q is not None))
+    d = math.lcm(*[q.denominator for q in qs if q is not None])
     return [None if q is None else q.numerator * (d // q.denominator)
             for q in qs], d
 
@@ -130,9 +130,10 @@ class Arc:
     def __post_init__(self) -> None:
         if not isinstance(self.length, Fraction):
             object.__setattr__(self, "length", Fraction(self.length))
-        if self.length < 0:
+        num = self.length.numerator
+        if num < 0:
             raise ValueError("arc length must be nonnegative")
-        if self.length >= 1:
+        if num >= self.length.denominator:
             object.__setattr__(self, "start", Angle(Fraction(0)))
             object.__setattr__(self, "length", ONE)
 
@@ -223,61 +224,39 @@ def hyper_sum(a: Phase, b: Phase) -> PhaseSet:
     x + 0 = {x}; x + (-x) is the whole circle together with zero; any
     other pair gives the smallest closed arc joining the two points.
     """
-    if a.is_zero:
-        return PhaseSet.point(b)
-    if b.is_zero:
-        return PhaseSet.point(a)
-    if a.angle == b.angle:
-        return PhaseSet.point(a)
-    if a.angle == b.angle.antipode():
-        return PhaseSet(True, (Arc(Angle(Fraction(0)), ONE),))
-    d = _mod1(b.angle.turns - a.angle.turns)
-    if d < HALF:
-        return PhaseSet(False, (Arc(a.angle, d),))
-    return PhaseSet(False, (Arc(b.angle, 1 - d),))
-
-
-def _arc_plus_point(ps: PhaseSet, p: Phase) -> PhaseSet:
-    """One fold step: the union of x + p over x in the given set.
-
-    The set is assumed to be a single arc of length <= 1/2 (possibly with
-    zero).  Summing against the antipode of any point of the arc blows up
-    to the whole circle with zero; otherwise the result is the smallest
-    arc containing the old arc and the new point.
-    """
-    assert p.angle is not None
-    out_zero = ps.contains_zero  # 0 + p = {p}, so zero in the set adds p
-    if not ps.arcs:
-        return PhaseSet(False, (Arc(p.angle, Fraction(0)),))
-    arc = ps.arcs[0]
-    anti = p.angle.antipode()
-    if arc.contains(anti):
-        return PhaseSet(True, (Arc(Angle(Fraction(0)), ONE),))
-    if arc.contains(p.angle):
-        return PhaseSet(False, (arc,))
-    # extend the arc forward or backward to reach p, whichever is shorter
-    fwd = _mod1(p.angle.turns - arc.end().turns)
-    bwd = _mod1(arc.start.turns - p.angle.turns)
-    if fwd <= bwd:
-        return PhaseSet(False, (Arc(arc.start, arc.length + fwd),))
-    return PhaseSet(False, (Arc(p.angle, arc.length + bwd),))
+    return hyper_sum_list([a, b])
 
 
 def hyper_sum_list(xs: Sequence[Phase]) -> PhaseSet:
     """Iterated hyperaddition, folded left to right over a sequence.
 
     Hyperaddition is associative, so the result does not depend on the
-    order.  The empty sum is {0}.
+    order.  The empty sum is {0}.  The running sum is a single closed arc
+    shorter than half a turn until some summand's antipode falls in it;
+    from then on it is the whole circle together with zero.  Angles are
+    ticks over D, the lcm of their denominators and 2, so p + D // 2 is
+    the exact antipode of p.
     """
-    nonzero = [x for x in xs if not x.is_zero]
-    if not nonzero:
+    turns = [x.angle.turns for x in xs if x.angle is not None]
+    if not turns:
         return PhaseSet.just_zero()
-    acc = PhaseSet.point(nonzero[0])
-    for p in nonzero[1:]:
-        if acc.is_full_circle and acc.contains_zero:
-            return acc  # absorbing state
-        acc = _arc_plus_point(acc, p)
-    return acc
+    ticks, d = _over_lcm([HALF, *turns])
+    half, start, length = ticks[0], ticks[1], 0
+    for p in ticks[2:]:
+        if (p + half - start) % d <= length:
+            return PhaseSet(True, (Arc(Angle(Fraction(0)), ONE),))
+        off = (p - start) % d
+        if off <= length:
+            continue
+        # reach p forward (off - length ticks) or backward (d - off),
+        # whichever is shorter; at a tie p's antipode lies in the arc, so
+        # none gets here, and forward would win it
+        if off - length <= d - off:
+            length = off
+        else:
+            start, length = p, length + d - off
+    arc = Arc(Angle(Fraction(start, d)), Fraction(length, d))
+    return PhaseSet(False, (arc,))
 
 
 def min_enclosing_arc(angles: Sequence[Angle]) -> Arc:

@@ -70,7 +70,7 @@ class VerificationReport:
         doc = self.to_doc(include_timings)
         return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
 
-    def to_text(self) -> str:
+    def to_text(self, include_timings: bool = False) -> str:
         lines = [f"suite {self.suite}: {'PASS' if self.passed else 'FAIL'}"]
         for c in self.checks:
             mark = {"pass": "ok  ", "fail": "FAIL", "skip": "skip"}[c.status]
@@ -79,6 +79,8 @@ class VerificationReport:
                 extra = " (" + ", ".join(
                     f"{k}={c.params[k]}" for k in sorted(c.params)
                 ) + ")"
+            if include_timings and c.runtime_s is not None:
+                extra += f" [{c.runtime_s:.3f} s]"
             lines.append(f"  [{mark}] {c.name}{extra}")
             if c.witness:
                 lines.append(f"         {c.witness}")

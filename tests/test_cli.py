@@ -1,6 +1,7 @@
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -384,3 +385,32 @@ def test_report_bytes_do_not_depend_on_the_hash_seed(args, tmp_path):
         assert r.returncode == 0, r.stderr
         reports.append(path.read_bytes())
     assert reports[0] == reports[1]
+
+
+def test_verify_timings_reach_the_text_and_the_report():
+    runner = CliRunner()
+    with runner.isolated_filesystem():
+        args = ["verify", "sign-spheres", "--max-n", "3", "--report", "rep.json"]
+        plain = runner.invoke(main, args)
+        assert plain.exit_code == 0
+        with open("rep.json", "rb") as fh:
+            canonical = fh.read()
+        timed = runner.invoke(main, [*args, "--timings"])
+        assert timed.exit_code == 0
+        with open("rep.json", "rb") as fh:
+            doc = json.loads(fh.read())
+        again = runner.invoke(main, args)
+        with open("rep.json", "rb") as fh:
+            assert fh.read() == canonical
+    assert again.output == plain.output
+    assert "runtime_s" not in canonical.decode()
+    assert all(c["runtime_s"] >= 0 for c in doc["checks"])
+    for c in doc["checks"]:
+        del c["runtime_s"]
+    assert json.dumps(doc, indent=2, sort_keys=True) + "\n" == canonical.decode()
+    plain_lines = plain.output.splitlines()
+    timed_lines = timed.output.splitlines()
+    assert len(timed_lines) == len(plain_lines) == len(doc["checks"]) + 2
+    for p, t in zip(plain_lines[1:-1], timed_lines[1:-1]):
+        assert re.fullmatch(re.escape(p) + r" \[\d+\.\d{3} s\]", t), t
+    assert timed_lines[0] == plain_lines[0] and timed_lines[-1] == plain_lines[-1]

@@ -349,6 +349,19 @@ def test_disc_point_checks_match_the_reference(radius):
         reference_disc_point_error(radius, angle))
 
 
+def test_join_point_converts_weights_as_disc_point_converts_radii():
+    x, y = V([0, None]), V([0, "1/4"])
+    p = JoinPoint(((0.5, x), ("1/2", y)))
+    assert p == JoinPoint.of([(F(1, 2), x), (F(1, 2), y)])
+    assert all(type(w) is Fraction for w, _ in p.terms)
+    assert JoinPoint(((1, x),)).terms == ((F(1), x),)
+    with pytest.raises(ValueError, match="weights must sum to 1"):
+        JoinPoint(((0.1, x), (0.9, y)))  # binary floats, exactly
+    for bad in ["abc", None, float("nan"), float("inf"), object()]:
+        with pytest.raises(ValueError, match="weights must be rational"):
+            JoinPoint(((bad, x), (F(1, 2), y)))
+
+
 def test_gamma_sampler_streams_are_pinned():
     lines = []
     for n in range(2, 7):

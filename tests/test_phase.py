@@ -1,8 +1,15 @@
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from phasetop.covectors import _phase_alphabet
 from phasetop.phase import (
+    HALF,
+    ONE,
+    _mod1,
     Angle,
     Arc,
     Phase,
@@ -125,6 +132,16 @@ def test_min_enclosing_arc_wraps():
     assert arc == Arc(Angle(F(11, 12)), F(1, 6))
 
 
+def test_arc_checks_its_length():
+    with pytest.raises(ValueError, match="nonnegative"):
+        Arc(Angle(F(1, 3)), F(-1, 10**6))
+    assert Arc(Angle(F(1, 3)), F(1, 2)).length == F(1, 2)
+    for length in (F(1), F(5, 4), 2):
+        arc = Arc(Angle(F(1, 3)), length)
+        assert arc == Arc(Angle(F(0)), F(1)) and arc.is_full_circle
+    assert Arc(Angle(F(1, 3)), 0).length == 0
+
+
 def test_sign_ops():
     assert sign_mul(-1, -1) == 1
     assert sign_mul(-1, 0) == 0
@@ -149,3 +166,123 @@ def test_fraction_round_trip():
     assert format_fraction(F(2)) == "2"
     with pytest.raises(ValueError):
         parse_fraction("x")
+
+
+# ---------------------------------------------------------------------------
+# Differential tests: the tick fold against the Fraction fold
+# ---------------------------------------------------------------------------
+
+
+def _reference_arc_plus_point(ps: PhaseSet, p: Phase) -> PhaseSet:
+    """One fold step: the union of x + p over x in the given set.
+
+    The set is assumed to be a single arc of length <= 1/2 (possibly with
+    zero).  Summing against the antipode of any point of the arc blows up
+    to the whole circle with zero; otherwise the result is the smallest
+    arc containing the old arc and the new point.
+    """
+    assert p.angle is not None
+    if not ps.arcs:
+        return PhaseSet(False, (Arc(p.angle, Fraction(0)),))
+    arc = ps.arcs[0]
+    anti = p.angle.antipode()
+    if arc.contains(anti):
+        return PhaseSet(True, (Arc(Angle(Fraction(0)), ONE),))
+    if arc.contains(p.angle):
+        return PhaseSet(False, (arc,))
+    # extend the arc forward or backward to reach p, whichever is shorter
+    fwd = _mod1(p.angle.turns - arc.end().turns)
+    bwd = _mod1(arc.start.turns - p.angle.turns)
+    if fwd <= bwd:
+        return PhaseSet(False, (Arc(arc.start, arc.length + fwd),))
+    return PhaseSet(False, (Arc(p.angle, arc.length + bwd),))
+
+
+def reference_hyper_sum_list(xs):
+    """The Fraction fold that the tick fold replaced."""
+    nonzero = [x for x in xs if not x.is_zero]
+    if not nonzero:
+        return PhaseSet.just_zero()
+    acc = PhaseSet.point(nonzero[0])
+    for p in nonzero[1:]:
+        if acc.is_full_circle and acc.contains_zero:
+            return acc  # absorbing state
+        acc = _reference_arc_plus_point(acc, p)
+    return acc
+
+
+def test_hyper_sum_list_matches_the_reference_on_the_oracle_domain():
+    # the inputs of the lemma-zero-oracle suite: m in {2, 4, 6, 8}, n <= 5
+    count = 0
+    for m in (2, 4, 6, 8):
+        alphabet = _phase_alphabet(m)
+        for n in range(1, 6):
+            for xs in itertools.product(alphabet, repeat=n):
+                assert hyper_sum_list(xs) == reference_hyper_sum_list(xs), xs
+                count += 1
+    assert count == 90304
+
+
+odd_den = st.one_of(
+    st.sampled_from([3, 5, 7, 11, 13, 999_983, 1_000_003]),
+    st.integers(0, 499_999).map(lambda k: 2 * k + 1),
+    st.integers(1, 10**6),
+)
+
+
+@st.composite
+def phase_lists(draw, max_len=7):
+    """Phases over odd, prime and mixed denominators up to 10^6, with
+    zeros, repeats, exact antipodes and near-antipodes."""
+    turns = []
+    for _ in range(draw(st.integers(0, max_len))):
+        kind = draw(st.sampled_from(
+            ["zero", "fresh", "fresh", "repeat", "antipode", "near"]))
+        earlier = [t for t in turns if t is not None]
+        if kind == "zero":
+            turns.append(None)
+        elif kind == "fresh" or not earlier:
+            q = draw(odd_den)
+            turns.append(F(draw(st.integers(0, q - 1)), q))
+        else:
+            t = draw(st.sampled_from(earlier))
+            if kind == "antipode":
+                t += HALF
+            elif kind == "near":
+                t += HALF + F(draw(st.sampled_from([-1, 1])),
+                              draw(st.integers(10**6, 10**12)))
+            turns.append(t % 1)
+    return [ZERO if t is None else Phase.of(t) for t in turns]
+
+
+@settings(derandomize=True, max_examples=600, deadline=None)
+@given(phase_lists())
+def test_hyper_sum_list_matches_the_reference_off_grid(xs):
+    assert hyper_sum_list(xs) == reference_hyper_sum_list(xs)
+
+
+@pytest.mark.parametrize("turns, text", [
+    (["0", "0"], "{0}"),
+    (["0", "2/3"], "{[2/3, 0]}"),
+    (["1/5", "4/5"], "{[4/5, 1/5]}"),
+    (["1/3", "2/3", "1/3"], "{[1/3, 2/3]}"),
+    (["0", "1/4", "3/4"], "{S^1, z}"),
+])
+def test_hyper_sum_list_on_odd_denominators(turns, text):
+    # over the lcm of these denominators alone the turn length is odd, and
+    # a tick antipode p + D // 2 would land half a tick short
+    xs = [P(t) for t in turns]
+    assert str(hyper_sum_list(xs)) == text
+    assert hyper_sum_list(xs) == reference_hyper_sum_list(xs)
+
+
+def test_hyper_sum_is_the_two_term_fold():
+    grid = _phase_alphabet(12)
+    rng = random.Random(9)
+    odd = [ZERO] + [P(F(rng.randrange(q), q))
+                    for q in rng.choices([3, 5, 7, 9, 15, 999_983], k=60)]
+    odd += [-x for x in odd]
+    pairs = itertools.chain(itertools.product(grid, repeat=2),
+                            itertools.product(odd, repeat=2))
+    for a, b in pairs:
+        assert hyper_sum(a, b) == reference_hyper_sum_list([a, b]), (a, b)
