@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 from .cells import CellLabel, PLabel, bx_member, ul_label
 from .order_complex import DiscPoint, ModelPoint
@@ -78,9 +78,6 @@ class SimplicialComplex:
 
     def is_pure(self) -> bool:
         return bool(self.tops) and len({len(t) for t in self.tops}) == 1
-
-    def top_point_sets(self) -> set:
-        return {frozenset(self.vertices[i] for i in t) for t in self.tops}
 
     def codim1_incidence(self) -> dict:
         """Count of top simplices containing each codimension-1 face."""
@@ -195,12 +192,13 @@ def _chains(dims: tuple) -> list:
     return out
 
 
-def _product_tops(factors: Sequence[Sequence[tuple]]):
+def _product_tops(factors: Sequence[Sequence[tuple]], point: Callable = tuple):
     """Staircase top simplices of a product of cell lists.
 
-    Each factor is a list of cells; a cell is a tuple of ticks in its
-    local order.  Yields tuples of product vertices (tick keys) in
-    chain order.
+    Each factor is a list of cells; a cell is a tuple of entries in its
+    local order.  A product vertex is point(entries), taking an iterable
+    of one entry per factor; the default makes it the tuple of ticks.
+    Yields tuples of product vertices in chain order.
     """
     # the cells of one factor share a dimension, so every box has the
     # same lattice points and the same chains
@@ -208,14 +206,24 @@ def _product_tops(factors: Sequence[Sequence[tuple]]):
     chains = _chains(dims)
     box = list(itertools.product(*(range(d + 1) for d in dims)))
     for combo in itertools.product(*factors):
-        vertex = {pos: tuple(map(tuple.__getitem__, combo, pos))
+        vertex = {pos: point(map(tuple.__getitem__, combo, pos))
                   for pos in box}
         for chain in chains:
             yield tuple(map(vertex.__getitem__, chain))
 
 
+def _circle(m: int) -> list:
+    """The 2m edges of the subdivided circle, counterclockwise from 0."""
+    return [(j, (j + 1) % (2 * m)) for j in range(2 * m)]
+
+
 def _fan_cells(m: int) -> list:
-    return [(-1, j, (j + 1) % (2 * m)) for j in range(2 * m)]
+    return [(-1,) + e for e in _circle(m)]
+
+
+def _full2_cells(m: int) -> list:
+    """The n = 2 space: the circle carried onto its antipodal pairs."""
+    return [tuple((a, (a + m) % (2 * m)) for a in e) for e in _circle(m)]
 
 
 def _factor_cells(lab: PLabel, m: int) -> list:
@@ -228,10 +236,10 @@ def _factor_cells(lab: PLabel, m: int) -> list:
     if lab == PLabel.MINUS_ONE:
         return [(m,)]
     if lab == PLabel.UPPER:
-        return [(i, i + 1) for i in range(m)]
+        return _circle(m)[:m]
     if lab == PLabel.LOWER:
         # ascending parameter; the last edge wraps through angle 0
-        return [(m + i, (m + i + 1) % (2 * m)) for i in range(m)]
+        return _circle(m)[m:]
     return _fan_cells(m)
 
 
@@ -244,7 +252,7 @@ def _check_m(m: int):
 class MeshChart:
     """One meshed cell: its label, resolution and complex."""
 
-    cell: Union[CellLabel, str]
+    cell: CellLabel
     m: int
     complex: SimplicialComplex
 
@@ -335,26 +343,17 @@ def boundary_subcomplex(K: SimplicialComplex) -> SimplicialComplex:
     """Closure of the codimension-1 faces lying in exactly one top.
 
     The input must be pure; a closed complex yields the empty complex.
-    The boundary keeps the vertex order of K.
+    The boundary keeps the vertex order of K, and each of its tops lists
+    its vertices in ascending order.
     """
     if not K.is_pure():
         raise MeshValidityError("boundary of a non-pure complex")
-    seen: dict = {}  # codim-1 face -> [its count of tops, its first top]
-    for t in K.tops:
-        key = tuple(sorted(t))
-        for f in itertools.combinations(key, len(key) - 1):
-            seen.setdefault(f, [0, t])[0] += 1
     b = _Builder()
-    for f, (c, t) in seen.items():
+    for f, c in K.codim1_incidence().items():
         if c == 1:
-            keep = set(f)
-            b.add([i for i in t if i in keep])
+            b.add(f)
     B = b.complex()
     return SimplicialComplex([K.vertices[i] for i in B.vertices], B.tops)
-
-
-def _model_vertices(K: SimplicialComplex) -> bool:
-    return all(isinstance(v, ModelPoint) for v in K.vertices)
 
 
 # ---------------------------------------------------------------------------
@@ -377,46 +376,43 @@ class FullSpacePieces:
     interface: SimplicialComplex
 
 
-def _antipodal_pair(a: int, m: int) -> tuple:
-    """The ticks of the circle points at angles a and a + 1/2."""
-    return (a, (a + m) % (2 * m))
-
-
 def _build_regions(m: int) -> tuple:
     """The rotation and base regions and their torus, on tick keys.
 
+    The rotation region is the slice times the circle, each slice vertex
+    turned by the circle tick; the base region is the n = 2 space times
+    the disc fan.
     Raises MeshValidityError when the two regions induce different
     triangulations of the torus.
     """
     S = assemble_slice(3, m)
     keys = [_ticks(z, m) for z in S.vertices]
 
-    def rotate(key, q):
+    def rotate(entries):
+        key, q = entries
         return tuple(c if c < 0 else (c + q) % (2 * m) for c in key)
 
-    ba = _Builder()
-    for t in S.tops:
-        pts = [keys[i] for i in t]
-        chains = _chains((len(pts) - 1, 1))
-        for q in range(2 * m):
-            # descending rotation order cancels the shear on the torus
-            cell_phi = ((q + 1) % (2 * m), q)
-            for chain in chains:
-                ba.add([rotate(pts[pp], cell_phi[pq]) for pp, pq in chain])
+    def concat(entries):
+        pair, c = entries
+        return pair + (c,)
 
-    bb = _Builder()
-    fan = _fan_cells(m)
-    for i in range(2 * m):
-        cell_alpha = (i, (i + 1) % (2 * m))
-        for fcell in fan:
-            for chain in _chains((1, len(fcell) - 1)):
-                bb.add([_antipodal_pair(cell_alpha[pa], m) + (fcell[pf],)
-                        for pa, pf in chain])
-    region_a, region_b = ba.complex(), bb.complex()
+    # descending rotation steps cancel the shear on the torus
+    steps = [e[::-1] for e in _circle(m)]
+    slice_cells = [tuple(keys[i] for i in t) for t in S.tops]
+    regions = []
+    for tops in (_product_tops([slice_cells, steps], rotate),
+                 _product_tops([_full2_cells(m), _fan_cells(m)], concat)):
+        b = _Builder()
+        for simplex in tops:
+            b.add(simplex)
+        regions.append(b.complex())
+    region_a, region_b = regions
     torus = boundary_subcomplex(region_a)
-    if torus.top_point_sets() != boundary_subcomplex(region_b).top_point_sets():
+    ok, why = complex_isomorphic(torus, boundary_subcomplex(region_b))
+    if not ok:
         raise MeshValidityError(
-            "the two full-space regions disagree on the interface torus")
+            f"the two full-space regions disagree on the interface torus: "
+            f"{why}")
     return region_a, region_b, torus
 
 
@@ -437,9 +433,8 @@ def assemble_full(n: int, m: int) -> SimplicialComplex:
     _check_m(m)
     b = _Builder()
     if n == 2:
-        for j in range(2 * m):
-            b.add([_antipodal_pair(j, m),
-                   _antipodal_pair((j + 1) % (2 * m), m)])
+        for edge in _full2_cells(m):
+            b.add(edge)
     elif n == 3:
         region_a, region_b, _ = _build_regions(m)
         b.add_complex(region_a)
@@ -517,7 +512,7 @@ def simplex_probe(points: Sequence[ModelPoint]) -> ModelPoint:
 
 def complex_to_doc(K: SimplicialComplex, n: int, m: int) -> dict:
     """The mesh document: exact vertex coordinates plus top simplices."""
-    if not _model_vertices(K):
+    if not all(isinstance(v, ModelPoint) for v in K.vertices):
         raise ValueError("only model-point complexes serialize")
     return {
         "n": n,

@@ -18,11 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .covectors import (
-    PhaseVector,
-    is_covector,
-    support,
-)
+from .covectors import PhaseVector, support, zero_in_sum
 from .phase import Angle, Phase, ZERO, _over_lcm, format_fraction, parse_fraction
 
 __all__ = [
@@ -198,11 +194,10 @@ def delta_member(v: PhaseVector, z: ModelPoint) -> bool:
     Equivalent to: the chain of z has no all-zero term (its maximum
     radius is 1) and every chain vector, one per radius level set, is a
     covector of v (which also rules out single-coordinate levels).
+    Twisting z by v first makes that a zero-sum test per chain vector.
     """
-    if len(v) != len(z):
-        raise ValueError("lengths differ")
-    return all(support(x) and is_covector(v, x)
-               for _, x in model_to_join(z).terms)
+    return all(support(x) and zero_in_sum(x)
+               for _, x in model_to_join(rescale_model(v, z)).terms)
 
 
 def rotate(y: Angle, z: ModelPoint) -> ModelPoint:

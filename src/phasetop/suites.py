@@ -72,6 +72,15 @@ def _betti_witness(K, want: tuple, field: str = "q") -> str | None:
     return None if got == want else f"betti {got}, wanted {want}"
 
 
+def _betti_checks(rep: VerificationReport, name: str, K, want: tuple,
+                  **params):
+    """Check K's Betti numbers over Q and F2 as `{name},field={F}`."""
+    for field in ("q", "f2"):
+        rep.add(run_check(f"{name},field={field}",
+                          lambda: _betti_witness(K, want, field),
+                          field=field, **params))
+
+
 def _suite_zero_oracle(rep, ns, m_cap, samples, seed):
     for m in _grids(m_cap):
         alphabet = _phase_alphabet(m)
@@ -113,12 +122,9 @@ def _suite_sign_spheres(rep, ns, m_cap, samples, seed):
         vs = [v for v in enumerate_covectors("sign", n)
               if len(sign_support(v)) >= 2]
         K = order_complex_of_poset(vs, sign_leq_vec)
-        want = (1,) + (0,) * (n - 3) + (1,)
-        for field in ("q", "f2"):
-            rep.add(run_check(f"sign-sphere:n={n},field={field}",
-                              lambda K=K, w=want, f=field: _betti_witness(K, w, f),
-                              n=n, field=field, elements=len(vs),
-                              chains=len(K.tops)))
+        _betti_checks(rep, f"sign-sphere:n={n}", K,
+                      (1,) + (0,) * (n - 3) + (1,),
+                      n=n, elements=len(vs), chains=len(K.tops))
 
 
 def _suite_gamma(rep, ns, m_cap, samples, seed):
@@ -182,12 +188,9 @@ def _suite_slice_mesh(rep, ns, m_cap, samples, seed):
                        lambda n=n, m=m: assemble_slice(n, m), n=n, m=m)
             if K is None:
                 continue
-            want = (1,) + (0,) * (2 * n - 4)
-            for field in ("q", "f2"):
-                rep.add(run_check(
-                    f"slice-betti:n={n},m={m},field={field}",
-                    lambda K=K, w=want, f=field: _betti_witness(K, w, f),
-                    n=n, m=m, field=field, tops=len(K.tops)))
+            _betti_checks(rep, f"slice-betti:n={n},m={m}", K,
+                          (1,) + (0,) * (2 * n - 4),
+                          n=n, m=m, tops=len(K.tops))
 
             def chi(K=K):
                 e = euler_characteristic(K)
@@ -210,10 +213,7 @@ def _suite_boundary(rep, ns, m_cap, samples, seed):
                lambda: boundary_subcomplex(assemble_slice(4, 2)), n=4, m=2)
     if B is None:
         return
-    for field in ("q", "f2"):
-        rep.add(run_check(f"boundary-sphere:n=4,m=2,field={field}",
-                          lambda f=field: _betti_witness(B, (1, 0, 0, 1), f),
-                          n=4, m=2, field=field))
+    _betti_checks(rep, "boundary-sphere:n=4,m=2", B, (1, 0, 0, 1), n=4, m=2)
 
 
 def _suite_full_sphere(rep, ns, m_cap, samples, seed):
@@ -236,10 +236,7 @@ def _suite_full_sphere(rep, ns, m_cap, samples, seed):
         return None
 
     rep.add(run_check("full-pseudomanifold:n=3,m=2", closed, n=3, m=2))
-    for field in ("q", "f2"):
-        rep.add(run_check(f"full-sphere:n=3,m=2,field={field}",
-                          lambda f=field: _betti_witness(K, (1, 0, 0, 1), f),
-                          n=3, m=2, field=field))
+    _betti_checks(rep, "full-sphere:n=3,m=2", K, (1, 0, 0, 1), n=3, m=2)
 
     def cross_check():
         P = full_space_pieces(3, 2)

@@ -66,6 +66,13 @@ def test_delta_member():
     assert r.exit_code == 0 and r.output.strip() == "false"
 
 
+def test_delta_member_rejects_a_zero_unit_at_the_centre():
+    for z in ("0@0;0@0", "1@0;1@1/2"):
+        r = invoke("delta", "member", "--v", "z,0", "--z", z)
+        assert r.exit_code == 1
+        assert "Error: unit vector must have no zero entries" in r.output
+
+
 def test_pn_list():
     r = invoke("pn", "list", "--n", "3")
     assert r.exit_code == 0

@@ -278,6 +278,57 @@ def test_mesh_documents_are_pinned(build, n, m):
         (build, n, m)]
 
 
+# sha256 of the documents of the two n = 3 regions, recorded while each
+# region was still built by its own hand-written staircase loop
+REGION_DOC_SHA256 = {
+    (2, "rotation"):
+        "224866d7bb51338abf290d273a50366132a3b13ce58e4c7298fddae1e8ba558e",
+    (2, "base"):
+        "587ddbbca775c2e95f868e5037676763e635937c4ccd9edcabd39030a499f470",
+    (4, "rotation"):
+        "cf07c5abab3fc31a5df6f0a43809bd1b1c96a71a33f5db0d5f4836916b19ec9e",
+    (4, "base"):
+        "78d932293eafde2f36755099ef32ee30f9c28afcc57e0143de466cc7c49220f9",
+}
+
+
+@pytest.mark.parametrize("m", [2, 4])
+def test_region_documents_are_pinned(m):
+    P = full_space_pieces(3, m)
+    for region in ("rotation", "base"):
+        doc = complex_to_doc(getattr(P, region), 3, m)
+        text = json.dumps(doc, indent=2, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == REGION_DOC_SHA256[
+            (m, region)], region
+
+
+def _top_point_sets(K):
+    return {frozenset(K.vertices[i] for i in t) for t in K.tops}
+
+
+@pytest.mark.parametrize("m", [2, 4])
+def test_interface_is_the_boundary_of_each_region(m):
+    P = full_space_pieces(3, m)
+    torus = _top_point_sets(P.interface)
+    assert torus
+    assert _top_point_sets(boundary_subcomplex(P.rotation)) == torus
+    assert _top_point_sets(boundary_subcomplex(P.base)) == torus
+    # boundary tops list their vertices in ascending order
+    assert all(list(t) == sorted(t) for t in P.interface.tops)
+
+
+def test_torus_mismatch_is_an_error_with_a_witness(monkeypatch):
+    import phasetop.mesh as mesh_module
+
+    S = assemble_slice(3, 2)
+    holed = SimplicialComplex(S.vertices, S.tops[1:])
+    monkeypatch.setattr(mesh_module, "assemble_slice", lambda n, m: holed)
+    with pytest.raises(MeshValidityError,
+                       match=r"disagree on the interface torus: "
+                             r"vertex counts differ: \d+ vs 16$"):
+        full_space_pieces(3, 2)
+
+
 def test_ticks_round_trip(slice32, full32):
     for K, m in ((slice32, 2), (full32, 2), (assemble_slice(3, 4), 4)):
         keys = [_ticks(z, m) for z in K.vertices]

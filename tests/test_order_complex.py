@@ -121,6 +121,16 @@ def test_delta_member_examples():
         delta_member(ones2, MP((1, 0),))
 
 
+def test_delta_member_refuses_a_zero_unit_at_the_centre():
+    # the centre has no chain vectors, so only the twist sees v
+    centre = MP((0, 0), (0, 0))
+    for z in (centre, MP((1, 0), (1, "1/2"))):
+        with pytest.raises(ValueError, match="no zero entries"):
+            delta_member(PhaseVector.of([None, 0]), z)
+    with pytest.raises(ValueError, match="lengths differ"):
+        delta_member(all_ones(3), centre)
+
+
 def test_rotate():
     z = MP((1, 0), (1, "1/2"))
     assert rotate(Angle(F(0)), z) == z
