@@ -208,6 +208,29 @@ def cell_leq(x: CellLabel, y: CellLabel) -> bool:
     return all(p_leq(a, b) for a, b in zip(x, y))
 
 
+def _down_sets(elems: Sequence[CellLabel]) -> list[int]:
+    """The principal down-set of each label, as a bitmask over elems.
+
+    The order is componentwise, so a down-set is the AND over the
+    coordinates of the labels whose symbol there lies below x's.
+    """
+    below = []  # per coordinate: each symbol's mask of the labels below it
+    for col in zip(*elems):
+        masks = {s: 0 for s in PLabel}
+        for b, a in enumerate(col):
+            for s in masks:
+                if p_leq(a, s):
+                    masks[s] |= 1 << b
+        below.append(masks)
+    down = []
+    for x in elems:
+        mask = -1
+        for masks, s in zip(below, x):
+            mask &= masks[s]
+        down.append(mask)
+    return down
+
+
 def verify_meet_glb(n: int) -> tuple[bool, tuple[CellLabel, CellLabel] | None]:
     """Exhaustively certify that meet computes greatest lower bounds.
 
@@ -218,13 +241,7 @@ def verify_meet_glb(n: int) -> tuple[bool, tuple[CellLabel, CellLabel] | None]:
     """
     elems = pn_elements(n)
     index = {x: i for i, x in enumerate(elems)}
-    down = []
-    for x in elems:
-        mask = 0
-        for i, z in enumerate(elems):
-            if cell_leq(z, x):
-                mask |= 1 << i
-        down.append(mask)
+    down = _down_sets(elems)
     for i, x in enumerate(elems):
         for j in range(i, len(elems)):
             y = elems[j]

@@ -342,10 +342,12 @@ def assemble_slice(n: int, m: int) -> SimplicialComplex:
 def boundary_subcomplex(K: SimplicialComplex) -> SimplicialComplex:
     """Closure of the codimension-1 faces lying in exactly one top.
 
-    The input must be pure; a closed complex yields the empty complex.
-    The boundary keeps the vertex order of K, and each of its tops lists
-    its vertices in ascending order.
+    The input must be pure or empty; a closed or empty complex yields
+    the empty complex.  The boundary keeps the vertex order of K, and
+    each of its tops lists its vertices in ascending order.
     """
+    if not K.tops:
+        return SimplicialComplex([], [])
     if not K.is_pure():
         raise MeshValidityError("boundary of a non-pure complex")
     b = _Builder()

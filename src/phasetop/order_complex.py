@@ -13,6 +13,7 @@ rational radius r and angle a in turns ("0@0" is the disc center).
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -121,19 +122,25 @@ class JoinPoint:
                     f"weights must be rational numbers: {exc}") from exc
             object.__setattr__(self, "terms", terms)
         nums, whole = _over_lcm([w for w, _ in self.terms])
-        n = len(self.terms[0][1])
-        prev, prev_size = (), -1
+        # the first term is checked against itself, which always passes
+        prev, prev_size = self.terms[0][1].entries, -1
+        n = len(prev)
         for w, (_, x) in zip(nums, self.terms):
-            if len(x) != n:
+            entries = x.entries
+            if len(entries) != n:
                 raise ValueError("chain vectors must share a length")
             if w <= 0:
                 raise ValueError("weights must be positive")
-            entries = x.entries
-            size = sum(e.angle is not None for e in entries)
-            # a chain step keeps every nonzero entry, so it is strict
-            # exactly when the support grows
-            if not (size > prev_size and all(a is b or a.angle is None or a == b
-                                             for a, b in zip(prev, entries))):
+            # one pass per term: count the support, and check that every
+            # nonzero entry of the previous vector is kept; a chain step
+            # keeps them all, so it is strict exactly when the support grows
+            size, kept = 0, True
+            for a, b in zip(prev, entries):
+                if b.angle is not None:
+                    size += 1
+                if a is not b and a.angle is not None and a != b:
+                    kept = False
+            if size <= prev_size or not kept:
                 raise ValueError("vectors must form a strict chain")
             prev, prev_size = entries, size
         if sum(nums) != whole:
@@ -244,8 +251,27 @@ def format_model_point(z: ModelPoint) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _random_fraction(rng: random.Random, den: int = 64) -> Fraction:
-    return Fraction(rng.randint(0, den), den)
+class _Grid(dict):
+    """The grid values k/den as (Fraction, Angle, Phase), keyed by k.
+
+    Each value is built on first use, so a large den costs only what is
+    drawn.  The values are frozen, so every draw shares them.
+    """
+
+    def __init__(self, den: int):
+        super().__init__()
+        self.den = den
+
+    def __missing__(self, k: int) -> tuple[Fraction, Angle, Phase]:
+        q = Fraction(k, self.den)
+        a = Angle(q)
+        v = self[k] = (q, a, Phase(a))
+        return v
+
+
+@functools.lru_cache(maxsize=16)
+def _grid(den: int) -> _Grid:
+    return _Grid(den)
 
 
 def _check_den(den: int, least: int = 1) -> None:
@@ -260,34 +286,38 @@ def random_model_point(rng: random.Random, n: int, den: int = 64) -> ModelPoint:
     level-set code paths get exercised.
     """
     _check_den(den)
+    grid = _grid(den)
     coords = []
     for _ in range(n):
         roll = rng.random()
         if roll < 0.2:
-            r = Fraction(0)
+            k = 0
         elif roll < 0.5:
-            r = Fraction(1)
+            k = den
         else:
-            r = _random_fraction(rng, den)
-        coords.append(DiscPoint(r, Angle(_random_fraction(rng, den))))
+            k = rng.randint(0, den)
+        coords.append(DiscPoint(grid[k][0], grid[rng.randint(0, den)][1]))
     return ModelPoint(tuple(coords))
 
 
 def random_join_point(rng: random.Random, n: int, den: int = 64) -> JoinPoint:
     """A random canonical weighted chain on n coordinates."""
     _check_den(den)
+    grid = _grid(den)
     # pick a strictly increasing flag of supports
     order = list(range(n))
     rng.shuffle(order)
     depth = rng.randint(1, n)
     cuts = sorted(rng.sample(range(1, n + 1), depth))
-    phases = [Phase(Angle(_random_fraction(rng, den))) for _ in range(n)]
+    phases = [grid[rng.randint(0, den)][2] for _ in range(n)]
+    entries = [ZERO] * n
     vectors = []
-    for c in cuts:
-        supp = set(order[:c])
-        vectors.append(PhaseVector(tuple(
-            phases[j] if j in supp else ZERO for j in range(n)
-        )))
+    done = 0
+    for c in cuts:  # each vector adds the next coordinates of the flag
+        for j in order[done:c]:
+            entries[j] = phases[j]
+        done = c
+        vectors.append(PhaseVector(tuple(entries)))
     if rng.random() < 0.3:
         vectors.insert(0, PhaseVector((ZERO,) * n))
     # positive rational weights summing to 1

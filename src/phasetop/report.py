@@ -84,6 +84,12 @@ class VerificationReport:
             lines.append(f"  [{mark}] {c.name}{extra}")
             if c.witness:
                 lines.append(f"         {c.witness}")
+        if include_timings:  # in "all", a check's suite is its name's prefix
+            totals: dict[str, float] = {}
+            for c in self.checks:
+                name = c.name.split(":", 1)[0] if self.suite == "all" else self.suite
+                totals[name] = totals.get(name, 0.0) + (c.runtime_s or 0.0)
+            lines += [f"suite {name} {t:.3f} s" for name, t in totals.items()]
         return "\n".join(lines) + "\n"
 
 

@@ -8,6 +8,7 @@ terminates in minutes.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -145,24 +146,27 @@ def _suite_gamma(rep, ns, m_cap, samples, seed):
 
 
 def _suite_pn(rep, ns, m_cap, samples, seed):
+    # one build per (J, n), made by the first check that needs it; a build
+    # that raises is not kept, so it fails every check that uses it
+    family = functools.cache(chart_family)
     for n in ns:
         idx = range(1, n)
         for j in idx:
             rep.add(run_check(
                 f"family-gluing:n={n},j={j}",
-                lambda j=j, n=n: check_gluing(chart_family((j,), n)).summary(),
+                lambda j=j, n=n: check_gluing(family((j,), n)).summary(),
                 n=n, j=j))
         for size in range(1, n):
             for J in itertools.combinations(idx, size):
                 jtag = ",".join(str(j) for j in J)
                 rep.add(run_check(
                     f"cross-dim:n={n},J={{{jtag}}}",
-                    lambda J=J, n=n: dimension_witness(chart_family(J, n)),
+                    lambda J=J, n=n: dimension_witness(family(J, n)),
                     n=n, J=jtag))
                 if size >= 2:
                     rep.add(run_check(
                         f"cross-gluing:n={n},J={{{jtag}}}",
-                        lambda J=J, n=n: check_gluing(chart_family(J, n)).summary(),
+                        lambda J=J, n=n: check_gluing(family(J, n)).summary(),
                         n=n, J=jtag))
     for n in range(ns.start, min(ns.stop, 6)):
         def glb(n=n):

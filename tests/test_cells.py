@@ -5,8 +5,10 @@ from fractions import Fraction
 
 import pytest
 
+from phasetop import cells
 from phasetop.cells import (
     _POINTS,
+    _down_sets,
     _region,
     CellLabel,
     PLabel,
@@ -114,6 +116,60 @@ def test_meet_is_glb_exhaustive_small():
     # bitmask certificate at n = 4
     ok, witness = verify_meet_glb(4)
     assert ok, witness
+
+
+def reference_down_sets(elems):
+    """Each principal down-set as a bitmask, built pair by pair with cell_leq."""
+    down = []
+    for x in elems:
+        mask = 0
+        for i, z in enumerate(elems):
+            if cell_leq(z, x):
+                mask |= 1 << i
+        down.append(mask)
+    return down
+
+
+def reference_verify_meet_glb(n):
+    """verify_meet_glb over the pairwise down-sets, calling cells.meet."""
+    elems = pn_elements(n)
+    index = {x: i for i, x in enumerate(elems)}
+    down = reference_down_sets(elems)
+    for i, x in enumerate(elems):
+        for j in range(i, len(elems)):
+            y = elems[j]
+            if down[index[cells.meet(x, y)]] != down[i] & down[j]:
+                return False, (x, y)
+    return True, None
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_down_set_masks_match_the_pairwise_reference(n):
+    elems = pn_elements(n)
+    assert _down_sets(elems) == reference_down_sets(elems)
+
+
+def test_meet_glb_failures_match_the_reference(monkeypatch):
+    real = cells.meet
+
+    def too_low(x, y):  # a lower bound, but not the greatest once F repeats
+        m = real(x, y)
+        head = list(m.labels)
+        if head.count(PLabel.FULL) >= 2:
+            head[head.index(PLabel.FULL)] = PLabel.MINUS_ONE
+        return CellLabel(tuple(head))
+
+    def not_lower(x, y):  # an upper bound of x where x and y differ
+        return x if PLabel.UPPER in y.labels else real(x, y)
+
+    for fake in (too_low, not_lower):
+        monkeypatch.setattr(cells, "meet", fake)
+        for n in (4, 5):
+            got = verify_meet_glb(n)
+            assert not got[0] and got[1][0] != pn_elements(n)[0]
+            assert got == reference_verify_meet_glb(n)
+    monkeypatch.setattr(cells, "meet", real)
+    assert verify_meet_glb(5) == reference_verify_meet_glb(5) == (True, None)
 
 
 def test_pn_element_counts_stable():

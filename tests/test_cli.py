@@ -412,12 +412,37 @@ def test_verify_timings_reach_the_text_and_the_report():
     assert again.output == plain.output
     assert "runtime_s" not in canonical.decode()
     assert all(c["runtime_s"] >= 0 for c in doc["checks"])
+    total = sum(c["runtime_s"] for c in doc["checks"])
     for c in doc["checks"]:
         del c["runtime_s"]
     assert json.dumps(doc, indent=2, sort_keys=True) + "\n" == canonical.decode()
     plain_lines = plain.output.splitlines()
     timed_lines = timed.output.splitlines()
-    assert len(timed_lines) == len(plain_lines) == len(doc["checks"]) + 2
-    for p, t in zip(plain_lines[1:-1], timed_lines[1:-1]):
+    assert len(plain_lines) == len(doc["checks"]) + 2
+    # one more line: the suite's total, just before "report written to"
+    assert len(timed_lines) == len(plain_lines) + 1
+    for p, t in zip(plain_lines[1:-1], timed_lines[1:-2]):
         assert re.fullmatch(re.escape(p) + r" \[\d+\.\d{3} s\]", t), t
     assert timed_lines[0] == plain_lines[0] and timed_lines[-1] == plain_lines[-1]
+    assert timed_lines[-2] == f"suite sign-spheres {total:.3f} s"
+
+
+def test_verify_all_timings_end_with_one_total_per_suite():
+    runner = CliRunner()
+    with runner.isolated_filesystem():
+        args = ["verify", "all", "--max-n", "3", "--m", "2", "--samples", "5",
+                "--report", "rep.json", "--timings"]
+        timed = runner.invoke(main, args)
+        assert timed.exit_code == 0
+        with open("rep.json", "rb") as fh:
+            doc = json.loads(fh.read())
+    totals = {}
+    for c in doc["checks"]:
+        name = c["name"].split(":", 1)[0]
+        totals[name] = totals.get(name, 0.0) + c["runtime_s"]
+    assert list(totals) == list(cli.SUITES)
+    lines = timed.output.splitlines()
+    assert lines[-1] == "report written to rep.json"
+    assert lines[-1 - len(totals):-1] == [
+        f"suite {name} {t:.3f} s" for name, t in totals.items()]
+    assert not lines[-2 - len(totals)].startswith("suite ")

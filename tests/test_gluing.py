@@ -125,6 +125,106 @@ def test_failed_boundary_oracle_reported():
     assert any(v[1].startswith("boundary-drop-") for v in rep.violations)
 
 
+def reference_check_gluing(f):
+    """check_gluing as it was before its meet memo: every sub-meet asked anew."""
+    violations = []
+    m = len(f.cells)
+    d = f.ambient_dim
+    if len(set(f.cells)) != m:
+        violations.append(((), "distinct", "duplicate cells in family"))
+    if m > d + 1:
+        violations.append(((), "size", f"m={m} exceeds d+1={d + 1}"))
+    for i, c in enumerate(f.cells):
+        di = f.dim_of(c)
+        if di != d:
+            violations.append(((i + 1,), "cell-dim", f"dim={di}, expected {d}"))
+    for size in range(2, m + 1):
+        for J in itertools.combinations(range(m), size):
+            tag = tuple(i + 1 for i in J)
+            mt = f.meet_of(tuple(f.cells[i] for i in J))
+            if mt is None:
+                violations.append((tag, "meet-undefined", "no common lower bound"))
+                continue
+            want = d - size + 1
+            got = f.dim_of(mt)
+            if got != want:
+                violations.append((tag, "dim", f"dim={got}, expected {want}"))
+            for r in J:
+                sub = f.meet_of(tuple(f.cells[i] for i in J if i != r))
+                if sub is None:
+                    violations.append(
+                        (tag, f"boundary-drop-{r + 1}", "sub-meet undefined")
+                    )
+                elif not f.in_boundary(mt, sub):
+                    violations.append(
+                        (tag, f"boundary-drop-{r + 1}",
+                         f"{mt} not in the boundary of {sub}")
+                    )
+    return violations
+
+
+def _lattice_meet(xs):
+    return meet_all(list(xs))
+
+
+def _failing_families():
+    row = charts_row(1, 4)
+    yield "distinct", lattice_family([ul_label(1, 2, 4)] * 2, 4)
+    yield "size", lattice_family(row + [ul_label(2, 1, 4), ul_label(2, 3, 4),
+                                        ul_label(3, 1, 4)], 4)
+    yield "cell-dim", lattice_family(row, 5)
+    yield "meet-undefined", GluingFamily(
+        row, 4, nu, lambda xs: _lattice_meet(xs) if len(xs) < 2 else None,
+        lambda a, b: True)
+    yield "dim", lattice_family([ul_label(1, 2, 4), ul_label(2, 1, 4)], 4)
+    yield "boundary-drop", GluingFamily(  # sub-meets over pairs undefined
+        row, 4, nu, lambda xs: None if len(xs) == 2 else _lattice_meet(xs),
+        lambda a, b: True)
+    yield "boundary-drop", GluingFamily(  # singletons undefined
+        row, 4, nu, lambda xs: None if len(xs) == 1 else _lattice_meet(xs),
+        lambda a, b: True)
+    yield "boundary-drop", GluingFamily(row, 4, nu, _lattice_meet,
+                                        lambda a, b: False)
+
+
+def test_check_gluing_matches_the_reference_on_every_chart_family():
+    for n in range(3, 7):
+        for size in range(1, n):
+            for J in itertools.combinations(range(1, n), size):
+                fam = chart_family(J, n)
+                assert check_gluing(fam).violations == reference_check_gluing(fam)
+                # off by one in the ambient dimension: every subset fails
+                off = lattice_family(fam.cells, fam.ambient_dim + 1)
+                got = check_gluing(off).violations
+                assert got and got == reference_check_gluing(off)
+
+
+def test_check_gluing_matches_the_reference_on_failing_families():
+    for kind, fam in _failing_families():
+        want = reference_check_gluing(fam)
+        assert any(v[1].startswith(kind) for v in want), kind
+        assert check_gluing(fam).violations == want, kind
+
+
+def test_check_gluing_asks_each_subset_meet_once():
+    for n in (4, 5, 6):
+        fam = chart_family((1,), n)
+        calls = {}
+
+        def counting(xs, meet_of=fam.meet_of):
+            calls[xs] = calls.get(xs, 0) + 1
+            return meet_of(xs)
+
+        fam.meet_of = counting
+        assert check_gluing(fam).passed
+        m = len(fam.cells)
+        subsets = {tuple(fam.cells[i] for i in J)
+                   for size in range(1, m + 1)
+                   for J in itertools.combinations(range(m), size)}
+        assert set(calls) == subsets  # singletons are asked as sub-meets
+        assert set(calls.values()) == {1}
+
+
 def test_sample_charts_point_lands_in_all_charts():
     for n in (3, 4):
         charts = [ul_label(1, 2, n), ul_label(2, 1, n)]

@@ -110,6 +110,17 @@ def test_boundary_of_closed_cycle_is_empty():
     assert B.f_vector() == ()
 
 
+def test_boundary_of_a_boundary_is_empty(slice32, full32):
+    cyc = SimplicialComplex(["a", "b", "c"], [(0, 1), (1, 2), (0, 2)])
+    for K in (cyc, full32, slice32):
+        BB = boundary_subcomplex(boundary_subcomplex(K))
+        assert (BB.vertices, BB.tops, BB.f_vector()) == ([], [], ())
+        assert not BB.is_pure() and not BB.is_closed_pseudomanifold()
+    # a vertex table with no tops is empty too
+    B = boundary_subcomplex(SimplicialComplex(["a", "b"], []))
+    assert (B.vertices, B.tops) == ([], [])
+
+
 def test_boundary_requires_pure():
     K = SimplicialComplex(["a", "b", "c", "d"], [(0, 1, 2), (2, 3)])
     with pytest.raises(MeshValidityError):

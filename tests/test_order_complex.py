@@ -12,6 +12,7 @@ from phasetop.covectors import (
     support,
 )
 from phasetop.order_complex import (
+    _grid,
     DiscPoint,
     JoinPoint,
     ModelPoint,
@@ -382,3 +383,34 @@ def test_gamma_sampler_streams_are_pinned():
     assert len(lines) == 2000
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
         "bd609c23e6916ac6cea467c06e0033d1a6b4689bf80a6c566c81d39c35753124")
+
+
+@pytest.mark.parametrize("den, digest", [
+    (1, "76f7c047e000be69c9c25253283a28601aaae0ab8b206ee2ca60f6b8a183293d"),
+    (7, "3694c3eefe07291a779aeb0cabe51ed1640360c02ba1e2d9929a7e6464d962e8"),
+    (64, "d214e54cf8de8724b1109c9cfb52ea3a6473562eeecb74e9d5d3ed355fa7abe2"),
+])
+def test_sampler_draws_are_pinned_at_every_den(den, digest):
+    # digests taken from the samplers that built each value per draw; den = 1
+    # draws only the grid ends k = 0 and k = den
+    h = hashlib.sha256()
+    for n in range(1, 7):
+        rng = random.Random(f"draw-pin:{den}:{n}")
+        for _ in range(200):
+            h.update(repr(random_model_point(rng, n, den)).encode())
+            h.update(repr(random_join_point(rng, n, den)).encode())
+    assert h.hexdigest() == digest
+
+
+@pytest.mark.parametrize("den", [1, 2, 7, 64, 10**9])
+def test_grid_table_entries_are_the_fresh_values(den):
+    grid = _grid(den)
+    assert _grid(den) is grid
+    ks = range(den + 1) if den <= 64 else (0, 1, 2, den // 2, den - 1, den)
+    for k in ks:
+        q, a, p = grid[k]
+        assert type(q) is Fraction and q == Fraction(k, den)
+        assert a == Angle(Fraction(k, den)) and 0 <= a.turns < 1
+        assert p == Phase(Angle(Fraction(k, den))) and p.angle is a
+        assert grid[k][0] is q  # built once
+    assert len(grid) == len(ks)  # only the values asked for are built
