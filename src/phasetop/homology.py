@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from math import gcd
 from typing import Callable, Sequence
 
@@ -56,11 +57,17 @@ class _Engine:
 
     Over Q a column is a {row: int} dict, reduced fraction-free: the two
     columns are cross-multiplied by their low entries over the gcd of
-    those, and the result is divided by the gcd of its entries.  Over F2
-    a column is a set of rows, reduced by symmetric difference.  With
-    log, every column carries the combination of input tags it equals,
-    and the combination of each column that reduces to zero is kept in
+    those, and the result is divided by the gcd of its entries whenever
+    that step scaled it, and once more before it is kept.  Over F2 a
+    column is a set of rows, reduced by symmetric difference.  With log,
+    every column carries the combination of input tags it equals, and
+    the combination of each column that reduces to zero is kept in
     `cycles`.
+
+    Once a column has met a pivot, its low comes from a lazy max-heap of
+    its rows (as in PHAT's heap columns): each step pushes the rows of
+    the pivot column that stay in it, and stale tops are popped, so a
+    step costs the pivot column's length, not the working column's.
     """
 
     def __init__(self, f2: bool, log: bool = False):
@@ -75,29 +82,48 @@ class _Engine:
         comb = None
         if self.log:
             comb = {tag} if self.f2 else {tag: 1}
+        heap = None  # negated rows, a superset of col's
+        dirty = False  # over Q: col may hold a common factor
         while col:
-            low = max(col)
+            if heap is None:
+                low = max(col)
+            else:
+                while -heap[0] not in col:
+                    heappop(heap)
+                low = -heap[0]
             other = self.pivots.get(low)
             if other is None:
+                if dirty:
+                    _divide_content(col, comb)
                 self.pivots[low] = col
                 if comb is not None:
                     self.combs[low] = comb
                 return
+            if heap is None:
+                heap = [-r for r in col]
+                heapify(heap)
             if self.f2:
                 col ^= other
                 if comb is not None:
                     comb ^= self.combs[low]
             else:
-                _eliminate(col, comb, other, self.combs.get(low), low)
+                dirty = _eliminate(col, comb, other, self.combs.get(low), low)
+            for r in other:
+                if r in col:
+                    heappush(heap, -r)
         if comb is not None:
+            if dirty:
+                _divide_content(col, comb)
             self.cycles.append(comb)
 
 
-def _eliminate(col: dict, comb, other: dict, ocomb, low) -> None:
-    """col <- (b col - a other) / content, a and b the entries at low.
+def _eliminate(col: dict, comb, other: dict, ocomb, low) -> bool:
+    """col <- b col - a other, a and b the entries at low, over their gcd.
 
-    A logged comb takes the same steps against ocomb, and the content
-    is taken over both, so col stays the combination comb describes.
+    A logged comb takes the same steps against ocomb, so col stays the
+    combination comb describes.  A step that scaled col (by b over the
+    gcd, made positive) ends with a content pass over both; the result
+    is True when col may still hold a common factor.
     """
     a, b = col[low], other[low]
     g = gcd(a, b)
@@ -116,6 +142,14 @@ def _eliminate(col: dict, comb, other: dict, ocomb, low) -> None:
                 vec[r] = nv
             else:
                 del vec[r]
+    if ka == 1:
+        return True
+    _divide_content(col, comb)
+    return False
+
+
+def _divide_content(col: dict, comb) -> None:
+    """Divide col and comb by the gcd of all their entries."""
     g = gcd(*col.values(), *(comb.values() if comb else ()))
     if g > 1:
         for vec in (col, comb or {}):
@@ -158,11 +192,13 @@ def _boundary_columns(simp, idx, d: int, f2: bool, skip=()):
     dicts over Q; a vertex has the empty column.
     """
     rows = idx.get(d - 1)
-    signs = (1, -1) * (d // 2 + 1)
+    # combinations drop the last vertex first; face s minus s[i] has
+    # sign (-1)^i, so the signs run from i = d down to 0
+    signs = ((1, -1) * (d // 2 + 1))[d::-1]
     for j, s in enumerate(simp.get(d, ())):
         if j in skip:
             continue
-        faces = [rows[s[:i] + s[i + 1:]] for i in range(d + 1)] if d else ()
+        faces = [rows[f] for f in itertools.combinations(s, d)] if d else ()
         yield j, set(faces) if f2 else dict(zip(faces, signs))
 
 

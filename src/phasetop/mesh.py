@@ -544,8 +544,9 @@ def complex_from_doc(doc: dict):
 
     Raises ValueError on anything complex_to_doc cannot write: a
     non-object, a missing key, n not a positive integer, m not a
-    positive even integer, a vertex without exactly n coordinates, or a
-    simplex that is not a nonempty list of distinct vertex indices.
+    positive even integer, a vertex without exactly n coordinates, a
+    simplex that is not a nonempty list of distinct vertex indices, or
+    one whose vertex set repeats an earlier simplex's.
     """
     if not isinstance(doc, dict):
         raise ValueError("mesh document must be a JSON object")
@@ -568,11 +569,16 @@ def complex_from_doc(doc: dict):
     if len(set(verts)) != len(verts):
         raise ValueError("mesh document repeats a vertex coordinate")
     tops = []
-    for s in doc["simplices"]:
+    first = {}  # vertex set -> position of the simplex that spans it
+    for k, s in enumerate(doc["simplices"]):
         if (not isinstance(s, list) or not s
                 or not all(_doc_int(i) for i in s)
                 or any(i < 0 or i >= len(verts) for i in s)
                 or len(set(s)) != len(s)):
             raise ValueError(f"bad simplex {s!r}")
+        j = first.setdefault(frozenset(s), k)
+        if j != k:
+            raise ValueError(f"simplex {k} {s!r} repeats the vertices of "
+                             f"simplex {j} {doc['simplices'][j]!r}")
         tops.append(tuple(s))
     return SimplicialComplex(verts, tops), n, m

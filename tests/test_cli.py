@@ -241,6 +241,25 @@ def test_homology_rejects_non_list_simplices():
     assert_clean_error(_homology_of(doc), "bad simplex")
 
 
+@pytest.mark.parametrize("command", [["mesh", "stats"], ["homology"]])
+@pytest.mark.parametrize("simplices,positions", [
+    ([[0, 1], [1, 0]], ("simplex 1 [1, 0]", "simplex 0 [0, 1]")),
+    ([[0], [0, 1], [1], [0, 1]], ("simplex 3 [0, 1]", "simplex 1 [0, 1]")),
+])
+def test_repeated_simplex_is_refused(command, simplices, positions):
+    # counted twice, one edge would pass as a closed pseudomanifold
+    doc = _good_doc()
+    doc["simplices"] = simplices
+    runner = CliRunner()
+    with runner.isolated_filesystem():
+        with open("doc.json", "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        r = runner.invoke(main, [*command, "--in", "doc.json"])
+    assert_clean_error(r, "repeats the vertices")
+    for fragment in positions:
+        assert fragment in r.output
+
+
 def test_homology_rejects_coordinate_count_other_than_n():
     doc = _good_doc()
     doc["n"] = 3

@@ -1,5 +1,6 @@
 import itertools
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -63,6 +64,91 @@ class FractionReducer:
             self.rank += 1
             return True
         return False
+
+
+class ReferenceEngine:
+    """The engine before its heap low: every step rescans the column for
+    its low and, over Q, divides it by its content."""
+
+    def __init__(self, f2: bool, log: bool = False):
+        self.f2 = f2
+        self.log = log
+        self.pivots: dict = {}
+        self.combs: dict = {}
+        self.cycles: list = []
+
+    def add(self, col, tag=None) -> None:
+        comb = None
+        if self.log:
+            comb = {tag} if self.f2 else {tag: 1}
+        while col:
+            low = max(col)
+            other = self.pivots.get(low)
+            if other is None:
+                self.pivots[low] = col
+                if comb is not None:
+                    self.combs[low] = comb
+                return
+            if self.f2:
+                col ^= other
+                if comb is not None:
+                    comb ^= self.combs[low]
+            else:
+                reference_eliminate(col, comb, other, self.combs.get(low), low)
+        if comb is not None:
+            self.cycles.append(comb)
+
+
+def reference_eliminate(col: dict, comb, other: dict, ocomb, low) -> None:
+    a, b = col[low], other[low]
+    g = gcd(a, b)
+    ka, kb = b // g, a // g
+    if ka < 0:
+        ka, kb = -ka, -kb
+    for vec, ovec in ((col, other), (comb, ocomb)):
+        if vec is None:
+            continue
+        if ka != 1:
+            for r in vec:
+                vec[r] *= ka
+        for r, v in ovec.items():
+            nv = vec.get(r, 0) - kb * v
+            if nv:
+                vec[r] = nv
+            else:
+                del vec[r]
+    g = gcd(*col.values(), *(comb.values() if comb else ()))
+    if g > 1:
+        for vec in (col, comb or {}):
+            for r in vec:
+                vec[r] //= g
+
+
+def reference_boundary_columns(simp, idx, d: int, f2: bool, skip=()):
+    """Boundary columns with each face cut out of its simplex by slicing."""
+    rows = idx.get(d - 1)
+    signs = (1, -1) * (d // 2 + 1)
+    for j, s in enumerate(simp.get(d, ())):
+        if j in skip:
+            continue
+        faces = [rows[s[:i] + s[i + 1:]] for i in range(d + 1)] if d else ()
+        yield j, set(faces) if f2 else dict(zip(faces, signs))
+
+
+def reference_reductions(simp, idx, f2: bool, top: int, log: bool):
+    cleared: dict = {}
+    for d in range(top, -1, -1):
+        eng = ReferenceEngine(f2, log)
+        for j, col in reference_boundary_columns(simp, idx, d, f2, cleared):
+            eng.add(col, j)
+        yield d, eng
+        cleared = eng.pivots
+
+
+def assert_same_engine_state(eng, ref):
+    assert eng.pivots == ref.pivots
+    assert eng.combs == ref.combs
+    assert eng.cycles == ref.cycles
 
 
 def reference_betti(K: SimplicialComplex, f2: bool) -> tuple:
@@ -221,6 +307,107 @@ def test_engine_matches_fraction_reference_on_integer_columns(cols):
                 for r, v in cols[j].items():
                     total[r] = total.get(r, 0) + c * (1 if f2 else v)
             assert all(v % 2 == 0 if f2 else v == 0 for v in total.values())
+
+
+@st.composite
+def chained_columns(draw):
+    """Columns whose reduction runs long chains through non-unit pivots.
+
+    Column j of a chain of 64 to 96 has its low at row j + 1 over an
+    entry at row j and up to three rows below, so a later column with
+    its low at the chain's top reduces through all of it.  Entries
+    range over +-1..+-3, so some steps scale the column and some leave
+    a common factor in it.  The chain comes in a drawn order, and a
+    dense column over every row follows it, then a few sparse ones.
+    The draws come from one seeded Random, which keeps 100-row
+    examples cheap to make.
+    """
+    rnd = draw(st.randoms(use_true_random=True))
+    n = rnd.randint(64, 96)
+
+    def coef():
+        return rnd.choice((-3, -2, -1, 1, 2, 3))
+
+    chain = []
+    for j in range(n):
+        col = {r: coef() for r in rnd.sample(range(j + 1), min(j + 1, 3))
+               if rnd.random() < 0.5}
+        col[j + 1] = coef()
+        chain.append(col)
+    rnd.shuffle(chain)
+    dense = {r: coef() for r in range(n + 1)}
+    tail = [{r: coef() for r in rnd.sample(range(n + 1), rnd.randint(1, 8))}
+            for _ in range(rnd.randint(0, 3))]
+    return chain + [dense] + tail
+
+
+def _run_both(cols, f2: bool, log: bool):
+    eng, ref = _Engine(f2, log), ReferenceEngine(f2, log)
+    for j, col in enumerate(cols):
+        eng.add(set(col) if f2 else dict(col), j)
+        ref.add(set(col) if f2 else dict(col), j)
+    assert_same_engine_state(eng, ref)
+    return eng
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.lists(st.dictionaries(st.integers(0, 7),
+                                st.integers(-4, 4).filter(bool), max_size=8),
+                max_size=10))
+def test_engine_matches_reference_engine_on_integer_columns(cols):
+    for f2 in (False, True):
+        for log in (False, True):
+            _run_both(cols, f2, log)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(chained_columns())
+def test_engine_matches_reference_engine_on_long_chains(cols):
+    for f2 in (False, True):
+        for log in (False, True):
+            eng = _run_both(cols, f2, log)
+            if log and not f2:
+                # the cycles' content is taken at the end of a chain
+                assert all(gcd(*c.values()) == 1 for c in eng.cycles)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: assemble_full(3, 4),
+    lambda: boundary_subcomplex(assemble_slice(4, 4)),
+    lambda: full_space_pieces(3, 4).interface,
+], ids=["full(3,4)", "boundary of slice(4,4)", "torus of full(3,4)"])
+def test_engine_matches_reference_engine_on_meshes(build):
+    simp, idx = _chain_data(build())
+    for f2 in (False, True):
+        for log in (False, True):
+            top = max(simp)
+            pairs = zip(_reductions(simp, idx, f2, top, log),
+                        reference_reductions(simp, idx, f2, top, log))
+            for (d, eng), (d_ref, ref) in pairs:
+                assert d == d_ref
+                assert_same_engine_state(eng, ref)
+
+
+@pytest.mark.parametrize("f2", [False, True])
+def test_boundary_columns_match_the_slicing_form(f2):
+    # the 6-simplex's faces reach every d = 0..5; slice(4, 2) is a mesh
+    # of dimension 4 and its boundary one of dimension 3
+    six = SimplicialComplex(list(range(7)), [tuple(range(7))])
+    slice42 = assemble_slice(4, 2)
+    for K in (six, slice42, boundary_subcomplex(slice42)):
+        simp, idx = _chain_data(K)
+        for d in range(min(max(simp), 5) + 1):
+            _assert_same_boundary_columns(simp, idx, d, f2)
+
+
+def _assert_same_boundary_columns(simp, idx, d: int, f2: bool):
+    skip = set(range(0, len(simp[d]), 3))
+    for cut in ((), skip):
+        got = list(_boundary_columns(simp, idx, d, f2, cut))
+        want = list(reference_boundary_columns(simp, idx, d, f2, cut))
+        assert len(got) == len(want) == len(simp[d]) - len(cut)
+        for (j, col), (j_ref, col_ref) in zip(got, want):
+            assert j == j_ref and col == col_ref
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)

@@ -259,6 +259,14 @@ def test_doc_rejects_duplicates_and_bad_indices(slice32):
         complex_from_doc(bad)
 
 
+def test_doc_rejects_a_repeated_simplex(slice32):
+    doc = json.loads(json.dumps(complex_to_doc(slice32, 3, 2)))
+    doc["simplices"].append(doc["simplices"][5][::-1])
+    last = len(doc["simplices"]) - 1
+    with pytest.raises(ValueError, match=f"simplex {last} .* simplex 5 "):
+        complex_from_doc(doc)
+
+
 def test_doc_requires_geometric_vertices():
     K = SimplicialComplex(["a", "b"], [(0, 1)])
     with pytest.raises(ValueError):
