@@ -10,12 +10,14 @@ subcomplex, used as a cross-check of the direct computation.
 from __future__ import annotations
 
 import itertools
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from math import gcd
 from typing import Callable, Sequence
 
-from .mesh import SimplicialComplex
+from .mesh import SimplicialComplex, _top_keys
 
 __all__ = [
     "BettiReport",
@@ -164,46 +166,77 @@ def _validate(K: SimplicialComplex):
     for t in K.tops:
         if len(set(t)) != len(t) or any(i < 0 or i >= nv for i in t):
             raise ValueError(f"bad simplex {t}")
+    _top_keys(K.tops)
 
 
-def _chain_data(*complexes: SimplicialComplex):
-    """Sorted faces by dimension of the disjoint union, with their indices.
+class _Chains:
+    """The chain groups of one complex and its boundary maps.
 
-    Vertex indices of each complex are shifted past those of the ones
-    before it, so in every dimension the simplices of earlier complexes
-    come first.
+    faces[d] lists the d-simplices in sorted order, the basis of the
+    d-chains.  rows[d] holds the d + 1 facet indices of each d-simplex
+    in that order, flat in one array, in `combinations` order: the last
+    vertex is dropped first.  rows[0] is empty.
     """
-    simp: dict = {}
-    shift = 0
-    for K in complexes:
-        for d, fs in K.faces().items():
-            if shift:
-                fs = (tuple(v + shift for v in s) for s in fs)
-            simp.setdefault(d, []).extend(sorted(fs))
-        shift += len(K.vertices)
-    idx = {d: {s: i for i, s in enumerate(ss)} for d, ss in simp.items()}
-    return simp, idx
+
+    __slots__ = ("faces", "rows")
+
+    def __init__(self, faces: list, rows: list):
+        self.faces, self.rows = faces, rows
+
+    def count(self, d: int) -> int:
+        return len(self.faces[d]) if 0 <= d < len(self.faces) else 0
 
 
-def _boundary_columns(simp, idx, d: int, f2: bool, skip=()):
+def _chain_data(K: SimplicialComplex) -> _Chains:
+    """K's chain data, validated and built on the first call, then kept."""
+    if K._chains is None:
+        K._chains = _build_chains(K)
+    return K._chains
+
+
+def _build_chains(K: SimplicialComplex) -> _Chains:
+    _validate(K)
+    by_dim = K.faces()
+    faces = [sorted(by_dim[d]) for d in range(len(by_dim))]
+    rows = [array("i")]
+    for d in range(1, len(faces)):
+        # the index of the faces below is needed only while rows[d] is made
+        index = {s: i for i, s in enumerate(faces[d - 1])}
+        facets = itertools.chain.from_iterable(
+            map(itertools.combinations, faces[d], itertools.repeat(d)))
+        rows.append(array("i", map(index.__getitem__, facets)))
+    return _Chains(faces, rows)
+
+
+def _boundary_columns(parts: Sequence[_Chains], d: int, f2: bool, skip=()):
     """(index, column) of each d-simplex whose index is not in skip.
 
-    Columns are sets of face indices over F2 and {face index: +-1}
-    dicts over Q; a vertex has the empty column.
+    The simplices are those of the disjoint union of parts: each part's
+    simplices, and the facet rows of its columns, are numbered after
+    those of the parts before it.  Columns are sets of face indices over
+    F2 and {face index: +-1} dicts over Q; a vertex has the empty column.
     """
-    rows = idx.get(d - 1)
     # combinations drop the last vertex first; face s minus s[i] has
     # sign (-1)^i, so the signs run from i = d down to 0
     signs = ((1, -1) * (d // 2 + 1))[d::-1]
-    for j, s in enumerate(simp.get(d, ())):
-        if j in skip:
-            continue
-        faces = [rows[f] for f in itertools.combinations(s, d)] if d else ()
-        yield j, set(faces) if f2 else dict(zip(faces, signs))
+    j = shift = 0
+    for c in parts:
+        if d:
+            cols = zip(*[iter(c.rows[d] if d < len(c.rows) else ())] * (d + 1))
+        else:
+            cols = itertools.repeat((), c.count(0))
+        for faces in cols:
+            if j not in skip:
+                if shift:
+                    faces = [r + shift for r in faces]
+                yield j, set(faces) if f2 else dict(zip(faces, signs))
+            j += 1
+        shift += c.count(d - 1)
 
 
-def _reductions(simp, idx, f2: bool, top: int, log: bool = False):
-    """Reduce the boundary maps from dimension top down to 0.
+def _reductions(parts: Sequence[_Chains], f2: bool, top: int,
+                log: bool = False):
+    """Reduce the boundary maps of the union of parts from top down to 0.
 
     Yields (d, engine) once the engine holds the reduced columns of the
     map from dimension d; the caller may add more cycles to it before
@@ -215,27 +248,26 @@ def _reductions(simp, idx, f2: bool, top: int, log: bool = False):
     cleared: dict = {}
     for d in range(top, -1, -1):
         eng = _Engine(f2, log)
-        for j, col in _boundary_columns(simp, idx, d, f2, cleared):
+        for j, col in _boundary_columns(parts, d, f2, cleared):
             eng.add(col, j)
         yield d, eng
         cleared = eng.pivots
 
 
-def _betti_numbers(simp, ranks: dict) -> tuple:
-    return tuple(len(simp[d]) - ranks[d] - ranks.get(d + 1, 0)
-                 for d in range(max(simp) + 1))
+def _betti_numbers(counts: Sequence[int], ranks: dict) -> tuple:
+    return tuple(counts[d] - ranks[d] - ranks.get(d + 1, 0)
+                 for d in range(len(counts)))
 
 
 def betti(K: SimplicialComplex, field="q") -> BettiReport:
     """Betti numbers of K in every dimension, by exact rank computation."""
     tag = _normalize_field(field)
-    _validate(K)
-    if not K.tops:
+    c = _chain_data(K)
+    if not c.faces:
         return BettiReport(tag, (), 0)
-    simp, idx = _chain_data(K)
     ranks = {d: len(eng.pivots)
-             for d, eng in _reductions(simp, idx, tag == "f2", max(simp))}
-    return BettiReport(tag, _betti_numbers(simp, ranks),
+             for d, eng in _reductions((c,), tag == "f2", len(c.faces) - 1)}
+    return BettiReport(tag, _betti_numbers(list(map(len, c.faces)), ranks),
                        euler_characteristic(K))
 
 
@@ -329,42 +361,39 @@ def mayer_vietoris_assemble(ka: SimplicialComplex, kb: SimplicialComplex,
     """
     tag = _normalize_field(field)
     f2 = tag == "f2"
-    for K in (ka, kb, kint):
-        _validate(K)
+    ca, cb, ci = map(_chain_data, (ka, kb, kint))
     _check_inclusion(kint, ka, map_a)
     _check_inclusion(kint, kb, map_b)
-    si, ii = _chain_data(kint)
     reps = {d: eng.cycles
-            for d, eng in _reductions(si, ii, f2, kint.dim, log=True)}
-    # both pieces at once: the chain complex of A (+) B is that of A |_| B
-    su, iu = _chain_data(ka, kb)
-    shift = len(ka.vertices)
+            for d, eng in _reductions((ci,), f2, kint.dim, log=True)}
 
     def _mapped(cycle, d: int):
-        # image of an intersection cycle in the A (+) B chain group
+        # image of an intersection cycle in the A (+) B chain group, the
+        # chain group of A |_| B: A's d-simplices come first
         out = set() if f2 else {}
+        sides = ((ca.faces[d], map_a, 0), (cb.faces[d], map_b, ca.count(d)))
         for p in cycle:
-            s = si[d][p]
-            img_a = [map_a[i] for i in s]
-            img_b = [map_b[i] + shift for i in s]
-            ra = iu[d][tuple(sorted(img_a))]
-            rb = iu[d][tuple(sorted(img_b))]
-            # the inclusions are injective: no two simplices share an image
-            if f2:
-                out.update((ra, rb))
-            else:
-                out[ra] = cycle[p] * _sort_sign(img_a)
-                out[rb] = cycle[p] * _sort_sign(img_b)
+            s = ci.faces[d][p]
+            for faces, vmap, shift in sides:
+                img = [vmap[i] for i in s]
+                r = shift + bisect_left(faces, tuple(sorted(img)))
+                # the inclusions are injective: no two simplices share an
+                # image
+                if f2:
+                    out.add(r)
+                else:
+                    out[r] = cycle[p] * _sort_sign(img)
         return out
 
     top = max(ka.dim, kb.dim)
     ranks, psi = {}, {}
-    for d, eng in _reductions(su, iu, f2, top + 1):
+    for d, eng in _reductions((ca, cb), f2, top + 1):
         ranks[d] = len(eng.pivots)
         for cycle in reps.get(d - 1, ()):
             eng.add(_mapped(cycle, d - 1))
         psi[d - 1] = len(eng.pivots) - ranks[d]
-    bs = list(_betti_numbers(su, ranks)) if top >= 0 else []
+    bs = list(_betti_numbers([ca.count(d) + cb.count(d)
+                              for d in range(top + 1)], ranks))
     for d in range(top + 1):
         bs[d] -= psi[d]
         if d >= 1:

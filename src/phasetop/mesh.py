@@ -42,6 +42,21 @@ class MeshValidityError(Exception):
     """Raised when assembled charts disagree on a shared interface."""
 
 
+def _top_keys(tops: Sequence, error=ValueError) -> dict:
+    """The sorted vertex tuple of each top, mapped to its position.
+
+    Raises error if a top spans the vertex set of an earlier one; the
+    message names both positions and both tops.
+    """
+    first: dict = {}
+    for k, t in enumerate(tops):
+        j = first.setdefault(tuple(sorted(t)), k)
+        if j != k:
+            raise error(f"simplex {k} {t!r} repeats the vertices of "
+                        f"simplex {j} {tops[j]!r}")
+    return first
+
+
 @dataclass(eq=False)
 class SimplicialComplex:
     """Top simplices over an exact vertex table.
@@ -49,11 +64,15 @@ class SimplicialComplex:
     Vertices are arbitrary hashable objects (usually ModelPoints); no
     two are equal.  Top simplices are index tuples whose order records
     the construction; lower faces are implied and enumerated on demand.
+    The faces, and the chain data `homology` builds from them, are kept
+    on the complex once first asked for, so the vertex and top lists
+    must not be mutated after that.
     """
 
     vertices: list
     tops: list
     _faces: Optional[dict] = field(default=None, repr=False)
+    _chains: Optional[object] = field(default=None, repr=False)
 
     @property
     def dim(self) -> int:
@@ -80,17 +99,25 @@ class SimplicialComplex:
         return bool(self.tops) and len({len(t) for t in self.tops}) == 1
 
     def codim1_incidence(self) -> dict:
-        """Count of top simplices containing each codimension-1 face."""
+        """Count of top simplices containing each codimension-1 face.
+
+        Raises MeshValidityError on a complex that is not pure, or that
+        lists one vertex set as two tops.
+        """
         if not self.is_pure():
             raise MeshValidityError("incidence counting needs a pure complex")
         count: dict[tuple, int] = {}
-        for t in self.tops:
-            key = tuple(sorted(t))
+        for key in _top_keys(self.tops, MeshValidityError):
             for f in itertools.combinations(key, len(key) - 1):
                 count[f] = count.get(f, 0) + 1
         return count
 
     def is_closed_pseudomanifold(self) -> bool:
+        """Pure, and each codimension-1 face lies in exactly two tops.
+
+        A repeated top is malformed input, not a no: the
+        MeshValidityError of codim1_incidence propagates.
+        """
         if not self.is_pure():
             return False
         return all(c == 2 for c in self.codim1_incidence().values())
@@ -296,16 +323,18 @@ def slice_pieces(n: int, m: int) -> dict:
             for j in range(1, n) for k in range(1, n)}
 
 
-def _interface_faces(K: SimplicialComplex, keys: list, inside: set) -> set:
-    """Faces of K whose vertices all lie in another closed cell.
+def _interface_faces(tops: list, inside: set) -> set:
+    """Faces of a chart whose vertices all lie in another closed cell.
 
-    keys[i] is the tick key of K.vertices[i], and `inside` holds the
-    keys of the points in the other cell.  Faces are returned as
-    frozensets of tick keys.
+    `tops` are the chart's tops as ascending tuples of slice ids, and
+    `inside` holds the ids of the points in the other cell.  Such a face
+    is a nonempty subset of the vertices of some top that lie inside,
+    so the faces come from the tops, as ascending id tuples; the
+    chart's face set is never built.
     """
-    ins = {i for i, key in enumerate(keys) if key in inside}
-    return {frozenset([keys[i] for i in f])
-            for fs in K.faces().values() for f in fs if ins.issuperset(f)}
+    spans = {tuple(v for v in t if v in inside) for t in tops}
+    return {f for s in spans for r in range(1, len(s) + 1)
+            for f in itertools.combinations(s, r)}
 
 
 def assemble_slice(n: int, m: int) -> SimplicialComplex:
@@ -313,30 +342,43 @@ def assemble_slice(n: int, m: int) -> SimplicialComplex:
 
     Every ordered pair of half-circle positions contributes a chart;
     before uniting, each pair of charts is required to induce the same
-    set of faces on their overlap, and a mismatch is a hard error.
+    set of faces on their overlap, and a mismatch is a hard error that
+    names the points of the smallest face in dispute.
     """
     pieces = slice_pieces(n, m)
     keys = {jk: [_ticks(z, m) for z in K.vertices]
             for jk, K in pieces.items()}
     points = {key: z for jk, K in pieces.items()
               for key, z in zip(keys[jk], K.vertices)}
+    # one id per slice vertex, in tick-key order
+    order = sorted(points)
+    pts = [points[key] for key in order]
+    vid = {key: i for i, key in enumerate(order)}
+    ids = {jk: [vid[key] for key in ks] for jk, ks in keys.items()}
+    # each chart's tops in construction order, and as ascending ids
+    tops = {jk: [tuple(map(ids[jk].__getitem__, t)) for t in K.tops]
+            for jk, K in pieces.items()}
+    ascending = {jk: [tuple(sorted(t)) for t in ts]
+                 for jk, ts in tops.items()}
     # each vertex of the slice is tested once against each cell
     labels = {jk: ul_label(jk[0], jk[1], n) for jk in pieces}
-    inside = {jk: {key for key, z in points.items()
-                   if bx_member(x, z, "closed")}
+    inside = {jk: {i for i, z in enumerate(pts) if bx_member(x, z, "closed")}
               for jk, x in labels.items()}
     for a, b in itertools.combinations(sorted(pieces), 2):
-        sa = _interface_faces(pieces[a], keys[a], inside[b])
-        sb = _interface_faces(pieces[b], keys[b], inside[a])
+        sa = _interface_faces(ascending[a], inside[b])
+        sb = _interface_faces(ascending[b], inside[a])
         if sa != sb:
-            witness = next(iter(sa ^ sb))
+            witness = min(sa ^ sb)
             raise MeshValidityError(
                 f"charts {a} and {b} disagree on their overlap near "
-                f"{[str(points[key]) for key in sorted(witness)]}")
-    out = _Builder()
+                f"{[str(pts[i]) for i in witness]}")
+    # every slice vertex is in a top; a top two charts share is kept once,
+    # in the order of the first
+    union: dict = {}
     for jk in sorted(pieces):
-        out.add_complex(SimplicialComplex(keys[jk], pieces[jk].tops))
-    return _emit(out.complex(), m)
+        for t, s in zip(tops[jk], ascending[jk]):
+            union.setdefault(s, t)
+    return SimplicialComplex(pts, [union[s] for s in sorted(union)])
 
 
 def boundary_subcomplex(K: SimplicialComplex) -> SimplicialComplex:
@@ -568,17 +610,11 @@ def complex_from_doc(doc: dict):
         verts.append(ModelPoint(tuple(_doc_disc_point(c) for c in z)))
     if len(set(verts)) != len(verts):
         raise ValueError("mesh document repeats a vertex coordinate")
-    tops = []
-    first = {}  # vertex set -> position of the simplex that spans it
-    for k, s in enumerate(doc["simplices"]):
+    for s in doc["simplices"]:
         if (not isinstance(s, list) or not s
                 or not all(_doc_int(i) for i in s)
                 or any(i < 0 or i >= len(verts) for i in s)
                 or len(set(s)) != len(s)):
             raise ValueError(f"bad simplex {s!r}")
-        j = first.setdefault(frozenset(s), k)
-        if j != k:
-            raise ValueError(f"simplex {k} {s!r} repeats the vertices of "
-                             f"simplex {j} {doc['simplices'][j]!r}")
-        tops.append(tuple(s))
-    return SimplicialComplex(verts, tops), n, m
+    _top_keys(doc["simplices"])
+    return SimplicialComplex(verts, list(map(tuple, doc["simplices"]))), n, m

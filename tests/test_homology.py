@@ -13,6 +13,7 @@ from phasetop.mesh import (
     boundary_subcomplex,
     full_space_pieces,
 )
+import phasetop.homology as homology_module
 from phasetop.homology import (
     BettiReport,
     _Engine,
@@ -124,6 +125,26 @@ def reference_eliminate(col: dict, comb, other: dict, ocomb, low) -> None:
                 vec[r] //= g
 
 
+def reference_chain_data(*complexes: SimplicialComplex):
+    """Sorted faces by dimension of the disjoint union, with their indices.
+
+    The chain data as it was built on every call before it was kept on
+    the complex: vertex indices of each complex are shifted past those
+    of the ones before it, so in every dimension the simplices of
+    earlier complexes come first.
+    """
+    simp: dict = {}
+    shift = 0
+    for K in complexes:
+        for d, fs in K.faces().items():
+            if shift:
+                fs = (tuple(v + shift for v in s) for s in fs)
+            simp.setdefault(d, []).extend(sorted(fs))
+        shift += len(K.vertices)
+    idx = {d: {s: i for i, s in enumerate(ss)} for d, ss in simp.items()}
+    return simp, idx
+
+
 def reference_boundary_columns(simp, idx, d: int, f2: bool, skip=()):
     """Boundary columns with each face cut out of its simplex by slicing."""
     rows = idx.get(d - 1)
@@ -168,9 +189,14 @@ def reference_betti(K: SimplicialComplex, f2: bool) -> tuple:
 
 @st.composite
 def complexes(draw):
-    """Small complexes: up to 8 top simplices of dimension <= 3 on 7 vertices."""
+    """Small complexes: up to 8 top simplices of dimension <= 3 on 7 vertices.
+
+    A drawn vertex set that repeats an earlier one is dropped, since a
+    complex may not list one top twice.
+    """
     tops = draw(st.lists(st.sets(st.integers(0, 6), min_size=1, max_size=4),
                          min_size=1, max_size=8))
+    tops = list(dict.fromkeys(map(frozenset, tops)))
     used = sorted(set().union(*tops))
     relabel = {v: i for i, v in enumerate(used)}
     return SimplicialComplex(used, [tuple(relabel[v] for v in sorted(t))
@@ -377,15 +403,31 @@ def test_engine_matches_reference_engine_on_long_chains(cols):
     lambda: full_space_pieces(3, 4).interface,
 ], ids=["full(3,4)", "boundary of slice(4,4)", "torus of full(3,4)"])
 def test_engine_matches_reference_engine_on_meshes(build):
-    simp, idx = _chain_data(build())
+    _assert_same_reductions(build())
+
+
+def _assert_same_reductions(*parts):
+    """The engines on the kept chain data of parts, one dimension above
+    their top as Mayer-Vietoris reduces, equal the reference engines on
+    the parent's chain data of their disjoint union."""
+    chains = [_chain_data(K) for K in parts]
+    simp, idx = reference_chain_data(*parts)
+    top = max(simp) + 1
     for f2 in (False, True):
         for log in (False, True):
-            top = max(simp)
-            pairs = zip(_reductions(simp, idx, f2, top, log),
-                        reference_reductions(simp, idx, f2, top, log))
-            for (d, eng), (d_ref, ref) in pairs:
-                assert d == d_ref
+            got = list(_reductions(chains, f2, top, log))
+            want = list(reference_reductions(simp, idx, f2, top, log))
+            assert [d for d, _ in got] == [d for d, _ in want]
+            for (_, eng), (_, ref) in zip(got, want):
                 assert_same_engine_state(eng, ref)
+
+
+@pytest.mark.parametrize("m", [2, 4])
+def test_engine_matches_parent_chain_data_on_full_space_pieces(m):
+    P = full_space_pieces(3, m)
+    for parts in ((P.rotation,), (P.base,), (P.interface,),
+                  (P.rotation, P.base)):
+        _assert_same_reductions(*parts)
 
 
 @pytest.mark.parametrize("f2", [False, True])
@@ -394,16 +436,18 @@ def test_boundary_columns_match_the_slicing_form(f2):
     # of dimension 4 and its boundary one of dimension 3
     six = SimplicialComplex(list(range(7)), [tuple(range(7))])
     slice42 = assemble_slice(4, 2)
-    for K in (six, slice42, boundary_subcomplex(slice42)):
-        simp, idx = _chain_data(K)
+    bd = boundary_subcomplex(slice42)
+    for parts in ((six,), (slice42,), (bd,), (bd, six, slice42)):
+        simp, idx = reference_chain_data(*parts)
+        chains = [_chain_data(K) for K in parts]
         for d in range(min(max(simp), 5) + 1):
-            _assert_same_boundary_columns(simp, idx, d, f2)
+            _assert_same_boundary_columns(chains, simp, idx, d, f2)
 
 
-def _assert_same_boundary_columns(simp, idx, d: int, f2: bool):
+def _assert_same_boundary_columns(chains, simp, idx, d: int, f2: bool):
     skip = set(range(0, len(simp[d]), 3))
     for cut in ((), skip):
-        got = list(_boundary_columns(simp, idx, d, f2, cut))
+        got = list(_boundary_columns(chains, d, f2, cut))
         want = list(reference_boundary_columns(simp, idx, d, f2, cut))
         assert len(got) == len(want) == len(simp[d]) - len(cut)
         for (j, col), (j_ref, col_ref) in zip(got, want):
@@ -413,17 +457,17 @@ def _assert_same_boundary_columns(simp, idx, d: int, f2: bool):
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(complexes())
 def test_boundary_of_boundary_is_zero(K):
-    simp, idx = _chain_data(K)
-    for d in range(2, max(simp) + 1):
-        below = dict(_boundary_columns(simp, idx, d - 1, False))
-        below_f2 = dict(_boundary_columns(simp, idx, d - 1, True))
-        for j, col in _boundary_columns(simp, idx, d, False):
+    chains = (_chain_data(K),)
+    for d in range(2, len(chains[0].faces)):
+        below = dict(_boundary_columns(chains, d - 1, False))
+        below_f2 = dict(_boundary_columns(chains, d - 1, True))
+        for j, col in _boundary_columns(chains, d, False):
             total: dict = {}
             for r, v in col.items():
                 for q, w in below[r].items():
                     total[q] = total.get(q, 0) + v * w
             assert not any(total.values())
-        for j, col in _boundary_columns(simp, idx, d, True):
+        for j, col in _boundary_columns(chains, d, True):
             total = set()
             for r in col:
                 total ^= below_f2[r]
@@ -433,12 +477,12 @@ def test_boundary_of_boundary_is_zero(K):
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(complexes())
 def test_logged_cycles_are_cycles_one_per_betti_number(K):
-    simp, idx = _chain_data(K)
+    chains = (_chain_data(K),)
     for field, f2 in (("q", False), ("f2", True)):
         bs = betti(K, field).betti
-        for d, eng in _reductions(simp, idx, f2, max(simp), log=True):
+        for d, eng in _reductions(chains, f2, len(bs) - 1, log=True):
             assert len(eng.cycles) == bs[d]
-            cols = dict(_boundary_columns(simp, idx, d, False))
+            cols = dict(_boundary_columns(chains, d, False))
             for cycle in eng.cycles:
                 total: dict = {}
                 for j, c in (dict.fromkeys(cycle, 1) if f2 else cycle).items():
@@ -455,6 +499,51 @@ def test_betti_rejects_invalid_complex():
         betti(SimplicialComplex(["a", "b"], [(0, 5)]))
     with pytest.raises(ValueError):
         betti(SimplicialComplex(["a", "b"], [(0, 0)]))
+
+
+def test_repeated_top_is_refused_naming_both_positions():
+    # one edge listed twice, in both vertex orders
+    K = SimplicialComplex([0, 1], [(0, 1), (1, 0)])
+    msg = r"simplex 1 \(1, 0\) repeats the vertices of simplex 0 \(0, 1\)$"
+    for field in ("q", "f2"):
+        with pytest.raises(ValueError, match=msg):
+            betti(K, field)
+    with pytest.raises(ValueError, match=msg):
+        mayer_vietoris_assemble(K, circle(), SimplicialComplex([], []), {}, {})
+
+
+def test_chain_data_is_built_once_per_complex(monkeypatch):
+    built = []
+
+    def counting(K):
+        built.append(K)
+        return build(K)
+
+    build = homology_module._build_chains
+    monkeypatch.setattr(homology_module, "_build_chains", counting)
+    P = full_space_pieces(3, 2)
+    pieces = (P.rotation, P.base, P.interface)
+    for K in pieces:
+        assert betti(K, "q").betti == betti(K, "f2").betti
+    ma = vertex_inclusion_map(P.interface, P.rotation)
+    mb = vertex_inclusion_map(P.interface, P.base)
+    for field in ("q", "f2"):
+        r = mayer_vietoris_assemble(*pieces, ma, mb, field)
+        assert r.betti == (1, 0, 0, 1)
+    assert len(built) == 3
+    assert all(a is b for a, b in zip(built, pieces))
+
+
+@pytest.mark.parametrize("field", ["q", "f2"])
+def test_mv_wedge_and_disjoint_union_of_circles(field):
+    a = SimplicialComplex(["p", "a1", "a2"], [(0, 1), (1, 2), (0, 2)])
+    b = SimplicialComplex(["p", "b1", "b2"], [(0, 1), (1, 2), (0, 2)])
+    point = SimplicialComplex(["p"], [(0,)])
+    wedge = mayer_vietoris_assemble(a, b, point, {0: 0}, {0: 0}, field)
+    assert (wedge.betti, wedge.euler) == ((1, 2), -1)
+    apart = mayer_vietoris_assemble(a, b, SimplicialComplex([], []), {}, {},
+                                    field)
+    assert (apart.betti, apart.euler) == ((2, 2), 0)
 
 
 def test_order_complex_of_chain_is_a_simplex():

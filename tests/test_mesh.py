@@ -1,6 +1,8 @@
 import hashlib
 import itertools
 import json
+import random
+import re
 
 import pytest
 from fractions import Fraction
@@ -11,6 +13,7 @@ from phasetop.mesh import (
     FullSpacePieces,
     MeshValidityError,
     SimplicialComplex,
+    _interface_faces,
     _point_of,
     _ticks,
     assemble_full,
@@ -383,3 +386,107 @@ def test_interface_mismatch_is_an_error_naming_points(monkeypatch):
                        match=r"charts \(\d, \d\) and \(\d, \d\) disagree "
                              r"on their overlap near \['1@"):
         assemble_slice(3, 2)
+
+
+def reference_interface_faces(K: SimplicialComplex, keys: list,
+                              inside: set) -> set:
+    """The interface faces as the parent found them: every face of K is
+    scanned, and kept as a frozenset of tick keys when all its vertices
+    are inside."""
+    ins = {i for i, key in enumerate(keys) if key in inside}
+    return {frozenset([keys[i] for i in f])
+            for fs in K.faces().values() for f in fs if ins.issuperset(f)}
+
+
+def _slice_ids(pieces, n: int, m: int):
+    """The tick keys of the slice in id order, each chart's vertex ids,
+    and the ids inside each closed cell, as `assemble_slice` makes them."""
+    keys = {jk: [_ticks(z, m) for z in K.vertices]
+            for jk, K in pieces.items()}
+    points = {key: z for jk, K in pieces.items()
+              for key, z in zip(keys[jk], K.vertices)}
+    order = sorted(points)
+    vid = {key: i for i, key in enumerate(order)}
+    ids = {jk: [vid[key] for key in ks] for jk, ks in keys.items()}
+    inside = {jk: {i for i, key in enumerate(order)
+                   if bx_member(ul_label(*jk, n), points[key], "closed")}
+              for jk in pieces}
+    return order, keys, ids, inside
+
+
+def _assert_same_interface(K, order, keys, ids, inside):
+    got = _interface_faces([tuple(sorted(ids[i] for i in t)) for t in K.tops],
+                           inside)
+    assert all(list(f) == sorted(f) for f in got)
+    assert {frozenset(order[i] for i in f) for f in got} == (
+        reference_interface_faces(K, keys, {order[i] for i in inside}))
+    return got
+
+
+@pytest.mark.parametrize("n,m", [(3, 2), (3, 4), (3, 6), (4, 2), (4, 4)])
+def test_interface_faces_match_the_all_faces_form(n, m):
+    pieces = slice_pieces(n, m)
+    order, keys, ids, inside = _slice_ids(pieces, n, m)
+    shared = 0
+    for a, b in itertools.permutations(sorted(pieces), 2):
+        got = _assert_same_interface(pieces[a], order, keys[a], ids[a],
+                                     inside[b])
+        shared += bool(got)
+    assert shared  # some charts do meet
+
+
+@pytest.mark.parametrize("n,m", [(3, 4), (4, 2)])
+def test_interface_faces_match_on_random_inside_sets(n, m):
+    pieces = slice_pieces(n, m)
+    order, keys, ids, _ = _slice_ids(pieces, n, m)
+    rnd = random.Random(20261018)
+    for jk, K in sorted(pieces.items()):
+        for p in (0.2, 0.5, 0.8, 1.0):
+            inside = {i for i in range(len(order)) if rnd.random() < p}
+            _assert_same_interface(K, order, keys[jk], ids[jk], inside)
+
+
+def test_interface_witness_is_the_smallest_disputed_face(monkeypatch):
+    import phasetop.mesh as mesh_module
+
+    pieces = slice_pieces(3, 4)
+    order, keys, ids, inside = _slice_ids(pieces, 3, 4)
+    # drop the tops of one chart at every vertex it shares with another,
+    # so its interface loses many faces at once
+    K, other = pieces[(1, 2)], set(ids[(2, 1)])
+    gone = {i for i, v in enumerate(ids[(1, 2)]) if v in other}
+    pieces[(1, 2)] = SimplicialComplex(
+        K.vertices, [t for t in K.tops if not gone.intersection(t)])
+    keys[(1, 2)] = [_ticks(z, 4) for z in pieces[(1, 2)].vertices]
+    first = None
+    for a, b in itertools.combinations(sorted(pieces), 2):
+        sa = reference_interface_faces(pieces[a], keys[a],
+                                       {order[i] for i in inside[b]})
+        sb = reference_interface_faces(pieces[b], keys[b],
+                                       {order[i] for i in inside[a]})
+        if sa != sb:
+            first = a, b, sa ^ sb
+            break
+    a, b, disputed = first
+    assert len(disputed) > 1
+    witness = min(tuple(sorted(f)) for f in disputed)
+    names = [str(_point_of(4)(key)) for key in witness]
+    monkeypatch.setattr(mesh_module, "slice_pieces", lambda n, m: pieces)
+    with pytest.raises(MeshValidityError, match=re.escape(
+            f"charts {a} and {b} disagree on their overlap near {names}")
+            + "$"):
+        assemble_slice(3, 4)
+
+
+def test_repeated_top_is_malformed_not_a_closed_pseudomanifold():
+    K = SimplicialComplex([0, 1], [(0, 1), (1, 0)])
+    msg = r"simplex 1 \(1, 0\) repeats the vertices of simplex 0 \(0, 1\)$"
+    for ask in (K.codim1_incidence, K.is_closed_pseudomanifold,
+                lambda: boundary_subcomplex(K)):
+        with pytest.raises(MeshValidityError, match=msg):
+            ask()
+    # a sphere with one top listed twice
+    tetra = SimplicialComplex(list(range(4)), list(
+        itertools.combinations(range(4), 3)) + [(3, 1, 2)])
+    with pytest.raises(MeshValidityError, match="simplex 4 .* simplex 3 "):
+        tetra.is_closed_pseudomanifold()
