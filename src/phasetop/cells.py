@@ -81,7 +81,7 @@ def p_leq(a: PLabel, b: PLabel) -> bool:
     return a == b or a in _BELOW[b]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CellLabel:
     """An admissible cell label: a tuple of symbols passing in_pn."""
 
@@ -269,7 +269,7 @@ def nu(x: CellLabel) -> int:
 
 def _upper(c: DiscPoint) -> tuple[int, int] | None:
     """upper_param as an unreduced (numerator, denominator) pair."""
-    r, a, d = c.radius, c.angle.turns.numerator, c.angle.turns.denominator
+    r, a, d = c.radius, c.angle.num, c.angle.den
     if r.numerator != r.denominator or 2 * a > d:
         return None
     return 2 * a, d
@@ -277,7 +277,7 @@ def _upper(c: DiscPoint) -> tuple[int, int] | None:
 
 def _lower(c: DiscPoint) -> tuple[int, int] | None:
     """lower_param as an unreduced (numerator, denominator) pair."""
-    r, a, d = c.radius, c.angle.turns.numerator, c.angle.turns.denominator
+    r, a, d = c.radius, c.angle.num, c.angle.den
     if r.numerator != r.denominator or 0 < 2 * a < d:
         return None
     return (2 * a - d, d) if a else (1, 1)

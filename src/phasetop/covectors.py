@@ -15,6 +15,7 @@ vectors use "+", "-", "0".
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,7 +25,6 @@ from .phase import (
     Angle,
     Phase,
     ZERO,
-    _over_lcm,
     mul,
     parse_fraction,
     sign_hyper_sum_list,
@@ -51,7 +51,7 @@ __all__ = [
     "sign_leq_vec",
 ]
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PhaseVector:
     """A tuple of tropical phase hyperfield elements."""
 
@@ -114,7 +114,9 @@ def _tick_scale(xs: Sequence[Phase]) -> tuple[list, int]:
     The turn length is the lcm of the angles' denominators, so every
     angle is a whole number of ticks.
     """
-    return _over_lcm([None if e.angle is None else e.angle.turns for e in xs])
+    whole = math.lcm(*[e.angle.den for e in xs if e.angle is not None])
+    return [None if e.angle is None else e.angle.num * (whole // e.angle.den)
+            for e in xs], whole
 
 
 def zero_in_sum(xs: Sequence[Phase]) -> bool:

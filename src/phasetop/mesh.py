@@ -150,10 +150,10 @@ def _ticks(z: ModelPoint, m: int) -> tuple:
         if c.radius == 0:
             key.append(-1)
             continue
-        k = c.angle.turns * (2 * m)
-        if c.radius != 1 or k.denominator != 1:
+        k, off = divmod(c.angle.num * (2 * m), c.angle.den)
+        if c.radius != 1 or off:
             raise ValueError(f"vertex {z} is off the 1/{2 * m} grid")
-        key.append(k.numerator)
+        key.append(k)
     return tuple(key)
 
 

@@ -14,6 +14,7 @@ rational radius r and angle a in turns ("0@0" is the disc center).
 from __future__ import annotations
 
 import functools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,7 +39,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class DiscPoint:
     """A point of the closed unit disc in polar form (radius, angle).
 
@@ -54,7 +55,7 @@ class DiscPoint:
         num = self.radius.numerator
         if not 0 <= num <= self.radius.denominator:
             raise ValueError("disc radius must lie in [0, 1]")
-        if num == 0 and self.angle.turns.numerator != 0:
+        if num == 0 and self.angle.num != 0:
             object.__setattr__(self, "angle", Angle(Fraction(0)))
 
     @staticmethod
@@ -79,7 +80,7 @@ class DiscPoint:
 _CENTER = DiscPoint.center()  # frozen, so shared
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ModelPoint:
     """A tuple of disc points: the disc model of an order-complex point."""
 
@@ -99,7 +100,7 @@ class ModelPoint:
         return format_model_point(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class JoinPoint:
     """A weighted chain: the join-coordinate form of an order-complex point.
 
@@ -121,16 +122,19 @@ class JoinPoint:
                 raise ValueError(
                     f"weights must be rational numbers: {exc}") from exc
             object.__setattr__(self, "terms", terms)
-        nums, whole = _over_lcm([w for w, _ in self.terms])
         # the first term is checked against itself, which always passes
         prev, prev_size = self.terms[0][1].entries, -1
         n = len(prev)
-        for w, (_, x) in zip(nums, self.terms):
+        total, whole = 0, 1  # the weights so far: total / whole
+        for w, x in self.terms:
             entries = x.entries
             if len(entries) != n:
                 raise ValueError("chain vectors must share a length")
-            if w <= 0:
+            num, den = w.as_integer_ratio()
+            if num <= 0:
                 raise ValueError("weights must be positive")
+            d = math.lcm(whole, den)
+            total, whole = total * (d // whole) + num * (d // den), d
             # one pass per term: count the support, and check that every
             # nonzero entry of the previous vector is kept; a chain step
             # keeps them all, so it is strict exactly when the support grows
@@ -143,7 +147,7 @@ class JoinPoint:
             if size <= prev_size or not kept:
                 raise ValueError("vectors must form a strict chain")
             prev, prev_size = entries, size
-        if sum(nums) != whole:
+        if total != whole:
             raise ValueError("weights must sum to 1")
 
     @staticmethod
@@ -160,20 +164,23 @@ def join_to_model(p: JoinPoint) -> ModelPoint:
 
     Coordinate j gets radius equal to the total weight of chain terms
     whose vector is nonzero at j, and angle equal to their common phase
-    there; coordinates supported by no term sit at the disc center.
+    there; coordinates supported by no term sit at the disc center.  In
+    a chain those terms are all the terms from the first one nonzero at
+    j, so each term's suffix weight is the radius of the coordinates it
+    adds.
     """
     nums, whole = _over_lcm([w for w, _ in p.terms])
-    n = len(p.terms[0][1])
-    radii = [0] * n
-    angles: list[Angle | None] = [None] * n
+    coords = [_CENTER] * len(p.terms[0][1])
+    left = whole  # the weight of this term and every later one
     for w, (_, x) in zip(nums, p.terms):
+        radius = None
         for j, e in enumerate(x.entries):
-            if e.angle is not None:
-                radii[j] += w
-                angles[j] = e.angle  # chain: same angle in every term
-    return ModelPoint(tuple(
-        DiscPoint(Fraction(r, whole), a) if r else _CENTER
-        for r, a in zip(radii, angles)))
+            if e.angle is not None and coords[j] is _CENTER:
+                if radius is None:
+                    radius = Fraction(left, whole)
+                coords[j] = DiscPoint(radius, e.angle)
+        left -= w
+    return ModelPoint(tuple(coords))
 
 
 def model_to_join(z: ModelPoint) -> JoinPoint:
@@ -183,16 +190,26 @@ def model_to_join(z: ModelPoint) -> JoinPoint:
     distinct nonzero radius r, descending, the vector keeps the phases of
     the coordinates with radius >= r.  Weights are successive radius
     differences, and any slack 1 - max_radius goes to an all-zero term.
+    One walk over the coordinates in descending radius closes a level
+    each time the radius drops.
     """
     nums, whole = _over_lcm([c.radius for c in z.coords])
-    phases = [Phase(c.angle) if r else ZERO for c, r in zip(z.coords, nums)]
+    entries = [ZERO] * len(nums)
+    terms = []
     # radius 1 is always a level: with no coordinate there, its vector is
     # the all-zero term that takes the slack
-    levels = sorted({whole, *nums} - {0}, reverse=True)
-    return JoinPoint(tuple(
-        (Fraction(r - nxt, whole), PhaseVector(tuple(
-            ph if num >= r else ZERO for ph, num in zip(phases, nums))))
-        for r, nxt in zip(levels, levels[1:] + [0])))
+    level = whole
+    for j in sorted(range(len(nums)), key=nums.__getitem__, reverse=True):
+        r = nums[j]
+        if not r:
+            break
+        if r < level:
+            terms.append((Fraction(level - r, whole),
+                          PhaseVector(tuple(entries))))
+            level = r
+        entries[j] = Phase(z.coords[j].angle)
+    terms.append((Fraction(level, whole), PhaseVector(tuple(entries))))
+    return JoinPoint(tuple(terms))
 
 
 def delta_member(v: PhaseVector, z: ModelPoint) -> bool:

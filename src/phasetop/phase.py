@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+import re
+import sys
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -45,22 +47,33 @@ def _mod1(q: Fraction) -> Fraction:
 
 
 def _over_lcm(qs: Sequence) -> tuple[list, int]:
-    """Numerators over D, the lcm of the denominators, and D; None stays."""
-    d = math.lcm(*[q.denominator for q in qs if q is not None])
-    return [None if q is None else q.numerator * (d // q.denominator)
-            for q in qs], d
+    """Numerators over D, the lcm of the denominators, and D."""
+    ratios = [q.as_integer_ratio() for q in qs]
+    d = math.lcm(*[b for _, b in ratios])
+    return [a * (d // b) for a, b in ratios], d
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Angle:
-    """A point on the circle, measured in turns and reduced mod 1."""
+    """A point on the circle, measured in turns and reduced mod 1.
+
+    ``num``/``den`` is the reduced ratio of ``turns``, taken apart once
+    here so the integer kernels read plain ints; they take no part in
+    equality, hashing, order or repr.
+    """
 
     turns: Fraction
+    num: int = field(init=False, repr=False, compare=False)
+    den: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         t = self.turns if isinstance(self.turns, Fraction) else Fraction(self.turns)
-        if t is not self.turns or not 0 <= t.numerator < t.denominator:
-            object.__setattr__(self, "turns", _mod1(t))
+        num, den = t.as_integer_ratio()
+        if t is not self.turns or not 0 <= num < den:
+            num %= den
+            object.__setattr__(self, "turns", Fraction(num, den))
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
 
     def __add__(self, other: "Angle") -> "Angle":
         return Angle(self.turns + other.turns)
@@ -78,7 +91,7 @@ class Angle:
         return format_fraction(self.turns)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Phase:
     """An element of the tropical phase hyperfield: an angle, or zero.
 
@@ -116,7 +129,7 @@ class Phase:
 ZERO = Phase(None)
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Arc:
     """A closed arc of the circle: start angle plus nonnegative length.
 
@@ -156,7 +169,7 @@ class Arc:
         return f"[{self.start}, {self.end()}]"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PhaseSet:
     """A finite union of closed arcs, optionally together with zero.
 
@@ -237,12 +250,13 @@ def hyper_sum_list(xs: Sequence[Phase]) -> PhaseSet:
     ticks over D, the lcm of their denominators and 2, so p + D // 2 is
     the exact antipode of p.
     """
-    turns = [x.angle.turns for x in xs if x.angle is not None]
-    if not turns:
+    angles = [x.angle for x in xs if x.angle is not None]
+    if not angles:
         return PhaseSet.just_zero()
-    ticks, d = _over_lcm([HALF, *turns])
-    half, start, length = ticks[0], ticks[1], 0
-    for p in ticks[2:]:
+    d = math.lcm(2, *[a.den for a in angles])
+    ticks = [a.num * (d // a.den) for a in angles]
+    half, start, length = d // 2, ticks[0], 0
+    for p in ticks[1:]:
         if (p + half - start) % d <= length:
             return PhaseSet(True, (Arc(Angle(Fraction(0)), ONE),))
         off = (p - start) % d
@@ -325,10 +339,23 @@ def sign_hyper_sum_list(xs: Sequence[int]) -> frozenset[int]:
 # ---------------------------------------------------------------------------
 
 
+# the exponent of a decimal literal such as "1.5e-3"
+_EXPONENT = re.compile(r"e([-+]?[0-9_]+)\Z", re.IGNORECASE)
+
+
 def parse_fraction(text: str) -> Fraction:
-    """Parse 'p/q' or an integer or decimal literal into an exact Fraction."""
+    """Parse 'p/q' or an integer or decimal literal into an exact Fraction.
+
+    A decimal exponent larger in magnitude than sys.get_int_max_str_digits()
+    is refused: it names an integer with more digits than str() may print,
+    and building that integer takes time superlinear in the exponent.
+    """
     text = text.strip()
     try:
+        exp = _EXPONENT.search(text)
+        limit = sys.get_int_max_str_digits()
+        if exp and limit and abs(int(exp[1])) > limit:
+            raise ValueError("decimal exponent too large")
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational number: {text!r}") from exc

@@ -260,6 +260,24 @@ def test_repeated_simplex_is_refused(command, simplices, positions):
         assert fragment in r.output
 
 
+@pytest.mark.parametrize("args", [
+    ["hf", "sum", "--field", "phase", "--elems", "0,1e3000000"],
+    ["covector", "check", "--v", "0,0,0", "--x", "0,1e3000000,z"],
+    ["delta", "member", "--v", "0,0", "--z", "1@0;1@1e-3000000"],
+    ["homology", "--in", "doc.json"],
+])
+def test_huge_decimal_exponent_is_one_error_line(args):
+    runner = CliRunner()
+    doc = _good_doc()
+    doc["vertices"][0][1][1] = "1e3000000"
+    with runner.isolated_filesystem():
+        with open("doc.json", "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        r = runner.invoke(main, args)
+    assert_clean_error(r, "not a rational number: '1e")
+    assert r.output.splitlines() == [r.output.strip()]
+
+
 def test_homology_rejects_coordinate_count_other_than_n():
     doc = _good_doc()
     doc["n"] = 3

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -166,6 +167,41 @@ def test_fraction_round_trip():
     assert format_fraction(F(2)) == "2"
     with pytest.raises(ValueError):
         parse_fraction("x")
+
+
+@pytest.fixture
+def int_digits():
+    """Set sys's int-to-str digit limit for one test, then restore it."""
+    before = sys.get_int_max_str_digits()
+    yield sys.set_int_max_str_digits
+    sys.set_int_max_str_digits(before)
+
+
+def test_decimal_exponents_up_to_the_digit_limit_parse(int_digits):
+    int_digits(4300)
+    assert parse_fraction("1.5e-3") == F(3, 2000)
+    assert parse_fraction(" 2E+2 ") == F(200)
+    assert parse_fraction("1e4300") == 10 ** 4300
+    assert parse_fraction("-1e-4300") == F(-1, 10 ** 4300)
+
+
+@pytest.mark.parametrize("text", [
+    "1e3000000", "1e-3000000", "2.5E+3000000", "1e4301", "-1e-4301",
+    "1e" + "9" * 5000,
+])
+def test_decimal_exponent_beyond_the_digit_limit_is_refused(int_digits, text):
+    # Fraction would build a 10**|exp| integer first: 2 s at 3,000,000
+    int_digits(4300)
+    with pytest.raises(ValueError, match="^not a rational number: "):
+        parse_fraction(text)
+
+
+def test_the_exponent_bound_follows_the_digit_limit(int_digits):
+    int_digits(640)
+    with pytest.raises(ValueError, match="not a rational number"):
+        parse_fraction("1e641")
+    int_digits(0)  # no limit: nothing is refused
+    assert parse_fraction("1e4301") == 10 ** 4301
 
 
 # ---------------------------------------------------------------------------
