@@ -20,7 +20,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-from .order_complex import DiscPoint, ModelPoint, _check_den
+from .order_complex import DiscPoint, ModelPoint
 from .phase import Angle
 
 __all__ = [
@@ -47,6 +47,7 @@ ONE_F = Fraction(1)
 # the disc points named by the symbols 1 and -1 (frozen, so shared)
 _ONE_POINT = DiscPoint.of(1, 0)
 _MINUS_ONE_POINT = DiscPoint.of(1, HALF)
+_DEN = 16  # cells and chart intersections are sampled over 16ths
 
 
 class PLabel(Enum):
@@ -361,22 +362,21 @@ def _region(labs: Iterable[PLabel]) -> PLabel | frozenset | None:
 
 
 def _draw(regions: Sequence, charts: Sequence[CellLabel], rng: random.Random,
-          den: int, interior: bool = False, corner: bool = False) -> ModelPoint:
+          corner: bool = False) -> ModelPoint:
     """A rational point of the coordinate regions (from _region or symbols).
 
     The first pass draws the U parameters and picks the points, the
     second draws L and F, each in coordinate order.  A lower parameter
     stays below the upper one of every coordinate that is U in a chart
-    with L at it.  interior keeps every draw off the region's boundary;
-    corner draws nothing: the two points, U and L all take -1, and F
-    takes the centre.
+    with L at it.  Every draw is over 16ths; corner draws nothing: the
+    two points, U and L all take -1, and F takes the centre.
     """
-    lo, hi = (1, den - 1) if interior else (0, den)
+    den = _DEN
     coords: list = [None] * len(regions)
     ups = [0] * len(regions)  # upper parameters over den; 1 is 0, -1 is den
     for i, region in enumerate(regions):
         if region is PLabel.UPPER:
-            ups[i] = den if corner else rng.randint(lo, hi)
+            ups[i] = den if corner else rng.randint(0, den)
             coords[i] = DiscPoint(ONE_F, Angle(Fraction(ups[i], 2 * den)))
         elif region is _POINTS:
             ups[i] = den if corner else rng.choice((0, den))
@@ -391,29 +391,26 @@ def _draw(regions: Sequence, charts: Sequence[CellLabel], rng: random.Random,
             bound = min((ups[a] for x in charts if x[i] is PLabel.LOWER
                          for a, lab in enumerate(x) if lab is PLabel.UPPER),
                         default=den)
-            t = 0 if corner else bound * rng.randint(lo, hi)  # over den**2
+            t = 0 if corner else bound * rng.randint(0, den)  # over den**2
             coords[i] = DiscPoint(ONE_F, Angle(Fraction(den * den + t, 2 * den * den)))
         elif region is PLabel.FULL:
             if corner:
                 coords[i] = DiscPoint.center()
             else:
-                r = Fraction(rng.randint(0, den - 1 if interior else den), den)
+                r = Fraction(rng.randint(0, den), den)
                 coords[i] = DiscPoint(r, Angle(Fraction(rng.randint(0, den - 1), den)))
     return ModelPoint(tuple(coords))
 
 
-def bx_sample(
-    x: CellLabel, seed: int, interior: bool = False, den: int = 16
-) -> ModelPoint:
-    """A deterministic rational point of the cell (or of its interior).
+def bx_sample(x: CellLabel, seed: int) -> ModelPoint:
+    """A deterministic rational point of the closed cell, over 16ths.
 
     Different seeds walk different points; the same seed always returns
-    the same point.  den controls the denominator of the sampled
-    rationals.
+    the same point.
     """
-    _check_den(den, 2 if interior else 1)
-    rng = random.Random(f"bx:{format_cell_label(x)}:{seed}:{interior}:{den}")
-    return _draw(x.labels, (x,), rng, den, interior)
+    # the seed text still names the interior flag and grid: every stream repeats
+    rng = random.Random(f"bx:{format_cell_label(x)}:{seed}:False:16")
+    return _draw(x.labels, (x,), rng)
 
 
 def parse_cell_label(text: str) -> CellLabel:

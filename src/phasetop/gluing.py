@@ -34,7 +34,7 @@ from .cells import (
     pn_elements,
     ul_label,
 )
-from .order_complex import DiscPoint, ModelPoint, _check_den
+from .order_complex import DiscPoint, ModelPoint
 from .phase import Angle
 from .report import CheckResult, VerificationReport, run_check
 
@@ -174,9 +174,9 @@ def dimension_witness(f: GluingFamily) -> str | None:
 # ---------------------------------------------------------------------------
 
 def sample_charts_point(
-    charts: Sequence[CellLabel], seed: int, den: int = 16
+    charts: Sequence[CellLabel], seed: int
 ) -> Optional[ModelPoint]:
-    """A deterministic rational point lying in every given chart.
+    """A deterministic rational point, over 16ths, in every given chart.
 
     Coordinates are drawn inside the intersection of the per-coordinate
     regions, lower half-circle parameters are kept below the upper ones
@@ -188,7 +188,6 @@ def sample_charts_point(
     """
     if not charts:
         raise ValueError("charts must be a nonempty list of chart labels")
-    _check_den(den)
     n = len(charts[0])
     if any(len(x) != n for x in charts):
         raise ValueError("charts must share a length")
@@ -196,20 +195,20 @@ def sample_charts_point(
     if None in regions:
         return None
     key = ";".join(format_cell_label(c) for c in charts)
-    rng = random.Random(f"charts:{key}:{seed}:{den}")
+    rng = random.Random(f"charts:{key}:{seed}:16")
     for attempt in range(8):  # the last is the guaranteed-feasible corner
-        z = _draw(regions, charts, rng, den, corner=attempt == 7)
+        z = _draw(regions, charts, rng, corner=attempt == 7)
         if all(bx_member(x, z, "closed") for x in charts):
             return z
     return None
 
 
-def random_slice_point(rng: random.Random, n: int, den: int = 8) -> ModelPoint:
+def random_slice_point(rng: random.Random, n: int) -> ModelPoint:
     """A random rational point of the slice (last coordinate pinned).
 
-    Radii are biased toward 1 so the half-circle cells get hit.
+    Radii are biased toward 1 so the half-circle cells get hit; the rest
+    lie on eighths, and angles on sixteenths.
     """
-    _check_den(den)
     coords = []
     for _ in range(n - 1):
         roll = rng.random()
@@ -218,8 +217,8 @@ def random_slice_point(rng: random.Random, n: int, den: int = 8) -> ModelPoint:
         elif roll < 0.7:
             r = Fraction(0)
         else:
-            r = Fraction(rng.randint(0, den), den)
-        coords.append(DiscPoint(r, Angle(Fraction(rng.randint(0, 2 * den - 1), 2 * den))))
+            r = Fraction(rng.randint(0, 8), 8)
+        coords.append(DiscPoint(r, Angle(Fraction(rng.randint(0, 15), 16))))
     coords.append(_ONE_POINT)
     return ModelPoint(tuple(coords))
 

@@ -29,13 +29,10 @@ __all__ = [
 ]
 
 
-def _normalize_field(tag) -> str:
-    t = str(tag).lower()
-    if t in ("q", "rationals", "rational"):
-        return "q"
-    if t in ("f2", "gf2", "z2"):
-        return "f2"
-    raise ValueError(f"unknown coefficient field {tag!r}")
+def _check_field(tag) -> str:
+    if tag not in ("q", "f2"):
+        raise ValueError(f"unknown coefficient field {tag!r}")
+    return tag
 
 
 @dataclass(frozen=True)
@@ -261,7 +258,7 @@ def _betti_numbers(counts: Sequence[int], ranks: dict) -> tuple:
 
 def betti(K: SimplicialComplex, field="q") -> BettiReport:
     """Betti numbers of K in every dimension, by exact rank computation."""
-    tag = _normalize_field(field)
+    tag = _check_field(field)
     c = _chain_data(K)
     if not c.faces:
         return BettiReport(tag, (), 0)
@@ -359,7 +356,7 @@ def mayer_vietoris_assemble(ka: SimplicialComplex, kb: SimplicialComplex,
     of the union come from the long exact sequence, with the connecting
     ranks computed from mapped cycle representatives.
     """
-    tag = _normalize_field(field)
+    tag = _check_field(field)
     f2 = tag == "f2"
     ca, cb, ci = map(_chain_data, (ka, kb, kint))
     _check_inclusion(kint, ka, map_a)

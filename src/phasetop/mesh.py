@@ -71,8 +71,8 @@ class SimplicialComplex:
 
     vertices: list
     tops: list
-    _faces: Optional[dict] = field(default=None, repr=False)
-    _chains: Optional[object] = field(default=None, repr=False)
+    _faces: Optional[dict] = field(default=None, init=False, repr=False)
+    _chains: Optional[object] = field(default=None, init=False, repr=False)
 
     @property
     def dim(self) -> int:

@@ -13,7 +13,6 @@ rational radius r and angle a in turns ("0@0" is the disc center).
 
 from __future__ import annotations
 
-import functools
 import math
 import random
 from dataclasses import dataclass
@@ -268,65 +267,45 @@ def format_model_point(z: ModelPoint) -> str:
 # ---------------------------------------------------------------------------
 
 
-class _Grid(dict):
-    """The grid values k/den as (Fraction, Angle, Phase), keyed by k.
-
-    Each value is built on first use, so a large den costs only what is
-    drawn.  The values are frozen, so every draw shares them.
-    """
-
-    def __init__(self, den: int):
-        super().__init__()
-        self.den = den
-
-    def __missing__(self, k: int) -> tuple[Fraction, Angle, Phase]:
-        q = Fraction(k, self.den)
-        a = Angle(q)
-        v = self[k] = (q, a, Phase(a))
-        return v
+def _grid_value(k: int) -> tuple[Fraction, Angle, Phase]:
+    q = Fraction(k, _DEN)
+    a = Angle(q)
+    return q, a, Phase(a)
 
 
-@functools.lru_cache(maxsize=16)
-def _grid(den: int) -> _Grid:
-    return _Grid(den)
+# The sampling grid k/64 as (Fraction, Angle, Phase), keyed by k and built
+# once.  The values are frozen, so every draw shares them.
+_DEN = 64
+_GRID = tuple(_grid_value(k) for k in range(_DEN + 1))
 
 
-def _check_den(den: int, least: int = 1) -> None:
-    if den < least:
-        raise ValueError(f"den must be >= {least}, got {den}")
-
-
-def random_model_point(rng: random.Random, n: int, den: int = 64) -> ModelPoint:
-    """A random disc tuple with rational coordinates.
+def random_model_point(rng: random.Random, n: int) -> ModelPoint:
+    """A random disc tuple with coordinates on the grid k/64.
 
     Radii are biased toward the interesting boundary values 0 and 1 so
     level-set code paths get exercised.
     """
-    _check_den(den)
-    grid = _grid(den)
     coords = []
     for _ in range(n):
         roll = rng.random()
         if roll < 0.2:
             k = 0
         elif roll < 0.5:
-            k = den
+            k = _DEN
         else:
-            k = rng.randint(0, den)
-        coords.append(DiscPoint(grid[k][0], grid[rng.randint(0, den)][1]))
+            k = rng.randint(0, _DEN)
+        coords.append(DiscPoint(_GRID[k][0], _GRID[rng.randint(0, _DEN)][1]))
     return ModelPoint(tuple(coords))
 
 
-def random_join_point(rng: random.Random, n: int, den: int = 64) -> JoinPoint:
-    """A random canonical weighted chain on n coordinates."""
-    _check_den(den)
-    grid = _grid(den)
+def random_join_point(rng: random.Random, n: int) -> JoinPoint:
+    """A random canonical weighted chain on n coordinates, phases on k/64."""
     # pick a strictly increasing flag of supports
     order = list(range(n))
     rng.shuffle(order)
     depth = rng.randint(1, n)
     cuts = sorted(rng.sample(range(1, n + 1), depth))
-    phases = [grid[rng.randint(0, den)][2] for _ in range(n)]
+    phases = [_GRID[rng.randint(0, _DEN)][2] for _ in range(n)]
     entries = [ZERO] * n
     vectors = []
     done = 0
@@ -338,7 +317,7 @@ def random_join_point(rng: random.Random, n: int, den: int = 64) -> JoinPoint:
     if rng.random() < 0.3:
         vectors.insert(0, PhaseVector((ZERO,) * n))
     # positive rational weights summing to 1
-    raw = [rng.randint(1, den) for _ in vectors]
+    raw = [rng.randint(1, _DEN) for _ in vectors]
     total = sum(raw)
     weights = [Fraction(r, total) for r in raw]
     return JoinPoint(tuple(zip(weights, vectors)))

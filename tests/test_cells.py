@@ -242,13 +242,39 @@ def test_bx_member_fixed_and_disc_coords():
     assert not bx_member(x, z4, "closed")
 
 
+def reference_bx_sample(x, seed, interior=False, den=16):
+    """The cell sampler as it was when it took the interior flag and the
+    grid: the same seed text and rng calls.  interior draws every U and
+    L parameter in (0, 1) and every F radius below 1."""
+    rng = random.Random(f"bx:{format_cell_label(x)}:{seed}:{interior}:{den}")
+    lo, hi = (1, den - 1) if interior else (0, den)
+    ups = {i: rng.randint(lo, hi) for i, lab in enumerate(x)
+           if lab is PLabel.UPPER}
+    bound = min(ups.values(), default=den)  # L stays below every U
+    coords = []
+    for i, lab in enumerate(x):
+        if lab is PLabel.ONE:
+            coords.append(DiscPoint.of(1, 0))
+        elif lab is PLabel.MINUS_ONE:
+            coords.append(DiscPoint.of(1, F(1, 2)))
+        elif lab is PLabel.UPPER:
+            coords.append(DiscPoint.of(1, F(ups[i], 2 * den)))
+        elif lab is PLabel.LOWER:
+            t = bound * rng.randint(lo, hi)
+            coords.append(DiscPoint.of(1, F(den * den + t, 2 * den * den)))
+        else:
+            coords.append(DiscPoint.of(F(rng.randint(0, hi), den),
+                                       F(rng.randint(0, den - 1), den)))
+    return ModelPoint(tuple(coords))
+
+
 def test_bx_sample_satisfies_membership():
     for n in (3, 4):
         for x in pn_elements(n):
             for seed in range(5):
                 z = bx_sample(x, seed)
                 assert bx_member(x, z, "closed")
-                zi = bx_sample(x, seed, interior=True)
+                zi = reference_bx_sample(x, seed, interior=True)
                 assert bx_member(x, zi, "closed")
                 assert bx_member(x, zi, "interior")
 
@@ -379,11 +405,21 @@ def test_symbol_region_matches_brute_force_intersections():
 
 
 def test_bx_sample_stream_is_pinned():
-    text = "\n".join(str(bx_sample(x, s, i)) for n in (3, 4)
-                     for x in pn_elements(n) for s in range(5)
+    # closed draws from bx_sample, interior ones from the reference form
+    text = "\n".join(str(reference_bx_sample(x, s, True) if i else bx_sample(x, s))
+                     for n in (3, 4) for x in pn_elements(n) for s in range(5)
                      for i in (False, True))
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "06bc19d38526d0a00fb4808db5d8bca1a64fb8da3b0042c6d7a133115d2cec98")
+
+
+def test_closed_bx_sample_stream_is_pinned():
+    # digest taken from bx_sample when it still took interior and den
+    points = [(x, s) for n in (3, 4) for x in pn_elements(n) for s in range(5)]
+    text = "\n".join(str(bx_sample(x, s)) for x, s in points)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "af81da3af95ba85ddf2396ab04ceea8dff47aadc1422a750f42943b90ad778ec")
+    assert text == "\n".join(str(reference_bx_sample(x, s)) for x, s in points)
 
 
 # ---------------------------------------------------------------------------
@@ -463,8 +499,8 @@ def test_bx_member_matches_the_reference_on_mixed_denominators(n):
     for _ in range(1500):
         x = rng.choice(elems)
         # start from a point of the cell, then move a few coordinates
-        coords = list(bx_sample(x, rng.randrange(10**6),
-                                den=rng.choice([3, 16, 999_983])).coords)
+        coords = list(reference_bx_sample(
+            x, rng.randrange(10**6), den=rng.choice([3, 16, 999_983])).coords)
         for _ in range(rng.randint(0, 2)):
             i = rng.randrange(n)
             c = coords[i]

@@ -256,10 +256,15 @@ def test_circle_and_disc():
 
 def test_field_tags():
     K = circle()
-    assert betti(K, "rationals").field == "q"
-    assert betti(K, "GF2").field == "f2"
-    with pytest.raises(ValueError):
-        betti(K, "f3")
+    assert betti(K, "q").field == "q"
+    assert betti(K, "f2").field == "f2"
+    # only the two tags: no aliases, no case folding
+    for tag in ("f3", "rationals", "rational", "gf2", "z2", "Q", "F2", None):
+        with pytest.raises(ValueError, match="unknown coefficient field"):
+            betti(K, tag)
+        with pytest.raises(ValueError, match="unknown coefficient field"):
+            mayer_vietoris_assemble(K, K, K, {0: 0, 1: 1, 2: 2},
+                                    {0: 0, 1: 1, 2: 2}, tag)
 
 
 def test_report_rendering():

@@ -100,6 +100,18 @@ def test_slice_codim1_incidence(slice32, slice42):
         assert any(c == 1 for c in inc.values())  # the slice has boundary
 
 
+def test_complex_caches_are_not_constructor_arguments():
+    tri = SimplicialComplex(["a", "b", "c"], [(0, 1, 2)])
+    assert tri._faces is None and tri._chains is None
+    assert repr(tri) == "SimplicialComplex(vertices=['a', 'b', 'c'], tops=[(0, 1, 2)])"
+    with pytest.raises(TypeError):
+        SimplicialComplex(["a"], [(0,)], {0: {(0,)}})
+    for name in ("_faces", "_chains"):
+        with pytest.raises(TypeError):
+            SimplicialComplex(["a"], [(0,)], **{name: None})
+    assert tri.faces() is tri._faces  # filled on first use
+
+
 def test_boundary_of_triangle():
     tri = SimplicialComplex(["a", "b", "c"], [(0, 1, 2)])
     B = boundary_subcomplex(tri)

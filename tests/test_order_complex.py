@@ -12,7 +12,7 @@ from phasetop.covectors import (
     support,
 )
 from phasetop.order_complex import (
-    _grid,
+    _GRID,
     DiscPoint,
     JoinPoint,
     ModelPoint,
@@ -33,6 +33,22 @@ F = Fraction
 
 def MP(*pairs):
     return ModelPoint.of(pairs)
+
+
+def model_point_over(rng, n, den):
+    """random_model_point's draw over k/den in place of k/64: the same
+    rng calls, radii biased toward 0 and 1."""
+    coords = []
+    for _ in range(n):
+        roll = rng.random()
+        if roll < 0.2:
+            k = 0
+        elif roll < 0.5:
+            k = den
+        else:
+            k = rng.randint(0, den)
+        coords.append(DiscPoint.of(F(k, den), F(rng.randint(0, den), den)))
+    return ModelPoint(tuple(coords))
 
 
 def test_disc_point_center_is_canonical():
@@ -146,7 +162,7 @@ def test_delta_member_rotation_invariant():
     ones = all_ones(3)
     hits = 0
     for _ in range(300):
-        z = random_model_point(rng, 3, den=8)
+        z = model_point_over(rng, 3, 8)
         y = Angle(Fraction(rng.randint(0, 7), 8))
         a = delta_member(ones, z)
         assert a == delta_member(ones, rotate(y, z))
@@ -159,7 +175,7 @@ def test_rescale_model_transports_membership():
     v = PhaseVector.of(["1/8", "3/8", "3/4"])
     ones = all_ones(3)
     for _ in range(200):
-        z = random_model_point(rng, 3, den=8)
+        z = model_point_over(rng, 3, 8)
         assert delta_member(v, z) == delta_member(ones, rescale_model(v, z))
     with pytest.raises(ValueError):
         rescale_model(PhaseVector.of([None, 0, 0]), random_model_point(rng, 3))
@@ -194,7 +210,7 @@ def test_delta_member_matches_the_level_set_reference(n):
     for v in (all_ones(n), twisted):
         seen = set()
         for _ in range(500):
-            z = random_model_point(rng, n, den=8)
+            z = model_point_over(rng, n, 8)
             got = delta_member(v, z)
             assert got == reference_delta_member(v, z), (str(v), str(z))
             seen.add(got)
@@ -386,31 +402,33 @@ def test_gamma_sampler_streams_are_pinned():
 
 
 @pytest.mark.parametrize("den, digest", [
-    (1, "76f7c047e000be69c9c25253283a28601aaae0ab8b206ee2ca60f6b8a183293d"),
-    (7, "3694c3eefe07291a779aeb0cabe51ed1640360c02ba1e2d9929a7e6464d962e8"),
     (64, "d214e54cf8de8724b1109c9cfb52ea3a6473562eeecb74e9d5d3ed355fa7abe2"),
 ])
 def test_sampler_draws_are_pinned_at_every_den(den, digest):
-    # digests taken from the samplers that built each value per draw; den = 1
-    # draws only the grid ends k = 0 and k = den
+    # taken from the samplers that built each value per draw, when they
+    # took the grid as an argument; 64 is the grid they keep
     h = hashlib.sha256()
     for n in range(1, 7):
         rng = random.Random(f"draw-pin:{den}:{n}")
         for _ in range(200):
-            h.update(repr(random_model_point(rng, n, den)).encode())
-            h.update(repr(random_join_point(rng, n, den)).encode())
+            h.update(repr(random_model_point(rng, n)).encode())
+            h.update(repr(random_join_point(rng, n)).encode())
     assert h.hexdigest() == digest
 
 
-@pytest.mark.parametrize("den", [1, 2, 7, 64, 10**9])
-def test_grid_table_entries_are_the_fresh_values(den):
-    grid = _grid(den)
-    assert _grid(den) is grid
-    ks = range(den + 1) if den <= 64 else (0, 1, 2, den // 2, den - 1, den)
-    for k in ks:
-        q, a, p = grid[k]
-        assert type(q) is Fraction and q == Fraction(k, den)
-        assert a == Angle(Fraction(k, den)) and 0 <= a.turns < 1
-        assert p == Phase(Angle(Fraction(k, den))) and p.angle is a
-        assert grid[k][0] is q  # built once
-    assert len(grid) == len(ks)  # only the values asked for are built
+def test_grid_table_entries_are_the_fresh_values():
+    assert len(_GRID) == 65
+    for k, (q, a, p) in enumerate(_GRID):
+        assert type(q) is Fraction and q == Fraction(k, 64)
+        assert a == Angle(Fraction(k, 64)) and 0 <= a.turns < 1
+        assert p == Phase(Angle(Fraction(k, 64))) and p.angle is a
+
+
+def test_model_point_sampler_is_the_draw_over_64ths():
+    for n in range(1, 7):
+        rng, twin = random.Random(f"over-64:{n}"), random.Random(f"over-64:{n}")
+        for _ in range(200):
+            z = random_model_point(rng, n)
+            assert z == model_point_over(twin, n, 64)
+            # every radius is the table's value, shared and not rebuilt
+            assert all(any(c.radius is q for q, _, _ in _GRID) for c in z)

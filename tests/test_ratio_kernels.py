@@ -199,14 +199,40 @@ def model_points(draw, max_n=6):
         for _ in range(n)))
 
 
+def join_point_over(rng, n, den):
+    """random_join_point's draw over k/den in place of k/64: the same rng
+    calls, phases k/den and raw weights in [1, den]."""
+    order = list(range(n))
+    rng.shuffle(order)
+    cuts = sorted(rng.sample(range(1, n + 1), rng.randint(1, n)))
+    phases = [Phase(Angle(F(rng.randint(0, den), den))) for _ in range(n)]
+    entries = [ZERO] * n
+    vectors = []
+    for lo, hi in zip([0] + cuts, cuts):
+        for j in order[lo:hi]:
+            entries[j] = phases[j]
+        vectors.append(PhaseVector(tuple(entries)))
+    if rng.random() < 0.3:
+        vectors.insert(0, PhaseVector((ZERO,) * n))
+    raw = [rng.randint(1, den) for _ in vectors]
+    return JoinPoint(tuple((F(r, sum(raw)), x) for r, x in zip(raw, vectors)))
+
+
 @st.composite
 def join_points(draw):
     """The chain of a drawn model point, or a seeded sampler draw."""
     if draw(st.booleans()):
         return JoinPoint(reference_model_to_join_terms(draw(model_points())))
     rng = random.Random(draw(st.integers(0, 10**6)))
-    return random_join_point(rng, draw(st.integers(1, 6)),
-                             draw(st.sampled_from([1, 2, 7, 64, 10**9])))
+    return join_point_over(rng, draw(st.integers(1, 6)),
+                           draw(st.sampled_from([1, 2, 7, 64, 10**9])))
+
+
+def test_join_point_sampler_is_the_draw_over_64ths():
+    for n in range(1, 7):
+        rng, twin = random.Random(f"over-64:{n}"), random.Random(f"over-64:{n}")
+        for _ in range(200):
+            assert random_join_point(rng, n) == join_point_over(twin, n, 64)
 
 
 SPECIAL_MODEL_POINTS = [
