@@ -416,12 +416,23 @@ def test_sampler_draws_are_pinned_at_every_den(den, digest):
     assert h.hexdigest() == digest
 
 
-def test_grid_table_entries_are_the_fresh_values():
+@pytest.mark.parametrize("den", [1, 2, 7, 64, 10**9])
+def test_grid_table_entries_are_the_fresh_values(den):
+    # each k/den that lies on the 64ths is the table's entry there; den = 64
+    # walks the whole table
     assert len(_GRID) == 65
-    for k, (q, a, p) in enumerate(_GRID):
-        assert type(q) is Fraction and q == Fraction(k, 64)
-        assert a == Angle(Fraction(k, 64)) and 0 <= a.turns < 1
-        assert p == Phase(Angle(Fraction(k, 64))) and p.angle is a
+    ks = range(den + 1) if den <= 64 else (0, 1, 2, den // 2, den - 1, den)
+    hits = 0
+    for k in ks:
+        r = Fraction(k, den)
+        if (r * 64).denominator != 1:
+            continue
+        q, a, p = _GRID[int(r * 64)]
+        assert type(q) is Fraction and q == r
+        assert a == Angle(r) and 0 <= a.turns < 1
+        assert p == Phase(Angle(r)) and p.angle is a
+        hits += 1
+    assert hits == (65 if den == 64 else 2 if den in (1, 7) else 3)
 
 
 def test_model_point_sampler_is_the_draw_over_64ths():
