@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 from .order_complex import DiscPoint, ModelPoint
-from .phase import Angle
+from .phase import Angle, value_type
 
 __all__ = [
     "PLabel",
@@ -82,6 +82,7 @@ def p_leq(a: PLabel, b: PLabel) -> bool:
     return a == b or a in _BELOW[b]
 
 
+@value_type
 @dataclass(frozen=True, slots=True)
 class CellLabel:
     """An admissible cell label: a tuple of symbols passing in_pn."""

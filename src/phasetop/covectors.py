@@ -29,6 +29,7 @@ from .phase import (
     parse_fraction,
     sign_hyper_sum_list,
     sign_mul,
+    value_type,
 )
 
 __all__ = [
@@ -51,6 +52,7 @@ __all__ = [
     "sign_leq_vec",
 ]
 
+@value_type
 @dataclass(frozen=True, slots=True)
 class PhaseVector:
     """A tuple of tropical phase hyperfield elements."""
@@ -90,7 +92,7 @@ def all_ones(n: int) -> PhaseVector:
 
 def support(x: PhaseVector) -> tuple[int, ...]:
     """1-based indices of the nonzero entries."""
-    return tuple(i + 1 for i, e in enumerate(x) if not e.is_zero)
+    return tuple(i + 1 for i, e in enumerate(x.entries) if e.angle is not None)
 
 
 def _spans_half(ticks: Sequence[int], whole: int) -> bool:
@@ -99,11 +101,12 @@ def _spans_half(ticks: Sequence[int], whole: int) -> bool:
     The empty sum contains zero.  Otherwise zero appears exactly when
     the largest gap g between cyclically consecutive angles satisfies
     2g <= whole, i.e. the minimal enclosing arc is at least half a turn.
-    One angle, however often repeated, leaves a gap of a whole turn.
+    One angle, however often repeated, leaves a gap of a whole turn, and
+    a repeat adds only a gap of 0.
     """
     if not ticks:
         return True
-    s = sorted(set(ticks))
+    s = sorted(ticks)
     gap = max([whole + s[0] - s[-1], *map(operator.sub, s[1:], s)])
     return 2 * gap <= whole
 
@@ -127,8 +130,9 @@ def zero_in_sum(xs: Sequence[Phase]) -> bool:
     when the nonzero angles cannot fit in an open half-circle, i.e.
     their minimal enclosing arc has length >= 1/2 turn.
     """
-    ticks, whole = _tick_scale(xs)
-    return _spans_half([t for t in ticks if t is not None], whole)
+    ratios = [(e.angle.num, e.angle.den) for e in xs if e.angle is not None]
+    whole = math.lcm(*[den for _, den in ratios])
+    return _spans_half([num * (whole // den) for num, den in ratios], whole)
 
 
 def is_covector(v: PhaseVector, x: PhaseVector) -> bool:
@@ -156,10 +160,23 @@ def find_zero_triple(x: PhaseVector) -> tuple[int, int, int] | None:
     long; zero entries inside a triple are harmless filler.
     """
     ticks, whole = _tick_scale(x)
-    for triple in itertools.combinations(range(len(x)), 3):
-        if _spans_half([ticks[i] for i in triple if ticks[i] is not None],
-                       whole):
-            return tuple(i + 1 for i in triple)
+    for (i, a), (j, b), (k, c) in itertools.combinations(enumerate(ticks), 3):
+        if a is None or b is None or c is None:
+            rest = [t for t in (a, b, c) if t is not None]
+            if not rest:
+                return i + 1, j + 1, k + 1
+            # a zero adds nothing to the sum, just as a repeated angle does
+            a, b, c = rest[0], rest[-1], rest[-1]
+        if a > b:  # sort the three ticks: a <= b <= c
+            a, b = b, a
+        if b > c:
+            b, c = c, b
+        if a > b:
+            a, b = b, a
+        # zero is in the sum when no gap between the angles exceeds half a
+        # turn: the gaps are b - a, c - b and the wrap-around whole - (c - a)
+        if 2 * (b - a) <= whole and 2 * (c - b) <= whole <= 2 * (c - a):
+            return i + 1, j + 1, k + 1
     return None
 
 

@@ -20,7 +20,8 @@ from fractions import Fraction
 from typing import Iterable
 
 from .covectors import PhaseVector, support, zero_in_sum
-from .phase import Angle, Phase, ZERO, _over_lcm, format_fraction, parse_fraction
+from .phase import (Angle, Phase, ZERO, _over_lcm, format_fraction,
+                    parse_fraction, value_type)
 
 __all__ = [
     "DiscPoint",
@@ -38,6 +39,7 @@ __all__ = [
 ]
 
 
+@value_type
 @dataclass(frozen=True, order=True, slots=True)
 class DiscPoint:
     """A point of the closed unit disc in polar form (radius, angle).
@@ -79,6 +81,7 @@ class DiscPoint:
 _CENTER = DiscPoint.center()  # frozen, so shared
 
 
+@value_type
 @dataclass(frozen=True, slots=True)
 class ModelPoint:
     """A tuple of disc points: the disc model of an order-complex point."""
@@ -99,6 +102,7 @@ class ModelPoint:
         return format_model_point(self)
 
 
+@value_type
 @dataclass(frozen=True, slots=True)
 class JoinPoint:
     """A weighted chain: the join-coordinate form of an order-complex point.

@@ -17,7 +17,7 @@ import itertools
 import math
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -38,6 +38,7 @@ __all__ = [
     "format_fraction",
 ]
 
+NIL = Fraction(0)
 HALF = Fraction(1, 2)
 ONE = Fraction(1)
 
@@ -53,6 +54,29 @@ def _over_lcm(qs: Sequence) -> tuple[list, int]:
     return [a * (d // b) for a, b in ratios], d
 
 
+def _refuse_setattr(self, name, value):
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _refuse_delattr(self, name):
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+def value_type(cls):
+    """Make a frozen, slotted dataclass refuse every assignment alike.
+
+    The frozen __setattr__/__delattr__ that dataclasses generates close
+    over the class before slots were added, so on the slotted copy a name
+    that is not a field fell through to super() and raised TypeError.
+    These raise FrozenInstanceError for any name, as a frozen dataclass
+    without slots does.
+    """
+    cls.__setattr__ = _refuse_setattr
+    cls.__delattr__ = _refuse_delattr
+    return cls
+
+
+@value_type
 @dataclass(frozen=True, order=True, slots=True)
 class Angle:
     """A point on the circle, measured in turns and reduced mod 1.
@@ -91,6 +115,10 @@ class Angle:
         return format_fraction(self.turns)
 
 
+ORIGIN = Angle(NIL)  # the angle 0, shared by every full-circle arc
+
+
+@value_type
 @dataclass(frozen=True, slots=True)
 class Phase:
     """An element of the tropical phase hyperfield: an angle, or zero.
@@ -103,7 +131,7 @@ class Phase:
 
     @staticmethod
     def of(turns) -> "Phase":
-        return Phase(Angle(Fraction(turns)))
+        return Phase(Angle(turns))
 
     @staticmethod
     def zero() -> "Phase":
@@ -129,6 +157,7 @@ class Phase:
 ZERO = Phase(None)
 
 
+@value_type
 @dataclass(frozen=True, order=True, slots=True)
 class Arc:
     """A closed arc of the circle: start angle plus nonnegative length.
@@ -147,7 +176,7 @@ class Arc:
         if num < 0:
             raise ValueError("arc length must be nonnegative")
         if num >= self.length.denominator:
-            object.__setattr__(self, "start", Angle(Fraction(0)))
+            object.__setattr__(self, "start", ORIGIN)
             object.__setattr__(self, "length", ONE)
 
     @property
@@ -169,6 +198,7 @@ class Arc:
         return f"[{self.start}, {self.end()}]"
 
 
+@value_type
 @dataclass(frozen=True, slots=True)
 class PhaseSet:
     """A finite union of closed arcs, optionally together with zero.
@@ -182,13 +212,15 @@ class PhaseSet:
 
     @staticmethod
     def just_zero() -> "PhaseSet":
-        return PhaseSet(True, ())
+        """The set {0}: the one shared frozen `JUST_ZERO`, which refuses
+        assignment with FrozenInstanceError like every value type."""
+        return JUST_ZERO
 
     @staticmethod
     def point(p: Phase) -> "PhaseSet":
         if p.is_zero:
-            return PhaseSet.just_zero()
-        return PhaseSet(False, (Arc(p.angle, Fraction(0)),))
+            return JUST_ZERO
+        return PhaseSet(False, (Arc(p.angle, NIL),))
 
     @property
     def is_full_circle(self) -> bool:
@@ -224,6 +256,10 @@ class PhaseSet:
         return "{" + ", ".join(parts) + "}"
 
 
+JUST_ZERO = PhaseSet(True, ())
+EVERYTHING = PhaseSet(True, (Arc(ORIGIN, ONE),))  # S^1 together with zero
+
+
 def mul(a: Phase, b: Phase) -> Phase:
     """Hyperfield multiplication: rotation, with zero absorbing."""
     if a.is_zero or b.is_zero:
@@ -249,16 +285,21 @@ def hyper_sum_list(xs: Sequence[Phase]) -> PhaseSet:
     from then on it is the whole circle together with zero.  Angles are
     ticks over D, the lcm of their denominators and 2, so p + D // 2 is
     the exact antipode of p.
+
+    The result may be a shared frozen set: the two fixed results, {0}
+    and {S^1, 0}, are `JUST_ZERO` and `EVERYTHING`, and only a proper arc
+    is built fresh.  Every value type refuses assignment with
+    FrozenInstanceError, so no caller can change a shared result.
     """
     angles = [x.angle for x in xs if x.angle is not None]
     if not angles:
-        return PhaseSet.just_zero()
+        return JUST_ZERO
     d = math.lcm(2, *[a.den for a in angles])
     ticks = [a.num * (d // a.den) for a in angles]
     half, start, length = d // 2, ticks[0], 0
     for p in ticks[1:]:
         if (p + half - start) % d <= length:
-            return PhaseSet(True, (Arc(Angle(Fraction(0)), ONE),))
+            return EVERYTHING
         off = (p - start) % d
         if off <= length:
             continue
@@ -281,10 +322,10 @@ def min_enclosing_arc(angles: Sequence[Angle]) -> Arc:
     The answer is the full circle only for the empty input (by convention).
     """
     if not angles:
-        return Arc(Angle(Fraction(0)), ONE)
+        return Arc(ORIGIN, ONE)
     pts = sorted(set(a.turns for a in angles))
     if len(pts) == 1:
-        return Arc(Angle(pts[0]), Fraction(0))
+        return Arc(Angle(pts[0]), NIL)
     n = len(pts)
     best: Arc | None = None
     for i in range(n):

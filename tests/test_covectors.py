@@ -281,3 +281,14 @@ def test_find_zero_triple_is_the_first_oracle_triple(xs):
 def test_find_zero_triple_is_the_first_oracle_triple_on_the_grid():
     for x in enumerate_covectors("phase", 5, 4):
         assert find_zero_triple(x) == oracle_triple(x)
+
+
+@pytest.mark.parametrize("m", [3, 4])
+def test_find_zero_triple_is_the_first_oracle_triple_on_every_grid_vector(m):
+    # covectors or not, all-zero and one-angle triples included; on the
+    # odd grid no two angles are antipodal
+    alphabet = [ZERO] + [Phase.of(F(k, m)) for k in range(m)]
+    for n in (3, 4, 5):
+        for c in itertools.product(alphabet, repeat=n):
+            x = PhaseVector(c)
+            assert find_zero_triple(x) == oracle_triple(x), x

@@ -8,8 +8,12 @@ from hypothesis import given, settings, strategies as st
 
 from phasetop.covectors import _phase_alphabet
 from phasetop.phase import (
+    EVERYTHING,
     HALF,
+    JUST_ZERO,
+    NIL,
     ONE,
+    ORIGIN,
     _mod1,
     Angle,
     Arc,
@@ -108,6 +112,39 @@ def test_hyper_sum_list_with_zeros_and_empty():
     assert hyper_sum_list([ZERO, ZERO]) == PhaseSet.just_zero()
     s = hyper_sum_list([ZERO, P("1/3"), ZERO])
     assert s.phases() == [P("1/3")]
+
+
+def test_fixed_sums_are_shared_frozen_values():
+    assert EVERYTHING == PhaseSet(True, (Arc(Angle(0), 1),))
+    assert str(EVERYTHING) == "{S^1, z}" and str(JUST_ZERO) == "{z}"
+    assert JUST_ZERO == PhaseSet(True, ())
+    assert PhaseSet.just_zero() is JUST_ZERO
+    assert PhaseSet.point(ZERO) is JUST_ZERO
+    assert hyper_sum_list([]) is JUST_ZERO
+    assert hyper_sum_list((ZERO, ZERO)) is JUST_ZERO
+    assert hyper_sum_list([P(0), P("1/2")]) is EVERYTHING
+    assert hyper_sum_list([P("1/3"), ZERO, P("1/6"), P("5/6")]) is EVERYTHING
+    assert hyper_sum(P("1/7"), -P("1/7")) is EVERYTHING
+    # a proper arc is built fresh each time
+    assert hyper_sum_list([P(0)]) is not hyper_sum_list([P(0)])
+    # every full-circle arc starts at the one shared angle 0
+    assert Arc(Angle(F(1, 3)), F(5, 4)).start is ORIGIN
+    assert EVERYTHING.arcs[0].start is ORIGIN and ORIGIN.turns is NIL
+    assert PhaseSet.point(P("1/5")).arcs[0].length is NIL
+
+
+@pytest.mark.parametrize("turns", [
+    0, 3, -1, F(1, 3), F(7, 3), F(-1, 4), "5/6", "-1/6", 0.75, F(0),
+])
+def test_phase_of_builds_one_angle_from_any_rational(turns):
+    p = Phase.of(turns)
+    assert p == Phase(Angle(F(turns)))
+    assert (p.angle.num, p.angle.den) == (F(turns) % 1).as_integer_ratio()
+
+
+def test_phase_of_keeps_a_reduced_fraction_as_given():
+    q = F(2, 7)
+    assert Phase.of(q).angle.turns is q
 
 
 def test_hyper_sum_list_order_independent():
@@ -247,15 +284,49 @@ def reference_hyper_sum_list(xs):
     return acc
 
 
+def _reference_fold_step(acc, p):
+    """One step of `reference_hyper_sum_list`; acc is None before the
+    first nonzero term."""
+    if p.is_zero:
+        return acc
+    if acc is None:
+        return PhaseSet.point(p)
+    if acc.is_full_circle and acc.contains_zero:
+        return acc  # absorbing state
+    return _reference_arc_plus_point(acc, p)
+
+
+def reference_prefix_folds(alphabet, max_n):
+    """Each xs in product(alphabet, repeat=n), n = 1..max_n, with its
+    reference sum.  The fold of xs extends the fold of xs[:-1] by one
+    step, so each prefix is folded once; in product order, the i-th xs
+    of length n has the (i // len(alphabet))-th xs of length n - 1 as
+    its prefix."""
+    folds = [None]
+    for n in range(1, max_n + 1):
+        walk = list(itertools.product(alphabet, repeat=n))
+        folds = [_reference_fold_step(folds[i // len(alphabet)], xs[-1])
+                 for i, xs in enumerate(walk)]
+        for xs, acc in zip(walk, folds):
+            yield xs, PhaseSet.just_zero() if acc is None else acc
+
+
+@pytest.mark.parametrize("m", [2, 4])
+def test_prefix_folds_are_the_reference_fold(m):
+    count = 0
+    for xs, want in reference_prefix_folds(_phase_alphabet(m), 5):
+        assert want == reference_hyper_sum_list(xs), xs
+        count += 1
+    assert count == sum((m + 1) ** n for n in range(1, 6))
+
+
 def test_hyper_sum_list_matches_the_reference_on_the_oracle_domain():
     # the inputs of the lemma-zero-oracle suite: m in {2, 4, 6, 8}, n <= 5
     count = 0
     for m in (2, 4, 6, 8):
-        alphabet = _phase_alphabet(m)
-        for n in range(1, 6):
-            for xs in itertools.product(alphabet, repeat=n):
-                assert hyper_sum_list(xs) == reference_hyper_sum_list(xs), xs
-                count += 1
+        for xs, want in reference_prefix_folds(_phase_alphabet(m), 5):
+            assert hyper_sum_list(xs) == want, xs
+            count += 1
     assert count == 90304
 
 
