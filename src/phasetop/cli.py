@@ -31,7 +31,6 @@ from .cells import (
 )
 from .gluing import verify_slice_claims
 from .mesh import (
-    MeshValidityError,
     assemble_full,
     assemble_slice,
     boundary_subcomplex,
@@ -49,7 +48,7 @@ class _Main(click.Group):
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except (ValueError, MeshValidityError, OSError) as exc:
+        except (ValueError, OSError) as exc:
             raise click.ClickException(str(exc)) from exc
 
 

@@ -10,14 +10,13 @@ subcomplex, used as a cross-check of the direct computation.
 from __future__ import annotations
 
 import itertools
-from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from math import gcd
 from typing import Callable, Sequence
 
-from .mesh import SimplicialComplex, _top_keys
+from .mesh import SimplicialComplex
 
 __all__ = [
     "BettiReport",
@@ -156,56 +155,8 @@ def _divide_content(col: dict, comb) -> None:
                 vec[r] //= g
 
 
-def _validate(K: SimplicialComplex):
-    nv = len(K.vertices)
-    if len(set(K.vertices)) != nv:
-        raise ValueError("complex repeats a vertex")
-    for t in K.tops:
-        if len(set(t)) != len(t) or any(i < 0 or i >= nv for i in t):
-            raise ValueError(f"bad simplex {t}")
-    _top_keys(K.tops)
-
-
-class _Chains:
-    """The chain groups of one complex and its boundary maps.
-
-    faces[d] lists the d-simplices in sorted order, the basis of the
-    d-chains.  rows[d] holds the d + 1 facet indices of each d-simplex
-    in that order, flat in one array, in `combinations` order: the last
-    vertex is dropped first.  rows[0] is empty.
-    """
-
-    __slots__ = ("faces", "rows")
-
-    def __init__(self, faces: list, rows: list):
-        self.faces, self.rows = faces, rows
-
-    def count(self, d: int) -> int:
-        return len(self.faces[d]) if 0 <= d < len(self.faces) else 0
-
-
-def _chain_data(K: SimplicialComplex) -> _Chains:
-    """K's chain data, validated and built on the first call, then kept."""
-    if K._chains is None:
-        K._chains = _build_chains(K)
-    return K._chains
-
-
-def _build_chains(K: SimplicialComplex) -> _Chains:
-    _validate(K)
-    by_dim = K.faces()
-    faces = [sorted(by_dim[d]) for d in range(len(by_dim))]
-    rows = [array("i")]
-    for d in range(1, len(faces)):
-        # the index of the faces below is needed only while rows[d] is made
-        index = {s: i for i, s in enumerate(faces[d - 1])}
-        facets = itertools.chain.from_iterable(
-            map(itertools.combinations, faces[d], itertools.repeat(d)))
-        rows.append(array("i", map(index.__getitem__, facets)))
-    return _Chains(faces, rows)
-
-
-def _boundary_columns(parts: Sequence[_Chains], d: int, f2: bool, skip=()):
+def _boundary_columns(parts: Sequence[SimplicialComplex], d: int, f2: bool,
+                      skip=()):
     """(index, column) of each d-simplex whose index is not in skip.
 
     The simplices are those of the disjoint union of parts: each part's
@@ -217,21 +168,22 @@ def _boundary_columns(parts: Sequence[_Chains], d: int, f2: bool, skip=()):
     # sign (-1)^i, so the signs run from i = d down to 0
     signs = ((1, -1) * (d // 2 + 1))[d::-1]
     j = shift = 0
-    for c in parts:
+    for K in parts:
+        faces, rows = K.faces(), K.facet_rows()
         if d:
-            cols = zip(*[iter(c.rows[d] if d < len(c.rows) else ())] * (d + 1))
+            cols = zip(*[iter(rows[d] if d < len(rows) else ())] * (d + 1))
         else:
-            cols = itertools.repeat((), c.count(0))
-        for faces in cols:
+            cols = itertools.repeat((), len(faces.get(0, ())))
+        for facets in cols:
             if j not in skip:
                 if shift:
-                    faces = [r + shift for r in faces]
-                yield j, set(faces) if f2 else dict(zip(faces, signs))
+                    facets = [r + shift for r in facets]
+                yield j, set(facets) if f2 else dict(zip(facets, signs))
             j += 1
-        shift += c.count(d - 1)
+        shift += len(faces.get(d - 1, ()))
 
 
-def _reductions(parts: Sequence[_Chains], f2: bool, top: int,
+def _reductions(parts: Sequence[SimplicialComplex], f2: bool, top: int,
                 log: bool = False):
     """Reduce the boundary maps of the union of parts from top down to 0.
 
@@ -259,13 +211,13 @@ def _betti_numbers(counts: Sequence[int], ranks: dict) -> tuple:
 def betti(K: SimplicialComplex, field="q") -> BettiReport:
     """Betti numbers of K in every dimension, by exact rank computation."""
     tag = _check_field(field)
-    c = _chain_data(K)
-    if not c.faces:
+    faces = K.faces()
+    if not faces:
         return BettiReport(tag, (), 0)
     ranks = {d: len(eng.pivots)
-             for d, eng in _reductions((c,), tag == "f2", len(c.faces) - 1)}
-    return BettiReport(tag, _betti_numbers(list(map(len, c.faces)), ranks),
-                       euler_characteristic(K))
+             for d, eng in _reductions((K,), tag == "f2", len(faces) - 1)}
+    return BettiReport(tag, _betti_numbers(list(map(len, faces.values())),
+                                           ranks), euler_characteristic(K))
 
 
 def euler_characteristic(K: SimplicialComplex) -> int:
@@ -336,7 +288,9 @@ def _check_inclusion(kint: SimplicialComplex, K: SimplicialComplex, vmap: dict):
     faces = K.faces()
     for t in kint.tops:
         img = tuple(sorted(vmap[i] for i in t))
-        if img not in faces.get(len(img) - 1, ()):
+        fs = faces.get(len(img) - 1, ())
+        j = bisect_left(fs, img)
+        if j == len(fs) or fs[j] != img:
             raise ValueError(
                 f"inclusion is not simplicial: image of {t} is no simplex")
 
@@ -358,19 +312,20 @@ def mayer_vietoris_assemble(ka: SimplicialComplex, kb: SimplicialComplex,
     """
     tag = _check_field(field)
     f2 = tag == "f2"
-    ca, cb, ci = map(_chain_data, (ka, kb, kint))
+    # the face tables validate each complex before the maps are checked
+    fa, fb, fi = ka.faces(), kb.faces(), kint.faces()
     _check_inclusion(kint, ka, map_a)
     _check_inclusion(kint, kb, map_b)
     reps = {d: eng.cycles
-            for d, eng in _reductions((ci,), f2, kint.dim, log=True)}
+            for d, eng in _reductions((kint,), f2, kint.dim, log=True)}
 
     def _mapped(cycle, d: int):
         # image of an intersection cycle in the A (+) B chain group, the
         # chain group of A |_| B: A's d-simplices come first
         out = set() if f2 else {}
-        sides = ((ca.faces[d], map_a, 0), (cb.faces[d], map_b, ca.count(d)))
+        sides = ((fa[d], map_a, 0), (fb[d], map_b, len(fa[d])))
         for p in cycle:
-            s = ci.faces[d][p]
+            s = fi[d][p]
             for faces, vmap, shift in sides:
                 img = [vmap[i] for i in s]
                 r = shift + bisect_left(faces, tuple(sorted(img)))
@@ -384,12 +339,12 @@ def mayer_vietoris_assemble(ka: SimplicialComplex, kb: SimplicialComplex,
 
     top = max(ka.dim, kb.dim)
     ranks, psi = {}, {}
-    for d, eng in _reductions((ca, cb), f2, top + 1):
+    for d, eng in _reductions((ka, kb), f2, top + 1):
         ranks[d] = len(eng.pivots)
         for cycle in reps.get(d - 1, ()):
             eng.add(_mapped(cycle, d - 1))
         psi[d - 1] = len(eng.pivots) - ranks[d]
-    bs = list(_betti_numbers([ca.count(d) + cb.count(d)
+    bs = list(_betti_numbers([len(fa.get(d, ())) + len(fb.get(d, ()))
                               for d in range(top + 1)], ranks))
     for d in range(top + 1):
         bs[d] -= psi[d]

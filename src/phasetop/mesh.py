@@ -13,6 +13,7 @@ complexes returned carry exact model points.
 from __future__ import annotations
 
 import itertools
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
@@ -38,23 +39,56 @@ __all__ = [
     "complex_from_doc",
 ]
 
-class MeshValidityError(Exception):
-    """Raised when assembled charts disagree on a shared interface."""
+class MeshValidityError(ValueError):
+    """Raised on a malformed complex, or when assembled charts disagree
+    on a shared interface."""
 
 
-def _top_keys(tops: Sequence, error=ValueError) -> dict:
+def _top_keys(tops: Sequence) -> dict:
     """The sorted vertex tuple of each top, mapped to its position.
 
-    Raises error if a top spans the vertex set of an earlier one; the
-    message names both positions and both tops.
+    Raises MeshValidityError if a top spans the vertex set of an earlier
+    one; the message names both positions and both tops.
     """
     first: dict = {}
     for k, t in enumerate(tops):
         j = first.setdefault(tuple(sorted(t)), k)
         if j != k:
-            raise error(f"simplex {k} {t!r} repeats the vertices of "
-                        f"simplex {j} {tops[j]!r}")
+            raise MeshValidityError(f"simplex {k} {t!r} repeats the vertices "
+                                    f"of simplex {j} {tops[j]!r}")
     return first
+
+
+def _face_table(vertices: Sequence, tops: Sequence) -> tuple:
+    """Validate a complex, then list its faces and their facet rows.
+
+    Raises MeshValidityError on a repeated vertex, a top with an index
+    out of range or repeated, or a top that repeats an earlier one's
+    vertex set.  Returns (faces, rows): faces[d] lists the d-simplices
+    in sorted order, the basis of the d-chains; rows[d] holds the d + 1
+    facet indices of each d-simplex in that order, flat in one array, in
+    `combinations` order (the last vertex is dropped first).  rows[0] is
+    empty.
+    """
+    nv = len(vertices)
+    if len(set(vertices)) != nv:
+        raise MeshValidityError("complex repeats a vertex")
+    for t in tops:
+        if len(set(t)) != len(t) or any(i < 0 or i >= nv for i in t):
+            raise MeshValidityError(f"bad simplex {t!r}")
+    keys = _top_keys(tops)
+    faces = {}
+    for d in range(max(map(len, keys), default=0)):
+        subsets = map(itertools.combinations, keys, itertools.repeat(d + 1))
+        faces[d] = sorted(set(itertools.chain.from_iterable(subsets)))
+    rows = [array("i")]
+    for d in range(1, len(faces)):
+        # the index of the faces below is needed only while rows[d] is made
+        index = {s: i for i, s in enumerate(faces[d - 1])}
+        facets = itertools.chain.from_iterable(
+            map(itertools.combinations, faces[d], itertools.repeat(d)))
+        rows.append(array("i", map(index.__getitem__, facets)))
+    return faces, rows
 
 
 @dataclass(eq=False)
@@ -63,33 +97,32 @@ class SimplicialComplex:
 
     Vertices are arbitrary hashable objects (usually ModelPoints); no
     two are equal.  Top simplices are index tuples whose order records
-    the construction; lower faces are implied and enumerated on demand.
-    The faces, and the chain data `homology` builds from them, are kept
-    on the complex once first asked for, so the vertex and top lists
-    must not be mutated after that.
+    the construction; lower faces are implied.  On first use the complex
+    validates itself and builds one face table: the faces of each
+    dimension as a sorted list, which is the chain basis `homology`
+    reduces over, and their facet rows.  The table is kept on the
+    complex, so the vertex and top lists must not be mutated after that.
     """
 
     vertices: list
     tops: list
-    _faces: Optional[dict] = field(default=None, init=False, repr=False)
-    _chains: Optional[object] = field(default=None, init=False, repr=False)
+    _table: Optional[tuple] = field(default=None, init=False, repr=False)
 
     @property
     def dim(self) -> int:
         return max((len(t) for t in self.tops), default=0) - 1
 
     def faces(self) -> dict:
-        """All faces keyed by dimension, as sorted index tuples."""
-        if self._faces is None:
-            by_dim: dict[int, set] = {}
-            for t in self.tops:
-                key = tuple(sorted(t))
-                for r in range(1, len(key) + 1):
-                    by_dim.setdefault(r - 1, set()).update(
-                        itertools.combinations(key, r)
-                    )
-            self._faces = by_dim
-        return self._faces
+        """All faces keyed by dimension, as sorted lists of sorted index
+        tuples; MeshValidityError on a malformed complex."""
+        if self._table is None:
+            self._table = _face_table(self.vertices, self.tops)
+        return self._table[0]
+
+    def facet_rows(self) -> list:
+        """The facet indices of each face, per dimension (see _face_table)."""
+        self.faces()
+        return self._table[1]
 
     def f_vector(self) -> tuple:
         fs = self.faces()
@@ -107,7 +140,7 @@ class SimplicialComplex:
         if not self.is_pure():
             raise MeshValidityError("incidence counting needs a pure complex")
         count: dict[tuple, int] = {}
-        for key in _top_keys(self.tops, MeshValidityError):
+        for key in _top_keys(self.tops):
             for f in itertools.combinations(key, len(key) - 1):
                 count[f] = count.get(f, 0) + 1
         return count
@@ -503,6 +536,7 @@ def complex_isomorphic(k1: SimplicialComplex, k2: SimplicialComplex,
 
     Returns (True, index map) when the transform is a vertex bijection
     carrying top simplices onto top simplices, else (False, mismatch).
+    A mismatch of the tops names the points of the smallest disputed top.
     """
     transform = vertex_map_hint or (lambda z: z)
     lookup = {v: i for i, v in enumerate(k2.vertices)}
@@ -521,8 +555,9 @@ def complex_isomorphic(k1: SimplicialComplex, k2: SimplicialComplex,
     tops1 = {tuple(sorted(vmap[i] for i in t)) for t in k1.tops}
     tops2 = {tuple(sorted(t)) for t in k2.tops}
     if tops1 != tops2:
-        bad = next(iter(tops1 ^ tops2))
-        return False, f"top simplices differ near vertex indices {bad}"
+        witness = min(tops1 ^ tops2)
+        return False, (f"top simplices differ near "
+                       f"{[str(k2.vertices[i]) for i in witness]}")
     return True, vmap
 
 
@@ -586,9 +621,12 @@ def complex_from_doc(doc: dict):
 
     Raises ValueError on anything complex_to_doc cannot write: a
     non-object, a missing key, n not a positive integer, m not a
-    positive even integer, a vertex without exactly n coordinates, a
-    simplex that is not a nonempty list of distinct vertex indices, or
-    one whose vertex set repeats an earlier simplex's.
+    positive even integer, a vertex without exactly n coordinates, or a
+    simplex that is not a nonempty list of integers.  The complex's own
+    validation then refuses a repeated vertex, a simplex with an index
+    out of range or repeated, and a simplex whose vertex set repeats an
+    earlier one's, naming the simplices as the document lists them; the
+    face table it builds is kept on the complex.
     """
     if not isinstance(doc, dict):
         raise ValueError("mesh document must be a JSON object")
@@ -608,13 +646,10 @@ def complex_from_doc(doc: dict):
         if not isinstance(z, list) or len(z) != n:
             raise ValueError(f"vertex {z!r} does not have n={n} coordinates")
         verts.append(ModelPoint(tuple(_doc_disc_point(c) for c in z)))
-    if len(set(verts)) != len(verts):
-        raise ValueError("mesh document repeats a vertex coordinate")
-    for s in doc["simplices"]:
-        if (not isinstance(s, list) or not s
-                or not all(_doc_int(i) for i in s)
-                or any(i < 0 or i >= len(verts) for i in s)
-                or len(set(s)) != len(s)):
+    simplices = doc["simplices"]
+    for s in simplices:
+        if not isinstance(s, list) or not s or not all(map(_doc_int, s)):
             raise ValueError(f"bad simplex {s!r}")
-    _top_keys(doc["simplices"])
-    return SimplicialComplex(verts, list(map(tuple, doc["simplices"]))), n, m
+    K = SimplicialComplex(verts, list(map(tuple, simplices)))
+    K._table = _face_table(verts, simplices)
+    return K, n, m

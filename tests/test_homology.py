@@ -1,24 +1,27 @@
 import itertools
+import json
 from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from phasetop.covectors import enumerate_covectors, sign_leq_vec, sign_support
 from phasetop.mesh import (
+    MeshValidityError,
     SimplicialComplex,
     assemble_full,
     assemble_slice,
     boundary_subcomplex,
+    complex_from_doc,
+    complex_to_doc,
     full_space_pieces,
 )
-import phasetop.homology as homology_module
+import phasetop.mesh as mesh_module
 from phasetop.homology import (
     BettiReport,
     _Engine,
     _boundary_columns,
-    _chain_data,
     _reductions,
     betti,
     euler_characteristic,
@@ -412,15 +415,14 @@ def test_engine_matches_reference_engine_on_meshes(build):
 
 
 def _assert_same_reductions(*parts):
-    """The engines on the kept chain data of parts, one dimension above
+    """The engines on the face tables of parts, one dimension above
     their top as Mayer-Vietoris reduces, equal the reference engines on
     the parent's chain data of their disjoint union."""
-    chains = [_chain_data(K) for K in parts]
     simp, idx = reference_chain_data(*parts)
     top = max(simp) + 1
     for f2 in (False, True):
         for log in (False, True):
-            got = list(_reductions(chains, f2, top, log))
+            got = list(_reductions(parts, f2, top, log))
             want = list(reference_reductions(simp, idx, f2, top, log))
             assert [d for d, _ in got] == [d for d, _ in want]
             for (_, eng), (_, ref) in zip(got, want):
@@ -436,23 +438,50 @@ def test_engine_matches_parent_chain_data_on_full_space_pieces(m):
 
 
 @pytest.mark.parametrize("f2", [False, True])
-def test_boundary_columns_match_the_slicing_form(f2):
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(complexes())
+@example(None)
+def test_boundary_columns_match_the_slicing_form(f2, drawn):
     # the 6-simplex's faces reach every d = 0..5; slice(4, 2) is a mesh
-    # of dimension 4 and its boundary one of dimension 3
+    # of dimension 4 and its boundary one of dimension 3.  They are the
+    # one explicit example (None); a drawn complex is checked alone and
+    # in a union after the 6-simplex
     six = SimplicialComplex(list(range(7)), [tuple(range(7))])
-    slice42 = assemble_slice(4, 2)
-    bd = boundary_subcomplex(slice42)
-    for parts in ((six,), (slice42,), (bd,), (bd, six, slice42)):
+    if drawn is None:
+        slice42 = assemble_slice(4, 2)
+        bd = boundary_subcomplex(slice42)
+        cases = ((six,), (slice42,), (bd,), (bd, six, slice42))
+    else:
+        cases = ((drawn,), (six, drawn))
+    for parts in cases:
+        for K in parts:
+            _assert_table_is_the_reference(K)
         simp, idx = reference_chain_data(*parts)
-        chains = [_chain_data(K) for K in parts]
         for d in range(min(max(simp), 5) + 1):
-            _assert_same_boundary_columns(chains, simp, idx, d, f2)
+            _assert_same_boundary_columns(parts, simp, idx, d, f2)
 
 
-def _assert_same_boundary_columns(chains, simp, idx, d: int, f2: bool):
+def _assert_table_is_the_reference(K: SimplicialComplex):
+    """K's faces are the sorted d-subsets of its tops, and each facet row
+    entry indexes its face with one vertex dropped, the last first."""
+    faces, rows = K.faces(), K.facet_rows()
+    assert list(faces) == list(range(K.dim + 1))
+    for d, fs in faces.items():
+        assert fs == sorted({tuple(sorted(s)) for t in K.tops
+                             for s in itertools.combinations(t, d + 1)})
+    assert len(rows) == len(faces) and not rows[0]
+    for d in range(1, len(faces)):
+        assert len(rows[d]) == (d + 1) * len(faces[d])
+        for p, s in enumerate(faces[d]):
+            for i in range(d + 1):
+                dropped = s[:d - i] + s[d - i + 1:]
+                assert faces[d - 1][rows[d][p * (d + 1) + i]] == dropped
+
+
+def _assert_same_boundary_columns(parts, simp, idx, d: int, f2: bool):
     skip = set(range(0, len(simp[d]), 3))
     for cut in ((), skip):
-        got = list(_boundary_columns(chains, d, f2, cut))
+        got = list(_boundary_columns(parts, d, f2, cut))
         want = list(reference_boundary_columns(simp, idx, d, f2, cut))
         assert len(got) == len(want) == len(simp[d]) - len(cut)
         for (j, col), (j_ref, col_ref) in zip(got, want):
@@ -462,17 +491,17 @@ def _assert_same_boundary_columns(chains, simp, idx, d: int, f2: bool):
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(complexes())
 def test_boundary_of_boundary_is_zero(K):
-    chains = (_chain_data(K),)
-    for d in range(2, len(chains[0].faces)):
-        below = dict(_boundary_columns(chains, d - 1, False))
-        below_f2 = dict(_boundary_columns(chains, d - 1, True))
-        for j, col in _boundary_columns(chains, d, False):
+    parts = (K,)
+    for d in range(2, len(K.faces())):
+        below = dict(_boundary_columns(parts, d - 1, False))
+        below_f2 = dict(_boundary_columns(parts, d - 1, True))
+        for j, col in _boundary_columns(parts, d, False):
             total: dict = {}
             for r, v in col.items():
                 for q, w in below[r].items():
                     total[q] = total.get(q, 0) + v * w
             assert not any(total.values())
-        for j, col in _boundary_columns(chains, d, True):
+        for j, col in _boundary_columns(parts, d, True):
             total = set()
             for r in col:
                 total ^= below_f2[r]
@@ -482,12 +511,12 @@ def test_boundary_of_boundary_is_zero(K):
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(complexes())
 def test_logged_cycles_are_cycles_one_per_betti_number(K):
-    chains = (_chain_data(K),)
+    parts = (K,)
     for field, f2 in (("q", False), ("f2", True)):
         bs = betti(K, field).betti
-        for d, eng in _reductions(chains, f2, len(bs) - 1, log=True):
+        for d, eng in _reductions(parts, f2, len(bs) - 1, log=True):
             assert len(eng.cycles) == bs[d]
-            cols = dict(_boundary_columns(chains, d, False))
+            cols = dict(_boundary_columns(parts, d, False))
             for cycle in eng.cycles:
                 total: dict = {}
                 for j, c in (dict.fromkeys(cycle, 1) if f2 else cycle).items():
@@ -510,33 +539,41 @@ def test_repeated_top_is_refused_naming_both_positions():
     # one edge listed twice, in both vertex orders
     K = SimplicialComplex([0, 1], [(0, 1), (1, 0)])
     msg = r"simplex 1 \(1, 0\) repeats the vertices of simplex 0 \(0, 1\)$"
+    # the one validator raises the one type codim1_incidence raises
     for field in ("q", "f2"):
-        with pytest.raises(ValueError, match=msg):
+        with pytest.raises(MeshValidityError, match=msg):
             betti(K, field)
-    with pytest.raises(ValueError, match=msg):
+    with pytest.raises(MeshValidityError, match=msg):
         mayer_vietoris_assemble(K, circle(), SimplicialComplex([], []), {}, {})
 
 
 def test_chain_data_is_built_once_per_complex(monkeypatch):
+    # one face table per complex, whichever of Q, F2, Mayer-Vietoris,
+    # the f-vector and the Euler characteristic asks first; a complex
+    # read from a document gets the table its validation built
     built = []
 
-    def counting(K):
-        built.append(K)
-        return build(K)
+    def counting(vertices, tops):
+        built.append(vertices)
+        return build(vertices, tops)
 
-    build = homology_module._build_chains
-    monkeypatch.setattr(homology_module, "_build_chains", counting)
+    build = mesh_module._face_table
+    monkeypatch.setattr(mesh_module, "_face_table", counting)
     P = full_space_pieces(3, 2)
-    pieces = (P.rotation, P.base, P.interface)
+    doc = json.loads(json.dumps(complex_to_doc(P.interface, 3, 2)))
+    torus = complex_from_doc(doc)[0]
+    assert len(built) == 1
+    pieces = (P.rotation, P.base, torus)
     for K in pieces:
         assert betti(K, "q").betti == betti(K, "f2").betti
-    ma = vertex_inclusion_map(P.interface, P.rotation)
-    mb = vertex_inclusion_map(P.interface, P.base)
+        assert K.f_vector() and euler_characteristic(K) == 0
+    ma = vertex_inclusion_map(torus, P.rotation)
+    mb = vertex_inclusion_map(torus, P.base)
     for field in ("q", "f2"):
         r = mayer_vietoris_assemble(*pieces, ma, mb, field)
         assert r.betti == (1, 0, 0, 1)
     assert len(built) == 3
-    assert all(a is b for a, b in zip(built, pieces))
+    assert all(a is b.vertices for a, b in zip(built, (torus, *pieces)))
 
 
 @pytest.mark.parametrize("field", ["q", "f2"])
@@ -646,19 +683,19 @@ def test_mv_rejects_non_simplicial_inclusion():
     # edge of the intersection maps to a non-adjacent vertex pair
     ka = SimplicialComplex(["a", "b", "c"], [(0, 1), (1, 2)])
     kint = SimplicialComplex(["a", "c"], [(0, 1)])
-    good = SimplicialComplex(["a", "c"], [(0, 1)])
     kb = SimplicialComplex(["a", "c"], [(0, 1)])
     vmap_b = {0: 0, 1: 1}
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^inclusion is not simplicial: "
+                       r"image of \(0, 1\) is no simplex$"):
         mayer_vietoris_assemble(ka, kb, kint, {0: 0, 1: 2}, vmap_b)
 
 
 def test_mv_rejects_bad_vertex_maps():
     K = circle()
     vmap = {i: i for i in range(3)}
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="must cover"):
         mayer_vietoris_assemble(K, K, K, {0: 0, 1: 1}, vmap)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not injective"):
         mayer_vietoris_assemble(K, K, K, {0: 0, 1: 0, 2: 2}, vmap)
 
 

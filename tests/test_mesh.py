@@ -102,14 +102,16 @@ def test_slice_codim1_incidence(slice32, slice42):
 
 def test_complex_caches_are_not_constructor_arguments():
     tri = SimplicialComplex(["a", "b", "c"], [(0, 1, 2)])
-    assert tri._faces is None and tri._chains is None
+    assert tri._table is None
     assert repr(tri) == "SimplicialComplex(vertices=['a', 'b', 'c'], tops=[(0, 1, 2)])"
     with pytest.raises(TypeError):
-        SimplicialComplex(["a"], [(0,)], {0: {(0,)}})
-    for name in ("_faces", "_chains"):
-        with pytest.raises(TypeError):
-            SimplicialComplex(["a"], [(0,)], **{name: None})
-    assert tri.faces() is tri._faces  # filled on first use
+        SimplicialComplex(["a"], [(0,)], ({0: [(0,)]}, []))
+    with pytest.raises(TypeError):
+        SimplicialComplex(["a"], [(0,)], _table=None)
+    # filled on first use, and the one table holds faces and facet rows
+    assert tri.faces() is tri._table[0]
+    assert tri.facet_rows() is tri._table[1]
+    assert repr(tri) == "SimplicialComplex(vertices=['a', 'b', 'c'], tops=[(0, 1, 2)])"
 
 
 def test_boundary_of_triangle():
@@ -166,6 +168,20 @@ def test_complex_isomorphic_rejects_mismatch():
     ok, why = complex_isomorphic(assemble_full(2, 2), assemble_full(2, 4))
     assert not ok
     assert why
+
+
+def test_complex_isomorphic_names_the_smallest_disputed_top():
+    # a square split along either diagonal: the same vertices, different
+    # tops; the witness is the smallest top of the symmetric difference,
+    # in the target's indices, named by the target's points
+    k1 = SimplicialComplex(list("abcd"), [(0, 1, 2), (0, 2, 3)])
+    k2 = SimplicialComplex(list("DCBA"), [(3, 2, 0), (2, 1, 0)])
+    ok, why = complex_isomorphic(k1, k2, str.upper)
+    assert not ok
+    assert why == "top simplices differ near ['D', 'C', 'B']"
+    ok, _ = complex_isomorphic(k1, SimplicialComplex(
+        list("DCBA"), [(3, 2, 1), (3, 1, 0)]), str.upper)
+    assert ok
 
 
 def test_complex_isomorphic_identity(slice32):
