@@ -295,4 +295,8 @@ def sign_is_covector(v: Sequence[int], x: Sequence[int]) -> bool:
 def sign_leq_vec(x: Sequence[int], y: Sequence[int]) -> bool:
     if len(x) != len(y):
         raise ValueError("vector lengths differ")
-    return all(a == 0 or a == b for a, b in zip(x, y))
+    # a plain loop: the order complex asks this of every pair of elements
+    for a, b in zip(x, y):
+        if a != 0 and a != b:
+            return False
+    return True

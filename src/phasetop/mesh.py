@@ -12,8 +12,10 @@ complexes returned carry exact model points.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from array import array
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
@@ -100,8 +102,10 @@ class SimplicialComplex:
     the construction; lower faces are implied.  On first use the complex
     validates itself and builds one face table: the faces of each
     dimension as a sorted list, which is the chain basis `homology`
-    reduces over, and their facet rows.  The table is kept on the
-    complex, so the vertex and top lists must not be mutated after that.
+    reduces over, and their facet rows.  Homology, the f-vector and the
+    codimension-1 incidence behind the pseudomanifold and boundary
+    checks all read that one table.  It is kept on the complex, so the
+    vertex and top lists must not be mutated after that.
     """
 
     vertices: list
@@ -134,26 +138,31 @@ class SimplicialComplex:
     def codim1_incidence(self) -> dict:
         """Count of top simplices containing each codimension-1 face.
 
-        Raises MeshValidityError on a complex that is not pure, or that
-        lists one vertex set as two tops.
+        The counts are those of the facet rows of the top dimension in
+        the face table, keyed by face in sorted order; a 0-dimensional
+        complex has one codimension-1 face, the empty one.  Raises
+        MeshValidityError on a malformed complex (see _face_table) or
+        one that is not pure.
         """
+        self.faces()
         if not self.is_pure():
             raise MeshValidityError("incidence counting needs a pure complex")
-        count: dict[tuple, int] = {}
-        for key in _top_keys(self.tops):
-            for f in itertools.combinations(key, len(key) - 1):
-                count[f] = count.get(f, 0) + 1
-        return count
+        faces, rows = self._table
+        d = self.dim
+        if d == 0:
+            return {(): len(self.tops)}
+        count = Counter(rows[d])
+        return {f: count[i] for i, f in enumerate(faces[d - 1])}
 
     def is_closed_pseudomanifold(self) -> bool:
         """Pure, and each codimension-1 face lies in exactly two tops.
 
-        A repeated top is malformed input, not a no: the
-        MeshValidityError of codim1_incidence propagates.
+        Malformed input is not a no: the MeshValidityError of the face
+        table propagates, whether the complex is pure or not.
         """
-        if not self.is_pure():
-            return False
-        return all(c == 2 for c in self.codim1_incidence().values())
+        self.faces()
+        return self.is_pure() and all(
+            c == 2 for c in self.codim1_incidence().values())
 
 
 # ---------------------------------------------------------------------------
@@ -191,14 +200,20 @@ def _ticks(z: ModelPoint, m: int) -> tuple:
 
 
 def _emit(K: SimplicialComplex, m: int) -> SimplicialComplex:
-    """The complex over model points of a complex over tick keys."""
-    return SimplicialComplex(list(map(_point_of(m), K.vertices)), K.tops)
+    """The complex over model points of a complex over tick keys.
+
+    The tops list is copied.  K's face table, if built, is shared: it
+    holds only vertex indices, and distinct tick keys map to distinct
+    points, so it is the table of the emitted complex too.
+    """
+    E = SimplicialComplex(list(map(_point_of(m), K.vertices)), list(K.tops))
+    E._table = K._table
+    return E
 
 
 class _Builder:
-    """Accumulates simplices over orderable vertex keys.
+    """Accumulates simplices over orderable vertex keys (tick keys).
 
-    The keys are tick keys, or the vertex indices of a parent complex.
     The built complex lists its keys in sorted order, and each top
     keeps the vertex order in which it was first added.
     """
@@ -425,12 +440,13 @@ def boundary_subcomplex(K: SimplicialComplex) -> SimplicialComplex:
         return SimplicialComplex([], [])
     if not K.is_pure():
         raise MeshValidityError("boundary of a non-pure complex")
-    b = _Builder()
-    for f, c in K.codim1_incidence().items():
-        if c == 1:
-            b.add(f)
-    B = b.complex()
-    return SimplicialComplex([K.vertices[i] for i in B.vertices], B.tops)
+    # the incidence lists its faces as ascending tuples in sorted order,
+    # and renumbering the vertices in order keeps both
+    faces = [f for f, c in K.codim1_incidence().items() if c == 1]
+    used = sorted(set(itertools.chain.from_iterable(faces)))
+    new = {v: i for i, v in enumerate(used)}
+    return SimplicialComplex([K.vertices[v] for v in used],
+                             [tuple(map(new.__getitem__, f)) for f in faces])
 
 
 # ---------------------------------------------------------------------------
@@ -453,14 +469,20 @@ class FullSpacePieces:
     interface: SimplicialComplex
 
 
+@functools.lru_cache(maxsize=4)
 def _build_regions(m: int) -> tuple:
     """The rotation and base regions and their torus, on tick keys.
 
     The rotation region is the slice times the circle, each slice vertex
     turned by the circle tick; the base region is the n = 2 space times
-    the disc fan.
+    the disc fan.  The torus check builds both regions' face tables.
     Raises MeshValidityError when the two regions induce different
     triangulations of the torus.
+
+    Built once per m and kept (for the last four m), so assemble_full
+    and full_space_pieces share one validated triple; a build that
+    raises is not kept.  Callers must not mutate the triple: they read
+    it, or emit copies of it.
     """
     S = assemble_slice(3, m)
     keys = [_ticks(z, m) for z in S.vertices]

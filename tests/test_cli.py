@@ -160,6 +160,30 @@ def test_mesh_stats_of_the_slice():
     ]
 
 
+def test_mesh_stats_walks_the_tops_once_per_complex(monkeypatch):
+    # once for the document's own face table, once for the boundary's:
+    # the pseudomanifold and boundary checks read the document's table
+    import phasetop.mesh as mesh_module
+
+    walked = []
+
+    def counting(tops):
+        walked.append(len(tops))
+        return top_keys(tops)
+
+    top_keys = mesh_module._top_keys
+    runner = CliRunner()
+    with runner.isolated_filesystem():
+        r = runner.invoke(main, ["mesh", "slice", "--n", "4", "--m", "2",
+                                 "--out", "s.json"])
+        assert r.exit_code == 0
+        monkeypatch.setattr(mesh_module, "_top_keys", counting)
+        r = runner.invoke(main, ["mesh", "stats", "--in", "s.json"])
+    assert r.exit_code == 0
+    assert "closed pseudomanifold: no" in r.output
+    assert walked == [864, 240]
+
+
 def test_mesh_stats_rejects_a_bad_document():
     runner = CliRunner()
     with runner.isolated_filesystem():

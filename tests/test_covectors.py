@@ -216,6 +216,19 @@ def test_sign_predicates():
         sign_is_covector((1, 0), (1, 1))
 
 
+def test_sign_leq_vec_matches_the_generator_form():
+    # every pair of sign vectors with n <= 4, against the form it replaced
+    for n in range(5):
+        vs = list(itertools.product((-1, 0, 1), repeat=n))
+        for x in vs:
+            for y in vs:
+                assert sign_leq_vec(x, y) == all(
+                    a == 0 or a == b for a, b in zip(x, y)), (x, y)
+    for x, y in (((1,), ()), ((), (0,)), ((0, 1), (0, 1, 1))):
+        with pytest.raises(ValueError, match="vector lengths differ"):
+            sign_leq_vec(x, y)
+
+
 # ---------------------------------------------------------------------------
 # Differential tests: the integer kernel against the fold oracle
 # ---------------------------------------------------------------------------

@@ -478,6 +478,38 @@ def _assert_table_is_the_reference(K: SimplicialComplex):
                 assert faces[d - 1][rows[d][p * (d + 1) + i]] == dropped
 
 
+def brute_codim1_incidence(tops) -> dict:
+    """Each top's codimension-1 vertex subsets, counted one by one."""
+    count: dict = {}
+    for t in tops:
+        for f in itertools.combinations(sorted(t), len(t) - 1):
+            count[f] = count.get(f, 0) + 1
+    return count
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(complexes())
+def test_codim1_incidence_matches_the_brute_force_count(K):
+    # the incidence read off the face table, on the drawn complex and on
+    # the pure complex of its d-faces for d = 0..3, each top listed in
+    # descending vertex order so the table must sort it
+    if K.is_pure():
+        assert K.codim1_incidence() == brute_codim1_incidence(K.tops)
+    else:
+        with pytest.raises(MeshValidityError, match="pure complex"):
+            K.codim1_incidence()
+    for d in range(4):
+        tops = sorted({s[::-1] for t in K.tops
+                       for s in itertools.combinations(sorted(t), d + 1)})
+        if not tops:
+            continue
+        L = SimplicialComplex(K.vertices, tops)
+        want = brute_codim1_incidence(tops)
+        assert L.codim1_incidence() == want
+        assert L.is_closed_pseudomanifold() == all(
+            c == 2 for c in want.values())
+
+
 def _assert_same_boundary_columns(parts, simp, idx, d: int, f2: bool):
     skip = set(range(0, len(simp[d]), 3))
     for cut in ((), skip):
@@ -550,7 +582,9 @@ def test_repeated_top_is_refused_naming_both_positions():
 def test_chain_data_is_built_once_per_complex(monkeypatch):
     # one face table per complex, whichever of Q, F2, Mayer-Vietoris,
     # the f-vector and the Euler characteristic asks first; a complex
-    # read from a document gets the table its validation built
+    # read from a document gets the table its validation built.  The
+    # regions' tables are built once, on their tick-key twins by the
+    # torus check, and carried to the emitted pieces
     built = []
 
     def counting(vertices, tops):
@@ -562,7 +596,7 @@ def test_chain_data_is_built_once_per_complex(monkeypatch):
     P = full_space_pieces(3, 2)
     doc = json.loads(json.dumps(complex_to_doc(P.interface, 3, 2)))
     torus = complex_from_doc(doc)[0]
-    assert len(built) == 1
+    assert len(built) == 3
     pieces = (P.rotation, P.base, torus)
     for K in pieces:
         assert betti(K, "q").betti == betti(K, "f2").betti
@@ -573,7 +607,9 @@ def test_chain_data_is_built_once_per_complex(monkeypatch):
         r = mayer_vietoris_assemble(*pieces, ma, mb, field)
         assert r.betti == (1, 0, 0, 1)
     assert len(built) == 3
-    assert all(a is b.vertices for a, b in zip(built, (torus, *pieces)))
+    twins = mesh_module._build_regions(2)[:2]
+    assert all(a is b.vertices for a, b in zip(built, (*twins, torus)))
+    assert all(K._table is twin._table for K, twin in zip(pieces, twins))
 
 
 @pytest.mark.parametrize("field", ["q", "f2"])

@@ -373,10 +373,71 @@ def test_torus_mismatch_is_an_error_with_a_witness(monkeypatch):
     S = assemble_slice(3, 2)
     holed = SimplicialComplex(S.vertices, S.tops[1:])
     monkeypatch.setattr(mesh_module, "assemble_slice", lambda n, m: holed)
+    # the patched slice reaches only a fresh build: no m = 2 regions are
+    # kept from another test (conftest clears them)
+    assert mesh_module._build_regions.cache_info().currsize == 0
     with pytest.raises(MeshValidityError,
                        match=r"disagree on the interface torus: "
                              r"vertex counts differ: \d+ vs 16$"):
         full_space_pieces(3, 2)
+
+
+def _count_slice_builds(monkeypatch, slice_of=None) -> list:
+    """Record the m of each assemble_slice call the region build makes."""
+    import phasetop.mesh as mesh_module
+
+    calls = []
+    build = slice_of or mesh_module.assemble_slice
+
+    def counting(n, m):
+        calls.append(m)
+        return build(n, m)
+
+    monkeypatch.setattr(mesh_module, "assemble_slice", counting)
+    return calls
+
+
+def test_regions_are_built_once_per_m(monkeypatch):
+    calls = _count_slice_builds(monkeypatch)
+    for m in (2, 4):
+        K = assemble_full(3, m)
+        P = full_space_pieces(3, m)
+        assert P.interface.is_closed_pseudomanifold()
+        assert K.is_closed_pseudomanifold()
+    assert calls == [2, 4]
+    full_space_pieces(3, 2)
+    assert calls == [2, 4]
+
+
+def test_a_region_build_that_raises_is_not_kept(monkeypatch):
+    S = assemble_slice(3, 2)
+    holed = SimplicialComplex(S.vertices, S.tops[1:])
+    calls = _count_slice_builds(monkeypatch, lambda n, m: holed)
+    for build in (full_space_pieces, full_space_pieces, assemble_full):
+        with pytest.raises(MeshValidityError, match="interface torus"):
+            build(3, 2)
+    assert calls == [2, 2, 2]
+
+
+def test_mutating_a_returned_complex_leaves_the_next_call_alone():
+    P = full_space_pieces(3, 2)
+    fvecs = [K.f_vector() for K in (P.rotation, P.base, P.interface)]
+    K = assemble_full(3, 2)
+    for L in (P.rotation, P.base, P.interface, K):
+        L.tops.pop()
+        L.vertices.pop()
+    P2 = full_space_pieces(3, 2)
+    assert [K.f_vector() for K in (P2.rotation, P2.base, P2.interface)] \
+        == fvecs
+    for region in ("rotation", "base"):
+        doc = complex_to_doc(getattr(P2, region), 3, 2)
+        text = json.dumps(doc, indent=2, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == REGION_DOC_SHA256[
+            (2, region)], region
+    text = json.dumps(complex_to_doc(assemble_full(3, 2), 3, 2), indent=2,
+                      sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == MESH_DOC_SHA256[
+        (assemble_full, 3, 2)]
 
 
 def test_ticks_round_trip(slice32, full32):
@@ -518,3 +579,27 @@ def test_repeated_top_is_malformed_not_a_closed_pseudomanifold():
         itertools.combinations(range(4), 3)) + [(3, 1, 2)])
     with pytest.raises(MeshValidityError, match="simplex 4 .* simplex 3 "):
         tetra.is_closed_pseudomanifold()
+
+
+@pytest.mark.parametrize("vertices,tops,msg", [
+    # an index past the vertex table: once False, then an IndexError
+    (["a", "b", "c"], [(0, 1, 5)], r"bad simplex \(0, 1, 5\)$"),
+    # a negative index: once read as the last vertex
+    (["a", "b", "c"], [(0, 1, -1)], r"bad simplex \(0, 1, -1\)$"),
+    # a 3-cycle over a repeated vertex: once a closed pseudomanifold
+    (["a", "a", "c"], [(0, 1), (1, 2), (0, 2)], "complex repeats a vertex$"),
+], ids=["index-out-of-range", "negative-index", "repeated-vertex"])
+def test_incidence_checks_validate_the_complex(vertices, tops, msg):
+    for ask in (SimplicialComplex.codim1_incidence,
+                SimplicialComplex.is_closed_pseudomanifold,
+                boundary_subcomplex):
+        with pytest.raises(MeshValidityError, match=msg):
+            ask(SimplicialComplex(vertices, tops))
+
+
+def test_incidence_checks_validate_before_asking_for_purity():
+    # a malformed complex is refused, not reported as not pure
+    K = SimplicialComplex(["a", "b", "c"], [(0, 1, 5), (0, 1)])
+    for ask in (K.codim1_incidence, K.is_closed_pseudomanifold):
+        with pytest.raises(MeshValidityError, match=r"bad simplex \(0, 1, 5\)$"):
+            ask()
