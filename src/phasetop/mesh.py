@@ -64,19 +64,19 @@ def _top_keys(tops: Sequence) -> dict:
 def _face_table(vertices: Sequence, tops: Sequence) -> tuple:
     """Validate a complex, then list its faces and their facet rows.
 
-    Raises MeshValidityError on a repeated vertex, a top with an index
-    out of range or repeated, or a top that repeats an earlier one's
-    vertex set.  Returns (faces, rows): faces[d] lists the d-simplices
-    in sorted order, the basis of the d-chains; rows[d] holds the d + 1
-    facet indices of each d-simplex in that order, flat in one array, in
-    `combinations` order (the last vertex is dropped first).  rows[0] is
-    empty.
+    Raises MeshValidityError on a repeated vertex, an empty top, a top
+    with an index out of range or repeated, or a top that repeats an
+    earlier one's vertex set.  Returns (faces, rows): faces[d] lists the
+    d-simplices in sorted order, the basis of the d-chains; rows[d]
+    holds the d + 1 facet indices of each d-simplex in that order, flat
+    in one array, in `combinations` order (the last vertex is dropped
+    first).  rows[0] is empty.
     """
     nv = len(vertices)
     if len(set(vertices)) != nv:
         raise MeshValidityError("complex repeats a vertex")
     for t in tops:
-        if len(set(t)) != len(t) or any(i < 0 or i >= nv for i in t):
+        if not t or len(set(t)) != len(t) or any(i < 0 or i >= nv for i in t):
             raise MeshValidityError(f"bad simplex {t!r}")
     keys = _top_keys(tops)
     faces = {}
@@ -183,20 +183,6 @@ def _point_of(m: int) -> Callable:
     discs = [DiscPoint(Fraction(1), Angle(Fraction(k, 2 * m)))
              for k in range(2 * m)] + [DiscPoint.center()]
     return lambda key: ModelPoint(tuple(discs[c] for c in key))
-
-
-def _ticks(z: ModelPoint, m: int) -> tuple:
-    """The tick key of a model point; ValueError off the 1/(2m) grid."""
-    key = []
-    for c in z.coords:
-        if c.radius == 0:
-            key.append(-1)
-            continue
-        k, off = divmod(c.angle.num * (2 * m), c.angle.den)
-        if c.radius != 1 or off:
-            raise ValueError(f"vertex {z} is off the 1/{2 * m} grid")
-        key.append(k)
-    return tuple(key)
 
 
 def _emit(K: SimplicialComplex, m: int) -> SimplicialComplex:
@@ -341,6 +327,11 @@ def mesh_chart(x: CellLabel, m: int) -> MeshChart:
     straddle a parameter-comparison hyperplane.
     """
     _check_m(m)
+    return MeshChart(x, m, _emit(_chart(x, m), m))
+
+
+def _chart(x: CellLabel, m: int) -> SimplicialComplex:
+    """The complex of mesh_chart(x, m), on tick keys."""
     point = _point_of(m)
     memo: dict = {}
 
@@ -354,7 +345,7 @@ def mesh_chart(x: CellLabel, m: int) -> MeshChart:
     for simplex in _product_tops([_factor_cells(lab, m) for lab in x]):
         if all(member(key) for key in simplex):
             b.add(simplex)
-    return MeshChart(x, m, _emit(b.complex(), m))
+    return b.complex()
 
 
 # ---------------------------------------------------------------------------
@@ -393,23 +384,28 @@ def assemble_slice(n: int, m: int) -> SimplicialComplex:
     set of faces on their overlap, and a mismatch is a hard error that
     names the points of the smallest face in dispute.
     """
-    pieces = slice_pieces(n, m)
-    keys = {jk: [_ticks(z, m) for z in K.vertices]
-            for jk, K in pieces.items()}
-    points = {key: z for jk, K in pieces.items()
-              for key, z in zip(keys[jk], K.vertices)}
-    # one id per slice vertex, in tick-key order
-    order = sorted(points)
-    pts = [points[key] for key in order]
+    if n < 3:
+        raise ValueError("need n >= 3")
+    _check_m(m)
+    return _emit(_slice(n, m), m)
+
+
+def _slice(n: int, m: int) -> SimplicialComplex:
+    """The complex of assemble_slice(n, m), on tick keys."""
+    labels = {(j, k): ul_label(j, k, n)
+              for j in range(1, n) for k in range(1, n)}
+    pieces = {jk: _chart(x, m) for jk, x in labels.items()}
+    # one id per slice vertex, in tick-key order; its point is made once
+    order = sorted(set().union(*(K.vertices for K in pieces.values())))
+    pts = list(map(_point_of(m), order))
     vid = {key: i for i, key in enumerate(order)}
-    ids = {jk: [vid[key] for key in ks] for jk, ks in keys.items()}
+    ids = {jk: [vid[key] for key in K.vertices] for jk, K in pieces.items()}
     # each chart's tops in construction order, and as ascending ids
     tops = {jk: [tuple(map(ids[jk].__getitem__, t)) for t in K.tops]
             for jk, K in pieces.items()}
     ascending = {jk: [tuple(sorted(t)) for t in ts]
                  for jk, ts in tops.items()}
     # each vertex of the slice is tested once against each cell
-    labels = {jk: ul_label(jk[0], jk[1], n) for jk in pieces}
     inside = {jk: {i for i, z in enumerate(pts) if bx_member(x, z, "closed")}
               for jk, x in labels.items()}
     for a, b in itertools.combinations(sorted(pieces), 2):
@@ -426,23 +422,25 @@ def assemble_slice(n: int, m: int) -> SimplicialComplex:
     for jk in sorted(pieces):
         for t, s in zip(tops[jk], ascending[jk]):
             union.setdefault(s, t)
-    return SimplicialComplex(pts, [union[s] for s in sorted(union)])
+    return SimplicialComplex(order, [union[s] for s in sorted(union)])
 
 
 def boundary_subcomplex(K: SimplicialComplex) -> SimplicialComplex:
     """Closure of the codimension-1 faces lying in exactly one top.
 
-    The input must be pure or empty; a closed or empty complex yields
-    the empty complex.  The boundary keeps the vertex order of K, and
-    each of its tops lists its vertices in ascending order.
+    The input must be well formed (see _face_table) and pure, or have
+    no tops; a closed, empty or 0-dimensional complex yields the empty
+    complex.  The boundary keeps the vertex order of K, and each of its
+    tops lists its vertices in ascending order.
     """
     if not K.tops:
         return SimplicialComplex([], [])
+    K.faces()
     if not K.is_pure():
         raise MeshValidityError("boundary of a non-pure complex")
-    # the incidence lists its faces as ascending tuples in sorted order,
-    # and renumbering the vertices in order keeps both
-    faces = [f for f, c in K.codim1_incidence().items() if c == 1]
+    # the incidence lists its faces as ascending tuples in sorted order, and
+    # renumbering the vertices in order keeps both; the empty face is dropped
+    faces = [f for f, c in K.codim1_incidence().items() if c == 1 and f]
     used = sorted(set(itertools.chain.from_iterable(faces)))
     new = {v: i for i, v in enumerate(used)}
     return SimplicialComplex([K.vertices[v] for v in used],
@@ -484,8 +482,7 @@ def _build_regions(m: int) -> tuple:
     raises is not kept.  Callers must not mutate the triple: they read
     it, or emit copies of it.
     """
-    S = assemble_slice(3, m)
-    keys = [_ticks(z, m) for z in S.vertices]
+    S = _slice(3, m)
 
     def rotate(entries):
         key, q = entries
@@ -497,7 +494,7 @@ def _build_regions(m: int) -> tuple:
 
     # descending rotation steps cancel the shear on the torus
     steps = [e[::-1] for e in _circle(m)]
-    slice_cells = [tuple(keys[i] for i in t) for t in S.tops]
+    slice_cells = [tuple(S.vertices[i] for i in t) for t in S.tops]
     regions = []
     for tops in (_product_tops([slice_cells, steps], rotate),
                  _product_tops([_full2_cells(m), _fan_cells(m)], concat)):

@@ -135,11 +135,15 @@ def test_mesh_and_homology_round_trip():
 
 
 def test_mesh_rejects_odd_m():
+    # assemble_slice checks its own arguments; each refusal is one line
     runner = CliRunner()
-    with runner.isolated_filesystem():
-        r = runner.invoke(main, ["mesh", "slice", "--n", "3", "--m", "3",
-                                 "--out", "s.json"])
-        assert r.exit_code == 1
+    for n, m, msg in (("2", "2", "need n >= 3"),
+                      ("3", "3", "resolution m must be an even integer >= 2")):
+        with runner.isolated_filesystem():
+            r = runner.invoke(main, ["mesh", "slice", "--n", n, "--m", m,
+                                     "--out", "s.json"])
+            assert r.exit_code == 1
+            assert r.output == f"Error: {msg}\n"
 
 
 def test_mesh_stats_of_the_slice():

@@ -13,9 +13,11 @@ from phasetop.mesh import (
     FullSpacePieces,
     MeshValidityError,
     SimplicialComplex,
+    _build_regions,
+    _chart,
     _interface_faces,
     _point_of,
-    _ticks,
+    _slice,
     assemble_full,
     assemble_slice,
     boundary_subcomplex,
@@ -86,6 +88,23 @@ def test_slice_pieces_cover_all_ordered_pairs():
     assert all(len(K.tops) > 0 for K in pieces.values())
 
 
+@pytest.mark.parametrize("n,m", [(3, 2), (3, 4), (4, 2)])
+def test_the_slice_is_the_union_of_the_public_charts(n, m):
+    # assemble_slice builds its charts on tick keys; mapped by vertex
+    # equality, every top of every public chart is a slice top, in the
+    # vertex order of the first chart that has it, and no other top is
+    S = assemble_slice(n, m)
+    index = {z: i for i, z in enumerate(S.vertices)}
+    pieces = slice_pieces(n, m)
+    first: dict = {}
+    for jk in sorted(pieces):
+        K = pieces[jk]
+        for t in K.tops:
+            top = tuple(index[K.vertices[i]] for i in t)
+            first.setdefault(frozenset(top), top)
+    assert [first[s] for s in sorted(first, key=sorted)] == S.tops
+
+
 def test_slice_4_counts(slice42):
     assert len(slice42.tops) == 864
     assert slice42.dim == 4
@@ -136,6 +155,24 @@ def test_boundary_of_a_boundary_is_empty(slice32, full32):
     # a vertex table with no tops is empty too
     B = boundary_subcomplex(SimplicialComplex(["a", "b"], []))
     assert (B.vertices, B.tops) == ([], [])
+
+
+def test_the_boundary_of_a_point_is_empty():
+    # once SimplicialComplex([], [()]), whose checks raised KeyError: -2
+    for K in (SimplicialComplex(["a"], [(0,)]),
+              SimplicialComplex(["a", "b"], [(0,), (1,)])):
+        B = boundary_subcomplex(K)
+        assert (B.vertices, B.tops, B.f_vector()) == ([], [], ())
+        assert not B.is_closed_pseudomanifold()
+
+
+def test_an_empty_top_is_refused():
+    # once read as a complex with f-vector (2, 1)
+    K = SimplicialComplex(["a", "b"], [(0, 1), ()])
+    for ask in (K.f_vector, K.codim1_incidence, K.is_closed_pseudomanifold,
+                lambda: boundary_subcomplex(K)):
+        with pytest.raises(MeshValidityError, match=r"bad simplex \(\)$"):
+            ask()
 
 
 def test_boundary_requires_pure():
@@ -370,9 +407,9 @@ def test_interface_is_the_boundary_of_each_region(m):
 def test_torus_mismatch_is_an_error_with_a_witness(monkeypatch):
     import phasetop.mesh as mesh_module
 
-    S = assemble_slice(3, 2)
+    S = _slice(3, 2)
     holed = SimplicialComplex(S.vertices, S.tops[1:])
-    monkeypatch.setattr(mesh_module, "assemble_slice", lambda n, m: holed)
+    monkeypatch.setattr(mesh_module, "_slice", lambda n, m: holed)
     # the patched slice reaches only a fresh build: no m = 2 regions are
     # kept from another test (conftest clears them)
     assert mesh_module._build_regions.cache_info().currsize == 0
@@ -383,17 +420,17 @@ def test_torus_mismatch_is_an_error_with_a_witness(monkeypatch):
 
 
 def _count_slice_builds(monkeypatch, slice_of=None) -> list:
-    """Record the m of each assemble_slice call the region build makes."""
+    """Record the m of each _slice call the region build makes."""
     import phasetop.mesh as mesh_module
 
     calls = []
-    build = slice_of or mesh_module.assemble_slice
+    build = slice_of or mesh_module._slice
 
     def counting(n, m):
         calls.append(m)
         return build(n, m)
 
-    monkeypatch.setattr(mesh_module, "assemble_slice", counting)
+    monkeypatch.setattr(mesh_module, "_slice", counting)
     return calls
 
 
@@ -410,7 +447,7 @@ def test_regions_are_built_once_per_m(monkeypatch):
 
 
 def test_a_region_build_that_raises_is_not_kept(monkeypatch):
-    S = assemble_slice(3, 2)
+    S = _slice(3, 2)
     holed = SimplicialComplex(S.vertices, S.tops[1:])
     calls = _count_slice_builds(monkeypatch, lambda n, m: holed)
     for build in (full_space_pieces, full_space_pieces, assemble_full):
@@ -440,37 +477,48 @@ def test_mutating_a_returned_complex_leaves_the_next_call_alone():
         (assemble_full, 3, 2)]
 
 
-def test_ticks_round_trip(slice32, full32):
-    for K, m in ((slice32, 2), (full32, 2), (assemble_slice(3, 4), 4)):
-        keys = [_ticks(z, m) for z in K.vertices]
-        assert list(map(_point_of(m), keys)) == K.vertices
-        # tick order is the vertex order of every emitted complex
+def test_ticks_round_trip(full32):
+    # tick order is the vertex order of every emitted complex: the keys
+    # are sorted, and their points are the emitted vertices
+    for n, m in ((3, 2), (3, 4), (4, 2)):
+        keys = _slice(n, m).vertices
         assert keys == sorted(keys)
+        assert list(map(_point_of(m), keys)) == assemble_slice(n, m).vertices
+    for m, K in ((2, full32), (4, assemble_full(3, 4))):
+        regions = _build_regions(m)
+        P = full_space_pieces(3, m)
+        for R, E in zip(regions, (P.rotation, P.base, P.interface)):
+            assert R.vertices == sorted(R.vertices)
+            assert list(map(_point_of(m), R.vertices)) == E.vertices
+        keys = sorted(set(regions[0].vertices) | set(regions[1].vertices))
+        assert list(map(_point_of(m), keys)) == K.vertices
     centre = ModelPoint((DiscPoint.center(), DiscPoint.of(1, Fraction(3, 4))))
-    assert _ticks(centre, 2) == (-1, 3)
-    assert _ticks(centre, 4) == (-1, 6)
+    assert _point_of(2)((-1, 3)) == centre
+    assert _point_of(4)((-1, 6)) == centre
 
 
-@pytest.mark.parametrize("coord", [
-    DiscPoint.of(Fraction(1, 2), 0),    # inside the disc, off centre
-    DiscPoint.of(1, Fraction(1, 8)),    # on the circle, between ticks
-])
-def test_ticks_reject_off_grid_vertices(coord):
-    z = ModelPoint((DiscPoint.of(1, 0), coord))
-    with pytest.raises(ValueError, match="off the 1/4 grid"):
-        _ticks(z, 2)
+def _key_charts(n: int, m: int) -> dict:
+    """The slice's charts on tick keys, keyed by their (j, k) pair."""
+    return {(j, k): _chart(ul_label(j, k, n), m)
+            for j in range(1, n) for k in range(1, n)}
+
+
+def _patch_charts(monkeypatch, charts: dict, n: int):
+    """Make the slice build read the given key charts."""
+    import phasetop.mesh as mesh_module
+
+    by_label = {ul_label(j, k, n): K for (j, k), K in charts.items()}
+    monkeypatch.setattr(mesh_module, "_chart", lambda x, m: by_label[x])
 
 
 def test_interface_mismatch_is_an_error_naming_points(monkeypatch):
-    import phasetop.mesh as mesh_module
-
-    pieces = slice_pieces(3, 2)
-    K, other = pieces[(1, 2)], set(pieces[(2, 1)].vertices)
+    charts = _key_charts(3, 2)
+    K, other = charts[(1, 2)], set(charts[(2, 1)].vertices)
     # drop every top of one chart at a vertex it shares with another
-    v = next(i for i, z in enumerate(K.vertices) if z in other)
-    pieces[(1, 2)] = SimplicialComplex(
+    v = next(i for i, key in enumerate(K.vertices) if key in other)
+    charts[(1, 2)] = SimplicialComplex(
         K.vertices, [t for t in K.tops if v not in t])
-    monkeypatch.setattr(mesh_module, "slice_pieces", lambda n, m: pieces)
+    _patch_charts(monkeypatch, charts, 3)
     with pytest.raises(MeshValidityError,
                        match=r"charts \(\d, \d\) and \(\d, \d\) disagree "
                              r"on their overlap near \['1@"):
@@ -487,20 +535,17 @@ def reference_interface_faces(K: SimplicialComplex, keys: list,
             for fs in K.faces().values() for f in fs if ins.issuperset(f)}
 
 
-def _slice_ids(pieces, n: int, m: int):
-    """The tick keys of the slice in id order, each chart's vertex ids,
-    and the ids inside each closed cell, as `assemble_slice` makes them."""
-    keys = {jk: [_ticks(z, m) for z in K.vertices]
-            for jk, K in pieces.items()}
-    points = {key: z for jk, K in pieces.items()
-              for key, z in zip(keys[jk], K.vertices)}
-    order = sorted(points)
+def _slice_ids(charts, n: int, m: int):
+    """The tick keys of the slice in id order, each key chart's vertex
+    ids, and the ids inside each closed cell, as `_slice` makes them."""
+    order = sorted(set().union(*(K.vertices for K in charts.values())))
     vid = {key: i for i, key in enumerate(order)}
-    ids = {jk: [vid[key] for key in ks] for jk, ks in keys.items()}
+    ids = {jk: [vid[key] for key in K.vertices] for jk, K in charts.items()}
+    point = _point_of(m)
     inside = {jk: {i for i, key in enumerate(order)
-                   if bx_member(ul_label(*jk, n), points[key], "closed")}
-              for jk in pieces}
-    return order, keys, ids, inside
+                   if bx_member(ul_label(*jk, n), point(key), "closed")}
+              for jk in charts}
+    return order, ids, inside
 
 
 def _assert_same_interface(K, order, keys, ids, inside):
@@ -514,44 +559,41 @@ def _assert_same_interface(K, order, keys, ids, inside):
 
 @pytest.mark.parametrize("n,m", [(3, 2), (3, 4), (3, 6), (4, 2), (4, 4)])
 def test_interface_faces_match_the_all_faces_form(n, m):
-    pieces = slice_pieces(n, m)
-    order, keys, ids, inside = _slice_ids(pieces, n, m)
+    charts = _key_charts(n, m)
+    order, ids, inside = _slice_ids(charts, n, m)
     shared = 0
-    for a, b in itertools.permutations(sorted(pieces), 2):
-        got = _assert_same_interface(pieces[a], order, keys[a], ids[a],
-                                     inside[b])
+    for a, b in itertools.permutations(sorted(charts), 2):
+        got = _assert_same_interface(charts[a], order, charts[a].vertices,
+                                     ids[a], inside[b])
         shared += bool(got)
     assert shared  # some charts do meet
 
 
 @pytest.mark.parametrize("n,m", [(3, 4), (4, 2)])
 def test_interface_faces_match_on_random_inside_sets(n, m):
-    pieces = slice_pieces(n, m)
-    order, keys, ids, _ = _slice_ids(pieces, n, m)
+    charts = _key_charts(n, m)
+    order, ids, _ = _slice_ids(charts, n, m)
     rnd = random.Random(20261018)
-    for jk, K in sorted(pieces.items()):
+    for jk, K in sorted(charts.items()):
         for p in (0.2, 0.5, 0.8, 1.0):
             inside = {i for i in range(len(order)) if rnd.random() < p}
-            _assert_same_interface(K, order, keys[jk], ids[jk], inside)
+            _assert_same_interface(K, order, K.vertices, ids[jk], inside)
 
 
 def test_interface_witness_is_the_smallest_disputed_face(monkeypatch):
-    import phasetop.mesh as mesh_module
-
-    pieces = slice_pieces(3, 4)
-    order, keys, ids, inside = _slice_ids(pieces, 3, 4)
+    charts = _key_charts(3, 4)
+    order, ids, inside = _slice_ids(charts, 3, 4)
     # drop the tops of one chart at every vertex it shares with another,
     # so its interface loses many faces at once
-    K, other = pieces[(1, 2)], set(ids[(2, 1)])
+    K, other = charts[(1, 2)], set(ids[(2, 1)])
     gone = {i for i, v in enumerate(ids[(1, 2)]) if v in other}
-    pieces[(1, 2)] = SimplicialComplex(
+    charts[(1, 2)] = SimplicialComplex(
         K.vertices, [t for t in K.tops if not gone.intersection(t)])
-    keys[(1, 2)] = [_ticks(z, 4) for z in pieces[(1, 2)].vertices]
     first = None
-    for a, b in itertools.combinations(sorted(pieces), 2):
-        sa = reference_interface_faces(pieces[a], keys[a],
+    for a, b in itertools.combinations(sorted(charts), 2):
+        sa = reference_interface_faces(charts[a], charts[a].vertices,
                                        {order[i] for i in inside[b]})
-        sb = reference_interface_faces(pieces[b], keys[b],
+        sb = reference_interface_faces(charts[b], charts[b].vertices,
                                        {order[i] for i in inside[a]})
         if sa != sb:
             first = a, b, sa ^ sb
@@ -560,7 +602,7 @@ def test_interface_witness_is_the_smallest_disputed_face(monkeypatch):
     assert len(disputed) > 1
     witness = min(tuple(sorted(f)) for f in disputed)
     names = [str(_point_of(4)(key)) for key in witness]
-    monkeypatch.setattr(mesh_module, "slice_pieces", lambda n, m: pieces)
+    _patch_charts(monkeypatch, charts, 3)
     with pytest.raises(MeshValidityError, match=re.escape(
             f"charts {a} and {b} disagree on their overlap near {names}")
             + "$"):

@@ -16,7 +16,6 @@ from hypothesis import given, settings, strategies as st
 
 from phasetop.cells import _lower, _upper
 from phasetop.covectors import PhaseVector, _tick_scale
-from phasetop.mesh import _ticks
 from phasetop.order_complex import (
     DiscPoint,
     JoinPoint,
@@ -91,19 +90,6 @@ def reference_lower(c):
     if r.numerator != r.denominator or 0 < 2 * a < d:
         return None
     return (2 * a - d, d) if a else (1, 1)
-
-
-def reference_ticks(z, m):
-    key = []
-    for c in z.coords:
-        if c.radius == 0:
-            key.append(-1)
-            continue
-        k = c.angle.turns * (2 * m)
-        if c.radius != 1 or k.denominator != 1:
-            raise ValueError(f"vertex {z} is off the 1/{2 * m} grid")
-        key.append(k.numerator)
-    return tuple(key)
 
 
 def reference_join_to_model(p):
@@ -288,44 +274,6 @@ def test_upper_and_lower_match_the_reference_on_the_grid():
                 c = DiscPoint(r, Angle(F(k, den)))
                 assert _upper(c) == reference_upper(c)
                 assert _lower(c) == reference_lower(c)
-
-
-@st.composite
-def tick_inputs(draw):
-    """Mostly grid vertices at resolution m, with some coordinates moved
-    off the grid (an off-grid angle, or a radius other than 0 and 1)."""
-    m = draw(st.integers(1, 6))
-    coords = []
-    for _ in range(draw(st.integers(1, 5))):
-        kind = draw(st.sampled_from(["centre", "grid", "grid", "grid",
-                                     "angle", "radius"]))
-        k = draw(st.integers(-4 * m, 4 * m))
-        if kind == "centre":
-            coords.append(_CENTER)
-        elif kind == "grid":
-            coords.append(DiscPoint(F(1), Angle(F(k, 2 * m))))
-        elif kind == "angle":
-            coords.append(DiscPoint(F(1), draw(angles)))
-        else:
-            coords.append(DiscPoint(draw(unit), Angle(F(k, 2 * m))))
-    return ModelPoint(tuple(coords)), m
-
-
-@SETTINGS
-@given(tick_inputs())
-def test_ticks_match_the_reference_on_and_off_the_grid(args):
-    assert _outcome(_ticks, *args) == _outcome(reference_ticks, *args)
-
-
-def test_off_grid_ticks_name_the_vertex_and_the_grid():
-    z = ModelPoint((DiscPoint(F(1), Angle(F(1, 4))),
-                    DiscPoint(F(1), Angle(F(1, 3)))))
-    with pytest.raises(ValueError, match=r"^vertex 1@1/4;1@1/3 is off the "
-                                         r"1/4 grid$"):
-        _ticks(z, 2)
-    assert _ticks(z, 6) == reference_ticks(z, 6) == (3, 4)
-    half = ModelPoint((DiscPoint(F(1, 2), Angle(F(0))),))
-    assert _outcome(_ticks, half, 2) == _outcome(reference_ticks, half, 2)
 
 
 @SETTINGS
