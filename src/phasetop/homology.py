@@ -62,6 +62,13 @@ class _Engine:
     the combination of each column that reduces to zero is kept in
     `cycles`.
 
+    A boundary column may come as its facet row, a tuple of rows in
+    ascending order (see _boundary_columns), whose low is its last
+    entry.  When no pivot has that low, the tuple is kept as the pivot
+    as it stands (Ripser's emergent pairs); the set or dict is built
+    only for a column whose low is taken, and for a tuple pivot that a
+    later column meets, which is then kept built.
+
     Once a column has met a pivot, its low comes from a lazy max-heap of
     its rows (as in PHAT's heap columns): each step pushes the rows of
     the pivot column that stay in it, and stale tops are popped, so a
@@ -76,7 +83,8 @@ class _Engine:
         self.cycles: list = []
 
     def add(self, col, tag=None) -> None:
-        """Reduce col in place, then keep it as a pivot or log its cycle."""
+        """Reduce col, a facet row or a built column (reduced in place),
+        then keep it as a pivot or log its cycle."""
         comb = None
         if self.log:
             comb = {tag} if self.f2 else {tag: 1}
@@ -84,7 +92,8 @@ class _Engine:
         dirty = False  # over Q: col may hold a common factor
         while col:
             if heap is None:
-                low = max(col)
+                # a facet row is ascending: its low is its last entry
+                low = col[-1] if type(col) is tuple else max(col)
             else:
                 while -heap[0] not in col:
                     heappop(heap)
@@ -97,7 +106,11 @@ class _Engine:
                 if comb is not None:
                     self.combs[low] = comb
                 return
+            if type(other) is tuple:
+                other = self.pivots[low] = _column(other, self.f2)
             if heap is None:
+                if type(col) is tuple:
+                    col = _column(col, self.f2)
                 heap = [-r for r in col]
                 heapify(heap)
             if self.f2:
@@ -155,18 +168,28 @@ def _divide_content(col: dict, comb) -> None:
                 vec[r] //= g
 
 
-def _boundary_columns(parts: Sequence[SimplicialComplex], d: int, f2: bool,
-                      skip=()):
-    """(index, column) of each d-simplex whose index is not in skip.
+def _column(facets: tuple, f2: bool):
+    """The column of a facet row: its set of rows over F2, and over Q
+    the {row: +-1} dict of the boundary of the simplex it lists.
+
+    The row drops the simplex's last vertex first, and the face without
+    vertex i has sign (-1)^i, so the signs run from i = d down to 0.
+    """
+    if f2:
+        return set(facets)
+    d = len(facets) - 1
+    return dict(zip(facets, ((1, -1) * (d // 2 + 1))[d::-1]))
+
+
+def _boundary_columns(parts: Sequence[SimplicialComplex], d: int, skip=()):
+    """(index, facet row) of each d-simplex whose index is not in skip.
 
     The simplices are those of the disjoint union of parts: each part's
     simplices, and the facet rows of its columns, are numbered after
-    those of the parts before it.  Columns are sets of face indices over
-    F2 and {face index: +-1} dicts over Q; a vertex has the empty column.
+    those of the parts before it.  A facet row is the tuple of the
+    simplex's facet indices in the order of the face table, which is
+    ascending (see _column for its column); a vertex has the empty row.
     """
-    # combinations drop the last vertex first; face s minus s[i] has
-    # sign (-1)^i, so the signs run from i = d down to 0
-    signs = ((1, -1) * (d // 2 + 1))[d::-1]
     j = shift = 0
     for K in parts:
         faces, rows = K.faces(), K.facet_rows()
@@ -177,8 +200,8 @@ def _boundary_columns(parts: Sequence[SimplicialComplex], d: int, f2: bool,
         for facets in cols:
             if j not in skip:
                 if shift:
-                    facets = [r + shift for r in facets]
-                yield j, set(facets) if f2 else dict(zip(facets, signs))
+                    facets = tuple(map(shift.__add__, facets))
+                yield j, facets
             j += 1
         shift += len(faces.get(d - 1, ()))
 
@@ -197,8 +220,8 @@ def _reductions(parts: Sequence[SimplicialComplex], f2: bool, top: int,
     cleared: dict = {}
     for d in range(top, -1, -1):
         eng = _Engine(f2, log)
-        for j, col in _boundary_columns(parts, d, f2, cleared):
-            eng.add(col, j)
+        for j, facets in _boundary_columns(parts, d, cleared):
+            eng.add(facets, j)
         yield d, eng
         cleared = eng.pivots
 

@@ -327,25 +327,26 @@ def mesh_chart(x: CellLabel, m: int) -> MeshChart:
     straddle a parameter-comparison hyperplane.
     """
     _check_m(m)
-    return MeshChart(x, m, _emit(_chart(x, m), m))
+    return MeshChart(x, m, _emit(_chart(x, m)[0], m))
 
 
-def _chart(x: CellLabel, m: int) -> SimplicialComplex:
-    """The complex of mesh_chart(x, m), on tick keys."""
+def _chart(x: CellLabel, m: int) -> tuple:
+    """The complex of mesh_chart(x, m) on tick keys, and the set of the
+    keys of its product box that lie in the closed cell.
+
+    Each point of the box (each factor's grid points) is tested once; a
+    staircase simplex is kept when all its vertices are inside.
+    """
+    factors = [_factor_cells(lab, m) for lab in x]
     point = _point_of(m)
-    memo: dict = {}
-
-    def member(key) -> bool:
-        r = memo.get(key)
-        if r is None:
-            r = memo[key] = bx_member(x, point(key), "closed")
-        return r
-
+    box = itertools.product(*({c for cell in cells for c in cell}
+                              for cells in factors))
+    inside = {key for key in box if bx_member(x, point(key), "closed")}
     b = _Builder()
-    for simplex in _product_tops([_factor_cells(lab, m) for lab in x]):
-        if all(member(key) for key in simplex):
+    for simplex in _product_tops(factors):
+        if inside.issuperset(simplex):
             b.add(simplex)
-    return b.complex()
+    return b.complex(), inside
 
 
 # ---------------------------------------------------------------------------
@@ -392,12 +393,14 @@ def assemble_slice(n: int, m: int) -> SimplicialComplex:
 
 def _slice(n: int, m: int) -> SimplicialComplex:
     """The complex of assemble_slice(n, m), on tick keys."""
-    labels = {(j, k): ul_label(j, k, n)
-              for j in range(1, n) for k in range(1, n)}
-    pieces = {jk: _chart(x, m) for jk, x in labels.items()}
-    # one id per slice vertex, in tick-key order; its point is made once
+    pieces, boxes = {}, {}
+    for j in range(1, n):
+        for k in range(1, n):
+            pieces[j, k], boxes[j, k] = _chart(ul_label(j, k, n), m)
+    # one id per slice vertex, in tick-key order; points are made only
+    # to name a witness
     order = sorted(set().union(*(K.vertices for K in pieces.values())))
-    pts = list(map(_point_of(m), order))
+    point = _point_of(m)
     vid = {key: i for i, key in enumerate(order)}
     ids = {jk: [vid[key] for key in K.vertices] for jk, K in pieces.items()}
     # each chart's tops in construction order, and as ascending ids
@@ -405,9 +408,10 @@ def _slice(n: int, m: int) -> SimplicialComplex:
             for jk, K in pieces.items()}
     ascending = {jk: [tuple(sorted(t)) for t in ts]
                  for jk, ts in tops.items()}
-    # each vertex of the slice is tested once against each cell
-    inside = {jk: {i for i, z in enumerate(pts) if bx_member(x, z, "closed")}
-              for jk, x in labels.items()}
+    # the ids inside each closed cell: a slice vertex in the cell lies on
+    # the grid of its chart's box, where the chart build tested it
+    inside = {jk: {vid[key] for key in box if key in vid}
+              for jk, box in boxes.items()}
     for a, b in itertools.combinations(sorted(pieces), 2):
         sa = _interface_faces(ascending[a], inside[b])
         sb = _interface_faces(ascending[b], inside[a])
@@ -415,14 +419,19 @@ def _slice(n: int, m: int) -> SimplicialComplex:
             witness = min(sa ^ sb)
             raise MeshValidityError(
                 f"charts {a} and {b} disagree on their overlap near "
-                f"{[str(pts[i]) for i in witness]}")
-    # every slice vertex is in a top; a top two charts share is kept once,
-    # in the order of the first
+                f"{[str(point(order[i])) for i in witness]}")
+    # every slice vertex is in a top; closed cells meet in lower
+    # dimension only, so a top that two charts share means the charts
+    # overlap and do not subdivide the slice
     union: dict = {}
     for jk in sorted(pieces):
         for t, s in zip(tops[jk], ascending[jk]):
-            union.setdefault(s, t)
-    return SimplicialComplex(order, [union[s] for s in sorted(union)])
+            first, _ = union.setdefault(s, (jk, t))
+            if first != jk:
+                raise MeshValidityError(
+                    f"charts {first} and {jk} share the top "
+                    f"{[str(point(order[i])) for i in s]}")
+    return SimplicialComplex(order, [union[s][1] for s in sorted(union)])
 
 
 def boundary_subcomplex(K: SimplicialComplex) -> SimplicialComplex:
@@ -627,12 +636,19 @@ def _doc_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _doc_disc_point(c) -> DiscPoint:
+def _doc_disc_point(c, parsed: dict) -> DiscPoint:
+    """The point of a [radius, angle] pair of strings; each distinct pair
+    is parsed once and kept in parsed."""
     if not (isinstance(c, list) and len(c) == 2
             and all(isinstance(t, str) for t in c)):
         raise ValueError(f"disc coordinate {c!r} is not a [radius, angle]"
                          " pair of strings")
-    return DiscPoint(parse_fraction(c[0]), Angle(parse_fraction(c[1])))
+    key = tuple(c)
+    p = parsed.get(key)
+    if p is None:
+        p = parsed[key] = DiscPoint(parse_fraction(c[0]),
+                                    Angle(parse_fraction(c[1])))
+    return p
 
 
 def complex_from_doc(doc: dict):
@@ -660,11 +676,11 @@ def complex_from_doc(doc: dict):
     for key in ("vertices", "simplices"):
         if not isinstance(doc[key], list):
             raise ValueError(f"mesh document {key} must be a list")
-    verts = []
+    verts, parsed = [], {}
     for z in doc["vertices"]:
         if not isinstance(z, list) or len(z) != n:
             raise ValueError(f"vertex {z!r} does not have n={n} coordinates")
-        verts.append(ModelPoint(tuple(_doc_disc_point(c) for c in z)))
+        verts.append(ModelPoint(tuple(_doc_disc_point(c, parsed) for c in z)))
     simplices = doc["simplices"]
     for s in simplices:
         if not isinstance(s, list) or not s or not all(map(_doc_int, s)):

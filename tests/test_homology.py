@@ -17,11 +17,13 @@ from phasetop.mesh import (
     complex_to_doc,
     full_space_pieces,
 )
+import phasetop.homology as homology_module
 import phasetop.mesh as mesh_module
 from phasetop.homology import (
     BettiReport,
     _Engine,
     _boundary_columns,
+    _column,
     _reductions,
     betti,
     euler_characteristic,
@@ -169,8 +171,20 @@ def reference_reductions(simp, idx, f2: bool, top: int, log: bool):
         cleared = eng.pivots
 
 
+def built(col, f2: bool):
+    """A column in the reference form.  A facet row (a tuple) lists the
+    faces of its simplex that drop vertex d, d - 1, ..., 0 in turn, and
+    over Q the face without vertex i has sign (-1)^i."""
+    if type(col) is not tuple:
+        return col
+    d = len(col) - 1
+    return set(col) if f2 else {r: (-1) ** (d - p) for p, r in enumerate(col)}
+
+
 def assert_same_engine_state(eng, ref):
-    assert eng.pivots == ref.pivots
+    """The engine equals the reference once its tuple pivots are built."""
+    assert {low: built(col, eng.f2) for low, col in eng.pivots.items()} \
+        == ref.pivots
     assert eng.combs == ref.combs
     assert eng.cycles == ref.cycles
 
@@ -437,6 +451,57 @@ def test_engine_matches_parent_chain_data_on_full_space_pieces(m):
         _assert_same_reductions(*parts)
 
 
+class RecordingEngine(_Engine):
+    """The engine, logging each column it is given (a copy) and, for each
+    column whose low was a tuple pivot's, that low, the tuple, and
+    whether the column came as a facet row."""
+
+    runs: list = []
+
+    def __init__(self, f2: bool, log: bool = False):
+        super().__init__(f2, log)
+        self.given: list = []
+        self.hits: list = []
+        self.runs.append(self)
+
+    def add(self, col, tag=None) -> None:
+        low = max(col, default=None)
+        if type(self.pivots.get(low)) is tuple:
+            self.hits.append((low, self.pivots[low], type(col) is tuple))
+        self.given.append((col if type(col) is tuple else col.copy(), tag))
+        super().add(col, tag)
+
+
+@pytest.mark.parametrize("f2", [False, True])
+def test_columns_that_meet_a_tuple_pivot_build_it(f2, monkeypatch):
+    # direct Betti numbers, then Mayer-Vietoris: its logged interface
+    # run, and the mapped cycles it adds to the pieces' engines
+    monkeypatch.setattr(RecordingEngine, "runs", [])
+    monkeypatch.setattr(homology_module, "_Engine", RecordingEngine)
+    field = "f2" if f2 else "q"
+    assert betti(boundary_subcomplex(assemble_slice(4, 2)), field).betti \
+        == (1, 0, 0, 1)
+    P = full_space_pieces(3, 2)
+    got = mayer_vietoris_assemble(
+        P.rotation, P.base, P.interface,
+        vertex_inclusion_map(P.interface, P.rotation),
+        vertex_inclusion_map(P.interface, P.base), field)
+    assert got.betti == (1, 0, 0, 1)
+    kinds = set()
+    for eng in RecordingEngine.runs:
+        ref = ReferenceEngine(f2, eng.log)
+        for col, tag in eng.given:
+            ref.add(built(col, f2), tag)
+        assert_same_engine_state(eng, ref)
+        for low, row, facet_row in eng.hits:
+            assert type(eng.pivots[low]) is not tuple
+            assert eng.pivots[low] == built(row, f2) == _column(row, f2)
+            kinds.add((facet_row, eng.log))
+    # later facet rows meet tuple pivots with and without the log, and a
+    # mapped cycle (no facet row) meets one in an unlogged engine
+    assert kinds == {(True, False), (True, True), (False, False)}
+
+
 @pytest.mark.parametrize("f2", [False, True])
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(complexes())
@@ -513,11 +578,14 @@ def test_codim1_incidence_matches_the_brute_force_count(K):
 def _assert_same_boundary_columns(parts, simp, idx, d: int, f2: bool):
     skip = set(range(0, len(simp[d]), 3))
     for cut in ((), skip):
-        got = list(_boundary_columns(parts, d, f2, cut))
+        got = list(_boundary_columns(parts, d, cut))
         want = list(reference_boundary_columns(simp, idx, d, f2, cut))
         assert len(got) == len(want) == len(simp[d]) - len(cut)
         for (j, col), (j_ref, col_ref) in zip(got, want):
-            assert j == j_ref and col == col_ref
+            # the engine reads a facet row's low as its last entry
+            assert type(col) is tuple and list(col) == sorted(col)
+            assert j == j_ref and built(col, f2) == col_ref
+            assert _column(col, f2) == col_ref
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
@@ -525,17 +593,20 @@ def _assert_same_boundary_columns(parts, simp, idx, d: int, f2: bool):
 def test_boundary_of_boundary_is_zero(K):
     parts = (K,)
     for d in range(2, len(K.faces())):
-        below = dict(_boundary_columns(parts, d - 1, False))
-        below_f2 = dict(_boundary_columns(parts, d - 1, True))
-        for j, col in _boundary_columns(parts, d, False):
+        below = {j: _column(col, False)
+                 for j, col in _boundary_columns(parts, d - 1)}
+        below_f2 = {j: _column(col, True)
+                    for j, col in _boundary_columns(parts, d - 1)}
+        for j, col in _boundary_columns(parts, d):
+            col = _column(col, False)
             total: dict = {}
             for r, v in col.items():
                 for q, w in below[r].items():
                     total[q] = total.get(q, 0) + v * w
             assert not any(total.values())
-        for j, col in _boundary_columns(parts, d, True):
+        for j, col in _boundary_columns(parts, d):
             total = set()
-            for r in col:
+            for r in _column(col, True):
                 total ^= below_f2[r]
             assert not total
 
@@ -548,7 +619,8 @@ def test_logged_cycles_are_cycles_one_per_betti_number(K):
         bs = betti(K, field).betti
         for d, eng in _reductions(parts, f2, len(bs) - 1, log=True):
             assert len(eng.cycles) == bs[d]
-            cols = dict(_boundary_columns(parts, d, False))
+            cols = {j: _column(col, False)
+                    for j, col in _boundary_columns(parts, d)}
             for cycle in eng.cycles:
                 total: dict = {}
                 for j, c in (dict.fromkeys(cycle, 1) if f2 else cycle).items():

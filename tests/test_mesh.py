@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import math
 import random
 import re
 
@@ -13,8 +14,10 @@ from phasetop.mesh import (
     FullSpacePieces,
     MeshValidityError,
     SimplicialComplex,
+    _Builder,
     _build_regions,
     _chart,
+    _factor_cells,
     _interface_faces,
     _point_of,
     _slice,
@@ -327,6 +330,25 @@ def test_doc_rejects_duplicates_and_bad_indices(slice32):
         complex_from_doc(bad)
 
 
+@pytest.mark.parametrize("bad,msg", [
+    (["1", "1/x"], "not a rational number: '1/x'"),
+    (["2", "0"], "disc radius must lie in [0, 1]"),
+    (["1", 0], "disc coordinate ['1', 0] is not a [radius, angle] pair "
+               "of strings"),
+    (["1", "0", "0"], "disc coordinate ['1', '0', '0'] is not a "
+                      "[radius, angle] pair of strings"),
+], ids=["unparsable", "radius", "not-a-string", "three-entries"])
+def test_doc_bad_coordinate_after_a_repeated_good_one(slice32, bad, msg):
+    # each distinct coordinate is parsed once per document; a bad one
+    # after the good ones is still refused with its own message
+    doc = json.loads(json.dumps(complex_to_doc(slice32, 3, 2)))
+    good = doc["vertices"][0][0]
+    assert sum(c == good for z in doc["vertices"] for c in z) > 1
+    doc["vertices"][-1][-1] = bad
+    with pytest.raises(ValueError, match=re.escape(msg) + "$"):
+        complex_from_doc(doc)
+
+
 def test_doc_rejects_a_repeated_simplex(slice32):
     doc = json.loads(json.dumps(complex_to_doc(slice32, 3, 2)))
     doc["simplices"].append(doc["simplices"][5][::-1])
@@ -499,16 +521,19 @@ def test_ticks_round_trip(full32):
 
 def _key_charts(n: int, m: int) -> dict:
     """The slice's charts on tick keys, keyed by their (j, k) pair."""
-    return {(j, k): _chart(ul_label(j, k, n), m)
+    return {(j, k): _chart(ul_label(j, k, n), m)[0]
             for j in range(1, n) for k in range(1, n)}
 
 
 def _patch_charts(monkeypatch, charts: dict, n: int):
-    """Make the slice build read the given key charts."""
+    """Make the slice build read the given key charts, each with the
+    inside set of its cell's own chart build."""
     import phasetop.mesh as mesh_module
 
     by_label = {ul_label(j, k, n): K for (j, k), K in charts.items()}
-    monkeypatch.setattr(mesh_module, "_chart", lambda x, m: by_label[x])
+    build = mesh_module._chart
+    monkeypatch.setattr(mesh_module, "_chart",
+                        lambda x, m: (by_label[x], build(x, m)[1]))
 
 
 def test_interface_mismatch_is_an_error_naming_points(monkeypatch):
@@ -525,6 +550,54 @@ def test_interface_mismatch_is_an_error_naming_points(monkeypatch):
         assemble_slice(3, 2)
 
 
+def test_a_top_two_charts_share_is_an_error_naming_both(monkeypatch):
+    import phasetop.mesh as mesh_module
+
+    # chart (1, 1) gains one top of chart (1, 2), and its cell the top's
+    # points, so every interface check still passes: the two cells
+    # overlap in full dimension and do not subdivide the slice
+    charts = _key_charts(3, 2)
+    shared = ((1, 2, 0), (2, 2, 0), (2, 3, 0))
+    K = charts[(1, 2)]
+    assert shared in {tuple(sorted(K.vertices[i] for i in t)) for t in K.tops}
+    b = _Builder()
+    b.add_complex(charts[(1, 1)])
+    b.add(shared)
+    grown, x11, build = b.complex(), ul_label(1, 1, 3), mesh_module._chart
+    monkeypatch.setattr(mesh_module, "_chart", lambda x, m: (
+        (grown, build(x, m)[1] | set(shared)) if x == x11 else build(x, m)))
+    names = [str(_point_of(2)(key)) for key in shared]
+    with pytest.raises(MeshValidityError, match=re.escape(
+            f"charts (1, 1) and (1, 2) share the top {names}") + "$"):
+        assemble_slice(3, 2)
+
+
+@pytest.mark.parametrize("n,m", [(3, 2), (3, 4), (3, 6), (4, 2), (4, 4)])
+def test_chart_box_inside_sets_match_the_brute_force_sets(n, m, monkeypatch):
+    # _slice reads each cell's inside ids off its chart's box results,
+    # and tests each box point once
+    import phasetop.mesh as mesh_module
+
+    charts = {(j, k): _chart(ul_label(j, k, n), m)
+              for j in range(1, n) for k in range(1, n)}
+    order, _, inside = _slice_ids({jk: K for jk, (K, _) in charts.items()},
+                                  n, m)
+    for jk, (K, box) in charts.items():
+        assert {i for i, key in enumerate(order) if key in box} == inside[jk]
+        assert box.issuperset(K.vertices)
+    calls = []
+
+    def counting(x, z, mode):
+        calls.append(x)
+        return bx_member(x, z, mode)
+
+    monkeypatch.setattr(mesh_module, "bx_member", counting)
+    _slice(n, m)
+    assert len(calls) == sum(
+        math.prod(len({c for cell in _factor_cells(lab, m) for c in cell})
+                  for lab in ul_label(*jk, n)) for jk in charts)
+
+
 def reference_interface_faces(K: SimplicialComplex, keys: list,
                               inside: set) -> set:
     """The interface faces as the parent found them: every face of K is
@@ -537,7 +610,8 @@ def reference_interface_faces(K: SimplicialComplex, keys: list,
 
 def _slice_ids(charts, n: int, m: int):
     """The tick keys of the slice in id order, each key chart's vertex
-    ids, and the ids inside each closed cell, as `_slice` makes them."""
+    ids, and the ids inside each closed cell, found by testing every
+    slice vertex against every cell."""
     order = sorted(set().union(*(K.vertices for K in charts.values())))
     vid = {key: i for i, key in enumerate(order)}
     ids = {jk: [vid[key] for key in K.vertices] for jk, K in charts.items()}
