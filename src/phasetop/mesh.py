@@ -197,37 +197,23 @@ def _emit(K: SimplicialComplex, m: int) -> SimplicialComplex:
     return E
 
 
-class _Builder:
-    """Accumulates simplices over orderable vertex keys (tick keys).
+def _keyed(simplices: Sequence) -> SimplicialComplex:
+    """The complex of a list of simplices over tick keys.
 
-    The built complex lists its keys in sorted order, and each top
-    keeps the vertex order in which it was first added.
+    The keys are numbered once, in sorted order; each top keeps its
+    given vertex order, and the tops are sorted by vertex set.  Raises
+    MeshValidityError, naming the simplex, on one that repeats a key or
+    the key set of an earlier one (see _top_keys).
     """
-
-    def __init__(self):
-        self._index: dict = {}
-        self._tops: dict = {}
-
-    def add(self, keys: Sequence):
-        index = self._index
-        idxs = tuple(index.setdefault(k, len(index)) for k in keys)
-        if len(set(idxs)) != len(idxs):
-            raise MeshValidityError(f"degenerate simplex {keys}")
-        self._tops.setdefault(tuple(sorted(idxs)), idxs)
-
-    def add_complex(self, K: SimplicialComplex):
-        for t in K.tops:
-            self.add([K.vertices[i] for i in t])
-
-    def complex(self) -> SimplicialComplex:
-        keys = list(self._index)
-        order = sorted(range(len(keys)), key=keys.__getitem__)
-        remap = [0] * len(keys)
-        for new, old in enumerate(order):
-            remap[old] = new
-        tops = [tuple(remap[i] for i in t) for t in self._tops.values()]
-        tops.sort(key=lambda t: tuple(sorted(t)))
-        return SimplicialComplex([keys[i] for i in order], tops)
+    for k, s in enumerate(simplices):
+        if len(set(s)) != len(s):
+            raise MeshValidityError(f"simplex {k} {s!r} repeats a key")
+    first = _top_keys(simplices)
+    order = sorted(set(itertools.chain.from_iterable(first)))
+    vid = {key: i for i, key in enumerate(order)}
+    # numbering in key order keeps the order of the sorted key tuples
+    return SimplicialComplex(order, [tuple(map(vid.__getitem__, simplices[k]))
+                                     for _, k in sorted(first.items())])
 
 
 # ---------------------------------------------------------------------------
@@ -327,26 +313,23 @@ def mesh_chart(x: CellLabel, m: int) -> MeshChart:
     straddle a parameter-comparison hyperplane.
     """
     _check_m(m)
-    return MeshChart(x, m, _emit(_chart(x, m)[0], m))
+    return MeshChart(x, m, _emit(_keyed(_chart(x, m)[0]), m))
 
 
 def _chart(x: CellLabel, m: int) -> tuple:
-    """The complex of mesh_chart(x, m) on tick keys, and the set of the
-    keys of its product box that lie in the closed cell.
+    """The tops of mesh_chart(x, m) as tick-key tuples in construction
+    order, and the set of the keys of its product box in the closed cell.
 
     Each point of the box (each factor's grid points) is tested once; a
-    staircase simplex is kept when all its vertices are inside.
+    staircase simplex is kept when all its vertices are inside.  The
+    keys are numbered by the complex the tops go into.
     """
     factors = [_factor_cells(lab, m) for lab in x]
     point = _point_of(m)
     box = itertools.product(*({c for cell in cells for c in cell}
                               for cells in factors))
     inside = {key for key in box if bx_member(x, point(key), "closed")}
-    b = _Builder()
-    for simplex in _product_tops(factors):
-        if inside.issuperset(simplex):
-            b.add(simplex)
-    return b.complex(), inside
+    return [s for s in _product_tops(factors) if inside.issuperset(s)], inside
 
 
 # ---------------------------------------------------------------------------
@@ -392,20 +375,21 @@ def assemble_slice(n: int, m: int) -> SimplicialComplex:
 
 
 def _slice(n: int, m: int) -> SimplicialComplex:
-    """The complex of assemble_slice(n, m), on tick keys."""
+    """The complex of assemble_slice(n, m), on tick keys: the key tops of
+    every chart (see _chart), numbered once with one id per slice vertex
+    in tick-key order, united once the charts agree on their interfaces."""
     pieces, boxes = {}, {}
     for j in range(1, n):
         for k in range(1, n):
             pieces[j, k], boxes[j, k] = _chart(ul_label(j, k, n), m)
-    # one id per slice vertex, in tick-key order; points are made only
-    # to name a witness
-    order = sorted(set().union(*(K.vertices for K in pieces.values())))
+    # points are made only to name a witness
+    order = sorted(set(itertools.chain.from_iterable(
+        itertools.chain.from_iterable(pieces.values()))))
     point = _point_of(m)
     vid = {key: i for i, key in enumerate(order)}
-    ids = {jk: [vid[key] for key in K.vertices] for jk, K in pieces.items()}
     # each chart's tops in construction order, and as ascending ids
-    tops = {jk: [tuple(map(ids[jk].__getitem__, t)) for t in K.tops]
-            for jk, K in pieces.items()}
+    tops = {jk: [tuple(map(vid.__getitem__, s)) for s in simplices]
+            for jk, simplices in pieces.items()}
     ascending = {jk: [tuple(sorted(t)) for t in ts]
                  for jk, ts in tops.items()}
     # the ids inside each closed cell: a slice vertex in the cell lies on
@@ -504,14 +488,9 @@ def _build_regions(m: int) -> tuple:
     # descending rotation steps cancel the shear on the torus
     steps = [e[::-1] for e in _circle(m)]
     slice_cells = [tuple(S.vertices[i] for i in t) for t in S.tops]
-    regions = []
-    for tops in (_product_tops([slice_cells, steps], rotate),
-                 _product_tops([_full2_cells(m), _fan_cells(m)], concat)):
-        b = _Builder()
-        for simplex in tops:
-            b.add(simplex)
-        regions.append(b.complex())
-    region_a, region_b = regions
+    region_a = _keyed(list(_product_tops([slice_cells, steps], rotate)))
+    region_b = _keyed(list(_product_tops([_full2_cells(m), _fan_cells(m)],
+                                         concat)))
     torus = boundary_subcomplex(region_a)
     ok, why = complex_isomorphic(torus, boundary_subcomplex(region_b))
     if not ok:
@@ -533,20 +512,16 @@ def assemble_full(n: int, m: int) -> SimplicialComplex:
     """Triangulation of the whole compact space for n = 2 or n = 3.
 
     For n = 3 the rotation and base regions are glued along their torus;
-    MeshValidityError is raised if they triangulate it differently.
+    MeshValidityError is raised if they triangulate it differently, or
+    if they share a top.
     """
     _check_m(m)
-    b = _Builder()
     if n == 2:
-        for edge in _full2_cells(m):
-            b.add(edge)
-    elif n == 3:
-        region_a, region_b, _ = _build_regions(m)
-        b.add_complex(region_a)
-        b.add_complex(region_b)
-    else:
+        return _emit(_keyed(_full2_cells(m)), m)
+    if n != 3:
         raise ValueError("full-space meshes exist for n = 2 and n = 3 only")
-    return _emit(b.complex(), m)
+    return _emit(_keyed([tuple(R.vertices[i] for i in t)
+                         for R in _build_regions(m)[:2] for t in R.tops]), m)
 
 
 # ---------------------------------------------------------------------------
@@ -618,22 +593,35 @@ def simplex_probe(points: Sequence[ModelPoint]) -> ModelPoint:
 
 
 def complex_to_doc(K: SimplicialComplex, n: int, m: int) -> dict:
-    """The mesh document: exact vertex coordinates plus top simplices."""
+    """The mesh document: exact vertex coordinates plus top simplices.
+    ValueError on vertices that are not model points, and, with the
+    reader's message, on a shape the reader refuses (_check_doc_shape)."""
     if not all(isinstance(v, ModelPoint) for v in K.vertices):
         raise ValueError("only model-point complexes serialize")
-    return {
-        "n": n,
-        "m": m,
-        "vertices": [
-            [[format_fraction(c.radius), format_fraction(c.angle.turns)]
-             for c in z] for z in K.vertices
-        ],
-        "simplices": [list(t) for t in K.tops],
-    }
+    vertices = [[[format_fraction(c.radius), format_fraction(c.angle.turns)]
+                 for c in z] for z in K.vertices]
+    _check_doc_shape(n, m, vertices)
+    return {"n": n, "m": m, "vertices": vertices,
+            "simplices": [list(t) for t in K.tops]}
 
 
 def _doc_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _check_doc_shape(n, m, vertices):
+    """Refuse n not a positive integer, m not a positive even integer,
+    vertices not a list, or a vertex without exactly n coordinates; the
+    writer and the reader of mesh documents both check this."""
+    if not _doc_int(n) or n < 1:
+        raise ValueError(f"n must be a positive integer, not {n!r}")
+    if not _doc_int(m) or m < 2 or m % 2:
+        raise ValueError(f"m must be a positive even integer, not {m!r}")
+    if not isinstance(vertices, list):
+        raise ValueError("mesh document vertices must be a list")
+    for z in vertices:
+        if not isinstance(z, list) or len(z) != n:
+            raise ValueError(f"vertex {z!r} does not have n={n} coordinates")
 
 
 def _doc_disc_point(c, parsed: dict) -> DiscPoint:
@@ -655,8 +643,7 @@ def complex_from_doc(doc: dict):
     """Rebuild (complex, n, m) from a mesh document.
 
     Raises ValueError on anything complex_to_doc cannot write: a
-    non-object, a missing key, n not a positive integer, m not a
-    positive even integer, a vertex without exactly n coordinates, or a
+    non-object, a missing key, a shape _check_doc_shape refuses, or a
     simplex that is not a nonempty list of integers.  The complex's own
     validation then refuses a repeated vertex, a simplex with an index
     out of range or repeated, and a simplex whose vertex set repeats an
@@ -668,20 +655,13 @@ def complex_from_doc(doc: dict):
     missing = [k for k in ("n", "m", "vertices", "simplices") if k not in doc]
     if missing:
         raise ValueError(f"mesh document lacks {', '.join(missing)}")
-    n, m = doc["n"], doc["m"]
-    if not _doc_int(n) or n < 1:
-        raise ValueError(f"n must be a positive integer, not {n!r}")
-    if not _doc_int(m) or m < 2 or m % 2:
-        raise ValueError(f"m must be a positive even integer, not {m!r}")
-    for key in ("vertices", "simplices"):
-        if not isinstance(doc[key], list):
-            raise ValueError(f"mesh document {key} must be a list")
-    verts, parsed = [], {}
-    for z in doc["vertices"]:
-        if not isinstance(z, list) or len(z) != n:
-            raise ValueError(f"vertex {z!r} does not have n={n} coordinates")
-        verts.append(ModelPoint(tuple(_doc_disc_point(c, parsed) for c in z)))
-    simplices = doc["simplices"]
+    n, m, simplices = doc["n"], doc["m"], doc["simplices"]
+    _check_doc_shape(n, m, doc["vertices"])
+    if not isinstance(simplices, list):
+        raise ValueError("mesh document simplices must be a list")
+    parsed: dict = {}
+    verts = [ModelPoint(tuple(_doc_disc_point(c, parsed) for c in z))
+             for z in doc["vertices"]]
     for s in simplices:
         if not isinstance(s, list) or not s or not all(map(_doc_int, s)):
             raise ValueError(f"bad simplex {s!r}")

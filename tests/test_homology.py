@@ -1,5 +1,8 @@
+import contextlib
+import faulthandler
 import itertools
 import json
+import os
 from fractions import Fraction
 from math import gcd
 
@@ -31,6 +34,28 @@ from phasetop.homology import (
     order_complex_of_poset,
     vertex_inclusion_map,
 )
+
+
+# A hypothesis test here runs with deadline=None and normally ends in under
+# 2 s; an engine defect can make it loop or shrink for many minutes.
+WALL_CLOCK_CAP_S = 60
+
+
+@pytest.fixture(autouse=True)
+def wall_clock_cap(request):
+    """End the whole run, with the traceback of every thread, when one test
+    of this file runs past WALL_CLOCK_CAP_S, so a hang fails instead of
+    stalling.  The traceback goes to the terminal's stderr, duplicated
+    while output capture is suspended, because the capture file is lost
+    when the process exits."""
+    capman = request.config.pluginmanager.getplugin("capturemanager")
+    with (capman.global_and_fixture_disabled() if capman
+          else contextlib.nullcontext()):
+        fd = os.dup(2)
+    faulthandler.dump_traceback_later(WALL_CLOCK_CAP_S, exit=True, file=fd)
+    yield
+    faulthandler.cancel_dump_traceback_later()
+    os.close(fd)
 
 
 class FractionReducer:

@@ -14,11 +14,11 @@ from phasetop.mesh import (
     FullSpacePieces,
     MeshValidityError,
     SimplicialComplex,
-    _Builder,
     _build_regions,
     _chart,
     _factor_cells,
     _interface_faces,
+    _keyed,
     _point_of,
     _slice,
     assemble_full,
@@ -363,6 +363,20 @@ def test_doc_requires_geometric_vertices():
         complex_to_doc(K, 2, 2)
 
 
+@pytest.mark.parametrize("n,m", [(4, 2), (3, 3), (3, 0), (True, 2)],
+                         ids=["n-not-the-coordinates", "odd-m", "zero-m",
+                              "bool-n"])
+def test_doc_writer_refuses_what_the_reader_refuses(slice32, n, m):
+    # the writer is refused on each shape the reader refuses
+    doc = json.loads(json.dumps(complex_to_doc(slice32, 3, 2)))
+    doc["n"], doc["m"] = n, m
+    with pytest.raises(ValueError) as read:
+        complex_from_doc(doc)
+    with pytest.raises(ValueError) as write:
+        complex_to_doc(slice32, n, m)
+    assert str(write.value) == str(read.value)
+
+
 # sha256 of the mesh documents (as `phasetop mesh` writes them) recorded
 # before vertices were keyed by integer ticks inside the module
 MESH_DOC_SHA256 = {
@@ -520,17 +534,23 @@ def test_ticks_round_trip(full32):
 
 
 def _key_charts(n: int, m: int) -> dict:
-    """The slice's charts on tick keys, keyed by their (j, k) pair."""
-    return {(j, k): _chart(ul_label(j, k, n), m)[0]
+    """The slice's charts as complexes on tick keys, keyed by their
+    (j, k) pair."""
+    return {(j, k): _keyed(_chart(ul_label(j, k, n), m)[0])
             for j in range(1, n) for k in range(1, n)}
 
 
+def _key_tops(K: SimplicialComplex) -> list:
+    """The tops of a complex on tick keys as key tuples."""
+    return [tuple(K.vertices[i] for i in t) for t in K.tops]
+
+
 def _patch_charts(monkeypatch, charts: dict, n: int):
-    """Make the slice build read the given key charts, each with the
-    inside set of its cell's own chart build."""
+    """Make the slice build read the key tops of the given key charts,
+    each with the inside set of its cell's own chart build."""
     import phasetop.mesh as mesh_module
 
-    by_label = {ul_label(j, k, n): K for (j, k), K in charts.items()}
+    by_label = {ul_label(j, k, n): _key_tops(K) for (j, k), K in charts.items()}
     build = mesh_module._chart
     monkeypatch.setattr(mesh_module, "_chart",
                         lambda x, m: (by_label[x], build(x, m)[1]))
@@ -550,6 +570,96 @@ def test_interface_mismatch_is_an_error_naming_points(monkeypatch):
         assemble_slice(3, 2)
 
 
+class ReferenceBuilder:
+    """The accumulating key-complex builder that _keyed replaced, kept as
+    its reference: keys are numbered as first seen and renumbered in
+    sorted order, each top keeps the vertex order of its first copy, a
+    repeated vertex set is merged into that copy, and the tops are
+    sorted by vertex set."""
+
+    def __init__(self):
+        self._index: dict = {}
+        self._tops: dict = {}
+
+    def add(self, keys):
+        index = self._index
+        idxs = tuple(index.setdefault(k, len(index)) for k in keys)
+        if len(set(idxs)) != len(idxs):
+            raise MeshValidityError(f"degenerate simplex {keys}")
+        self._tops.setdefault(tuple(sorted(idxs)), idxs)
+
+    def complex(self) -> SimplicialComplex:
+        keys = list(self._index)
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        remap = [0] * len(keys)
+        for new, old in enumerate(order):
+            remap[old] = new
+        tops = [tuple(remap[i] for i in t) for t in self._tops.values()]
+        tops.sort(key=lambda t: tuple(sorted(t)))
+        return SimplicialComplex([keys[i] for i in order], tops)
+
+
+def _random_key_simplices(rnd: random.Random) -> list:
+    """Simplices over random tick keys, in random vertex and list order,
+    no two on one key set."""
+    pool = sorted({tuple(rnd.randrange(-1, 8) for _ in range(rnd.randint(1, 3)))
+                   for _ in range(rnd.randint(1, 12))})
+    seen, out = set(), []
+    for _ in range(rnd.randint(0, 20)):
+        s = rnd.sample(pool, rnd.randint(1, min(4, len(pool))))
+        if frozenset(s) not in seen:
+            seen.add(frozenset(s))
+            out.append(tuple(s))
+    return out
+
+
+def test_keyed_matches_the_reference_builder():
+    rnd = random.Random(20261019)
+    for _ in range(300):
+        simplices = _random_key_simplices(rnd)
+        b = ReferenceBuilder()
+        for s in simplices:
+            b.add(s)
+        want, got = b.complex(), _keyed(simplices)
+        assert got.vertices == want.vertices
+        assert got.tops == want.tops
+    for jk, K in _key_charts(4, 2).items():
+        b = ReferenceBuilder()
+        for s in _chart(ul_label(*jk, 4), 2)[0]:
+            b.add(s)
+        want = b.complex()
+        assert (K.vertices, K.tops) == (want.vertices, want.tops)
+
+
+def test_keyed_refuses_a_repeated_key_naming_the_simplex():
+    simplices = [((0, 1), (1, 1)), ((1, 1), (2, 0), (1, 1))]
+    with pytest.raises(MeshValidityError, match=re.escape(
+            "simplex 1 ((1, 1), (2, 0), (1, 1)) repeats a key") + "$"):
+        _keyed(simplices)
+
+
+def test_keyed_refuses_a_repeated_key_set_naming_both_simplices():
+    # the reference builder kept the first copy and dropped this one
+    simplices = [((0,), (1,), (2,)), ((3,), (1,)), ((2,), (0,), (1,))]
+    with pytest.raises(MeshValidityError, match=re.escape(
+            "simplex 2 ((2,), (0,), (1,)) repeats the vertices of simplex 0 "
+            "((0,), (1,), (2,))") + "$"):
+        _keyed(simplices)
+
+
+def test_full_space_regions_that_share_a_top_are_refused(monkeypatch):
+    import phasetop.mesh as mesh_module
+
+    region_a, region_b, torus = _build_regions(2)
+    shared = _key_tops(region_a)[0]
+    grown = _keyed(_key_tops(region_b) + [shared])
+    monkeypatch.setattr(mesh_module, "_build_regions",
+                        lambda m: (region_a, grown, torus))
+    with pytest.raises(MeshValidityError, match=re.escape(
+            f"{shared!r} repeats the vertices of simplex 0 {shared!r}") + "$"):
+        assemble_full(3, 2)
+
+
 def test_a_top_two_charts_share_is_an_error_naming_both(monkeypatch):
     import phasetop.mesh as mesh_module
 
@@ -560,10 +670,8 @@ def test_a_top_two_charts_share_is_an_error_naming_both(monkeypatch):
     shared = ((1, 2, 0), (2, 2, 0), (2, 3, 0))
     K = charts[(1, 2)]
     assert shared in {tuple(sorted(K.vertices[i] for i in t)) for t in K.tops}
-    b = _Builder()
-    b.add_complex(charts[(1, 1)])
-    b.add(shared)
-    grown, x11, build = b.complex(), ul_label(1, 1, 3), mesh_module._chart
+    grown = _key_tops(charts[(1, 1)]) + [shared]
+    x11, build = ul_label(1, 1, 3), mesh_module._chart
     monkeypatch.setattr(mesh_module, "_chart", lambda x, m: (
         (grown, build(x, m)[1] | set(shared)) if x == x11 else build(x, m)))
     names = [str(_point_of(2)(key)) for key in shared]
@@ -580,11 +688,11 @@ def test_chart_box_inside_sets_match_the_brute_force_sets(n, m, monkeypatch):
 
     charts = {(j, k): _chart(ul_label(j, k, n), m)
               for j in range(1, n) for k in range(1, n)}
-    order, _, inside = _slice_ids({jk: K for jk, (K, _) in charts.items()},
-                                  n, m)
-    for jk, (K, box) in charts.items():
+    order, _, inside = _slice_ids(
+        {jk: _keyed(tops) for jk, (tops, _) in charts.items()}, n, m)
+    for jk, (tops, box) in charts.items():
         assert {i for i, key in enumerate(order) if key in box} == inside[jk]
-        assert box.issuperset(K.vertices)
+        assert box.issuperset(itertools.chain.from_iterable(tops))
     calls = []
 
     def counting(x, z, mode):
