@@ -98,7 +98,13 @@ class CellLabel:
     def of(tokens: Iterable) -> "CellLabel":
         labs = []
         for t in tokens:
-            labs.append(t if isinstance(t, PLabel) else PLabel(str(t)))
+            if not isinstance(t, PLabel):
+                try:
+                    t = PLabel(str(t))
+                except ValueError:
+                    raise ValueError(f"unknown cell symbol {str(t)!r}: "
+                                     "use 1, -1, U, L or F") from None
+            labs.append(t)
         return CellLabel(tuple(labs))
 
     def __len__(self) -> int:

@@ -57,17 +57,18 @@ class _Engine:
     columns are cross-multiplied by their low entries over the gcd of
     those, and the result is divided by the gcd of its entries whenever
     that step scaled it, and once more before it is kept.  Over F2 a
-    column is a set of rows, reduced by symmetric difference.  With log,
-    every column carries the combination of input tags it equals, and
-    the combination of each column that reduces to zero is kept in
-    `cycles`.
+    working column is a set of rows, reduced by symmetric difference,
+    and every pivot is kept as a tuple of its rows.  With log, every
+    column carries the combination of input tags it equals, and the
+    combination of each column that reduces to zero is kept in `cycles`.
 
     A boundary column may come as its facet row, a tuple of rows in
     ascending order (see _boundary_columns), whose low is its last
     entry.  When no pivot has that low, the tuple is kept as the pivot
-    as it stands (Ripser's emergent pairs); the set or dict is built
-    only for a column whose low is taken, and for a tuple pivot that a
-    later column meets, which is then kept built.
+    as it stands (Ripser's emergent pairs).  The working set or dict is
+    built only for a column whose low is taken.  Over Q a tuple pivot
+    that a later column meets is built into its dict and kept built;
+    over F2 the set takes the tuple as it is, so no pivot is ever built.
 
     Once a column has met a pivot, its low comes from a lazy max-heap of
     its rows (as in PHAT's heap columns): each step pushes the rows of
@@ -102,19 +103,21 @@ class _Engine:
             if other is None:
                 if dirty:
                     _divide_content(col, comb)
+                if self.f2 and type(col) is not tuple:
+                    col = tuple(col)
                 self.pivots[low] = col
                 if comb is not None:
                     self.combs[low] = comb
                 return
-            if type(other) is tuple:
-                other = self.pivots[low] = _column(other, self.f2)
+            if type(other) is tuple and not self.f2:
+                other = self.pivots[low] = _column(other, False)
             if heap is None:
                 if type(col) is tuple:
                     col = _column(col, self.f2)
                 heap = [-r for r in col]
                 heapify(heap)
             if self.f2:
-                col ^= other
+                col.symmetric_difference_update(other)
                 if comb is not None:
                     comb ^= self.combs[low]
             else:
@@ -214,16 +217,21 @@ def _reductions(parts: Sequence[SimplicialComplex], f2: bool, top: int,
     map from dimension d; the caller may add more cycles to it before
     resuming.  Clearing: the row of every pivot at dimension d + 1 is
     the leading simplex of a cycle, so its own column would reduce to
-    zero and is skipped.  With log, the cycles an engine keeps are then
-    a basis of homology in its dimension.
+    zero and is skipped.  Only those rows cross to dimension d - 1:
+    once the caller resumes, the engine's pivot columns and their
+    logged combinations are released, and its cycles are kept.  With
+    log, the cycles an engine keeps are then a basis of homology in its
+    dimension.
     """
-    cleared: dict = {}
+    cleared: set = set()
     for d in range(top, -1, -1):
         eng = _Engine(f2, log)
         for j, facets in _boundary_columns(parts, d, cleared):
             eng.add(facets, j)
         yield d, eng
-        cleared = eng.pivots
+        cleared = set(eng.pivots)
+        eng.pivots.clear()
+        eng.combs.clear()
 
 
 def _betti_numbers(counts: Sequence[int], ranks: dict) -> tuple:

@@ -47,14 +47,16 @@ class MeshValidityError(ValueError):
 
 
 def _top_keys(tops: Sequence) -> dict:
-    """The sorted vertex tuple of each top, mapped to its position.
+    """The sorted vertex tuple of each top, mapped to its position; a
+    top that is already a sorted tuple is its own key.
 
     Raises MeshValidityError if a top spans the vertex set of an earlier
     one; the message names both positions and both tops.
     """
     first: dict = {}
     for k, t in enumerate(tops):
-        j = first.setdefault(tuple(sorted(t)), k)
+        key = tuple(sorted(t))
+        j = first.setdefault(t if key == t else key, k)
         if j != k:
             raise MeshValidityError(f"simplex {k} {t!r} repeats the vertices "
                                     f"of simplex {j} {tops[j]!r}")
@@ -70,7 +72,8 @@ def _face_table(vertices: Sequence, tops: Sequence) -> tuple:
     d-simplices in sorted order, the basis of the d-chains; rows[d]
     holds the d + 1 facet indices of each d-simplex in that order, flat
     in one array, in `combinations` order (the last vertex is dropped
-    first).  rows[0] is empty.
+    first).  rows[0] is empty.  The faces of the top dimension are the
+    keys of _top_keys, not a second copy cut from them.
     """
     nv = len(vertices)
     if len(set(vertices)) != nv:
@@ -79,10 +82,13 @@ def _face_table(vertices: Sequence, tops: Sequence) -> tuple:
         if not t or len(set(t)) != len(t) or any(i < 0 or i >= nv for i in t):
             raise MeshValidityError(f"bad simplex {t!r}")
     keys = _top_keys(tops)
+    top = max(map(len, keys), default=0) - 1
     faces = {}
-    for d in range(max(map(len, keys), default=0)):
+    for d in range(top):
         subsets = map(itertools.combinations, keys, itertools.repeat(d + 1))
         faces[d] = sorted(set(itertools.chain.from_iterable(subsets)))
+    if top >= 0:
+        faces[top] = sorted(k for k in keys if len(k) == top + 1)
     rows = [array("i")]
     for d in range(1, len(faces)):
         # the index of the faces below is needed only while rows[d] is made
@@ -353,11 +359,14 @@ def _interface_faces(tops: list, inside: set) -> set:
     `inside` holds the ids of the points in the other cell.  Such a face
     is a nonempty subset of the vertices of some top that lie inside,
     so the faces come from the tops, as ascending id tuples; the
-    chart's face set is never built.
+    chart's face set is never built.  Every span is cut at every size
+    up to the widest; a size above a span's length gives nothing.
     """
-    spans = {tuple(v for v in t if v in inside) for t in tops}
-    return {f for s in spans for r in range(1, len(s) + 1)
-            for f in itertools.combinations(s, r)}
+    spans = set(map(tuple, map(itertools.compress, tops, map(
+        map, itertools.repeat(inside.__contains__), tops))))
+    width = max(map(len, spans), default=0)
+    return set(itertools.chain.from_iterable(itertools.starmap(
+        itertools.combinations, itertools.product(spans, range(1, width + 1)))))
 
 
 def assemble_slice(n: int, m: int) -> SimplicialComplex:

@@ -99,6 +99,16 @@ def test_pn_rejects_bad_labels():
     assert "1,U,-1" in r.output
 
 
+def test_pn_names_an_unknown_cell_symbol():
+    # the message names the symbol and the symbols there are, not the
+    # enum behind them
+    for x, bad in (("Q,U,1", "Q"), ("U,l,1", "l"), ("U,,1", "")):
+        r = invoke("pn", "nu", "--n", "3", "--x", x)
+        assert r.exit_code == 1
+        assert r.output == (f"Error: unknown cell symbol {bad!r}: "
+                            "use 1, -1, U, L or F\n")
+
+
 def test_glue_verify_slice():
     r = invoke("glue", "verify-slice", "--n", "3", "--samples", "10",
                "--seed", "2")

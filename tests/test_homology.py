@@ -207,7 +207,10 @@ def built(col, f2: bool):
 
 
 def assert_same_engine_state(eng, ref):
-    """The engine equals the reference once its tuple pivots are built."""
+    """The engine equals the reference once its tuple pivots are built;
+    over F2 every pivot is a tuple."""
+    if eng.f2:
+        assert all(type(col) is tuple for col in eng.pivots.values())
     assert {low: built(col, eng.f2) for low, col in eng.pivots.items()} \
         == ref.pivots
     assert eng.combs == ref.combs
@@ -456,16 +459,21 @@ def test_engine_matches_reference_engine_on_meshes(build):
 def _assert_same_reductions(*parts):
     """The engines on the face tables of parts, one dimension above
     their top as Mayer-Vietoris reduces, equal the reference engines on
-    the parent's chain data of their disjoint union."""
+    the parent's chain data of their disjoint union.  Each is compared
+    when it is yielded, before the generator resumes and releases its
+    pivots."""
     simp, idx = reference_chain_data(*parts)
     top = max(simp) + 1
     for f2 in (False, True):
         for log in (False, True):
-            got = list(_reductions(parts, f2, top, log))
-            want = list(reference_reductions(simp, idx, f2, top, log))
-            assert [d for d, _ in got] == [d for d, _ in want]
-            for (_, eng), (_, ref) in zip(got, want):
+            dims = []
+            for (d, eng), (d_ref, ref) in zip(
+                    _reductions(parts, f2, top, log),
+                    reference_reductions(simp, idx, f2, top, log)):
+                assert d == d_ref
                 assert_same_engine_state(eng, ref)
+                dims.append(d)
+            assert dims == list(range(top, -1, -1))
 
 
 @pytest.mark.parametrize("m", [2, 4])
@@ -477,9 +485,10 @@ def test_engine_matches_parent_chain_data_on_full_space_pieces(m):
 
 
 class RecordingEngine(_Engine):
-    """The engine, logging each column it is given (a copy) and, for each
-    column whose low was a tuple pivot's, that low, the tuple, and
-    whether the column came as a facet row."""
+    """The engine, logging each column it is given (a copy), the row of
+    each pivot it keeps, and, for each column whose low was a tuple
+    pivot's, that low, the tuple, and whether the column came as a facet
+    row."""
 
     runs: list = []
 
@@ -487,6 +496,7 @@ class RecordingEngine(_Engine):
         super().__init__(f2, log)
         self.given: list = []
         self.hits: list = []
+        self.rows: set = set()
         self.runs.append(self)
 
     def add(self, col, tag=None) -> None:
@@ -494,16 +504,16 @@ class RecordingEngine(_Engine):
         if type(self.pivots.get(low)) is tuple:
             self.hits.append((low, self.pivots[low], type(col) is tuple))
         self.given.append((col if type(col) is tuple else col.copy(), tag))
+        kept = len(self.pivots)
         super().add(col, tag)
+        if len(self.pivots) > kept:  # a new pivot is the last one inserted
+            self.rows.add(next(reversed(self.pivots)))
 
 
-@pytest.mark.parametrize("f2", [False, True])
-def test_columns_that_meet_a_tuple_pivot_build_it(f2, monkeypatch):
-    # direct Betti numbers, then Mayer-Vietoris: its logged interface
-    # run, and the mapped cycles it adds to the pieces' engines
-    monkeypatch.setattr(RecordingEngine, "runs", [])
-    monkeypatch.setattr(homology_module, "_Engine", RecordingEngine)
-    field = "f2" if f2 else "q"
+def _run_betti_and_mayer_vietoris(field: str):
+    """Direct Betti numbers of the boundary of slice(4, 2), then
+    Mayer-Vietoris on full_space_pieces(3, 2): its logged interface run,
+    and the mapped cycles it adds to the pieces' engines."""
     assert betti(boundary_subcomplex(assemble_slice(4, 2)), field).betti \
         == (1, 0, 0, 1)
     P = full_space_pieces(3, 2)
@@ -512,19 +522,76 @@ def test_columns_that_meet_a_tuple_pivot_build_it(f2, monkeypatch):
         vertex_inclusion_map(P.interface, P.rotation),
         vertex_inclusion_map(P.interface, P.base), field)
     assert got.betti == (1, 0, 0, 1)
-    kinds = set()
-    for eng in RecordingEngine.runs:
+
+
+@pytest.mark.parametrize("f2", [False, True])
+def test_columns_that_meet_a_tuple_pivot_build_it(f2, monkeypatch):
+    # over Q a column that meets a tuple pivot builds it into its dict;
+    # over F2 the tuple is kept as it stands, and no pivot is ever a set.
+    # Each engine is checked when its caller resumes the generator: after
+    # any mapped cycles are added, before the pivots are released
+    monkeypatch.setattr(RecordingEngine, "runs", [])
+    monkeypatch.setattr(homology_module, "_Engine", RecordingEngine)
+    kinds, checked = set(), []
+
+    def check(eng):
         ref = ReferenceEngine(f2, eng.log)
         for col, tag in eng.given:
             ref.add(built(col, f2), tag)
         assert_same_engine_state(eng, ref)
         for low, row, facet_row in eng.hits:
-            assert type(eng.pivots[low]) is not tuple
-            assert eng.pivots[low] == built(row, f2) == _column(row, f2)
+            if f2:
+                assert eng.pivots[low] is row
+            else:
+                assert type(eng.pivots[low]) is dict
+                assert eng.pivots[low] == built(row, f2) == _column(row, f2)
             kinds.add((facet_row, eng.log))
+        checked.append(eng)
+
+    reductions = homology_module._reductions
+
+    def checking(*args, **kwargs):
+        for d, eng in reductions(*args, **kwargs):
+            yield d, eng
+            check(eng)
+
+    monkeypatch.setattr(homology_module, "_reductions", checking)
+    _run_betti_and_mayer_vietoris("f2" if f2 else "q")
+    assert checked == RecordingEngine.runs
     # later facet rows meet tuple pivots with and without the log, and a
     # mapped cycle (no facet row) meets one in an unlogged engine
     assert kinds == {(True, False), (True, True), (False, False)}
+
+
+@pytest.mark.parametrize("field", ["q", "f2"])
+def test_only_pivot_rows_cross_to_the_next_dimension(field, monkeypatch):
+    # when the engine for dimension d - 1 starts, the one for dimension d
+    # holds no pivot columns and no logged combinations, and the rows
+    # skipped by clearing are its pivot rows, those of mapped cycles too
+    monkeypatch.setattr(RecordingEngine, "runs", [])
+    monkeypatch.setattr(homology_module, "_Engine", RecordingEngine)
+    above: dict = {}  # the engine of the last dimension, per run's parts
+    crossed = []
+    columns = homology_module._boundary_columns
+
+    def watching(parts, d, skip=()):
+        old = above.get(parts)
+        if old is None:
+            assert not skip
+        else:
+            assert not old.pivots and not old.combs
+            assert skip == old.rows
+            crossed.append((d, len(skip)))
+        above[parts] = RecordingEngine.runs[-1]
+        return columns(parts, d, skip)
+
+    monkeypatch.setattr(homology_module, "_boundary_columns", watching)
+    _run_betti_and_mayer_vietoris(field)
+    # betti from 3 down, the interface from 2 down, the pieces from 4 down;
+    # only the pieces' engine one dimension above their top has no pivots
+    assert crossed == [(2, 239), (1, 241), (0, 47), (1, 31), (0, 15),
+                       (3, 0), (2, 240), (1, 274), (0, 63)]
+    assert not any(eng.pivots or eng.combs for eng in RecordingEngine.runs)
 
 
 @pytest.mark.parametrize("f2", [False, True])
@@ -566,6 +633,16 @@ def _assert_table_is_the_reference(K: SimplicialComplex):
             for i in range(d + 1):
                 dropped = s[:d - i] + s[d - i + 1:]
                 assert faces[d - 1][rows[d][p * (d + 1) + i]] == dropped
+
+
+def test_the_top_faces_are_the_sorted_tops_themselves():
+    # a top given as an ascending tuple is its own top face, in the table
+    # and in the tops; another is sorted once, by validation
+    K = SimplicialComplex(list(range(5)), [(0, 1, 2), (3, 2, 1), (3, 4)])
+    assert K.faces()[2] == [(0, 1, 2), (1, 2, 3)]
+    assert K.faces()[2][0] is K.tops[0]
+    B = boundary_subcomplex(assemble_slice(4, 2))
+    assert sorted(map(id, B.faces()[B.dim])) == sorted(map(id, B.tops))
 
 
 def brute_codim1_incidence(tops) -> dict:
