@@ -13,6 +13,7 @@ Text form: comma-separated tokens from {1, -1, U, L, F}.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -50,6 +51,24 @@ _MINUS_ONE_POINT = DiscPoint.of(1, HALF)
 _DEN = 16  # cells and chart intersections are sampled over 16ths
 
 
+# The draws' points over 16ths, frozen and shared, each built on first draw:
+# upper by parameter, lower by parameter over 16ths squared, disc by the
+# numerators of radius and angle.
+@functools.cache
+def _upper_at(u: int) -> DiscPoint:
+    return DiscPoint(ONE_F, Angle(Fraction(u, 2 * _DEN)))
+
+
+@functools.cache
+def _lower_at(t: int) -> DiscPoint:
+    return DiscPoint(ONE_F, Angle(Fraction(_DEN * _DEN + t, 2 * _DEN * _DEN)))
+
+
+@functools.cache
+def _disc_at(r: int, a: int) -> DiscPoint:
+    return DiscPoint(Fraction(r, _DEN), Angle(Fraction(a, _DEN)))
+
+
 class PLabel(Enum):
     ONE = "1"
     MINUS_ONE = "-1"
@@ -59,14 +78,13 @@ class PLabel(Enum):
 
     __hash__ = object.__hash__  # members are singletons; Enum's hash is slow
 
-    @property
-    def token(self) -> str:
-        return self.value
-
     def __str__(self) -> str:
         return self.value
 
 
+# the symbols as plain names for the hot predicates: a lookup on the enum
+# class costs several times as much
+_ONE, _MINUS_ONE, _UPPER, _LOWER, _FULL = PLabel
 _POINTS = frozenset({PLabel.ONE, PLabel.MINUS_ONE})
 _BELOW = {  # the symbols strictly below each symbol
     PLabel.ONE: frozenset(),
@@ -80,6 +98,13 @@ _BELOW = {  # the symbols strictly below each symbol
 def p_leq(a: PLabel, b: PLabel) -> bool:
     """The label order: 1, -1 below U, L below F; no other relations."""
     return a == b or a in _BELOW[b]
+
+
+# the lattice as tables: the ordered pairs of the label order, each
+# symbol's text and its share of the cell dimension
+_LEQ = frozenset((a, b) for a in PLabel for b in PLabel if p_leq(a, b))
+_TOKEN = {lab: lab.value for lab in PLabel}
+_NU = {_ONE: 0, _MINUS_ONE: 0, _UPPER: 1, _LOWER: 1, _FULL: 2}
 
 
 @value_type
@@ -120,12 +145,6 @@ class CellLabel:
         return format_cell_label(self)
 
 
-_PARTNERS = {  # the symbols that can close a zero sum with each half-circle
-    PLabel.UPPER: {PLabel.LOWER, PLabel.MINUS_ONE},
-    PLabel.LOWER: {PLabel.UPPER, PLabel.MINUS_ONE},
-}
-
-
 def in_pn(labels: Sequence[PLabel]) -> bool:
     """Whether a label tuple is admissible.
 
@@ -138,12 +157,11 @@ def in_pn(labels: Sequence[PLabel]) -> bool:
     if n < 3:
         raise ValueError("cell labels need n >= 3")
     head = set(labels[: n - 1])
-    if labels[n - 1] != PLabel.ONE or PLabel.ONE in head:
+    if labels[n - 1] is not _ONE or _ONE in head:
         return False
-    if head == {PLabel.FULL}:
-        return False
-    # a U and its partner never share an index, so the head as a set decides
-    return all(head & want for lab, want in _PARTNERS.items() if lab in head)
+    # a -1 partners any half-circle; without one, U and L must partner each
+    # other, and a head of F alone has no constrained coordinate
+    return _MINUS_ONE in head or (_UPPER in head and _LOWER in head)
 
 
 def pn_elements(n: int) -> list[CellLabel]:
@@ -190,14 +208,16 @@ def meet(x: CellLabel, y: CellLabel) -> CellLabel:
     {U, L} drops to -1.  The result is revalidated; a failure would mean
     the componentwise rule left the admissible set, which does not happen.
     """
+    # a label's symbol tuple, or a raw tuple: its len and zip run in C
+    x, y = getattr(x, "labels", x), getattr(y, "labels", y)
     if len(x) != len(y):
         raise ValueError("labels must share a length")
-    out = []
-    for a, b in zip(x, y):
-        if (a, b) not in _MEET:
-            raise ValueError(f"no meet for symbols {a}, {b}")
-        out.append(_MEET[a, b])
-    return CellLabel(tuple(out))
+    try:
+        labs = tuple(map(_MEET.__getitem__, zip(x, y)))
+    except KeyError as miss:
+        a, b = miss.args[0]
+        raise ValueError(f"no meet for symbols {a}, {b}") from None
+    return CellLabel(labs)
 
 
 def meet_all(xs: Sequence[CellLabel]) -> CellLabel:
@@ -211,9 +231,10 @@ def meet_all(xs: Sequence[CellLabel]) -> CellLabel:
 
 def cell_leq(x: CellLabel, y: CellLabel) -> bool:
     """Componentwise label order on admissible labels."""
+    x, y = getattr(x, "labels", x), getattr(y, "labels", y)
     if len(x) != len(y):
         raise ValueError("labels must share a length")
-    return all(p_leq(a, b) for a, b in zip(x, y))
+    return _LEQ.issuperset(zip(x, y))
 
 
 def _down_sets(elems: Sequence[CellLabel]) -> list[int]:
@@ -261,13 +282,7 @@ def verify_meet_glb(n: int) -> tuple[bool, tuple[CellLabel, CellLabel] | None]:
 
 def nu(x: CellLabel) -> int:
     """Cell dimension: one per half-circle symbol, two per disc symbol."""
-    count = 0
-    for lab in x:
-        if lab in (PLabel.UPPER, PLabel.LOWER):
-            count += 1
-        elif lab == PLabel.FULL:
-            count += 2
-    return count
+    return sum(map(_NU.__getitem__, x))
 
 
 # ---------------------------------------------------------------------------
@@ -320,26 +335,26 @@ def bx_member(x: CellLabel, z: ModelPoint, mode: str = "closed") -> bool:
     """
     if mode not in ("closed", "interior"):
         raise ValueError("mode is 'closed' or 'interior'")
-    if len(x) != len(z):
+    if len(x.labels) != len(z.coords):
         raise ValueError("lengths differ")
     strict = mode == "interior"
     u_params: list[tuple[int, int]] = []
     l_params: list[tuple[int, int]] = []
     for lab, c in zip(x.labels, z.coords):
-        if lab is PLabel.ONE:
+        if lab is _ONE:
             if c is not _ONE_POINT and c != _ONE_POINT:
                 return False
-        elif lab is PLabel.MINUS_ONE:
+        elif lab is _MINUS_ONE:
             if c is not _MINUS_ONE_POINT and c != _MINUS_ONE_POINT:
                 return False
-        elif lab is PLabel.FULL:
+        elif lab is _FULL:
             if strict and c.radius.numerator >= c.radius.denominator:
                 return False
         else:
-            t = (_upper if lab is PLabel.UPPER else _lower)(c)
+            t = (_upper if lab is _UPPER else _lower)(c)
             if t is None or (strict and not 0 < t[0] < t[1]):
                 return False
-            (u_params if lab is PLabel.UPPER else l_params).append(t)
+            (u_params if lab is _UPPER else l_params).append(t)
     for ua, ud in u_params:  # t_L <= t_U by cross-multiplication
         for lb, ld in l_params:
             if lb * ud > ua * ld or (strict and lb * ud == ua * ld):
@@ -354,7 +369,7 @@ def _region(labs: Iterable[PLabel]) -> PLabel | frozenset | None:
     incomparable U and L meet in the two points _POINTS; 1 and -1 meet
     nowhere (None).
     """
-    region = PLabel.FULL
+    region = _FULL
     for lab in labs:
         if region is _POINTS:
             if lab in _POINTS:
@@ -382,30 +397,27 @@ def _draw(regions: Sequence, charts: Sequence[CellLabel], rng: random.Random,
     coords: list = [None] * len(regions)
     ups = [0] * len(regions)  # upper parameters over den; 1 is 0, -1 is den
     for i, region in enumerate(regions):
-        if region is PLabel.UPPER:
+        if region is _UPPER:
             ups[i] = den if corner else rng.randint(0, den)
-            coords[i] = DiscPoint(ONE_F, Angle(Fraction(ups[i], 2 * den)))
+            coords[i] = _upper_at(ups[i])
         elif region is _POINTS:
             ups[i] = den if corner else rng.choice((0, den))
             coords[i] = _MINUS_ONE_POINT if ups[i] else _ONE_POINT
-        elif region is PLabel.ONE:
+        elif region is _ONE:
             coords[i] = _ONE_POINT
-        elif region is PLabel.MINUS_ONE:
+        elif region is _MINUS_ONE:
             ups[i] = den
             coords[i] = _MINUS_ONE_POINT
     for i, region in enumerate(regions):
-        if region is PLabel.LOWER:
-            bound = min((ups[a] for x in charts if x[i] is PLabel.LOWER
-                         for a, lab in enumerate(x) if lab is PLabel.UPPER),
+        if region is _LOWER:
+            bound = min((ups[a] for x in charts if x[i] is _LOWER
+                         for a, lab in enumerate(x) if lab is _UPPER),
                         default=den)
             t = 0 if corner else bound * rng.randint(0, den)  # over den**2
-            coords[i] = DiscPoint(ONE_F, Angle(Fraction(den * den + t, 2 * den * den)))
-        elif region is PLabel.FULL:
-            if corner:
-                coords[i] = DiscPoint.center()
-            else:
-                r = Fraction(rng.randint(0, den), den)
-                coords[i] = DiscPoint(r, Angle(Fraction(rng.randint(0, den - 1), den)))
+            coords[i] = _lower_at(t)
+        elif region is _FULL:  # the radius is drawn before the angle
+            coords[i] = _disc_at(0, 0) if corner else _disc_at(
+                rng.randint(0, den), rng.randint(0, den - 1))
     return ModelPoint(tuple(coords))
 
 
@@ -425,4 +437,4 @@ def parse_cell_label(text: str) -> CellLabel:
 
 
 def format_cell_label(x: CellLabel) -> str:
-    return ",".join(lab.token for lab in x)
+    return ",".join(map(_TOKEN.__getitem__, x))

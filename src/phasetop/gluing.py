@@ -292,9 +292,11 @@ def verify_slice_claims(n: int, samples: int = 1000, seed: int = 0) -> Verificat
         pairs = [(x, y) for x in elems for y in elems
                  if x != y and cell_leq(x, y)]
         per = max(1, -(-samples // len(pairs)))
+        # the pairs run x by x, so the last x's draws serve every y above it
+        sample = functools.lru_cache(per)(bx_sample)
         for x, y in pairs:
             for s in range(per):
-                z = bx_sample(x, seed * 100003 + s)
+                z = sample(x, seed * 100003 + s)
                 if not bx_member(y, z, "closed"):
                     return f"{x} sample {z} escapes the closed cell {y}"
                 if bx_member(y, z, "interior"):
@@ -309,6 +311,7 @@ def verify_slice_claims(n: int, samples: int = 1000, seed: int = 0) -> Verificat
                    for J in itertools.combinations(idx, size)]
         per = max(1, -(-samples // max(1, len(idx) * len(subsets) * 3)))
         for j in idx:
+            sample = functools.cache(bx_sample)  # the charts of j, drawn once
             for J in subsets:
                 charts = [ul_label(j, k, n) for k in J]
                 mt = meet_all(charts)
@@ -322,7 +325,7 @@ def verify_slice_claims(n: int, samples: int = 1000, seed: int = 0) -> Verificat
                     if not bx_member(mt, z, "closed"):
                         return f"intersection point {z} misses the meet {mt}"
                     for c in charts:
-                        zc = bx_sample(c, seed * 31 + s)
+                        zc = sample(c, seed * 31 + s)
                         in_all = all(bx_member(c2, zc, "closed") for c2 in charts)
                         if in_all != bx_member(mt, zc, "closed"):
                             return f"chart sample {zc} disagrees for j={j}, J={J}"
@@ -333,6 +336,10 @@ def verify_slice_claims(n: int, samples: int = 1000, seed: int = 0) -> Verificat
 
     ul12 = {(j, k): ul_label(j, k, n) for j in (1, 2) for k in idx}
     union_cells = {k: meet(ul12[(1, k)], ul12[(2, k)]) for k in idx}
+    # a point of charts (1, k) and (2, l), drawn once per seed for both
+    # checks below: their seeds coincide when seed is small
+    pair_point = functools.cache(lambda k, l, s: sample_charts_point(
+        [ul12[(1, k)], ul12[(2, l)]], s))
 
     def in_family(z, j):
         return any(bx_member(ul12[(j, k)], z, "closed") for k in idx)
@@ -351,8 +358,7 @@ def verify_slice_claims(n: int, samples: int = 1000, seed: int = 0) -> Verificat
         for k in idx:
             for l in idx:
                 for s in range(per):
-                    z = sample_charts_point([ul12[(1, k)], ul12[(2, l)]],
-                                            seed * 41 + s)
+                    z = pair_point(k, l, seed * 41 + s)
                     if z is None:
                         return f"no sample for chart pair k={k}, l={l}"
                     if not in_union(z):
@@ -373,8 +379,7 @@ def verify_slice_claims(n: int, samples: int = 1000, seed: int = 0) -> Verificat
         per = max(1, -(-samples // len(pairs)))
         for k, l in pairs:
             for s in range(per):
-                z = sample_charts_point([ul12[(1, k)], ul12[(2, l)]],
-                                        seed * 43 + s)
+                z = pair_point(k, l, seed * 43 + s)
                 if z is None:
                     return f"no sample for chart pair k={k}, l={l}"
                 tk = lower_param(z[k - 1])

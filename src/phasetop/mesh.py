@@ -656,8 +656,9 @@ def complex_from_doc(doc: dict):
     simplex that is not a nonempty list of integers.  The complex's own
     validation then refuses a repeated vertex, a simplex with an index
     out of range or repeated, and a simplex whose vertex set repeats an
-    earlier one's, naming the simplices as the document lists them; the
-    face table it builds is kept on the complex.
+    earlier one's, naming the simplices as the document lists them.  The
+    face table is built from the complex's own tops and kept on it, so an
+    ascending top is its own top face.
     """
     if not isinstance(doc, dict):
         raise ValueError("mesh document must be a JSON object")
@@ -675,5 +676,9 @@ def complex_from_doc(doc: dict):
         if not isinstance(s, list) or not s or not all(map(_doc_int, s)):
             raise ValueError(f"bad simplex {s!r}")
     K = SimplicialComplex(verts, list(map(tuple, simplices)))
-    K._table = _face_table(verts, simplices)
+    try:
+        K._table = _face_table(verts, K.tops)
+    except MeshValidityError:
+        _face_table(verts, simplices)  # raises, naming the listed simplices
+        raise
     return K, n, m

@@ -1,12 +1,17 @@
 import hashlib
 import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from phasetop import cells
 from phasetop.cells import (
+    _BELOW,
     _POINTS,
     _down_sets,
     _region,
@@ -524,3 +529,94 @@ def test_bx_member_tie_between_lower_and_upper_params():
     assert bx_member(x, z, "closed") and reference_bx_member(x, z)
     assert not bx_member(x, z, "interior")
     assert not reference_bx_member(x, z, "interior")
+
+
+# ---------------------------------------------------------------------------
+# Differential tests: the lattice tables against symbol-by-symbol references
+# ---------------------------------------------------------------------------
+
+
+def reference_symbol_meet(a, b):
+    """The smaller of two comparable symbols, -1 for U and L, else None."""
+    if a == b or a in _BELOW[b]:
+        return a
+    if b in _BELOW[a]:
+        return b
+    if {a, b} == {PLabel.UPPER, PLabel.LOWER}:
+        return PLabel.MINUS_ONE
+    return None
+
+
+def reference_nu(x):
+    return sum({PLabel.UPPER: 1, PLabel.LOWER: 1, PLabel.FULL: 2}.get(lab, 0)
+               for lab in x)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_lattice_tables_match_the_symbol_references_on_every_pair(n):
+    elems = pn_elements(n)
+    for x in elems:
+        text = ",".join(lab.value for lab in x)
+        assert format_cell_label(x) == format_cell_label(x.labels) == text
+        assert parse_cell_label(text) == x
+        assert nu(x) == nu(x.labels) == reference_nu(x)
+        assert in_pn(x.labels)
+    for x, y in itertools.product(elems, repeat=2):
+        leq = all(p_leq(a, b) for a, b in zip(x, y))
+        assert cell_leq(x, y) == cell_leq(x.labels, y.labels) == leq, (x, y)
+        want = CellLabel(tuple(map(reference_symbol_meet, x, y)))
+        assert meet(x, y) == meet(x.labels, y.labels) == want, (x, y)
+
+
+def test_lattice_tables_keep_the_errors_of_the_symbol_references():
+    x, y = L("U,L,1"), L("U,L,F,1")
+    for op in (meet, cell_leq):
+        for a, b in ((x, y), (y, x), (x.labels, y.labels)):
+            with pytest.raises(ValueError, match="^labels must share a length$"):
+                op(a, b)
+    one, minus = PLabel.ONE, PLabel.MINUS_ONE
+    # the first coordinate without a meet is named, in argument order
+    a = (one, minus, PLabel.UPPER, one)
+    b = (minus, one, PLabel.UPPER, one)
+    with pytest.raises(ValueError, match="^no meet for symbols 1, -1$"):
+        meet(a, b)
+    with pytest.raises(ValueError, match="^no meet for symbols -1, 1$"):
+        meet(b, a)
+    # a componentwise meet outside P_n is refused as CellLabel refuses it
+    f = (PLabel.FULL, PLabel.FULL, one)
+    with pytest.raises(ValueError, match="^not an admissible cell label: F,F,1$"):
+        meet(f, f)
+    assert not cell_leq((PLabel.UPPER, one), (PLabel.LOWER, one))
+    assert cell_leq((minus, PLabel.UPPER, one), (PLabel.UPPER, PLabel.FULL, one))
+
+
+# ---------------------------------------------------------------------------
+# The shared grid points of the sampler
+# ---------------------------------------------------------------------------
+
+
+def test_shared_grid_points_equal_freshly_built_points():
+    tables = (
+        (cells._upper_at, [(u,) for u in range(17)],
+         lambda u: DiscPoint.of(1, F(u, 32))),
+        (cells._lower_at, [(t,) for t in range(257)],
+         lambda t: DiscPoint.of(1, F(256 + t, 512))),
+        (cells._disc_at, itertools.product(range(17), range(16)),
+         lambda r, a: DiscPoint.of(F(r, 16), F(a, 16))),
+    )
+    for point_at, keys, fresh in tables:
+        for key in keys:
+            got, want = point_at(*key), fresh(*key)
+            assert got == want and hash(got) == hash(want), key
+            assert repr(got) == repr(want) and point_at(*key) is got
+    assert cells._disc_at(0, 5) == DiscPoint.center()
+
+
+def test_importing_cells_builds_no_grid_point():
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("from phasetop import cells; print(*(f.cache_info().currsize for f"
+            " in (cells._upper_at, cells._lower_at, cells._disc_at)))")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                       text=True, env=dict(os.environ, PYTHONPATH=str(src)),
+                       check=True, timeout=60)
+    assert r.stdout.split() == ["0", "0", "0"]

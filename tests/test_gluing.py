@@ -5,10 +5,12 @@ import random
 
 import pytest
 
+from phasetop import gluing
 from phasetop.cells import (
     CellLabel,
     bx_member,
     bx_sample,
+    format_cell_label,
     meet,
     meet_all,
     nu,
@@ -288,6 +290,52 @@ def test_sample_charts_point_stream_is_pinned():
     assert len(lines) == 429
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
         "75a6ae007523b422cc63fc0a7d970d058190757e8450428b7992dcf9838c32bf")
+
+
+def recorded_draws(monkeypatch, n, seed):
+    """(check name, label text, seed) of every bx_sample and
+    sample_charts_point call made by verify_slice_claims(n, 1000, seed)."""
+    calls = []
+    check = [None]
+    run_check = gluing.run_check
+
+    def named(name, fn, **params):
+        check[0] = name
+        return run_check(name, fn, **params)
+
+    def recording(draw, text_of):
+        def recorded(cells, s):
+            calls.append((check[0], text_of(cells), s))
+            return draw(cells, s)
+        return recorded
+
+    monkeypatch.setattr(gluing, "run_check", named)
+    monkeypatch.setattr(gluing, "bx_sample",
+                        recording(bx_sample, format_cell_label))
+    monkeypatch.setattr(gluing, "sample_charts_point", recording(
+        sample_charts_point, lambda cs: ";".join(map(format_cell_label, cs))))
+    assert verify_slice_claims(n, 1000, seed).passed
+    return calls
+
+
+DRAWS_PINNED = {  # (n, seed): distinct draws and the digest of their list
+    (3, 0): (2971, "01b2a457e9c28ec73a80ed298124d71afa79797409323a5da4f43046514e0c7b"),
+    (3, 1): (3227, "c2f5ca35008b35decd3d1078b4d982c58769956ffa7c87604758620f081cc9a6"),
+    (4, 0): (2488, "1b087f78e03004adaef062d9d387e710dfa8e7904aa42de393b2ccfd9a5d1a83"),
+    (4, 1): (2560, "6435cea92e02e342655e5380c6c36acd61c21d36e9626d2246ce4652a2356c2b"),
+}
+
+
+@pytest.mark.parametrize("n,seed", sorted(DRAWS_PINNED))
+def test_slice_claims_draw_each_sample_once_per_check(monkeypatch, n, seed):
+    # the distinct draws, in the order first asked for, are pinned (digests
+    # taken when every check redrew its samples); no check asks twice
+    calls = recorded_draws(monkeypatch, n, seed)
+    assert len(set(calls)) == len(calls)
+    distinct = list(dict.fromkeys((text, s) for _, text, s in calls))
+    text = "\n".join(f"{t}@{s}" for t, s in distinct)
+    assert (len(distinct), hashlib.sha256(text.encode()).hexdigest()) == (
+        DRAWS_PINNED[n, seed])
 
 
 def test_random_slice_point_stream_is_pinned():

@@ -326,8 +326,19 @@ def test_doc_rejects_duplicates_and_bad_indices(slice32):
         complex_from_doc(dup)
     bad = json.loads(json.dumps(doc))
     bad["simplices"][0] = [0, 10 ** 6]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("bad simplex [0, 1000000]")):
         complex_from_doc(bad)
+
+
+def test_doc_round_trip_keeps_one_copy_of_the_top_faces(slice32):
+    # the face table is built from the complex's own tops: an ascending top
+    # is its own top face, as it is in the complex that was written
+    doc = json.loads(json.dumps(complex_to_doc(slice32, 3, 2)))
+    K, _, _ = complex_from_doc(doc)
+    ascending = {id(t) for t in K.tops if list(t) == sorted(t)}
+    assert 0 < len(ascending) < len(K.tops)
+    assert {id(f) for f in K.faces()[K.dim]} & {id(t) for t in K.tops} == ascending
+    assert K.faces() == slice32.faces()
 
 
 @pytest.mark.parametrize("bad,msg", [
@@ -353,7 +364,10 @@ def test_doc_rejects_a_repeated_simplex(slice32):
     doc = json.loads(json.dumps(complex_to_doc(slice32, 3, 2)))
     doc["simplices"].append(doc["simplices"][5][::-1])
     last = len(doc["simplices"]) - 1
-    with pytest.raises(ValueError, match=f"simplex {last} .* simplex 5 "):
+    # named as the document lists them
+    want = (f"simplex {last} {doc['simplices'][last]!r} repeats the vertices"
+            f" of simplex 5 {doc['simplices'][5]!r}")
+    with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
         complex_from_doc(doc)
 
 
