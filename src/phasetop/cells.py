@@ -56,17 +56,17 @@ _DEN = 16  # cells and chart intersections are sampled over 16ths
 # numerators of radius and angle.
 @functools.cache
 def _upper_at(u: int) -> DiscPoint:
-    return DiscPoint(ONE_F, Angle(Fraction(u, 2 * _DEN)))
+    return DiscPoint(ONE_F, Angle.of_ratio(u, 2 * _DEN))
 
 
 @functools.cache
 def _lower_at(t: int) -> DiscPoint:
-    return DiscPoint(ONE_F, Angle(Fraction(_DEN * _DEN + t, 2 * _DEN * _DEN)))
+    return DiscPoint(ONE_F, Angle.of_ratio(_DEN * _DEN + t, 2 * _DEN * _DEN))
 
 
 @functools.cache
 def _disc_at(r: int, a: int) -> DiscPoint:
-    return DiscPoint(Fraction(r, _DEN), Angle(Fraction(a, _DEN)))
+    return DiscPoint(Fraction(r, _DEN), Angle.of_ratio(a, _DEN))
 
 
 class PLabel(Enum):
@@ -290,18 +290,24 @@ def nu(x: CellLabel) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _on_circle(c: DiscPoint) -> bool:
+    """Whether c lies on the boundary circle: its radius's ratio is 1/1."""
+    num, den = c.radius.as_integer_ratio()
+    return num == den
+
+
 def _upper(c: DiscPoint) -> tuple[int, int] | None:
     """upper_param as an unreduced (numerator, denominator) pair."""
-    r, a, d = c.radius, c.angle.num, c.angle.den
-    if r.numerator != r.denominator or 2 * a > d:
+    a, d = c.angle.num, c.angle.den
+    if 2 * a > d or not _on_circle(c):
         return None
     return 2 * a, d
 
 
 def _lower(c: DiscPoint) -> tuple[int, int] | None:
     """lower_param as an unreduced (numerator, denominator) pair."""
-    r, a, d = c.radius, c.angle.num, c.angle.den
-    if r.numerator != r.denominator or 0 < 2 * a < d:
+    a, d = c.angle.num, c.angle.den
+    if 0 < 2 * a < d or not _on_circle(c):
         return None
     return (2 * a - d, d) if a else (1, 1)
 
@@ -341,14 +347,16 @@ def bx_member(x: CellLabel, z: ModelPoint, mode: str = "closed") -> bool:
     u_params: list[tuple[int, int]] = []
     l_params: list[tuple[int, int]] = []
     for lab, c in zip(x.labels, z.coords):
+        # the pinned points (1, 0) and (1, 1/2) are told by their ratios
         if lab is _ONE:
-            if c is not _ONE_POINT and c != _ONE_POINT:
+            if c is not _ONE_POINT and (c.angle.num or not _on_circle(c)):
                 return False
         elif lab is _MINUS_ONE:
-            if c is not _MINUS_ONE_POINT and c != _MINUS_ONE_POINT:
+            if c is not _MINUS_ONE_POINT and (
+                    c.angle.den != 2 or not _on_circle(c)):
                 return False
         elif lab is _FULL:
-            if strict and c.radius.numerator >= c.radius.denominator:
+            if strict and _on_circle(c):
                 return False
         else:
             t = (_upper if lab is _UPPER else _lower)(c)

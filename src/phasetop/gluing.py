@@ -218,7 +218,7 @@ def random_slice_point(rng: random.Random, n: int) -> ModelPoint:
             r = Fraction(0)
         else:
             r = Fraction(rng.randint(0, 8), 8)
-        coords.append(DiscPoint(r, Angle(Fraction(rng.randint(0, 15), 16))))
+        coords.append(DiscPoint(r, Angle.of_ratio(rng.randint(0, 15), 16)))
     coords.append(_ONE_POINT)
     return ModelPoint(tuple(coords))
 

@@ -186,7 +186,7 @@ class SimplicialComplex:
 
 def _point_of(m: int) -> Callable:
     """The map from tick keys at resolution m to their model points."""
-    discs = [DiscPoint(Fraction(1), Angle(Fraction(k, 2 * m)))
+    discs = [DiscPoint(Fraction(1), Angle.of_ratio(k, 2 * m))
              for k in range(2 * m)] + [DiscPoint.center()]
     return lambda key: ModelPoint(tuple(discs[c] for c in key))
 
@@ -607,7 +607,7 @@ def complex_to_doc(K: SimplicialComplex, n: int, m: int) -> dict:
     reader's message, on a shape the reader refuses (_check_doc_shape)."""
     if not all(isinstance(v, ModelPoint) for v in K.vertices):
         raise ValueError("only model-point complexes serialize")
-    vertices = [[[format_fraction(c.radius), format_fraction(c.angle.turns)]
+    vertices = [[[format_fraction(c.radius), str(c.angle)]
                  for c in z] for z in K.vertices]
     _check_doc_shape(n, m, vertices)
     return {"n": n, "m": m, "vertices": vertices,

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .covectors import PhaseVector, support, zero_in_sum
-from .phase import (Angle, Phase, ZERO, _over_lcm, format_fraction,
+from .phase import (Angle, ORIGIN, Phase, ZERO, _over_lcm, format_fraction,
                     parse_fraction, value_type)
 
 __all__ = [
@@ -57,15 +57,15 @@ class DiscPoint:
         if not 0 <= num <= self.radius.denominator:
             raise ValueError("disc radius must lie in [0, 1]")
         if num == 0 and self.angle.num != 0:
-            object.__setattr__(self, "angle", Angle(Fraction(0)))
+            object.__setattr__(self, "angle", ORIGIN)
 
     @staticmethod
     def of(radius, angle) -> "DiscPoint":
-        return DiscPoint(Fraction(radius), Angle(Fraction(angle)))
+        return DiscPoint(Fraction(radius), Angle(angle))
 
     @staticmethod
     def center() -> "DiscPoint":
-        return DiscPoint(Fraction(0), Angle(Fraction(0)))
+        return DiscPoint(Fraction(0), ORIGIN)
 
     @property
     def phase(self) -> Phase:
@@ -273,7 +273,7 @@ def format_model_point(z: ModelPoint) -> str:
 
 def _grid_value(k: int) -> tuple[Fraction, Angle, Phase]:
     q = Fraction(k, _DEN)
-    a = Angle(q)
+    a = Angle.of_ratio(k, _DEN)
     return q, a, Phase(a)
 
 

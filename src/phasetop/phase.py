@@ -7,17 +7,19 @@ of the circle joining them, except that antipodal inputs produce the whole
 circle together with zero.  The sign hyperfield {-1, 0, 1} is the familiar
 discrete analogue.
 
-Angles are stored as exact rational turns (1 turn = 360 degrees), so every
-operation here is exact: no floating point is used anywhere.
+Angles are exact rational turns (1 turn = 360 degrees), each held as
+the reduced integer ratio of its turns, so every operation here is exact
+integer arithmetic: no floating point is used anywhere.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 import re
 import sys
-from dataclasses import FrozenInstanceError, dataclass, field
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -43,15 +45,16 @@ HALF = Fraction(1, 2)
 ONE = Fraction(1)
 
 
-def _mod1(q: Fraction) -> Fraction:
-    return q - (q.numerator // q.denominator)
-
-
 def _over_lcm(qs: Sequence) -> tuple[list, int]:
     """Numerators over D, the lcm of the denominators, and D."""
     ratios = [q.as_integer_ratio() for q in qs]
     d = math.lcm(*[b for _, b in ratios])
     return [a * (d // b) for a, b in ratios], d
+
+
+# builds and fills an Angle past its refusing __setattr__
+_new, _set = object.__new__, object.__setattr__
+_HASH = sys.hash_info
 
 
 def _refuse_setattr(self, name, value):
@@ -77,42 +80,84 @@ def value_type(cls):
 
 
 @value_type
-@dataclass(frozen=True, order=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False, repr=False, eq=False)
 class Angle:
     """A point on the circle, measured in turns and reduced mod 1.
 
-    ``num``/``den`` is the reduced ratio of ``turns``, taken apart once
-    here so the integer kernels read plain ints; they take no part in
-    equality, hashing, order or repr.
+    The only state is the reduced integer ratio ``num``/``den`` of the
+    turns, with 0 <= num < den, which the integer kernels read as plain
+    ints.  The one constructor argument is the turns, as any value
+    `Fraction` accepts; the ``turns`` property gives them back as a new
+    Fraction, and `Angle.of_ratio` builds an angle from ints without
+    one.  Equality and order are those of the turns, and
+    ``hash(a) == hash((a.turns,))``, a dataclass's hash of the turns, so
+    the iteration order of sets and dicts of angles, and with it every
+    report, does not depend on how an angle holds its value.
     """
 
-    turns: Fraction
-    num: int = field(init=False, repr=False, compare=False)
-    den: int = field(init=False, repr=False, compare=False)
+    num: int
+    den: int
+    __match_args__ = ("turns",)
 
-    def __post_init__(self) -> None:
-        t = self.turns if isinstance(self.turns, Fraction) else Fraction(self.turns)
+    def __init__(self, turns) -> None:
+        t = turns if isinstance(turns, Fraction) else Fraction(turns)
         num, den = t.as_integer_ratio()
-        if t is not self.turns or not 0 <= num < den:
-            num %= den
-            object.__setattr__(self, "turns", Fraction(num, den))
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        _set(self, "num", num % den)
+        _set(self, "den", den)
+
+    @staticmethod
+    def of_ratio(num: int, den: int) -> "Angle":
+        """The angle num/den turns, for ints with den > 0."""
+        num %= den
+        g = math.gcd(num, den)
+        a = _new(Angle)
+        _set(a, "num", num // g)
+        _set(a, "den", den // g)
+        return a
+
+    @property
+    def turns(self) -> Fraction:
+        return Fraction(self.num, self.den)
+
+    def _by_turns(op):
+        def compare(self, other):
+            if other.__class__ is not self.__class__:
+                return NotImplemented
+            return op(self.num * other.den, other.num * self.den)
+        return compare
+
+    __eq__, __lt__, __le__, __gt__, __ge__ = map(_by_turns, (
+        operator.eq, operator.lt, operator.le, operator.gt, operator.ge))
+    del _by_turns
+
+    def __hash__(self) -> int:
+        # Fraction's hash of num/den, taken from the ints: num times the
+        # inverse of den modulo the hash modulus, inf when den has none
+        try:
+            h = hash(self.num * pow(self.den, -1, _HASH.modulus))
+        except ValueError:
+            h = _HASH.inf
+        return hash((h,))
+
+    def __repr__(self) -> str:
+        return f"Angle(turns={self.turns!r})"
 
     def __add__(self, other: "Angle") -> "Angle":
-        return Angle(self.turns + other.turns)
+        return Angle.of_ratio(self.num * other.den + other.num * self.den,
+                              self.den * other.den)
 
     def __neg__(self) -> "Angle":
-        return Angle(-self.turns)
+        return Angle.of_ratio(-self.num, self.den)
 
     def __sub__(self, other: "Angle") -> "Angle":
-        return Angle(self.turns - other.turns)
+        return Angle.of_ratio(self.num * other.den - other.num * self.den,
+                              self.den * other.den)
 
     def antipode(self) -> "Angle":
-        return Angle(self.turns + HALF)
+        return Angle.of_ratio(2 * self.num + self.den, 2 * self.den)
 
     def __str__(self) -> str:
-        return format_fraction(self.turns)
+        return _format_ratio(self.num, self.den)
 
 
 ORIGIN = Angle(NIL)  # the angle 0, shared by every full-circle arc
@@ -184,13 +229,17 @@ class Arc:
         return self.length >= 1
 
     def end(self) -> Angle:
-        return Angle(self.start.turns + self.length)
+        s, (ln, ld) = self.start, self.length.as_integer_ratio()
+        return Angle.of_ratio(s.num * ld + ln * s.den, s.den * ld)
 
     def contains(self, a: Angle) -> bool:
-        if self.is_full_circle:
+        s, (ln, ld) = self.start, self.length.as_integer_ratio()
+        if ln >= ld:
             return True
-        # offset of a past the start, measured forward around the circle
-        return _mod1(a.turns - self.start.turns) <= self.length
+        # offset of a past the start, in ticks of 1/d measured forward
+        # around the circle, against the length in the same ticks
+        d = a.den * s.den
+        return (a.num * s.den - s.num * a.den) % d * ld <= ln * d
 
     def __str__(self) -> str:
         if self.is_full_circle:
@@ -310,7 +359,7 @@ def hyper_sum_list(xs: Sequence[Phase]) -> PhaseSet:
             length = off
         else:
             start, length = p, length + d - off
-    arc = Arc(Angle(Fraction(start, d)), Fraction(length, d))
+    arc = Arc(Angle.of_ratio(start, d), Fraction(length, d))
     return PhaseSet(False, (arc,))
 
 
@@ -323,22 +372,15 @@ def min_enclosing_arc(angles: Sequence[Angle]) -> Arc:
     """
     if not angles:
         return Arc(ORIGIN, ONE)
-    pts = sorted(set(a.turns for a in angles))
+    d = math.lcm(*[a.den for a in angles])
+    pts = sorted({a.num * (d // a.den) for a in angles})
     if len(pts) == 1:
-        return Arc(Angle(pts[0]), NIL)
-    n = len(pts)
-    best: Arc | None = None
-    for i in range(n):
-        gap_start = pts[i]
-        gap_end = pts[(i + 1) % n] + (1 if i + 1 == n else 0)
-        gap = gap_end - gap_start
-        cand = Arc(Angle(_mod1(gap_end)), 1 - gap)
-        if best is None or cand.length < best.length or (
-            cand.length == best.length and cand.start < best.start
-        ):
-            best = cand
-    assert best is not None
-    return best
+        return Arc(Angle.of_ratio(pts[0], d), NIL)
+    # the arc from the end of each gap round to its start, in ticks of
+    # 1/d: the shortest, then the one with the smallest start
+    length, start = min((d - (b - a) % d, b)
+                        for a, b in zip(pts, pts[1:] + pts[:1]))
+    return Arc(Angle.of_ratio(start, d), Fraction(length, d))
 
 
 # ---------------------------------------------------------------------------
@@ -382,19 +424,24 @@ def sign_hyper_sum_list(xs: Sequence[int]) -> frozenset[int]:
 
 # the exponent of a decimal literal such as "1.5e-3"
 _EXPONENT = re.compile(r"e([-+]?[0-9_]+)\Z", re.IGNORECASE)
+# CPython's default limit on the digits of an int's str(), for the 3.10
+# releases before 3.10.7, which have no sys.get_int_max_str_digits
+_DEFAULT_MAX_STR_DIGITS = 4300
 
 
 def parse_fraction(text: str) -> Fraction:
     """Parse 'p/q' or an integer or decimal literal into an exact Fraction.
 
     A decimal exponent larger in magnitude than sys.get_int_max_str_digits()
-    is refused: it names an integer with more digits than str() may print,
-    and building that integer takes time superlinear in the exponent.
+    (4300 where the interpreter lacks it) is refused: it names an integer
+    with more digits than str() may print, and building that integer takes
+    time superlinear in the exponent.
     """
     text = text.strip()
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    limit = get_limit() if get_limit else _DEFAULT_MAX_STR_DIGITS
     try:
         exp = _EXPONENT.search(text)
-        limit = sys.get_int_max_str_digits()
         if exp and limit and abs(int(exp[1])) > limit:
             raise ValueError("decimal exponent too large")
         return Fraction(text)
@@ -403,6 +450,8 @@ def parse_fraction(text: str) -> Fraction:
 
 
 def format_fraction(q: Fraction) -> str:
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    return _format_ratio(*q.as_integer_ratio())
+
+
+def _format_ratio(num: int, den: int) -> str:
+    return str(num) if den == 1 else f"{num}/{den}"

@@ -453,10 +453,10 @@ def reference_bx_member(x, z, mode="closed"):
     u_params, l_params = [], []
     for lab, c in zip(x, z.coords):
         if lab == PLabel.ONE:
-            if c != DiscPoint.of(1, 0):
+            if (c.radius, c.angle.turns) != (1, 0):
                 return False
         elif lab == PLabel.MINUS_ONE:
-            if c != DiscPoint.of(1, F(1, 2)):
+            if (c.radius, c.angle.turns) != (1, F(1, 2)):
                 return False
         elif lab == PLabel.UPPER:
             t = reference_upper_param(c)
@@ -514,6 +514,31 @@ def test_bx_member_matches_the_reference_on_mixed_denominators(n):
                 DiscPoint(c.radius, Angle(c.angle.turns + _mixed_turns(rng) / 10**6)),
                 DiscPoint(c.radius, Angle(c.angle.turns - _mixed_turns(rng) / 10**6)),
             ])
+        z = ModelPoint(tuple(coords))
+        for mode in ("closed", "interior"):
+            got = bx_member(x, z, mode)
+            assert got == reference_bx_member(x, z, mode), (str(x), str(z), mode)
+            seen.add((mode, got))
+    assert len(seen) == 4
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_bx_member_matches_the_reference_on_grid_points(n):
+    # sampled points over 16ths, some coordinates swapped for equal copies
+    # (the pinned points among them) that are not the shared objects, and
+    # a few moved to other grid points
+    rng = random.Random(f"bx-member-grid:{n}")
+    elems = pn_elements(n)
+    pool = ([cells._disc_at(r, a) for r in (0, 8, 15, 16) for a in range(16)]
+            + [cells._lower_at(t) for t in range(0, 257, 32)])
+    seen = set()
+    for _ in range(1500):
+        x = rng.choice(elems)
+        coords = [DiscPoint(c.radius, Angle(c.angle.turns))
+                  if rng.random() < 0.5 else c
+                  for c in bx_sample(x, rng.randrange(10**6)).coords]
+        for _ in range(rng.randint(0, 2)):
+            coords[rng.randrange(n)] = rng.choice(pool)
         z = ModelPoint(tuple(coords))
         for mode in ("closed", "interior"):
             got = bx_member(x, z, mode)

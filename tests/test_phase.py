@@ -14,7 +14,6 @@ from phasetop.phase import (
     NIL,
     ONE,
     ORIGIN,
-    _mod1,
     Angle,
     Arc,
     Phase,
@@ -129,7 +128,8 @@ def test_fixed_sums_are_shared_frozen_values():
     assert hyper_sum_list([P(0)]) is not hyper_sum_list([P(0)])
     # every full-circle arc starts at the one shared angle 0
     assert Arc(Angle(F(1, 3)), F(5, 4)).start is ORIGIN
-    assert EVERYTHING.arcs[0].start is ORIGIN and ORIGIN.turns is NIL
+    assert EVERYTHING.arcs[0].start is ORIGIN
+    assert (ORIGIN.num, ORIGIN.den) == (0, 1)
     assert PhaseSet.point(P("1/5")).arcs[0].length is NIL
 
 
@@ -142,9 +142,14 @@ def test_phase_of_builds_one_angle_from_any_rational(turns):
     assert (p.angle.num, p.angle.den) == (F(turns) % 1).as_integer_ratio()
 
 
-def test_phase_of_keeps_a_reduced_fraction_as_given():
+def test_an_angle_keeps_no_fraction():
     q = F(2, 7)
-    assert Phase.of(q).angle.turns is q
+    held = sys.getrefcount(q)
+    angles = [Angle(q), Phase.of(q).angle, Angle(q + 3)]
+    assert sys.getrefcount(q) == held
+    for a in angles:  # the state is the ratio alone
+        assert [type(getattr(a, s)) for s in Angle.__slots__] == [int, int]
+        assert a.turns == q
 
 
 def test_hyper_sum_list_order_independent():
@@ -241,9 +246,23 @@ def test_the_exponent_bound_follows_the_digit_limit(int_digits):
     assert parse_fraction("1e4301") == 10 ** 4301
 
 
+def test_the_exponent_bound_without_the_digit_limit_is_the_default(
+        monkeypatch):
+    # 3.10 releases before 3.10.7 have no sys.get_int_max_str_digits
+    monkeypatch.delattr(sys, "get_int_max_str_digits")
+    assert parse_fraction("1/3") == F(1, 3)
+    assert parse_fraction("1e4300") == 10 ** 4300
+    with pytest.raises(ValueError, match="^not a rational number: "):
+        parse_fraction("1e5000")
+
+
 # ---------------------------------------------------------------------------
 # Differential tests: the tick fold against the Fraction fold
 # ---------------------------------------------------------------------------
+
+
+def _mod1(q: Fraction) -> Fraction:
+    return q % 1
 
 
 def _reference_arc_plus_point(ps: PhaseSet, p: Phase) -> PhaseSet:

@@ -1,10 +1,12 @@
 """Differential tests: kernels that read each rational's integer ratio once.
 
-Angles carry their reduced ratio (`Angle.num`/`Angle.den`), `_over_lcm`
+Angles hold only their reduced ratio (`Angle.num`/`Angle.den`), `_over_lcm`
 reads each `Fraction`'s `as_integer_ratio()` once, and the order-complex
 round trip walks its input once.  Each kernel is checked here against its
 earlier form, which read `numerator`/`denominator` on every call and built
 the round trip level by level; those forms are kept below as references.
+Angle arithmetic, arcs and `min_enclosing_arc` are checked against
+`Fraction` arithmetic mod 1.
 """
 
 import math
@@ -36,6 +38,7 @@ from phasetop.phase import (
     PhaseSet,
     _over_lcm,
     hyper_sum_list,
+    min_enclosing_arc,
 )
 
 F = Fraction
@@ -90,6 +93,23 @@ def reference_lower(c):
     if r.numerator != r.denominator or 0 < 2 * a < d:
         return None
     return (2 * a - d, d) if a else (1, 1)
+
+
+def reference_min_enclosing_arc(turns):
+    """(start, length) of the shortest arc holding the given Fraction
+    turns, by dropping the largest gap; ties go to the smallest start."""
+    pts = sorted({t % 1 for t in turns})
+    if not pts:
+        return F(0), F(1)
+    if len(pts) == 1:
+        return pts[0], F(0)
+    best = None
+    for i, gap_start in enumerate(pts):
+        gap_end = pts[i + 1] if i + 1 < len(pts) else pts[0] + 1
+        cand = (1 - (gap_end - gap_start), gap_end % 1)
+        if best is None or cand < best:
+            best = cand
+    return best[1], best[0]
 
 
 def reference_join_to_model(p):
@@ -237,6 +257,42 @@ SPECIAL_MODEL_POINTS = [
 # ---------------------------------------------------------------------------
 # Kernel by kernel
 # ---------------------------------------------------------------------------
+
+
+@SETTINGS
+@given(angles, angles)
+def test_angle_arithmetic_is_fraction_arithmetic_mod_1(a, b):
+    s, t = a.turns, b.turns
+    for got, want in [(a + b, s + t), (a - b, s - t), (-a, -s),
+                      (a.antipode(), s + HALF)]:
+        assert (got.num, got.den) == (want % 1).as_integer_ratio()
+
+
+@SETTINGS
+@given(angles, st.one_of(unit, rationals.map(abs)), st.data())
+def test_arc_end_and_contains_are_fraction_arithmetic_mod_1(start, length,
+                                                           data):
+    arc = Arc(start, length)
+    s, span = arc.start.turns, arc.length
+    assert arc.end().turns == (s + span) % 1
+    # a free angle, or one at or just past either end of the arc
+    near = [s, s + span, s + span / 2, s - F(1, 10**9), s + span + F(1, 10**9)]
+    a = data.draw(st.one_of(angles, st.sampled_from(near).map(Angle)))
+    assert arc.contains(a) == (span >= 1 or (a.turns - s) % 1 <= span)
+
+
+# every gap of k points spaced evenly round the circle is the largest
+even_spacing = st.builds(lambda k, q: [Angle(q + F(i, k)) for i in range(k)],
+                         st.integers(2, 6), rationals)
+
+
+@SETTINGS
+@given(st.one_of(st.lists(st.one_of(angles, grid.map(Angle)), max_size=8),
+                 even_spacing))
+def test_min_enclosing_arc_matches_the_reference(xs):
+    arc = min_enclosing_arc(xs)
+    assert (arc.start.turns, arc.length) == reference_min_enclosing_arc(
+        [a.turns for a in xs])
 
 
 @SETTINGS

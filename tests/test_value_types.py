@@ -1,19 +1,20 @@
 """Invariants of the frozen value types.
 
 The nine value dataclasses are slotted, refuse every assignment and
-deletion with `FrozenInstanceError`, and an `Angle` keeps the reduced
-integer ratio of its turns in `num`/`den`.  Those two fields are derived,
-so they must take no part in equality, hashing, order or repr, and they
-must survive pickling and copying.
+deletion with `FrozenInstanceError`, and survive pickling and copying.
+An `Angle` holds only the reduced integer ratio of its turns in
+`num`/`den`, and still takes its turns as the one constructor argument:
+its equality, hashing, order and repr must be those of the turns.
 """
 
 import copy
+import inspect
 import pickle
 from dataclasses import FrozenInstanceError, dataclass, fields
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from phasetop.cells import CellLabel
 from phasetop.covectors import PhaseVector
@@ -82,7 +83,7 @@ def test_pickle_and_deepcopy_give_equal_values(value):
                  copy.copy(value)):
         assert twin == value and hash(twin) == hash(value)
         assert repr(twin) == repr(value)
-        for f in fields(value):  # the derived fields come back too
+        for f in fields(value):  # every field comes back too
             assert getattr(twin, f.name) == getattr(value, f.name)
 
 
@@ -122,6 +123,8 @@ def test_angle_ratio_for_each_way_of_building_an_angle(t, ratio):
 
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(rationals, rationals)
+# denominators with no inverse modulo the hash modulus 2**61 - 1
+@example(F(1, 2**61 - 1), F(5, 3 * (2**61 - 1)))
 def test_angle_ratio_leaves_eq_hash_order_and_repr_alone(s, t):
     a, b = Angle(s), Angle(t)
     assert (a == b) == (a.turns == b.turns)
@@ -135,4 +138,4 @@ def test_angle_ratio_leaves_eq_hash_order_and_repr_alone(s, t):
 def test_angle_ratio_is_not_an_argument():
     with pytest.raises(TypeError):
         Angle(F(1, 2), 1, 2)
-    assert [f.name for f in fields(Angle) if f.init] == ["turns"]
+    assert list(inspect.signature(Angle).parameters) == ["turns"]
