@@ -1,0 +1,167 @@
+"""The mutation catalogue: small wrong edits that the tests must refuse.
+
+Each `Mutant` names a file under the repository root, a source string
+found exactly once in it, the text that replaces it, the pytest node ids
+expected to fail under the edit (its killers), and a wall-clock cap for
+their run.  `mutants/run.py` applies each mutant to a copy of the tree
+and runs only its killers.
+
+A cap is at least three times the slower of the killers' runs with and
+without the mutant, rounded up to 10 s (those runs took 0.3-2.5 s on
+Python 3.11, two cores).  The unmutated run of all the killers gets the
+sum of the caps, so the whole catalogue ends within twice that sum
+(240 s), inside the CI step's 5 minutes.  `EQUIVALENT` lists edits that no test can
+refuse, with the reason they change no result; the runner checks that
+their source strings still match, so the reasons stay attached to code
+that exists.
+
+The catalogue holds one mutant per kernel of the certifier and one per
+rule that is written in one place only (the label order, the sign
+tokens, the fraction format, the value-type refusals).  A new entry
+should be one that a past change's mutation check once found, or that a
+new kernel or rule needs.
+"""
+
+from __future__ import annotations
+
+from typing import NamedTuple
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str
+    source: str
+    replacement: str
+    killers: tuple[str, ...]
+    cap_s: float
+
+
+class Equivalent(NamedTuple):
+    name: str
+    file: str
+    source: str
+    replacement: str
+    reason: str
+
+
+MUTANTS = [
+    # -- kernels ------------------------------------------------------------
+    Mutant(
+        "zero_in_sum-lcm-skips-first-denominator",
+        "src/phasetop/covectors.py",
+        "whole = math.lcm(*[den for _, den in ratios])",
+        "whole = math.lcm(*[den for _, den in ratios[1:]])",
+        ("tests/test_covectors.py::test_zero_in_sum_agrees_with_fold_oracle",
+         "tests/test_covectors.py::test_zero_in_sum_matches_fold_oracle_off_grid"),
+        10),
+    Mutant(
+        # once stalled tests/test_homology.py for over 6 minutes at 490 MB;
+        # the mesh engine tests fail in seconds
+        "engine-low-read-as-first-facet",
+        "src/phasetop/homology.py",
+        "low = col[-1] if type(col) is tuple else max(col)",
+        "low = col[0] if type(col) is tuple else max(col)",
+        ("tests/test_homology.py::test_engine_matches_reference_engine_on_meshes",),
+        10),
+    Mutant(
+        "face_table-index-range-off-by-one",
+        "src/phasetop/mesh.py",
+        "any(i < 0 or i >= nv for i in t)",
+        "any(i < 0 or i > nv for i in t)",
+        ("tests/test_mesh.py::test_incidence_checks_validate_the_complex",),
+        10),
+    Mutant(
+        "slice-vertex-keys-unsorted",
+        "src/phasetop/mesh.py",
+        "    order = sorted(set(itertools.chain.from_iterable(\n"
+        "        itertools.chain.from_iterable(pieces.values()))))",
+        "    order = list(dict.fromkeys(itertools.chain.from_iterable(\n"
+        "        itertools.chain.from_iterable(pieces.values()))))",
+        ("tests/test_mesh.py::test_ticks_round_trip",
+         "tests/test_mesh.py::test_mesh_documents_are_pinned"),
+        10),
+    Mutant(
+        "bx_member-cross-multiplication-swapped",
+        "src/phasetop/cells.py",
+        "if lb * ud > ua * ld or (strict and lb * ud == ua * ld):",
+        "if ua * ld > lb * ud or (strict and lb * ud == ua * ld):",
+        ("tests/test_cells.py::test_bx_member_examples",
+         "tests/test_cells.py::test_bx_member_matches_the_reference_on_grid_points"),
+        10),
+    Mutant(
+        "model_to_join-merges-equal-levels-late",
+        "src/phasetop/order_complex.py",
+        "        if r < level:",
+        "        if r <= level:",
+        # the special points first: the hypothesis test fails too, but
+        # takes 6-10 s to shrink its counterexample
+        ("tests/test_ratio_kernels.py::"
+         "test_model_to_join_matches_the_reference_on_special_points",
+         "tests/test_ratio_kernels.py::test_model_to_join_matches_the_reference"),
+        10),
+    Mutant(
+        "check_gluing-wrong-sub-meet",
+        "src/phasetop/gluing.py",
+        "sub = meet_over(tuple(i for i in J if i != r))",
+        "sub = meet_over(tuple(i for i in J if i != J[0]))",
+        ("tests/test_gluing.py::"
+         "test_check_gluing_matches_the_reference_on_failing_families",
+         "tests/test_gluing.py::"
+         "test_check_gluing_matches_the_reference_on_every_chart_family"),
+        10),
+    Mutant(
+        # the same sets for charts built right, so once recorded as
+        # equivalent; the tests that hand the slice a faulty chart tell them
+        # apart
+        "slice-inside-sets-from-chart-vertices",
+        "src/phasetop/mesh.py",
+        "inside = {jk: {vid[key] for key in box if key in vid}",
+        "inside = {jk: {vid[key] for s in pieces[jk] for key in s}",
+        ("tests/test_mesh.py::test_interface_mismatch_is_an_error_naming_points",
+         "tests/test_mesh.py::"
+         "test_interface_witness_is_the_smallest_disputed_face"),
+        10),
+    # -- rules written once -------------------------------------------------
+    Mutant(
+        "label-order-missing-a-pair",
+        "src/phasetop/cells.py",
+        "(_MINUS_ONE, _UPPER), ",
+        "",
+        ("tests/test_cells.py::test_label_order_exact_relations",),
+        10),
+    Mutant(
+        "sign-tokens-swapped",
+        "src/phasetop/covectors.py",
+        '_SIGN_OF = {"+": 1, "-": -1, "0": 0}',
+        '_SIGN_OF = {"+": -1, "-": 1, "0": 0}',
+        ("tests/test_covectors.py::test_vector_text_round_trip",
+         "tests/test_cli.py::test_hf_sum_sign"),
+        10),
+    Mutant(
+        "format_fraction-without-whole-numbers",
+        "src/phasetop/phase.py",
+        'return str(num) if den == 1 else f"{num}/{den}"',
+        'return f"{num}/{den}"',
+        ("tests/test_phase.py::test_fraction_round_trip",),
+        10),
+    Mutant(
+        "value_type-allows-delattr",
+        "src/phasetop/phase.py",
+        "    cls.__delattr__ = _refuse_delattr\n",
+        "",
+        ("tests/test_value_types.py::"
+         "test_value_types_refuse_assignment_as_unslotted_frozen_ones_do",),
+        10),
+]
+
+
+EQUIVALENT = [
+    Equivalent(
+        "find_zero_triple-zero-filled-with-first-tick",
+        "src/phasetop/covectors.py",
+        "a, b, c = rest[0], rest[-1], rest[-1]",
+        "a, b, c = rest[0], rest[0], rest[-1]",
+        "with one zero in the triple both fillings leave the two nonzero "
+        "ticks, and zero is in their sum only for an exact antipodal "
+        "pair, whichever tick is repeated"),
+]

@@ -16,13 +16,12 @@ from __future__ import annotations
 import functools
 import itertools
 import random
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 from .order_complex import DiscPoint, ModelPoint
-from .phase import Angle, value_type
+from .phase import HALF, ONE, Angle, value_type
 
 __all__ = [
     "PLabel",
@@ -43,8 +42,6 @@ __all__ = [
     "format_cell_label",
 ]
 
-HALF = Fraction(1, 2)
-ONE_F = Fraction(1)
 # the disc points named by the symbols 1 and -1 (frozen, so shared)
 _ONE_POINT = DiscPoint.of(1, 0)
 _MINUS_ONE_POINT = DiscPoint.of(1, HALF)
@@ -56,12 +53,12 @@ _DEN = 16  # cells and chart intersections are sampled over 16ths
 # numerators of radius and angle.
 @functools.cache
 def _upper_at(u: int) -> DiscPoint:
-    return DiscPoint(ONE_F, Angle.of_ratio(u, 2 * _DEN))
+    return DiscPoint(ONE, Angle.of_ratio(u, 2 * _DEN))
 
 
 @functools.cache
 def _lower_at(t: int) -> DiscPoint:
-    return DiscPoint(ONE_F, Angle.of_ratio(_DEN * _DEN + t, 2 * _DEN * _DEN))
+    return DiscPoint(ONE, Angle.of_ratio(_DEN * _DEN + t, 2 * _DEN * _DEN))
 
 
 @functools.cache
@@ -86,29 +83,26 @@ class PLabel(Enum):
 # class costs several times as much
 _ONE, _MINUS_ONE, _UPPER, _LOWER, _FULL = PLabel
 _POINTS = frozenset({PLabel.ONE, PLabel.MINUS_ONE})
-_BELOW = {  # the symbols strictly below each symbol
-    PLabel.ONE: frozenset(),
-    PLabel.MINUS_ONE: frozenset(),
-    PLabel.UPPER: _POINTS,
-    PLabel.LOWER: _POINTS,
-    PLabel.FULL: _POINTS | {PLabel.UPPER, PLabel.LOWER},
-}
+# the label order, its one copy: the pairs (a, b) with a <= b, that is each
+# symbol with itself, 1 and -1 below U and L, and all four below F
+_LEQ = frozenset({
+    (_ONE, _ONE), (_MINUS_ONE, _MINUS_ONE), (_UPPER, _UPPER), (_LOWER, _LOWER),
+    (_FULL, _FULL), (_ONE, _UPPER), (_MINUS_ONE, _UPPER), (_ONE, _LOWER),
+    (_MINUS_ONE, _LOWER), (_ONE, _FULL), (_MINUS_ONE, _FULL), (_UPPER, _FULL),
+    (_LOWER, _FULL)})
 
 
 def p_leq(a: PLabel, b: PLabel) -> bool:
-    """The label order: 1, -1 below U, L below F; no other relations."""
-    return a == b or a in _BELOW[b]
+    """The label order (the pairs of _LEQ): 1, -1 below U, L below F."""
+    return (a, b) in _LEQ
 
 
-# the lattice as tables: the ordered pairs of the label order, each
-# symbol's text and its share of the cell dimension
-_LEQ = frozenset((a, b) for a in PLabel for b in PLabel if p_leq(a, b))
+# each symbol's text, and its share of the cell dimension
 _TOKEN = {lab: lab.value for lab in PLabel}
 _NU = {_ONE: 0, _MINUS_ONE: 0, _UPPER: 1, _LOWER: 1, _FULL: 2}
 
 
 @value_type
-@dataclass(frozen=True, slots=True)
 class CellLabel:
     """An admissible cell label: a tuple of symbols passing in_pn."""
 
@@ -122,14 +116,12 @@ class CellLabel:
     @staticmethod
     def of(tokens: Iterable) -> "CellLabel":
         labs = []
-        for t in tokens:
-            if not isinstance(t, PLabel):
-                try:
-                    t = PLabel(str(t))
-                except ValueError:
-                    raise ValueError(f"unknown cell symbol {str(t)!r}: "
-                                     "use 1, -1, U, L or F") from None
-            labs.append(t)
+        for t in tokens:  # a symbol's str is its token
+            try:
+                labs.append(PLabel(str(t)))
+            except ValueError:
+                raise ValueError(f"unknown cell symbol {str(t)!r}: "
+                                 "use 1, -1, U, L or F") from None
         return CellLabel(tuple(labs))
 
     def __len__(self) -> int:
@@ -223,10 +215,7 @@ def meet(x: CellLabel, y: CellLabel) -> CellLabel:
 def meet_all(xs: Sequence[CellLabel]) -> CellLabel:
     if not xs:
         raise ValueError("empty meet")
-    acc = xs[0]
-    for x in xs[1:]:
-        acc = meet(acc, x)
-    return acc
+    return functools.reduce(meet, xs)
 
 
 def cell_leq(x: CellLabel, y: CellLabel) -> bool:

@@ -8,6 +8,7 @@ rational r and angle a in turns, cell labels use -1/U/L/F/1 tokens.
 from __future__ import annotations
 
 import json
+import os
 import sys
 
 import click
@@ -301,8 +302,11 @@ def homology_cmd(in_path, field):
                    " (the report is then no longer canonical)")
 def verify(suite, max_n, m, samples, seed, report_path, timings):
     """Run a named verification suite; exit 0 only if it passes."""
-    if report_path:  # fail on an unusable path before the run; "ab" keeps
-        open(report_path, "ab").close()  # an old report if the run raises
+    if report_path:  # fail on an unusable path before the run: "ab" keeps
+        new = not os.path.exists(report_path)  # an old report as it is;
+        open(report_path, "ab").close()  # a file it makes, at the path or
+        if new:  # behind a dangling link, goes until the report is written
+            os.remove(os.path.realpath(report_path))
     rep = run_suite(suite, max_n=max_n, m=m, samples=samples, seed=seed)
     click.echo(rep.to_text(timings), nl=False)
     if report_path:

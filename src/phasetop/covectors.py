@@ -17,7 +17,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
@@ -53,7 +52,6 @@ __all__ = [
 ]
 
 @value_type
-@dataclass(frozen=True, slots=True)
 class PhaseVector:
     """A tuple of tropical phase hyperfield elements."""
 
@@ -252,23 +250,21 @@ def format_phase_vector(x: PhaseVector) -> str:
     return ",".join(str(e) for e in x)
 
 
+# the one sign-token table: each token's sign, and each sign's token
+_SIGN_OF = {"+": 1, "-": -1, "0": 0}
+_TOKEN_OF = {s: tok for tok, s in _SIGN_OF.items()}
+
+
 def parse_sign_vector(text: str) -> tuple[int, ...]:
-    out = []
-    for tok in text.split(","):
-        tok = tok.strip()
-        if tok == "+":
-            out.append(1)
-        elif tok == "-":
-            out.append(-1)
-        elif tok == "0":
-            out.append(0)
-        else:
-            raise ValueError(f"sign tokens are +, -, 0; got {tok!r}")
-    return tuple(out)
+    try:
+        return tuple(_SIGN_OF[tok.strip()] for tok in text.split(","))
+    except KeyError as miss:
+        raise ValueError(f"sign tokens are {', '.join(_SIGN_OF)};"
+                         f" got {miss.args[0]!r}") from None
 
 
 def format_sign_vector(v: Sequence[int]) -> str:
-    return ",".join({1: "+", -1: "-", 0: "0"}[e] for e in v)
+    return ",".join(_TOKEN_OF[e] for e in v)
 
 
 # ---------------------------------------------------------------------------

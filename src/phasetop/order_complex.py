@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
@@ -39,8 +38,7 @@ __all__ = [
 ]
 
 
-@value_type
-@dataclass(frozen=True, order=True, slots=True)
+@value_type(order=True)
 class DiscPoint:
     """A point of the closed unit disc in polar form (radius, angle).
 
@@ -53,8 +51,8 @@ class DiscPoint:
     def __post_init__(self) -> None:
         if not isinstance(self.radius, Fraction):
             object.__setattr__(self, "radius", Fraction(self.radius))
-        num = self.radius.numerator
-        if not 0 <= num <= self.radius.denominator:
+        num, den = self.radius.as_integer_ratio()
+        if not 0 <= num <= den:
             raise ValueError("disc radius must lie in [0, 1]")
         if num == 0 and self.angle.num != 0:
             object.__setattr__(self, "angle", ORIGIN)
@@ -82,7 +80,6 @@ _CENTER = DiscPoint.center()  # frozen, so shared
 
 
 @value_type
-@dataclass(frozen=True, slots=True)
 class ModelPoint:
     """A tuple of disc points: the disc model of an order-complex point."""
 
@@ -103,7 +100,6 @@ class ModelPoint:
 
 
 @value_type
-@dataclass(frozen=True, slots=True)
 class JoinPoint:
     """A weighted chain: the join-coordinate form of an order-complex point.
 

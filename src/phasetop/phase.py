@@ -46,7 +46,8 @@ ONE = Fraction(1)
 
 
 def _over_lcm(qs: Sequence) -> tuple[list, int]:
-    """Numerators over D, the lcm of the denominators, and D."""
+    """Numerators over D, the lcm of the denominators, and D, for
+    Fractions and Angles alike: each gives its as_integer_ratio()."""
     ratios = [q.as_integer_ratio() for q in qs]
     d = math.lcm(*[b for _, b in ratios])
     return [a * (d // b) for a, b in ratios], d
@@ -65,22 +66,24 @@ def _refuse_delattr(self, name):
     raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
-def value_type(cls):
-    """Make a frozen, slotted dataclass refuse every assignment alike.
+def value_type(cls=None, /, **options):
+    """The whole declaration of a value type, as ``@value_type(**options)``.
 
-    The frozen __setattr__/__delattr__ that dataclasses generates close
-    over the class before slots were added, so on the slotted copy a name
-    that is not a field fell through to super() and raised TypeError.
-    These raise FrozenInstanceError for any name, as a frozen dataclass
-    without slots does.
+    cls becomes ``dataclass(frozen=True, slots=True, **options)``, whose
+    frozen __setattr__/__delattr__ close over the class from before slots
+    were added and so raise TypeError for a name that is no field; they
+    are replaced by ones that raise FrozenInstanceError for any name, as a
+    frozen dataclass without slots does.
     """
+    if cls is None:
+        return lambda cls: value_type(cls, **options)
+    cls = dataclass(frozen=True, slots=True, **options)(cls)
     cls.__setattr__ = _refuse_setattr
     cls.__delattr__ = _refuse_delattr
     return cls
 
 
-@value_type
-@dataclass(frozen=True, slots=True, init=False, repr=False, eq=False)
+@value_type(init=False, repr=False, eq=False)
 class Angle:
     """A point on the circle, measured in turns and reduced mod 1.
 
@@ -118,6 +121,9 @@ class Angle:
     @property
     def turns(self) -> Fraction:
         return Fraction(self.num, self.den)
+
+    def as_integer_ratio(self) -> tuple[int, int]:  # as Fraction's does
+        return self.num, self.den
 
     def _by_turns(op):
         def compare(self, other):
@@ -157,14 +163,13 @@ class Angle:
         return Angle.of_ratio(2 * self.num + self.den, 2 * self.den)
 
     def __str__(self) -> str:
-        return _format_ratio(self.num, self.den)
+        return format_fraction(self)
 
 
 ORIGIN = Angle(NIL)  # the angle 0, shared by every full-circle arc
 
 
 @value_type
-@dataclass(frozen=True, slots=True)
 class Phase:
     """An element of the tropical phase hyperfield: an angle, or zero.
 
@@ -202,8 +207,7 @@ class Phase:
 ZERO = Phase(None)
 
 
-@value_type
-@dataclass(frozen=True, order=True, slots=True)
+@value_type(order=True)
 class Arc:
     """A closed arc of the circle: start angle plus nonnegative length.
 
@@ -217,10 +221,10 @@ class Arc:
     def __post_init__(self) -> None:
         if not isinstance(self.length, Fraction):
             object.__setattr__(self, "length", Fraction(self.length))
-        num = self.length.numerator
+        num, den = self.length.as_integer_ratio()
         if num < 0:
             raise ValueError("arc length must be nonnegative")
-        if num >= self.length.denominator:
+        if num >= den:
             object.__setattr__(self, "start", ORIGIN)
             object.__setattr__(self, "length", ONE)
 
@@ -248,7 +252,6 @@ class Arc:
 
 
 @value_type
-@dataclass(frozen=True, slots=True)
 class PhaseSet:
     """A finite union of closed arcs, optionally together with zero.
 
@@ -372,8 +375,8 @@ def min_enclosing_arc(angles: Sequence[Angle]) -> Arc:
     """
     if not angles:
         return Arc(ORIGIN, ONE)
-    d = math.lcm(*[a.den for a in angles])
-    pts = sorted({a.num * (d // a.den) for a in angles})
+    ticks, d = _over_lcm(angles)
+    pts = sorted(set(ticks))
     if len(pts) == 1:
         return Arc(Angle.of_ratio(pts[0], d), NIL)
     # the arc from the end of each gap round to its start, in ticks of
@@ -449,9 +452,8 @@ def parse_fraction(text: str) -> Fraction:
         raise ValueError(f"not a rational number: {text!r}") from exc
 
 
-def format_fraction(q: Fraction) -> str:
-    return _format_ratio(*q.as_integer_ratio())
-
-
-def _format_ratio(num: int, den: int) -> str:
+def format_fraction(q: Fraction | Angle) -> str:
+    """'p/q', or 'p' when q is whole: any value with as_integer_ratio(),
+    so an Angle prints as the Fraction of its turns does."""
+    num, den = q.as_integer_ratio()
     return str(num) if den == 1 else f"{num}/{den}"

@@ -395,6 +395,24 @@ def test_mesh_out_in_missing_directory_is_a_clean_error(kind):
         assert not os.path.exists("missing")
 
 
+def test_verify_report_through_a_dangling_link():
+    # a refused run leaves the link and makes no target; a passing run
+    # writes the report through the link
+    runner = CliRunner()
+    with runner.isolated_filesystem():
+        os.symlink("target.json", "r.json")
+        r = runner.invoke(main, ["verify", "pieces", "--max-n", "2",
+                                 "--report", "r.json"])
+        assert r.exit_code == 1 and r.output.startswith("Error: ")
+        assert os.path.islink("r.json") and not os.path.exists("target.json")
+        r = runner.invoke(main, ["verify", "sign-spheres", "--max-n", "3",
+                                 "--report", "r.json"])
+        assert r.exit_code == 0, r.output
+        assert os.path.islink("r.json")
+        with open("target.json", encoding="utf-8") as fh:
+            assert json.load(fh)["passed"] is True
+
+
 def test_verify_report_in_missing_directory_is_a_clean_error():
     runner = CliRunner()
     with runner.isolated_filesystem():
@@ -521,3 +539,15 @@ def test_verify_all_timings_end_with_one_total_per_suite():
     assert lines[-1 - len(totals):-1] == [
         f"suite {name} {t:.3f} s" for name, t in totals.items()]
     assert not lines[-2 - len(totals)].startswith("suite ")
+
+
+@pytest.mark.parametrize("args", [
+    ["verify", "pieces", "--max-n", "2"],
+    ["verify", "slice-mesh", "--m", "3"],
+])
+def test_verify_refused_run_leaves_no_new_report(args):
+    runner = CliRunner()
+    with runner.isolated_filesystem():
+        r = runner.invoke(main, [*args, "--report", "r.json"])
+        assert r.exit_code == 1 and r.output.startswith("Error: ")
+        assert not os.path.exists("r.json")

@@ -822,11 +822,14 @@ def test_repeated_top_is_malformed_not_a_closed_pseudomanifold():
 @pytest.mark.parametrize("vertices,tops,msg", [
     # an index past the vertex table: once False, then an IndexError
     (["a", "b", "c"], [(0, 1, 5)], r"bad simplex \(0, 1, 5\)$"),
+    # the first index past the table
+    (["a", "b", "c"], [(0, 1, 3)], r"bad simplex \(0, 1, 3\)$"),
     # a negative index: once read as the last vertex
     (["a", "b", "c"], [(0, 1, -1)], r"bad simplex \(0, 1, -1\)$"),
     # a 3-cycle over a repeated vertex: once a closed pseudomanifold
     (["a", "a", "c"], [(0, 1), (1, 2), (0, 2)], "complex repeats a vertex$"),
-], ids=["index-out-of-range", "negative-index", "repeated-vertex"])
+], ids=["index-out-of-range", "index-one-past-the-table", "negative-index",
+        "repeated-vertex"])
 def test_incidence_checks_validate_the_complex(vertices, tops, msg):
     for ask in (SimplicialComplex.codim1_incidence,
                 SimplicialComplex.is_closed_pseudomanifold,

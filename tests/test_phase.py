@@ -188,9 +188,11 @@ def test_arc_checks_its_length():
 def test_sign_ops():
     assert sign_mul(-1, -1) == 1
     assert sign_mul(-1, 0) == 0
-    assert sign_hyper_sum(1, 0) == {1}
-    assert sign_hyper_sum(1, 1) == {1}
-    assert sign_hyper_sum(1, -1) == {-1, 0, 1}
+    table = {(0, 0): {0}, (0, 1): {1}, (0, -1): {-1}, (1, 0): {1},
+             (-1, 0): {-1}, (1, 1): {1}, (-1, -1): {-1},
+             (1, -1): {-1, 0, 1}, (-1, 1): {-1, 0, 1}}
+    for (a, b), want in table.items():
+        assert sign_hyper_sum(a, b) == want, (a, b)
     with pytest.raises(ValueError):
         sign_mul(2, 1)
 

@@ -19,7 +19,7 @@ from hypothesis import example, given, settings, strategies as st
 from phasetop.cells import CellLabel
 from phasetop.covectors import PhaseVector
 from phasetop.order_complex import DiscPoint, JoinPoint, ModelPoint
-from phasetop.phase import Angle, Arc, Phase, PhaseSet, ZERO
+from phasetop.phase import Angle, Arc, Phase, PhaseSet, ZERO, format_fraction
 
 F = Fraction
 
@@ -108,6 +108,8 @@ def test_angle_ratio_is_the_ratio_of_its_reduced_turns(t):
     assert 0 <= a.turns < 1 and a.turns == F(t) % 1
     assert (a.num, a.den) == a.turns.as_integer_ratio()
     assert type(a.num) is int and type(a.den) is int
+    assert (a.as_integer_ratio() == (a.num, a.den)
+            and format_fraction(a) == str(a) == format_fraction(a.turns))
 
 
 @pytest.mark.parametrize("t, ratio", [
