@@ -10,14 +10,15 @@ A cap is at least three times the slower of the killers' runs with and
 without the mutant, rounded up to 10 s (those runs took 0.3-2.5 s on
 Python 3.11, two cores).  The unmutated run of all the killers gets the
 sum of the caps, so the whole catalogue ends within twice that sum
-(240 s), inside the CI step's 5 minutes.  `EQUIVALENT` lists edits that no test can
+(280 s), inside the CI step's 5 minutes.  `EQUIVALENT` lists edits that no test can
 refuse, with the reason they change no result; the runner checks that
 their source strings still match, so the reasons stay attached to code
 that exists.
 
 The catalogue holds one mutant per kernel of the certifier and one per
 rule that is written in one place only (the label order, the sign
-tokens, the fraction format, the value-type refusals).  A new entry
+tokens, the signs' phases, the sign alphabet of the covector loop, the
+fraction format, the value-type refusals).  A new entry
 should be one that a past change's mutation check once found, or that a
 new kernel or rule needs.
 """
@@ -136,6 +137,22 @@ MUTANTS = [
         '_SIGN_OF = {"+": -1, "-": 1, "0": 0}',
         ("tests/test_covectors.py::test_vector_text_round_trip",
          "tests/test_cli.py::test_hf_sum_sign"),
+        10),
+    Mutant(
+        "sign-minus-one-at-a-quarter-turn",
+        "src/phasetop/phase.py",
+        "_SIGN_PHASES = (Phase(Angle(HALF)), ZERO, Phase(ORIGIN))",
+        "_SIGN_PHASES = (Phase(Angle(Fraction(1, 4))), ZERO, Phase(ORIGIN))",
+        ("tests/test_phase.py::test_sign_ops",
+         "tests/test_phase.py::test_sign_sum_matches_the_union_fold"),
+        10),
+    Mutant(
+        "sign-alphabet-minus-before-plus",
+        "src/phasetop/covectors.py",
+        "m, alphabet, build = 2, (0, 1, -1), tuple",
+        "m, alphabet, build = 2, (0, -1, 1), tuple",
+        ("tests/test_covectors.py::"
+         "test_enumerate_covectors_sign_is_the_both_signs_filter",),
         10),
     Mutant(
         "format_fraction-without-whole-numbers",

@@ -248,7 +248,7 @@ def _read_mesh(in_path):
     with open(in_path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:  # or nested too deep
             raise ValueError(f"not a JSON document: {exc}") from exc
     return complex_from_doc(doc)[0]
 

@@ -4,8 +4,10 @@ A vector x of hyperfield elements is a covector of a unit vector v when
 zero lies in the hyperfield sum of the products v_k * x_k.  Over the
 tropical phase hyperfield this means: after twisting each entry of x by
 the matching entry of v, either everything vanishes, or at least two
-entries survive and no open half-circle contains all of them.  Over the
-sign hyperfield it means both signs occur (or nothing survives).
+entries survive and no open half-circle contains all of them.  The sign
+hyperfield is the phase hyperfield at z, 0 and 1/2, so over it the same
+rule means both signs occur (or nothing survives), and sign covectors are
+enumerated by the phase loop at m = 2.
 
 Text form of a phase vector: comma-separated tokens, each "z" for the
 zero element or a rational angle in turns ("0", "1/2", ...).  Sign
@@ -26,8 +28,6 @@ from .phase import (
     ZERO,
     mul,
     parse_fraction,
-    sign_hyper_sum_list,
-    sign_mul,
     value_type,
 )
 
@@ -46,8 +46,6 @@ __all__ = [
     "parse_sign_vector",
     "format_sign_vector",
     "sign_support",
-    "sign_zero_in_sum",
-    "sign_is_covector",
     "sign_leq_vec",
 ]
 
@@ -202,32 +200,27 @@ def enumerate_covectors(field: str, n: int, m: int | None = None) -> list:
     field "phase": entries range over zero and the m-th roots of unity
     (m even, so antipodes stay on the grid); returns PhaseVectors in
     lexicographic order with zero before ascending angles.  field
-    "sign": entries range over {-1, 0, +1}; returns int tuples, ordered
-    with 0 first, then +1, then -1 (matching the phase grid at m = 2).
-    The zero vector is excluded in both cases.
+    "sign": the same loop at m = 2 (any m given is ignored), its zero
+    and angles 0 and 1/2 read as the signs 0, +1 and -1; returns int
+    tuples in that order.  The zero vector is excluded in both cases.
     """
     if n < 2:
         raise ValueError("need n >= 2")
     if field == "phase":
         if m is None or m < 2 or m % 2 != 0:
             raise ValueError("phase enumeration needs even m >= 2")
-        # tick -1 is the zero element, tick k the angle k/m
-        alphabet = _phase_alphabet(m)
-        out = []
-        for combo in itertools.product(range(-1, m), repeat=n):
-            ticks = [t for t in combo if t >= 0]
-            if ticks and _spans_half(ticks, m):
-                out.append(PhaseVector(tuple(alphabet[t + 1] for t in combo)))
-        return out
-    if field == "sign":
-        out = []
-        for combo in itertools.product((0, 1, -1), repeat=n):
-            if all(e == 0 for e in combo):
-                continue
-            if sign_is_covector((1,) * n, combo):
-                out.append(combo)
-        return out
-    raise ValueError(f"unknown field {field!r}")
+        alphabet, build = _phase_alphabet(m), PhaseVector
+    elif field == "sign":
+        m, alphabet, build = 2, (0, 1, -1), tuple
+    else:
+        raise ValueError(f"unknown field {field!r}")
+    # tick -1 is the zero element, tick k the angle k/m
+    out = []
+    for combo in itertools.product(range(-1, m), repeat=n):
+        ticks = [t for t in combo if t >= 0]
+        if ticks and _spans_half(ticks, m):
+            out.append(build(tuple(alphabet[t + 1] for t in combo)))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -274,18 +267,6 @@ def format_sign_vector(v: Sequence[int]) -> str:
 
 def sign_support(x: Sequence[int]) -> tuple[int, ...]:
     return tuple(i + 1 for i, e in enumerate(x) if e != 0)
-
-
-def sign_zero_in_sum(xs: Sequence[int]) -> bool:
-    return 0 in sign_hyper_sum_list(list(xs))
-
-
-def sign_is_covector(v: Sequence[int], x: Sequence[int]) -> bool:
-    if len(v) != len(x):
-        raise ValueError("vector lengths differ")
-    if any(e == 0 for e in v):
-        raise ValueError("unit vector must have no zero entries")
-    return sign_zero_in_sum([sign_mul(a, b) for a, b in zip(v, x)])
 
 
 def sign_leq_vec(x: Sequence[int], y: Sequence[int]) -> bool:

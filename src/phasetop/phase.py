@@ -5,7 +5,9 @@ element.  Multiplication of nonzero elements is rotation (addition of
 angles); hyperaddition of two nonzero elements is the smallest closed arc
 of the circle joining them, except that antipodal inputs produce the whole
 circle together with zero.  The sign hyperfield {-1, 0, 1} is the familiar
-discrete analogue.
+discrete analogue, and no second kernel here: the signs 0, 1 and -1 are
+the phases z, 0 and 1/2, and a sign sum is their phase sum met with those
+three points.
 
 Angles are exact rational turns (1 turn = 360 degrees), each held as
 the reduced integer ratio of its turns, so every operation here is exact
@@ -14,7 +16,6 @@ integer arithmetic: no floating point is used anywhere.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 import re
@@ -33,8 +34,6 @@ __all__ = [
     "hyper_sum",
     "hyper_sum_list",
     "min_enclosing_arc",
-    "sign_mul",
-    "sign_hyper_sum",
     "sign_hyper_sum_list",
     "parse_fraction",
     "format_fraction",
@@ -391,33 +390,21 @@ def min_enclosing_arc(angles: Sequence[Angle]) -> Arc:
 # ---------------------------------------------------------------------------
 
 
-def sign_mul(a: int, b: int) -> int:
-    if a not in (-1, 0, 1) or b not in (-1, 0, 1):
-        raise ValueError("sign hyperfield elements are -1, 0, 1")
-    return a * b
-
-
-def sign_hyper_sum(a: int, b: int) -> frozenset[int]:
-    """Hyperaddition in the sign hyperfield."""
-    if a not in (-1, 0, 1) or b not in (-1, 0, 1):
-        raise ValueError("sign hyperfield elements are -1, 0, 1")
-    if a == 0:
-        return frozenset({b})
-    if b == 0:
-        return frozenset({a})
-    if a == b:
-        return frozenset({a})
-    return frozenset({-1, 0, 1})
+# the signs and their phases: a sign sum is the phase sum met with these
+_SIGNS = (-1, 0, 1)
+_SIGN_PHASES = (Phase(Angle(HALF)), ZERO, Phase(ORIGIN))
 
 
 def sign_hyper_sum_list(xs: Sequence[int]) -> frozenset[int]:
-    """Iterated sign hyperaddition (union-fold, empty sum = {0})."""
-    acc: frozenset[int] = frozenset({0})
-    for x in xs:
-        acc = frozenset(itertools.chain.from_iterable(
-            sign_hyper_sum(a, x) for a in acc
-        ))
-    return acc
+    """Iterated sign hyperaddition (empty sum = {0}): the signs whose
+    phases lie in the phase sum of the summands' phases."""
+    try:
+        phases = [_SIGN_PHASES[_SIGNS.index(x)] for x in xs]
+    except ValueError:
+        raise ValueError("sign hyperfield elements are -1, 0, 1") from None
+    total = hyper_sum_list(phases)
+    return frozenset(s for s, p in zip(_SIGNS, _SIGN_PHASES)
+                     if total.contains(p))
 
 
 # ---------------------------------------------------------------------------

@@ -224,6 +224,17 @@ def test_homology_rejects_bad_documents():
     assert r.exit_code == 2
 
 
+@pytest.mark.parametrize("command", [["mesh", "stats"], ["homology"]])
+def test_deeply_nested_json_is_a_clean_error(command):
+    # past the JSON decoder's recursion limit: no RecursionError traceback
+    runner = CliRunner()
+    with runner.isolated_filesystem():
+        with open("deep.json", "w", encoding="utf-8") as fh:
+            fh.write("[" * 100_000)
+        r = runner.invoke(main, [*command, "--in", "deep.json"])
+    assert_clean_error(r, "Error: not a JSON document")
+
+
 def _homology_of(doc):
     runner = CliRunner()
     with runner.isolated_filesystem():

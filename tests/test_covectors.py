@@ -16,9 +16,7 @@ from phasetop.covectors import (
     parse_phase_vector,
     parse_sign_vector,
     rescale,
-    sign_is_covector,
     sign_leq_vec,
-    sign_zero_in_sum,
     support,
     zero_in_sum,
 )
@@ -201,19 +199,18 @@ def test_vector_text_round_trip():
 
 
 def test_sign_predicates():
-    assert sign_zero_in_sum([])
-    assert not sign_zero_in_sum([1])
-    assert sign_zero_in_sum([1, -1])
-    assert not sign_zero_in_sum([1, 1])
-    assert sign_is_covector((1, 1, 1), (1, -1, 0))
-    assert not sign_is_covector((1, 1, 1), (1, 1, 0))
-    assert sign_is_covector((1, 1, 1), (0, 0, 0))
-    # twisting by -1 flips a sign
-    assert sign_is_covector((1, -1), (1, 1))
+    # the sign twist (1,-1) of (1,1) as phases: twisting by 1/2 flips a sign
+    assert is_covector(V(0, "1/2"), V(0, 0))
+    assert not is_covector(V(0, 0), V(0, 0))
     assert sign_leq_vec((0, 1), (1, 1))
     assert not sign_leq_vec((-1, 1), (1, 1))
-    with pytest.raises(ValueError):
-        sign_is_covector((1, 0), (1, 1))
+
+
+def test_enumerate_covectors_sign_is_the_both_signs_filter():
+    for n in range(2, 7):
+        want = [x for x in itertools.product((0, 1, -1), repeat=n)
+                if 1 in x and -1 in x]
+        assert enumerate_covectors("sign", n) == want, n
 
 
 def test_sign_leq_vec_matches_the_generator_form():

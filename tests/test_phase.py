@@ -25,9 +25,7 @@ from phasetop.phase import (
     min_enclosing_arc,
     mul,
     parse_fraction,
-    sign_hyper_sum,
     sign_hyper_sum_list,
-    sign_mul,
 )
 
 F = Fraction
@@ -186,15 +184,13 @@ def test_arc_checks_its_length():
 
 
 def test_sign_ops():
-    assert sign_mul(-1, -1) == 1
-    assert sign_mul(-1, 0) == 0
     table = {(0, 0): {0}, (0, 1): {1}, (0, -1): {-1}, (1, 0): {1},
              (-1, 0): {-1}, (1, 1): {1}, (-1, -1): {-1},
              (1, -1): {-1, 0, 1}, (-1, 1): {-1, 0, 1}}
     for (a, b), want in table.items():
-        assert sign_hyper_sum(a, b) == want, (a, b)
+        assert sign_hyper_sum_list([a, b]) == want, (a, b)
     with pytest.raises(ValueError):
-        sign_mul(2, 1)
+        sign_hyper_sum_list([2, 1])
 
 
 def test_sign_hyper_sum_list():
@@ -202,6 +198,43 @@ def test_sign_hyper_sum_list():
     assert sign_hyper_sum_list([1, 1, 1]) == {1}
     assert sign_hyper_sum_list([1, -1]) == {-1, 0, 1}
     assert sign_hyper_sum_list([0, -1]) == {-1}
+
+
+def reference_sign_pair_sum(a, b):
+    """Sign hyperaddition of two signs, as the sign kernel once had it."""
+    if a not in (-1, 0, 1) or b not in (-1, 0, 1):
+        raise ValueError("sign hyperfield elements are -1, 0, 1")
+    if a == 0:
+        return frozenset({b})
+    if b == 0:
+        return frozenset({a})
+    if a == b:
+        return frozenset({a})
+    return frozenset({-1, 0, 1})
+
+
+def reference_sign_sum(xs):
+    """The union-fold of the pair sums (empty sum = {0}), the reference
+    for the sign sums taken through the phase kernel."""
+    acc = frozenset({0})
+    for x in xs:
+        acc = frozenset(itertools.chain.from_iterable(
+            reference_sign_pair_sum(a, x) for a in acc))
+    return acc
+
+
+def test_sign_sum_matches_the_union_fold():
+    for k in range(6):
+        for xs in itertools.product((-1, 0, 1), repeat=k):
+            got = sign_hyper_sum_list(list(xs))
+            assert type(got) is frozenset
+            assert got == reference_sign_sum(xs), xs
+    for bad in ([2], [None], ["x"], [1, 0, 2], [-1, None]):
+        with pytest.raises(ValueError) as want:
+            reference_sign_sum(bad)
+        with pytest.raises(ValueError) as got:
+            sign_hyper_sum_list(bad)
+        assert str(got.value) == str(want.value), bad
 
 
 def test_fraction_round_trip():
