@@ -8,17 +8,20 @@ and runs only its killers.
 
 A cap is at least three times the slower of the killers' runs with and
 without the mutant, rounded up to 10 s (those runs took 0.3-2.5 s on
-Python 3.11, two cores).  The unmutated run of all the killers gets the
-sum of the caps, so the whole catalogue ends within twice that sum
-(280 s), inside the CI step's 5 minutes.  `EQUIVALENT` lists edits that no test can
-refuse, with the reason they change no result; the runner checks that
-their source strings still match, so the reasons stay attached to code
-that exists.
+Python 3.11, two cores).  The unmutated run of all the killers gets half
+the sum of the caps: it needs at most a third, the sum of the killers'
+unmutated runs.  So the whole catalogue ends within one and a half times
+that sum (255 s), inside the CI step's 5 minutes.  `EQUIVALENT` lists
+edits that no test can refuse, with the reason they change no result;
+the runner checks that their source strings still match, so the reasons
+stay attached to code that exists.
 
 The catalogue holds one mutant per kernel of the certifier and one per
 rule that is written in one place only (the label order, the sign
 tokens, the signs' phases, the sign alphabet of the covector loop, the
-fraction format, the value-type refusals).  A new entry
+fraction format, the value-type refusals, and the integer rules of the
+order-complex points: the lcm form of the weights, Fraction's hash of a
+radius, the centre's angle).  A new entry
 should be one that a past change's mutation check once found, or that a
 new kernel or rule needs.
 """
@@ -168,6 +171,35 @@ MUTANTS = [
         "",
         ("tests/test_value_types.py::"
          "test_value_types_refuse_assignment_as_unslotted_frozen_ones_do",),
+        10),
+    Mutant(
+        "join_point-weights-not-over-their-lcm",
+        "src/phasetop/order_complex.py",
+        "    g = math.gcd(*nums)\n",
+        "    g = 1\n",
+        ("tests/test_value_types.py::"
+         "test_int_builders_are_the_fraction_constructors",
+         "tests/test_ratio_kernels.py::"
+         "test_join_point_sampler_is_the_draw_over_64ths"),
+        10),
+    Mutant(
+        "disc_point-hash-not-the-fraction-hash",
+        "src/phasetop/order_complex.py",
+        "return hash((_ratio_hash(self.num, self.den), self.angle))",
+        "return hash(((self.num, self.den), self.angle))",
+        ("tests/test_value_types.py::"
+         "test_disc_point_keeps_the_contract_of_its_fraction_form",),
+        10),
+    Mutant(
+        # of_ratio and the Fraction constructor share the rule
+        "disc_point-of_ratio-centre-keeps-its-angle",
+        "src/phasetop/order_complex.py",
+        'angle if num else ORIGIN)',
+        'angle)',
+        ("tests/test_cells.py::"
+         "test_shared_grid_points_equal_freshly_built_points",
+         "tests/test_value_types.py::"
+         "test_int_builders_are_the_fraction_constructors"),
         10),
 ]
 

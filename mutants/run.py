@@ -3,8 +3,8 @@
     python mutants/run.py
 
 The tree is copied once to a temporary directory.  The killers of every
-mutant first run there unmutated, together, under the sum of the caps,
-and must pass.  Then each mutant in turn replaces its one source string
+mutant first run there unmutated, together, under half the sum of the
+caps, and must pass.  Then each mutant in turn replaces its one source string
 in the copy, runs only its killers under its time cap, and puts the file
 back.  A mutant is killed
 when its killers fail (pytest exit status 1); it survives when they pass,
@@ -85,7 +85,8 @@ def main() -> int:
         # the killers must pass on the tree as it is
         killers = sorted({k for m in todo for k in m.killers})
         if killers:
-            cap = sum(m.cap_s for m in todo)
+            # each cap is at least three times its killers' unmutated run
+            cap = sum(m.cap_s for m in todo) / 2
             status, secs, tail = _pytest(copy, killers, cap)
             if status != 0:
                 print(f"error     the killers fail unmutated ({secs:.1f} s):"

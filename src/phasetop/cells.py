@@ -63,7 +63,7 @@ def _lower_at(t: int) -> DiscPoint:
 
 @functools.cache
 def _disc_at(r: int, a: int) -> DiscPoint:
-    return DiscPoint(Fraction(r, _DEN), Angle.of_ratio(a, _DEN))
+    return DiscPoint.of_ratio(r, _DEN, Angle.of_ratio(a, _DEN))
 
 
 class PLabel(Enum):
@@ -275,20 +275,15 @@ def nu(x: CellLabel) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Exact membership for the realized cells in the slice z_n = 1
+# Exact membership for the realized cells in the slice z_n = 1; a disc point
+# lies on the boundary circle when its radius's ratio num/den is 1/1
 # ---------------------------------------------------------------------------
-
-
-def _on_circle(c: DiscPoint) -> bool:
-    """Whether c lies on the boundary circle: its radius's ratio is 1/1."""
-    num, den = c.radius.as_integer_ratio()
-    return num == den
 
 
 def _upper(c: DiscPoint) -> tuple[int, int] | None:
     """upper_param as an unreduced (numerator, denominator) pair."""
     a, d = c.angle.num, c.angle.den
-    if 2 * a > d or not _on_circle(c):
+    if 2 * a > d or c.num != c.den:
         return None
     return 2 * a, d
 
@@ -296,7 +291,7 @@ def _upper(c: DiscPoint) -> tuple[int, int] | None:
 def _lower(c: DiscPoint) -> tuple[int, int] | None:
     """lower_param as an unreduced (numerator, denominator) pair."""
     a, d = c.angle.num, c.angle.den
-    if 0 < 2 * a < d or not _on_circle(c):
+    if 0 < 2 * a < d or c.num != c.den:
         return None
     return (2 * a - d, d) if a else (1, 1)
 
@@ -338,14 +333,14 @@ def bx_member(x: CellLabel, z: ModelPoint, mode: str = "closed") -> bool:
     for lab, c in zip(x.labels, z.coords):
         # the pinned points (1, 0) and (1, 1/2) are told by their ratios
         if lab is _ONE:
-            if c is not _ONE_POINT and (c.angle.num or not _on_circle(c)):
+            if c is not _ONE_POINT and (c.angle.num or c.num != c.den):
                 return False
         elif lab is _MINUS_ONE:
             if c is not _MINUS_ONE_POINT and (
-                    c.angle.den != 2 or not _on_circle(c)):
+                    c.angle.den != 2 or c.num != c.den):
                 return False
         elif lab is _FULL:
-            if strict and _on_circle(c):
+            if strict and c.num == c.den:
                 return False
         else:
             t = (_upper if lab is _UPPER else _lower)(c)

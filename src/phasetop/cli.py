@@ -110,6 +110,9 @@ def covector_check(v_text, x_text):
               help="grid density for the phase field (even)")
 def covector_enumerate(field, n, m):
     """All nonzero covectors of the all-ones vector, one per line."""
+    if field == "sign" and m is not None:
+        raise click.UsageError("--m is the phase field's grid density; "
+                               "--field sign takes none")
     fmt = format_phase_vector if field == "phase" else format_sign_vector
     for x in enumerate_covectors(field, n, m):
         click.echo(fmt(x))

@@ -14,13 +14,14 @@ rational radius r and angle a in turns ("0@0" is the disc center).
 from __future__ import annotations
 
 import math
+import operator
 import random
 from fractions import Fraction
 from typing import Iterable
 
 from .covectors import PhaseVector, support, zero_in_sum
-from .phase import (Angle, ORIGIN, Phase, ZERO, _over_lcm, format_fraction,
-                    parse_fraction, value_type)
+from .phase import (Angle, ORIGIN, Phase, ZERO, _new, _over_lcm, _ratio_hash,
+                    _set, format_fraction, parse_fraction, value_type)
 
 __all__ = [
     "DiscPoint",
@@ -38,24 +39,28 @@ __all__ = [
 ]
 
 
-@value_type(order=True)
+@value_type(init=False, repr=False, eq=False)
 class DiscPoint:
     """A point of the closed unit disc in polar form (radius, angle).
 
-    The center is represented uniquely: radius 0 forces angle 0.
+    The radius is held as its reduced ratio ``num``/``den``.  The center
+    is represented uniquely: radius 0 forces angle 0.
     """
 
-    radius: Fraction
+    num: int
+    den: int
     angle: Angle
+    __match_args__ = ("radius", "angle")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.radius, Fraction):
-            object.__setattr__(self, "radius", Fraction(self.radius))
-        num, den = self.radius.as_integer_ratio()
-        if not 0 <= num <= den:
-            raise ValueError("disc radius must lie in [0, 1]")
-        if num == 0 and self.angle.num != 0:
-            object.__setattr__(self, "angle", ORIGIN)
+    def __init__(self, radius, angle: Angle) -> None:
+        r = radius if isinstance(radius, Fraction) else Fraction(radius)
+        _fill_disc(self, *r.as_integer_ratio(), angle)
+
+    @staticmethod
+    def of_ratio(num: int, den: int, angle: Angle) -> "DiscPoint":
+        """The point at radius num/den, for ints with den > 0."""
+        g = math.gcd(num, den)
+        return _fill_disc(_new(DiscPoint), num // g, den // g, angle)
 
     @staticmethod
     def of(radius, angle) -> "DiscPoint":
@@ -63,17 +68,46 @@ class DiscPoint:
 
     @staticmethod
     def center() -> "DiscPoint":
-        return DiscPoint(Fraction(0), ORIGIN)
+        return DiscPoint.of_ratio(0, 1, ORIGIN)
+
+    @property
+    def radius(self) -> Fraction:
+        return Fraction(self.num, self.den)
 
     @property
     def phase(self) -> Phase:
         """The phase direction: zero at the center."""
-        if self.radius == 0:
-            return ZERO
-        return Phase(self.angle)
+        return Phase(self.angle) if self.num else ZERO
+
+    def _by_point(op):  # (radius, angle) in tuple order, on the ints
+        def compare(self, other):
+            if other.__class__ is not self.__class__:
+                return NotImplemented
+            r, s = self.num * other.den, other.num * self.den
+            return op(r, s) if r != s else op(self.angle, other.angle)
+        return compare
+
+    __eq__, __lt__, __le__, __gt__, __ge__ = map(_by_point, (
+        operator.eq, operator.lt, operator.le, operator.gt, operator.ge))
+    del _by_point
+
+    def __hash__(self) -> int:
+        return hash((_ratio_hash(self.num, self.den), self.angle))
+
+    def __repr__(self) -> str:
+        return f"DiscPoint(radius={self.radius!r}, angle={self.angle!r})"
 
     def __str__(self) -> str:
         return f"{format_fraction(self.radius)}@{self.angle}"
+
+
+def _fill_disc(c: DiscPoint, num: int, den: int, angle: Angle) -> DiscPoint:
+    if not 0 <= num <= den:
+        raise ValueError("disc radius must lie in [0, 1]")
+    _set(c, "num", num)
+    _set(c, "den", den)
+    _set(c, "angle", angle if num else ORIGIN)
+    return c
 
 
 _CENTER = DiscPoint.center()  # frozen, so shared
@@ -99,63 +133,91 @@ class ModelPoint:
         return format_model_point(self)
 
 
-@value_type
+@value_type(init=False, repr=False)
 class JoinPoint:
     """A weighted chain: the join-coordinate form of an order-complex point.
 
     Terms are (weight, vector) pairs with positive rational weights that
     sum to 1 and vectors forming a strict chain in the specialization
     order, so support sizes strictly increase term by term.  Zero
-    weights are disallowed, so the representation is canonical.
+    weights are disallowed, so the representation is canonical.  The
+    weights are held as ints, ``nums`` over ``whole``, their lcm.
     """
 
-    terms: tuple[tuple[Fraction, PhaseVector], ...]
+    nums: tuple[int, ...]
+    whole: int
+    vectors: tuple[PhaseVector, ...]
+    __match_args__ = ("terms",)
 
-    def __post_init__(self) -> None:
-        if not self.terms:
-            raise ValueError("join point needs at least one term")
-        if not all(isinstance(w, Fraction) for w, _ in self.terms):
-            try:
-                terms = tuple((Fraction(w), x) for w, x in self.terms)
-            except (TypeError, ValueError, ArithmeticError) as exc:
-                raise ValueError(
-                    f"weights must be rational numbers: {exc}") from exc
-            object.__setattr__(self, "terms", terms)
-        # the first term is checked against itself, which always passes
-        prev, prev_size = self.terms[0][1].entries, -1
-        n = len(prev)
-        total, whole = 0, 1  # the weights so far: total / whole
-        for w, x in self.terms:
-            entries = x.entries
-            if len(entries) != n:
-                raise ValueError("chain vectors must share a length")
-            num, den = w.as_integer_ratio()
-            if num <= 0:
-                raise ValueError("weights must be positive")
-            d = math.lcm(whole, den)
-            total, whole = total * (d // whole) + num * (d // den), d
-            # one pass per term: count the support, and check that every
-            # nonzero entry of the previous vector is kept; a chain step
-            # keeps them all, so it is strict exactly when the support grows
-            size, kept = 0, True
-            for a, b in zip(prev, entries):
-                if b.angle is not None:
-                    size += 1
-                if a is not b and a.angle is not None and a != b:
-                    kept = False
-            if size <= prev_size or not kept:
-                raise ValueError("vectors must form a strict chain")
-            prev, prev_size = entries, size
-        if total != whole:
-            raise ValueError("weights must sum to 1")
+    def __init__(self, terms) -> None:
+        terms = tuple(terms) if terms else ()  # none: refused in _fill_join
+        weights = [w for w, _ in terms]
+        try:
+            weights = [Fraction(w) for w in weights]
+        except (TypeError, ValueError, ArithmeticError) as exc:
+            raise ValueError(
+                f"weights must be rational numbers: {exc}") from exc
+        _fill_join(self, *_over_lcm(weights), [x for _, x in terms])
+
+    @staticmethod
+    def of_ratios(nums, whole: int, vectors) -> "JoinPoint":
+        """The chain of vectors with weights nums[k]/whole, for ints."""
+        return _fill_join(_new(JoinPoint), nums, whole, vectors)
 
     @staticmethod
     def of(terms: Iterable[tuple]) -> "JoinPoint":
         return JoinPoint(tuple((Fraction(w), x) for w, x in terms))
 
     @property
+    def terms(self) -> tuple[tuple[Fraction, PhaseVector], ...]:
+        return tuple((Fraction(w, self.whole), x)
+                     for w, x in zip(self.nums, self.vectors))
+
+    @property
     def dimension(self) -> int:
-        return len(self.terms)
+        return len(self.nums)
+
+    def __hash__(self) -> int:
+        return hash((self.terms,))
+
+    def __repr__(self) -> str:
+        return f"JoinPoint(terms={self.terms!r})"
+
+
+def _fill_join(p: JoinPoint, nums, whole: int, vectors) -> JoinPoint:
+    """Set p's ints after the checks, in JoinPoint's order of refusals."""
+    nums, vectors = tuple(nums), tuple(vectors)
+    if not vectors:
+        raise ValueError("join point needs at least one term")
+    # the first term is checked against itself, which always passes
+    prev, prev_size = vectors[0].entries, -1
+    n = len(prev)
+    for w, x in zip(nums, vectors, strict=True):
+        entries = x.entries
+        if len(entries) != n:
+            raise ValueError("chain vectors must share a length")
+        if w <= 0:
+            raise ValueError("weights must be positive")
+        # one pass per term: count the support, and check that every
+        # nonzero entry of the previous vector is kept; a chain step
+        # keeps them all, so it is strict exactly when the support grows
+        size, kept = 0, True
+        for a, b in zip(prev, entries):
+            if b.angle is not None:
+                size += 1
+            if a is not b and a.angle is not None and a != b:
+                kept = False
+        if size <= prev_size or not kept:
+            raise ValueError("vectors must form a strict chain")
+        prev, prev_size = entries, size
+    if sum(nums) != whole:
+        raise ValueError("weights must sum to 1")
+    # g divides their sum, whole; coprime numerators are over their lcm
+    g = math.gcd(*nums)
+    _set(p, "nums", nums if g == 1 else tuple(w // g for w in nums))
+    _set(p, "whole", whole // g)
+    _set(p, "vectors", vectors)
+    return p
 
 
 def join_to_model(p: JoinPoint) -> ModelPoint:
@@ -168,16 +230,13 @@ def join_to_model(p: JoinPoint) -> ModelPoint:
     j, so each term's suffix weight is the radius of the coordinates it
     adds.
     """
-    nums, whole = _over_lcm([w for w, _ in p.terms])
-    coords = [_CENTER] * len(p.terms[0][1])
+    whole = p.whole
+    coords = [_CENTER] * len(p.vectors[0])
     left = whole  # the weight of this term and every later one
-    for w, (_, x) in zip(nums, p.terms):
-        radius = None
+    for w, x in zip(p.nums, p.vectors):
         for j, e in enumerate(x.entries):
             if e.angle is not None and coords[j] is _CENTER:
-                if radius is None:
-                    radius = Fraction(left, whole)
-                coords[j] = DiscPoint(radius, e.angle)
+                coords[j] = DiscPoint.of_ratio(left, whole, e.angle)
         left -= w
     return ModelPoint(tuple(coords))
 
@@ -192,9 +251,11 @@ def model_to_join(z: ModelPoint) -> JoinPoint:
     One walk over the coordinates in descending radius closes a level
     each time the radius drops.
     """
-    nums, whole = _over_lcm([c.radius for c in z.coords])
+    coords = z.coords
+    whole = math.lcm(*[c.den for c in coords])
+    nums = [c.num * (whole // c.den) for c in coords]
     entries = [ZERO] * len(nums)
-    terms = []
+    weights, vectors = [], []
     # radius 1 is always a level: with no coordinate there, its vector is
     # the all-zero term that takes the slack
     level = whole
@@ -203,12 +264,12 @@ def model_to_join(z: ModelPoint) -> JoinPoint:
         if not r:
             break
         if r < level:
-            terms.append((Fraction(level - r, whole),
-                          PhaseVector(tuple(entries))))
+            weights.append(level - r)
+            vectors.append(PhaseVector(tuple(entries)))
             level = r
-        entries[j] = Phase(z.coords[j].angle)
-    terms.append((Fraction(level, whole), PhaseVector(tuple(entries))))
-    return JoinPoint(tuple(terms))
+        entries[j] = Phase(coords[j].angle)
+    return JoinPoint.of_ratios(weights + [level], whole,
+                               vectors + [PhaseVector(tuple(entries))])
 
 
 def delta_member(v: PhaseVector, z: ModelPoint) -> bool:
@@ -220,7 +281,7 @@ def delta_member(v: PhaseVector, z: ModelPoint) -> bool:
     Twisting z by v first makes that a zero-sum test per chain vector.
     """
     return all(support(x) and zero_in_sum(x)
-               for _, x in model_to_join(rescale_model(v, z)).terms)
+               for x in model_to_join(rescale_model(v, z)).vectors)
 
 
 def rotate(y: Angle, z: ModelPoint) -> ModelPoint:
@@ -240,10 +301,10 @@ def rescale_model(v: PhaseVector, z: ModelPoint) -> ModelPoint:
     for vk, c in zip(v, z.coords):
         if vk.is_zero:
             raise ValueError("unit vector must have no zero entries")
-        if c.radius == 0:
+        if c.num == 0:
             coords.append(c)
         else:
-            coords.append(DiscPoint(c.radius, c.angle + vk.angle))
+            coords.append(DiscPoint.of_ratio(c.num, c.den, c.angle + vk.angle))
     return ModelPoint(tuple(coords))
 
 
@@ -267,14 +328,13 @@ def format_model_point(z: ModelPoint) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _grid_value(k: int) -> tuple[Fraction, Angle, Phase]:
-    q = Fraction(k, _DEN)
+def _grid_value(k: int) -> tuple[Angle, Phase]:
     a = Angle.of_ratio(k, _DEN)
-    return q, a, Phase(a)
+    return a, Phase(a)
 
 
-# The sampling grid k/64 as (Fraction, Angle, Phase), keyed by k and built
-# once.  The values are frozen, so every draw shares them.
+# The sampling grid k/64 as (Angle, Phase), keyed by k and built once.  The
+# values are frozen, so every draw shares them.
 _DEN = 64
 _GRID = tuple(_grid_value(k) for k in range(_DEN + 1))
 
@@ -294,7 +354,8 @@ def random_model_point(rng: random.Random, n: int) -> ModelPoint:
             k = _DEN
         else:
             k = rng.randint(0, _DEN)
-        coords.append(DiscPoint(_GRID[k][0], _GRID[rng.randint(0, _DEN)][1]))
+        coords.append(DiscPoint.of_ratio(k, _DEN,
+                                         _GRID[rng.randint(0, _DEN)][0]))
     return ModelPoint(tuple(coords))
 
 
@@ -305,7 +366,7 @@ def random_join_point(rng: random.Random, n: int) -> JoinPoint:
     rng.shuffle(order)
     depth = rng.randint(1, n)
     cuts = sorted(rng.sample(range(1, n + 1), depth))
-    phases = [_GRID[rng.randint(0, _DEN)][2] for _ in range(n)]
+    phases = [_GRID[rng.randint(0, _DEN)][1] for _ in range(n)]
     entries = [ZERO] * n
     vectors = []
     done = 0
@@ -318,6 +379,4 @@ def random_join_point(rng: random.Random, n: int) -> JoinPoint:
         vectors.insert(0, PhaseVector((ZERO,) * n))
     # positive rational weights summing to 1
     raw = [rng.randint(1, _DEN) for _ in vectors]
-    total = sum(raw)
-    weights = [Fraction(r, total) for r in raw]
-    return JoinPoint(tuple(zip(weights, vectors)))
+    return JoinPoint.of_ratios(raw, sum(raw), vectors)

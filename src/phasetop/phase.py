@@ -57,6 +57,15 @@ _new, _set = object.__new__, object.__setattr__
 _HASH = sys.hash_info
 
 
+def _ratio_hash(num: int, den: int) -> int:
+    """Fraction's hash of num/den for ints num >= 0, den > 0: num times
+    the inverse of den modulo the hash modulus, inf when den has none."""
+    try:
+        return hash(num * pow(den, -1, _HASH.modulus))
+    except ValueError:
+        return _HASH.inf
+
+
 def _refuse_setattr(self, name, value):
     raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
@@ -136,13 +145,7 @@ class Angle:
     del _by_turns
 
     def __hash__(self) -> int:
-        # Fraction's hash of num/den, taken from the ints: num times the
-        # inverse of den modulo the hash modulus, inf when den has none
-        try:
-            h = hash(self.num * pow(self.den, -1, _HASH.modulus))
-        except ValueError:
-            h = _HASH.inf
-        return hash((h,))
+        return hash((_ratio_hash(self.num, self.den),))
 
     def __repr__(self) -> str:
         return f"Angle(turns={self.turns!r})"

@@ -59,6 +59,18 @@ def test_covector_enumerate_needs_m_for_phase():
     assert r.exit_code == 1
 
 
+@pytest.mark.parametrize("m", ["2", "3"])
+def test_covector_enumerate_refuses_m_for_sign(m):
+    # a grid density given to the sign field was once ignored silently
+    r = invoke("covector", "enumerate", "--field", "sign", "--n", "2",
+               "--m", m)
+    assert r.exit_code == 2
+    assert r.output.splitlines()[-1] == (
+        "Error: --m is the phase field's grid density; "
+        "--field sign takes none")
+    assert "Traceback" not in r.output
+
+
 def test_delta_member():
     r = invoke("delta", "member", "--v", "0,0,0", "--z", "1@0;1@1/2;1@0")
     assert r.exit_code == 0 and r.output.strip() == "true"

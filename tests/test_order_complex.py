@@ -26,7 +26,7 @@ from phasetop.order_complex import (
     rescale_model,
     rotate,
 )
-from phasetop.phase import Angle, Phase, ZERO
+from phasetop.phase import ORIGIN, Angle, Phase, ZERO
 
 F = Fraction
 
@@ -427,8 +427,7 @@ def test_grid_table_entries_are_the_fresh_values(den):
         r = Fraction(k, den)
         if (r * 64).denominator != 1:
             continue
-        q, a, p = _GRID[int(r * 64)]
-        assert type(q) is Fraction and q == r
+        a, p = _GRID[int(r * 64)]
         assert a == Angle(r) and 0 <= a.turns < 1
         assert p == Phase(Angle(r)) and p.angle is a
         hits += 1
@@ -436,10 +435,16 @@ def test_grid_table_entries_are_the_fresh_values(den):
 
 
 def test_model_point_sampler_is_the_draw_over_64ths():
+    shared = [a for a, _ in _GRID] + [ORIGIN]
     for n in range(1, 7):
         rng, twin = random.Random(f"over-64:{n}"), random.Random(f"over-64:{n}")
         for _ in range(200):
             z = random_model_point(rng, n)
             assert z == model_point_over(twin, n, 64)
-            # every radius is the table's value, shared and not rebuilt
-            assert all(any(c.radius is q for q, _, _ in _GRID) for c in z)
+            # every radius is some k/64 in lowest terms, and every angle
+            # is the table's shared object (a centre's is the shared ORIGIN)
+            for c in z:
+                k = c.num * (64 // c.den)
+                assert (c.num, c.den) == Fraction(k, 64).as_integer_ratio()
+                assert type(c.num) is int and type(c.den) is int
+                assert any(c.angle is a for a in shared)

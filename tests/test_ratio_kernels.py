@@ -2,9 +2,10 @@
 
 Angles hold only their reduced ratio (`Angle.num`/`Angle.den`), `_over_lcm`
 reads each `Fraction`'s `as_integer_ratio()` once, and the order-complex
-round trip walks its input once.  Each kernel is checked here against its
-earlier form, which read `numerator`/`denominator` on every call and built
-the round trip level by level; those forms are kept below as references.
+round trip walks its input once, on the ints that disc points and join
+points hold.  Each kernel is checked here against its earlier form, which
+read `numerator`/`denominator` on every call and built the round trip
+level by level; those forms are kept below as references.
 Angle arithmetic, arcs and `min_enclosing_arc` are checked against
 `Fraction` arithmetic mod 1.
 """
@@ -351,6 +352,24 @@ def test_join_to_model_matches_the_reference(p):
     z = join_to_model(p)
     assert z == reference_join_to_model(p)
     assert model_to_join(z) == p
+
+
+@SETTINGS
+@given(join_points(), model_points())
+def test_round_trip_ints_are_the_reference_ratios(p, z):
+    # join_to_model: each radius, the weight of the terms nonzero at its
+    # coordinate, is the reduced ratio of the reference's numerators
+    nums, whole = reference_over_lcm([w for w, _ in p.terms])
+    for j, c in enumerate(join_to_model(p).coords):
+        r = F(sum(w for w, (_, x) in zip(nums, p.terms)
+                  if x[j].angle is not None), whole)
+        assert (c.num, c.den) == r.as_integer_ratio()
+        assert type(c.num) is int and type(c.den) is int
+    # model_to_join: the weights are the reference terms' over their lcm
+    q, terms = model_to_join(z), reference_model_to_join_terms(z)
+    assert (list(q.nums), q.whole) == reference_over_lcm(
+        [w for w, _ in terms])
+    assert q.vectors == tuple(x for _, x in terms)
 
 
 @pytest.mark.parametrize("seed", range(5))

@@ -5,11 +5,14 @@ deletion with `FrozenInstanceError`, and survive pickling and copying.
 An `Angle` holds only the reduced integer ratio of its turns in
 `num`/`den`, and still takes its turns as the one constructor argument:
 its equality, hashing, order and repr must be those of the turns.
+`DiscPoint` and `JoinPoint` hold their radius and weights as ints too,
+and keep the contract of their forms that held Fractions.
 """
 
 import copy
 import inspect
 import pickle
+import random
 from dataclasses import FrozenInstanceError, dataclass, fields
 from fractions import Fraction
 
@@ -18,8 +21,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from phasetop.cells import CellLabel
 from phasetop.covectors import PhaseVector
-from phasetop.order_complex import DiscPoint, JoinPoint, ModelPoint
-from phasetop.phase import Angle, Arc, Phase, PhaseSet, ZERO, format_fraction
+from phasetop.order_complex import (DiscPoint, JoinPoint, ModelPoint,
+                                    random_join_point)
+from phasetop.phase import (Angle, Arc, Phase, PhaseSet, ZERO, _over_lcm,
+                            format_fraction)
 
 F = Fraction
 
@@ -141,3 +146,116 @@ def test_angle_ratio_is_not_an_argument():
     with pytest.raises(TypeError):
         Angle(F(1, 2), 1, 2)
     assert list(inspect.signature(Angle).parameters) == ["turns"]
+
+
+# ---------------------------------------------------------------------------
+# DiscPoint and JoinPoint hold ints; their contract is that of the forms
+# that held Fractions, kept here as reference dataclasses
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True, order=True)
+class _FractionDiscPoint:
+    radius: Fraction
+    angle: Angle
+
+
+@dataclass(frozen=True)
+class _FractionJoinPoint:
+    terms: tuple
+
+
+# radii from a small pool, so equal points recur, given in every form the
+# constructor takes
+disc_radii = st.sampled_from([
+    0, 1, F(1, 2), "2/4", 0.5, F(1, 3), F(2, 3), "1/64", F(1, 2**61 - 1),
+    F(5, 3 * (2**61 - 1))])
+disc_args = st.tuples(disc_radii, st.sampled_from([
+    Angle(0), Angle(F(1, 3)), Angle(F(2, 3)), Angle(F(1, 2**61 - 1))]))
+
+
+def _assert_the_contract(p, ref, names):
+    """p's hash and repr are the reference's; copies and pickles are equal
+    twins; every assignment and deletion is refused as the reference's."""
+    assert hash(p) == hash(ref)
+    assert repr(p) == repr(ref).replace(type(ref).__name__,
+                                        type(p).__name__, 1)
+    for twin in (pickle.loads(pickle.dumps(p)), copy.deepcopy(p),
+                 copy.copy(p)):
+        assert twin == p and hash(twin) == hash(p) and repr(twin) == repr(p)
+    for name in names:
+        for act in (lambda x: setattr(x, name, None),
+                    lambda x: delattr(x, name)):
+            got = _refusal(lambda: act(p))
+            assert got[0] is FrozenInstanceError, (name, got)
+            assert got == _refusal(lambda: act(ref)), name
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(disc_args, disc_args)
+# a radius whose denominator has no inverse modulo the hash modulus
+@example((F(1, 2**61 - 1), Angle(F(1, 3))), ("2/4", Angle(0)))
+def test_disc_point_keeps_the_contract_of_its_fraction_form(s, t):
+    a, b = DiscPoint(*s), DiscPoint(*t)
+    ra, rb = (_FractionDiscPoint(c.radius, c.angle) for c in (a, b))
+    assert a.radius == F(s[0]) and type(a.radius) is Fraction
+    assert (a.num, a.den) == a.radius.as_integer_ratio()
+    for op in ("__eq__", "__ne__", "__lt__", "__le__", "__gt__", "__ge__"):
+        assert getattr(a, op)(b) == getattr(ra, op)(rb), op
+    assert a.__eq__(ra) is NotImplemented and a != ra
+    _assert_the_contract(a, ra, ("radius", "num", "angle", "extra"))
+
+
+@st.composite
+def _join_points(draw):
+    """A sampler's chain from a few seeds, so equal points recur, built
+    again from its terms, from ints over a multiple of its lcm, or as is."""
+    p = random_join_point(random.Random(draw(st.integers(0, 15))),
+                          draw(st.integers(1, 3)))
+    form = draw(st.sampled_from(["as drawn", "terms", "of", "scaled"]))
+    if form == "terms":
+        return JoinPoint(p.terms)
+    if form == "of":
+        return JoinPoint.of([(str(w), x) for w, x in p.terms])
+    if form == "scaled":
+        k = draw(st.integers(2, 7))
+        return JoinPoint.of_ratios([k * w for w in p.nums], k * p.whole,
+                                   p.vectors)
+    return p
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_join_points(), _join_points())
+def test_join_point_keeps_the_contract_of_its_fraction_form(p, q):
+    rp, rq = _FractionJoinPoint(p.terms), _FractionJoinPoint(q.terms)
+    assert all(type(w) is Fraction for w, _ in p.terms)
+    assert (list(p.nums), p.whole) == _over_lcm([w for w, _ in p.terms])
+    assert p.vectors == tuple(x for _, x in p.terms)
+    assert (p == q) == (rp == rq) and (p != q) == (rp != rq)
+    assert p.__eq__(rp) is NotImplemented and p != rp
+    _assert_the_contract(p, rp, ("terms", "nums", "whole", "vectors",
+                                 "extra"))
+
+
+def test_int_builders_are_the_fraction_constructors():
+    a, x, y = Angle(F(1, 3)), PhaseVector.of([0, None]), PhaseVector.of([0, 0])
+    c = DiscPoint.of_ratio(6, 8, a)
+    assert c == DiscPoint(F(3, 4), a) and (c.num, c.den) == (3, 4)
+    assert DiscPoint.of_ratio(0, 7, a).angle == Angle(0)  # the centre
+    assert DiscPoint.of_ratio(9, 9, a) == DiscPoint(1, a)
+    for num, den in ((5, 4), (-1, 4)):
+        with pytest.raises(ValueError, match=r"^disc radius must lie in "):
+            DiscPoint.of_ratio(num, den, a)
+    p = JoinPoint.of_ratios([2, 6], 8, [x, y])
+    assert p == JoinPoint.of([(F(1, 4), x), (F(3, 4), y)])
+    assert (p.nums, p.whole, p.vectors) == ((1, 3), 4, (x, y))
+    for nums, whole, vectors, message in [
+            ([], 1, [], "join point needs at least one term"),
+            ([1, 1], 2, [x, PhaseVector.of([0])],
+             "chain vectors must share a length"),
+            ([0, 2], 2, [x, y], "weights must be positive"),
+            ([1, 1], 2, [y, x], "vectors must form a strict chain"),
+            ([1, 1], 3, [x, y], "weights must sum to 1")]:
+        with pytest.raises(ValueError) as info:
+            JoinPoint.of_ratios(nums, whole, vectors)
+        assert str(info.value) == message
