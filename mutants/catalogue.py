@@ -11,19 +11,19 @@ without the mutant, rounded up to 10 s (those runs took 0.3-2.5 s on
 Python 3.11, two cores).  The unmutated run of all the killers gets half
 the sum of the caps: it needs at most a third, the sum of the killers'
 unmutated runs.  So the whole catalogue ends within one and a half times
-that sum (255 s), inside the CI step's 5 minutes.  `EQUIVALENT` lists
-edits that no test can refuse, with the reason they change no result;
-the runner checks that their source strings still match, so the reasons
-stay attached to code that exists.
+that sum (270 s at 18 caps of 10 s), inside the CI step's 5 minutes.
+`EQUIVALENT` lists edits that no test can refuse, with the reason they
+change no result; the runner checks that their source strings still
+match, so the reasons stay attached to code that exists.
 
 The catalogue holds one mutant per kernel of the certifier and one per
 rule that is written in one place only (the label order, the sign
 tokens, the signs' phases, the sign alphabet of the covector loop, the
-fraction format, the value-type refusals, and the integer rules of the
-order-complex points: the lcm form of the weights, Fraction's hash of a
-radius, the centre's angle).  A new entry
-should be one that a past change's mutation check once found, or that a
-new kernel or rule needs.
+covector loop's one zero test per set of ticks, the fraction format, the
+value-type refusals, and the integer rules of the order-complex points:
+the lcm form of the weights, Fraction's hash of a radius, the centre's
+angle).  A new entry should be one that a past change's mutation check
+once found, or that a new kernel or rule needs.
 """
 
 from __future__ import annotations
@@ -53,10 +53,20 @@ MUTANTS = [
     Mutant(
         "zero_in_sum-lcm-skips-first-denominator",
         "src/phasetop/covectors.py",
-        "whole = math.lcm(*[den for _, den in ratios])",
-        "whole = math.lcm(*[den for _, den in ratios[1:]])",
+        "whole = math.lcm(*[a.den for a in angles])",
+        "whole = math.lcm(*[a.den for a in angles[1:]])",
         ("tests/test_covectors.py::test_zero_in_sum_agrees_with_fold_oracle",
          "tests/test_covectors.py::test_zero_in_sum_matches_fold_oracle_off_grid"),
+        10),
+    Mutant(
+        # the grid loop decides each set of ticks once; a key that misses a
+        # coordinate hands one set's answer to combos with other ticks
+        "enumerate_covectors-tick-set-drops-first-coordinate",
+        "src/phasetop/covectors.py",
+        "key = frozenset(combo)",
+        "key = frozenset(combo[1:])",
+        ("tests/test_covectors.py::"
+         "test_enumerate_covectors_is_the_oracle_filter_of_the_grid",),
         10),
     Mutant(
         # once stalled tests/test_homology.py for over 6 minutes at 490 MB;

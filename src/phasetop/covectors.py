@@ -88,7 +88,7 @@ def all_ones(n: int) -> PhaseVector:
 
 def support(x: PhaseVector) -> tuple[int, ...]:
     """1-based indices of the nonzero entries."""
-    return tuple(i + 1 for i, e in enumerate(x.entries) if e.angle is not None)
+    return tuple([i for i, e in enumerate(x.entries, 1) if e.angle is not None])
 
 
 def _spans_half(ticks: Sequence[int], whole: int) -> bool:
@@ -126,9 +126,11 @@ def zero_in_sum(xs: Sequence[Phase]) -> bool:
     when the nonzero angles cannot fit in an open half-circle, i.e.
     their minimal enclosing arc has length >= 1/2 turn.
     """
-    ratios = [(e.angle.num, e.angle.den) for e in xs if e.angle is not None]
-    whole = math.lcm(*[den for _, den in ratios])
-    return _spans_half([num * (whole // den) for num, den in ratios], whole)
+    angles = [e.angle for e in xs if e.angle is not None]
+    if len(angles) < 2:
+        return not angles
+    whole = math.lcm(*[a.den for a in angles])
+    return _spans_half([a.num * (whole // a.den) for a in angles], whole)
 
 
 def is_covector(v: PhaseVector, x: PhaseVector) -> bool:
@@ -155,7 +157,7 @@ def find_zero_triple(x: PhaseVector) -> tuple[int, int, int] | None:
     dropping entries outside a spanning triple keeps the enclosing arc
     long; zero entries inside a triple are harmless filler.
     """
-    ticks, whole = _tick_scale(x)
+    ticks, whole = _tick_scale(x.entries)
     for (i, a), (j, b), (k, c) in itertools.combinations(enumerate(ticks), 3):
         if a is None or b is None or c is None:
             rest = [t for t in (a, b, c) if t is not None]
@@ -214,12 +216,16 @@ def enumerate_covectors(field: str, n: int, m: int | None = None) -> list:
         m, alphabet, build = 2, (0, 1, -1), tuple
     else:
         raise ValueError(f"unknown field {field!r}")
-    # tick -1 is the zero element, tick k the angle k/m
-    out = []
-    for combo in itertools.product(range(-1, m), repeat=n):
-        ticks = [t for t in combo if t >= 0]
-        if ticks and _spans_half(ticks, m):
-            out.append(build(tuple(alphabet[t + 1] for t in combo)))
+    # index 0 is zero, index k + 1 the angle k/m; one test per index set
+    kept, out = {}, []
+    for combo in itertools.product(range(m + 1), repeat=n):
+        key = frozenset(combo)
+        keep = kept.get(key)
+        if keep is None:
+            ticks = [t - 1 for t in key if t]
+            keep = kept[key] = bool(ticks) and _spans_half(ticks, m)
+        if keep:
+            out.append(build(tuple(map(alphabet.__getitem__, combo))))
     return out
 
 

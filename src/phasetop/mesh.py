@@ -22,7 +22,7 @@ from typing import Callable, Optional, Sequence
 
 from .cells import CellLabel, PLabel, bx_member, ul_label
 from .order_complex import DiscPoint, ModelPoint
-from .phase import Angle, format_fraction, min_enclosing_arc, parse_fraction
+from .phase import Angle, _format_ratio, min_enclosing_arc, parse_fraction
 
 __all__ = [
     "MeshValidityError",
@@ -607,7 +607,7 @@ def complex_to_doc(K: SimplicialComplex, n: int, m: int) -> dict:
     reader's message, on a shape the reader refuses (_check_doc_shape)."""
     if not all(isinstance(v, ModelPoint) for v in K.vertices):
         raise ValueError("only model-point complexes serialize")
-    vertices = [[[format_fraction(c.radius), str(c.angle)]
+    vertices = [[[_format_ratio(c.num, c.den), str(c.angle)]
                  for c in z] for z in K.vertices]
     _check_doc_shape(n, m, vertices)
     return {"n": n, "m": m, "vertices": vertices,

@@ -21,7 +21,7 @@ from typing import Iterable
 
 from .covectors import PhaseVector, support, zero_in_sum
 from .phase import (Angle, ORIGIN, Phase, ZERO, _new, _over_lcm, _ratio_hash,
-                    _set, format_fraction, parse_fraction, value_type)
+                    _format_ratio, _set, parse_fraction, value_type)
 
 __all__ = [
     "DiscPoint",
@@ -98,7 +98,7 @@ class DiscPoint:
         return f"DiscPoint(radius={self.radius!r}, angle={self.angle!r})"
 
     def __str__(self) -> str:
-        return f"{format_fraction(self.radius)}@{self.angle}"
+        return f"{_format_ratio(self.num, self.den)}@{self.angle}"
 
 
 def _fill_disc(c: DiscPoint, num: int, den: int, angle: Angle) -> DiscPoint:

@@ -445,5 +445,8 @@ def parse_fraction(text: str) -> Fraction:
 def format_fraction(q: Fraction | Angle) -> str:
     """'p/q', or 'p' when q is whole: any value with as_integer_ratio(),
     so an Angle prints as the Fraction of its turns does."""
-    num, den = q.as_integer_ratio()
+    return _format_ratio(*q.as_integer_ratio())
+
+
+def _format_ratio(num: int, den: int) -> str:  # format_fraction of num/den
     return str(num) if den == 1 else f"{num}/{den}"

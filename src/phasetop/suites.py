@@ -109,7 +109,8 @@ def _suite_pieces(rep, ns, m_cap, samples, seed):
                     j, k, l = t
                     if not (j < k < l):
                         return f"triple {t} not increasing"
-                    if not zero_in_sum([x[j - 1], x[k - 1], x[l - 1]]):
+                    e = x.entries
+                    if not zero_in_sum([e[j - 1], e[k - 1], e[l - 1]]):
                         return (f"triple {t} of {format_phase_vector(x)}"
                                 " does not sum through zero")
                 return None

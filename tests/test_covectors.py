@@ -20,7 +20,7 @@ from phasetop.covectors import (
     support,
     zero_in_sum,
 )
-from phasetop.phase import Phase, ZERO, hyper_sum_list
+from phasetop.phase import Phase, ZERO, hyper_sum_list, sign_hyper_sum_list
 
 F = Fraction
 
@@ -30,10 +30,16 @@ def V(*ts):
 
 
 def test_zero_in_sum_edge_cases():
+    a, b = Phase.of(F(1, 3)), Phase.of(F(5, 6))
     assert zero_in_sum([])
     assert zero_in_sum([ZERO, ZERO])
-    assert not zero_in_sum([Phase.of(F(1, 3))])
-    assert not zero_in_sum([ZERO, Phase.of(F(1, 3))])
+    assert not zero_in_sum([a])
+    assert not zero_in_sum([ZERO, a])
+    # a repeated angle is still one angle; a list, a tuple and a
+    # PhaseVector of the same phases give the same answer
+    for form in (list, tuple, PhaseVector):
+        assert not zero_in_sum(form((a, a, ZERO)))
+        assert zero_in_sum(form((a, ZERO, b, a)))
 
 
 def test_zero_in_sum_pairs():
@@ -264,14 +270,21 @@ def test_zero_in_sum_matches_fold_oracle_off_grid(xs):
     assert zero_in_sum(xs) == hyper_sum_list(xs).contains_zero
 
 
-@pytest.mark.parametrize("m", [2, 4])
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n, m", [(n, m) for n in (2, 3, 4)
+                                  for m in (2, 4, 6, 8)] + [(5, 2), (5, 4)])
 def test_enumerate_covectors_is_the_oracle_filter_of_the_grid(n, m):
     alphabet = [ZERO] + [Phase.of(F(k, m)) for k in range(m)]
     want = [PhaseVector(c) for c in itertools.product(alphabet, repeat=n)
             if any(not e.is_zero for e in c)
             and hyper_sum_list(c).contains_zero]
     assert enumerate_covectors("phase", n, m) == want
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_enumerate_covectors_sign_is_the_oracle_filter(n):
+    want = [c for c in itertools.product((0, 1, -1), repeat=n)
+            if any(c) and 0 in sign_hyper_sum_list(c)]
+    assert enumerate_covectors("sign", n) == want
 
 
 def oracle_triple(x):
