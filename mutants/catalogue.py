@@ -11,7 +11,7 @@ without the mutant, rounded up to 10 s (those runs took 0.3-2.5 s on
 Python 3.11, two cores).  The unmutated run of all the killers gets half
 the sum of the caps: it needs at most a third, the sum of the killers'
 unmutated runs.  So the whole catalogue ends within one and a half times
-that sum (270 s at 18 caps of 10 s), inside the CI step's 5 minutes.
+that sum (285 s at 19 caps of 10 s), inside the CI step's 5 minutes.
 `EQUIVALENT` lists edits that no test can refuse, with the reason they
 change no result; the runner checks that their source strings still
 match, so the reasons stay attached to code that exists.
@@ -22,8 +22,9 @@ tokens, the signs' phases, the sign alphabet of the covector loop, the
 covector loop's one zero test per set of ticks, the fraction format, the
 value-type refusals, and the integer rules of the order-complex points:
 the lcm form of the weights, Fraction's hash of a radius, the centre's
-angle).  A new entry should be one that a past change's mutation check
-once found, or that a new kernel or rule needs.
+angle and phase, the reduced radius of each chain term).  A new entry
+should be one that a past change's mutation check once found, or that a
+new kernel or rule needs.
 """
 
 from __future__ import annotations
@@ -201,15 +202,27 @@ MUTANTS = [
          "test_disc_point_keeps_the_contract_of_its_fraction_form",),
         10),
     Mutant(
-        # of_ratio and the Fraction constructor share the rule
+        # every constructor fills a disc point through the one centre rule
         "disc_point-of_ratio-centre-keeps-its-angle",
         "src/phasetop/order_complex.py",
-        'angle if num else ORIGIN)',
-        'angle)',
+        "        angle, phase = ORIGIN, ZERO\n",
+        "        phase = ZERO\n",
         ("tests/test_cells.py::"
          "test_shared_grid_points_equal_freshly_built_points",
          "tests/test_value_types.py::"
-         "test_int_builders_are_the_fraction_constructors"),
+         "test_int_builders_are_the_fraction_constructors",
+         "tests/test_order_complex.py::"
+         "test_every_disc_point_constructor_sets_its_phase"),
+        10),
+    Mutant(
+        # an unreduced radius compares, hashes and reprs as the reduced one
+        # does; only its ratio and its text differ
+        "join_to_model-radius-not-reduced",
+        "src/phasetop/order_complex.py",
+        "        g = math.gcd(left, whole)\n",
+        "        g = 1\n",
+        ("tests/test_order_complex.py::"
+         "test_round_trip_hands_back_the_chains_own_phases",),
         10),
 ]
 

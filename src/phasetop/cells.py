@@ -258,13 +258,13 @@ def verify_meet_glb(n: int) -> tuple[bool, tuple[CellLabel, CellLabel] | None]:
     Returns (True, None), or (False, (x, y)) with the first bad pair.
     """
     elems = pn_elements(n)
-    index = {x: i for i, x in enumerate(elems)}
+    index = {x.labels: i for i, x in enumerate(elems)}  # a tuple hashes in C
     down = _down_sets(elems)
     for i, x in enumerate(elems):
         for j in range(i, len(elems)):
             y = elems[j]
             m = meet(x, y)
-            if down[index[m]] != down[i] & down[j]:
+            if down[index[m.labels]] != down[i] & down[j]:
                 return False, (x, y)
     return True, None
 

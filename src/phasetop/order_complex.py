@@ -43,13 +43,15 @@ __all__ = [
 class DiscPoint:
     """A point of the closed unit disc in polar form (radius, angle).
 
-    The radius is held as its reduced ratio ``num``/``den``.  The center
-    is represented uniquely: radius 0 forces angle 0.
+    The radius is held as its reduced ratio ``num``/``den``, and the
+    direction also as ``phase``, the `Phase` of the angle.  The center
+    is represented uniquely: radius 0 forces angle 0 and the zero phase.
     """
 
     num: int
     den: int
     angle: Angle
+    phase: Phase
     __match_args__ = ("radius", "angle")
 
     def __init__(self, radius, angle: Angle) -> None:
@@ -74,11 +76,6 @@ class DiscPoint:
     def radius(self) -> Fraction:
         return Fraction(self.num, self.den)
 
-    @property
-    def phase(self) -> Phase:
-        """The phase direction: zero at the center."""
-        return Phase(self.angle) if self.num else ZERO
-
     def _by_point(op):  # (radius, angle) in tuple order, on the ints
         def compare(self, other):
             if other.__class__ is not self.__class__:
@@ -101,12 +98,17 @@ class DiscPoint:
         return f"{_format_ratio(self.num, self.den)}@{self.angle}"
 
 
-def _fill_disc(c: DiscPoint, num: int, den: int, angle: Angle) -> DiscPoint:
+def _fill_disc(c: DiscPoint, num: int, den: int, angle: Angle,
+               phase: Phase | None = None) -> DiscPoint:
+    """Set c's fields; a caller that holds Phase(angle) passes it in."""
     if not 0 <= num <= den:
         raise ValueError("disc radius must lie in [0, 1]")
+    if not num:
+        angle, phase = ORIGIN, ZERO
     _set(c, "num", num)
     _set(c, "den", den)
-    _set(c, "angle", angle if num else ORIGIN)
+    _set(c, "angle", angle)
+    _set(c, "phase", Phase(angle) if phase is None else phase)
     return c
 
 
@@ -234,9 +236,11 @@ def join_to_model(p: JoinPoint) -> ModelPoint:
     coords = [_CENTER] * len(p.vectors[0])
     left = whole  # the weight of this term and every later one
     for w, x in zip(p.nums, p.vectors):
+        g = math.gcd(left, whole)
+        num, den = left // g, whole // g
         for j, e in enumerate(x.entries):
             if e.angle is not None and coords[j] is _CENTER:
-                coords[j] = DiscPoint.of_ratio(left, whole, e.angle)
+                coords[j] = _fill_disc(_new(DiscPoint), num, den, e.angle, e)
         left -= w
     return ModelPoint(tuple(coords))
 
@@ -267,7 +271,7 @@ def model_to_join(z: ModelPoint) -> JoinPoint:
             weights.append(level - r)
             vectors.append(PhaseVector(tuple(entries)))
             level = r
-        entries[j] = Phase(coords[j].angle)
+        entries[j] = coords[j].phase
     return JoinPoint.of_ratios(weights + [level], whole,
                                vectors + [PhaseVector(tuple(entries))])
 
@@ -334,9 +338,21 @@ def _grid_value(k: int) -> tuple[Angle, Phase]:
 
 
 # The sampling grid k/64 as (Angle, Phase), keyed by k and built once.  The
-# values are frozen, so every draw shares them.
+# values are frozen, so every draw shares them.  A draw from [lo, 64] is
+# rng.choice over a sequence of its 65 - lo values: the one _randbelow call
+# that rng.randint(lo, 64) makes, so the seeded streams are randint's.
 _DEN = 64
 _GRID = tuple(_grid_value(k) for k in range(_DEN + 1))
+_TICKS, _WEIGHTS = range(_DEN + 1), range(1, _DEN + 1)
+# The disc points k/64 @ i/64 by k, then i, built from _GRID a row of radius
+# k at a time, on the first draw at that radius
+_DISCS: list[tuple[DiscPoint, ...] | None] = [None] * (_DEN + 1)
+
+
+def _disc_row(k: int) -> tuple[DiscPoint, ...]:
+    g = math.gcd(k, _DEN)
+    return tuple(_fill_disc(_new(DiscPoint), k // g, _DEN // g, a, p)
+                 for a, p in _GRID)
 
 
 def random_model_point(rng: random.Random, n: int) -> ModelPoint:
@@ -353,9 +369,11 @@ def random_model_point(rng: random.Random, n: int) -> ModelPoint:
         elif roll < 0.5:
             k = _DEN
         else:
-            k = rng.randint(0, _DEN)
-        coords.append(DiscPoint.of_ratio(k, _DEN,
-                                         _GRID[rng.randint(0, _DEN)][0]))
+            k = rng.choice(_TICKS)
+        row = _DISCS[k]
+        if row is None:
+            row = _DISCS[k] = _disc_row(k)
+        coords.append(rng.choice(row))
     return ModelPoint(tuple(coords))
 
 
@@ -366,7 +384,7 @@ def random_join_point(rng: random.Random, n: int) -> JoinPoint:
     rng.shuffle(order)
     depth = rng.randint(1, n)
     cuts = sorted(rng.sample(range(1, n + 1), depth))
-    phases = [_GRID[rng.randint(0, _DEN)][1] for _ in range(n)]
+    phases = [rng.choice(_GRID)[1] for _ in range(n)]
     entries = [ZERO] * n
     vectors = []
     done = 0
@@ -378,5 +396,5 @@ def random_join_point(rng: random.Random, n: int) -> JoinPoint:
     if rng.random() < 0.3:
         vectors.insert(0, PhaseVector((ZERO,) * n))
     # positive rational weights summing to 1
-    raw = [rng.randint(1, _DEN) for _ in vectors]
+    raw = [rng.choice(_WEIGHTS) for _ in vectors]
     return JoinPoint.of_ratios(raw, sum(raw), vectors)

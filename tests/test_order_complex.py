@@ -1,9 +1,15 @@
 import hashlib
+import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from phasetop import cells, mesh
 from phasetop.covectors import (
     PhaseVector,
     all_ones,
@@ -12,6 +18,7 @@ from phasetop.covectors import (
     support,
 )
 from phasetop.order_complex import (
+    _DISCS,
     _GRID,
     DiscPoint,
     JoinPoint,
@@ -20,6 +27,7 @@ from phasetop.order_complex import (
     format_model_point,
     join_to_model,
     model_to_join,
+    _disc_row,
     parse_model_point,
     random_join_point,
     random_model_point,
@@ -448,3 +456,82 @@ def test_model_point_sampler_is_the_draw_over_64ths():
                 assert (c.num, c.den) == Fraction(k, 64).as_integer_ratio()
                 assert type(c.num) is int and type(c.den) is int
                 assert any(c.angle is a for a in shared)
+
+
+# ---------------------------------------------------------------------------
+# Shared values: each disc point holds its Phase, and the round trip and the
+# samplers pass existing values on
+# ---------------------------------------------------------------------------
+
+
+def _holds_its_phase(c):
+    """The centre holds the shared ORIGIN and ZERO; any other point the
+    Phase of its own angle object."""
+    if c.num == 0:
+        return c.angle is ORIGIN and c.phase is ZERO
+    return c.phase.angle is c.angle and c.phase == Phase(c.angle)
+
+
+def test_every_disc_point_constructor_sets_its_phase():
+    rng = random.Random("disc-phase")
+    points = [DiscPoint.center(), cells._ONE_POINT, cells._MINUS_ONE_POINT]
+    for _ in range(200):
+        r, a = _mixed_fraction(rng), _mixed_fraction(rng)
+        points += [DiscPoint(r, Angle(a)), DiscPoint.of(r, a),
+                   DiscPoint.of_ratio(*r.as_integer_ratio(), Angle(a)),
+                   DiscPoint(0, Angle(a))]
+    for _ in range(100):
+        n = rng.randint(1, 5)
+        z = _mixed_model_point(rng, n)
+        v = PhaseVector.of([_mixed_fraction(rng) for _ in range(n)])
+        points += parse_model_point(format_model_point(z)).coords
+        points += rescale_model(v, z).coords
+        points += join_to_model(random_join_point(rng, n)).coords
+        points += join_to_model(_mixed_join_point(rng, n)).coords
+        points += random_model_point(rng, n).coords
+    for m in (1, 2, 4):
+        points += mesh._point_of(m)(tuple(range(2 * m + 1))).coords
+    points += [cells._upper_at(u) for u in range(17)]
+    points += [cells._lower_at(t) for t in range(0, 257, 8)]
+    points += [cells._disc_at(r, a) for r in range(17) for a in range(16)]
+    for c in points:
+        assert _holds_its_phase(c), repr(c)
+
+
+@pytest.mark.parametrize("sampler", [random_join_point, _mixed_join_point])
+def test_round_trip_hands_back_the_chains_own_phases(sampler):
+    rng = random.Random(f"own-phases:{sampler.__name__}")
+    for _ in range(300):
+        p = sampler(rng, rng.randint(1, 6))
+        z = join_to_model(p)
+        assert all(math.gcd(c.num, c.den) == 1 for c in z), str(z)
+        q = model_to_join(z)
+        assert q == p and len(q.vectors) == len(p.vectors)
+        for x, y in zip(q.vectors, p.vectors):
+            assert all(a is b for a, b in zip(x.entries, y.entries)), str(p)
+
+
+def test_disc_table_entries_are_the_grid_points():
+    rng = random.Random("disc-table")
+    drawn = [c for _ in range(200) for c in random_model_point(rng, 6)]
+    for k in range(65):
+        row = _DISCS[k] or _disc_row(k)
+        assert len(row) == 65
+        for i, c in enumerate(row):
+            assert c == DiscPoint.of(F(k, 64), F(i, 64)), (k, i)
+            assert (c.num, c.den) == F(k, 64).as_integer_ratio()
+            a, p = _GRID[i] if k else (ORIGIN, ZERO)
+            assert c.angle is a and c.phase is p, (k, i)
+    # every draw is an entry of its radius's row, built on that draw
+    for c in drawn:
+        assert any(c is e for e in _DISCS[c.num * (64 // c.den)]), repr(c)
+
+
+def test_importing_phasetop_builds_no_disc_row():
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import phasetop, phasetop.cli; from phasetop import order_complex"
+            " as oc; print(oc._DISCS.count(None))")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                       text=True, env=dict(os.environ, PYTHONPATH=str(src)),
+                       check=True, timeout=60)
+    assert r.stdout.split() == ["65"]
