@@ -15,10 +15,10 @@ import click
 
 from .phase import hyper_sum_list, sign_hyper_sum_list
 from .covectors import (
-    enumerate_covectors,
     format_phase_vector,
     format_sign_vector,
     is_covector,
+    iter_covectors,
     parse_phase_vector,
     parse_sign_vector,
 )
@@ -114,7 +114,7 @@ def covector_enumerate(field, n, m):
         raise click.UsageError("--m is the phase field's grid density; "
                                "--field sign takes none")
     fmt = format_phase_vector if field == "phase" else format_sign_vector
-    for x in enumerate_covectors(field, n, m):
+    for x in iter_covectors(field, n, m):
         click.echo(fmt(x))
 
 
@@ -150,11 +150,14 @@ def pn():
 
 
 def _parse_label_in(text: str, n: int):
-    x = parse_cell_label(text)
-    if len(x) != n:
-        raise ValueError(f"label {text!r} has {len(x)} coordinates,"
+    if n < 3:
+        raise ValueError("cell labels need n >= 3")
+    # counted first: building a label of under 3 symbols refuses it for n
+    count = len(text.split(","))
+    if count != n:
+        raise ValueError(f"label {text!r} has {count} coordinates,"
                          f" expected {n}")
-    return x
+    return parse_cell_label(text)
 
 
 @pn.command("list")

@@ -40,6 +40,7 @@ __all__ = [
     "leq_vec",
     "find_zero_triple",
     "rescale",
+    "iter_covectors",
     "enumerate_covectors",
     "parse_phase_vector",
     "format_phase_vector",
@@ -196,15 +197,18 @@ def _phase_alphabet(m: int) -> list[Phase]:
     return [ZERO] + [Phase.of(Fraction(k, m)) for k in range(m)]
 
 
-def enumerate_covectors(field: str, n: int, m: int | None = None) -> list:
-    """All nonzero covectors of the all-ones vector over a discretization.
+def iter_covectors(field: str, n: int, m: int | None = None) -> Iterator:
+    """Each nonzero covector of the all-ones vector over a discretization.
 
     field "phase": entries range over zero and the m-th roots of unity
-    (m even, so antipodes stay on the grid); returns PhaseVectors in
+    (m even, so antipodes stay on the grid); yields PhaseVectors in
     lexicographic order with zero before ascending angles.  field
     "sign": the same loop at m = 2 (any m given is ignored), its zero
-    and angles 0 and 1/2 read as the signs 0, +1 and -1; returns int
+    and angles 0 and 1/2 read as the signs 0, +1 and -1; yields int
     tuples in that order.  The zero vector is excluded in both cases.
+    The arguments are checked at the call, before the first item.  The
+    walk holds one covector at a time and its table of decided tick
+    sets, at most 2^(m+1) entries.
     """
     if n < 2:
         raise ValueError("need n >= 2")
@@ -216,8 +220,12 @@ def enumerate_covectors(field: str, n: int, m: int | None = None) -> list:
         m, alphabet, build = 2, (0, 1, -1), tuple
     else:
         raise ValueError(f"unknown field {field!r}")
+    return _walk(alphabet, build, n, m)
+
+
+def _walk(alphabet, build, n: int, m: int) -> Iterator:
     # index 0 is zero, index k + 1 the angle k/m; one test per index set
-    kept, out = {}, []
+    kept = {}
     for combo in itertools.product(range(m + 1), repeat=n):
         key = frozenset(combo)
         keep = kept.get(key)
@@ -225,8 +233,13 @@ def enumerate_covectors(field: str, n: int, m: int | None = None) -> list:
             ticks = [t - 1 for t in key if t]
             keep = kept[key] = bool(ticks) and _spans_half(ticks, m)
         if keep:
-            out.append(build(tuple(map(alphabet.__getitem__, combo))))
-    return out
+            yield build(tuple(map(alphabet.__getitem__, combo)))
+
+
+def enumerate_covectors(field: str, n: int, m: int | None = None) -> list:
+    """iter_covectors(field, n, m) as a list, in the same order.  It holds
+    every covector at once; a single pass should iterate that instead."""
+    return list(iter_covectors(field, n, m))
 
 
 # ---------------------------------------------------------------------------

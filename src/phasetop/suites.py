@@ -20,6 +20,7 @@ from .covectors import (
     enumerate_covectors,
     format_phase_vector,
     find_zero_triple,
+    iter_covectors,
     sign_leq_vec,
     sign_support,
     support,
@@ -100,7 +101,7 @@ def _suite_pieces(rep, ns, m_cap, samples, seed):
     for m in _grids(m_cap):
         for n in ns:
             def triples(m=m, n=n):
-                for x in enumerate_covectors("phase", n, m):
+                for x in iter_covectors("phase", n, m):
                     if len(support(x)) < 3:
                         continue
                     t = find_zero_triple(x)

@@ -111,6 +111,20 @@ def test_pn_rejects_bad_labels():
     assert "1,U,-1" in r.output
 
 
+def test_pn_counts_a_label_against_n():
+    # a short label is counted against --n before it is built; only an
+    # --n below 3 is refused as such
+    for cmd in (["nu"], ["meet", "--y", "U,L,1"]):
+        r = invoke("pn", *cmd, "--n", "3", "--x", "U,L")
+        assert r.exit_code == 1
+        assert r.output == ("Error: label 'U,L' has 2 coordinates,"
+                            " expected 3\n")
+    for x in ("U,1", "U,L,1"):
+        r = invoke("pn", "nu", "--n", "2", "--x", x)
+        assert r.exit_code == 1
+        assert r.output == "Error: cell labels need n >= 3\n"
+
+
 def test_pn_names_an_unknown_cell_symbol():
     # the message names the symbol and the symbols there are, not the
     # enum behind them

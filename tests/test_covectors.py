@@ -12,6 +12,7 @@ from phasetop.covectors import (
     format_phase_vector,
     format_sign_vector,
     is_covector,
+    iter_covectors,
     leq_vec,
     parse_phase_vector,
     parse_sign_vector,
@@ -173,14 +174,17 @@ def test_enumerate_covectors_excludes_zero_and_singles():
 
 
 def test_enumerate_covectors_rejects_bad_args():
-    with pytest.raises(ValueError):
-        enumerate_covectors("phase", 3, 3)  # odd grid
-    with pytest.raises(ValueError):
-        enumerate_covectors("phase", 3)  # missing m
-    with pytest.raises(ValueError):
-        enumerate_covectors("quaternion", 3, 2)
-    with pytest.raises(ValueError):
-        enumerate_covectors("sign", 1)
+    # iter_covectors refuses at the call, before any item is asked for,
+    # with the message of the list form
+    for args in (("phase", 3, 3),  # odd grid
+                 ("phase", 3),  # missing m
+                 ("quaternion", 3, 2),
+                 ("sign", 1)):
+        with pytest.raises(ValueError) as listed:
+            enumerate_covectors(*args)
+        with pytest.raises(ValueError) as streamed:
+            iter_covectors(*args)
+        assert str(streamed.value) == str(listed.value), args
 
 
 def test_enumerate_covectors_sign_counts():
@@ -278,6 +282,7 @@ def test_enumerate_covectors_is_the_oracle_filter_of_the_grid(n, m):
             if any(not e.is_zero for e in c)
             and hyper_sum_list(c).contains_zero]
     assert enumerate_covectors("phase", n, m) == want
+    assert list(iter_covectors("phase", n, m)) == want
 
 
 @pytest.mark.parametrize("n", range(2, 7))
@@ -285,6 +290,7 @@ def test_enumerate_covectors_sign_is_the_oracle_filter(n):
     want = [c for c in itertools.product((0, 1, -1), repeat=n)
             if any(c) and 0 in sign_hyper_sum_list(c)]
     assert enumerate_covectors("sign", n) == want
+    assert list(iter_covectors("sign", n)) == want
 
 
 def oracle_triple(x):

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import pytest
 
@@ -57,6 +58,19 @@ def test_zero_oracle_small():
     assert "oracle-agreement:m=4,n=2" in names
     by_name = {c.name: c for c in rep.checks}
     assert by_name["oracle-agreement:m=4,n=2"].params["inputs"] == 25
+
+
+def test_pieces_holds_one_covector_at_a_time():
+    # the zero-triple check streams the grid: a list of the n = 5, m = 6
+    # covectors alone would peak at about 1.9 MB
+    tracemalloc.start()
+    try:
+        rep = run_suite("pieces", m=6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.passed
+    assert peak < 512 * 1024, peak
 
 
 def test_reports_are_deterministic():
