@@ -10,17 +10,17 @@ arithmetic on angles measured in turns.
 
 from fractions import Fraction
 
-from phasetop.phase import Phase, hyper_sum, hyper_sum_list, min_enclosing_arc
+from phasetop.phase import ZERO, Phase, hyper_sum_list, min_enclosing_arc
 
 a = Phase.of(0)
 b = Phase.of(Fraction(1, 4))
-print("1 + i       =", hyper_sum(a, b))
+print("1 + i       =", hyper_sum_list([a, b]))
 
 # antipodal phases cancel: the sum is the full circle plus zero
-print("1 + (-1)    =", hyper_sum(a, Phase.of(Fraction(1, 2))))
+print("1 + (-1)    =", hyper_sum_list([a, Phase.of(Fraction(1, 2))]))
 
 # adding zero changes nothing
-print("1 + 0       =", hyper_sum(a, Phase.zero()))
+print("1 + 0       =", hyper_sum_list([a, ZERO]))
 
 # folding a list associates: the result is a union of arcs, and it
 # contains zero exactly when no open half circle holds all the angles

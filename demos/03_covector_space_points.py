@@ -9,7 +9,7 @@ chains of covectors; the two translate back and forth exactly.
 
 import random
 
-from phasetop.covectors import all_ones
+from phasetop.covectors import parse_phase_vector
 from phasetop.order_complex import (
     delta_member,
     format_model_point,
@@ -17,14 +17,12 @@ from phasetop.order_complex import (
     model_to_join,
     parse_model_point,
     random_join_point,
-    rotate,
+    rescale_model,
 )
-from phasetop.phase import Angle
-from fractions import Fraction
 
 
 def membership_examples():
-    v = all_ones(3)
+    v = parse_phase_vector("0,0,0")
     inside = parse_model_point("1@0;1@1/2;1@0")
     outside = parse_model_point("1@0;1@1/8;1@0")
     print(format_model_point(inside), "->", delta_member(v, inside))
@@ -50,11 +48,11 @@ def chain_round_trip():
 
 
 def rotation_orbit():
-    v = all_ones(2)
+    v = parse_phase_vector("0,0")
     z = parse_model_point("1@0;1@1/2")
     for k in range(4):
-        y = Angle(Fraction(k, 4))
-        w = rotate(y, z)
+        # turning every coordinate by k/4 is the twist by (k/4, k/4)
+        w = rescale_model(parse_phase_vector(f"{k}/4,{k}/4"), z)
         print(f"rotate by {k}/4:", format_model_point(w),
               delta_member(v, w))
 

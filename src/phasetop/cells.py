@@ -33,10 +33,10 @@ __all__ = [
     "meet",
     "meet_all",
     "cell_leq",
+    "verify_meet_glb",
     "nu",
     "bx_member",
     "bx_sample",
-    "upper_param",
     "lower_param",
     "parse_cell_label",
     "format_cell_label",
@@ -281,7 +281,11 @@ def nu(x: CellLabel) -> int:
 
 
 def _upper(c: DiscPoint) -> tuple[int, int] | None:
-    """upper_param as an unreduced (numerator, denominator) pair."""
+    """The parameter t of a point (1, t/2) on the upper half-circle, as
+    an unreduced (numerator, denominator) pair.
+
+    None when the point is off that half-circle.
+    """
     a, d = c.angle.num, c.angle.den
     if 2 * a > d or c.num != c.den:
         return None
@@ -294,15 +298,6 @@ def _lower(c: DiscPoint) -> tuple[int, int] | None:
     if 0 < 2 * a < d or c.num != c.den:
         return None
     return (2 * a - d, d) if a else (1, 1)
-
-
-def upper_param(c: DiscPoint) -> Fraction | None:
-    """The parameter t of a point (1, t/2) on the upper half-circle.
-
-    None when the point is off that half-circle.
-    """
-    t = _upper(c)
-    return None if t is None else Fraction(*t)
 
 
 def lower_param(c: DiscPoint) -> Fraction | None:

@@ -1,4 +1,4 @@
-"""Phase vectors, covectors, and the componentwise specialization order.
+"""Phase vectors, covectors, and the sign vectors' specialization order.
 
 A vector x of hyperfield elements is a covector of a unit vector v when
 zero lies in the hyperfield sum of the products v_k * x_k.  Over the
@@ -11,7 +11,8 @@ enumerated by the phase loop at m = 2.
 
 Text form of a phase vector: comma-separated tokens, each "z" for the
 zero element or a rational angle in turns ("0", "1/2", ...).  Sign
-vectors use "+", "-", "0".
+vectors use "+", "-", "0", and `sign_leq_vec` is their componentwise
+specialization order: each entry is 0 or equals its partner.
 """
 
 from __future__ import annotations
@@ -33,11 +34,9 @@ from .phase import (
 
 __all__ = [
     "PhaseVector",
-    "all_ones",
     "support",
     "zero_in_sum",
     "is_covector",
-    "leq_vec",
     "find_zero_triple",
     "rescale",
     "iter_covectors",
@@ -80,11 +79,6 @@ class PhaseVector:
 
     def __str__(self) -> str:
         return format_phase_vector(self)
-
-
-def all_ones(n: int) -> PhaseVector:
-    """The unit vector (1, ..., 1): every phase at angle 0."""
-    return PhaseVector(tuple(Phase.of(0) for _ in range(n)))
 
 
 def support(x: PhaseVector) -> tuple[int, ...]:
@@ -141,13 +135,6 @@ def is_covector(v: PhaseVector, x: PhaseVector) -> bool:
     entry.  v must consist of nonzero phases.
     """
     return zero_in_sum(rescale(v, x))
-
-
-def leq_vec(x: PhaseVector, y: PhaseVector) -> bool:
-    """Componentwise specialization order: each x_k is zero or equals y_k."""
-    if len(x) != len(y):
-        raise ValueError("vector lengths differ")
-    return all(xk.is_zero or xk == yk for xk, yk in zip(x, y))
 
 
 def find_zero_triple(x: PhaseVector) -> tuple[int, int, int] | None:

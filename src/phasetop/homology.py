@@ -45,10 +45,6 @@ class BettiReport:
         bs = ",".join(str(b) for b in self.betti)
         return f"betti ({bs}) euler {self.euler} over {tag}"
 
-    def to_doc(self) -> dict:
-        return {"field": self.field, "betti": list(self.betti),
-                "euler": self.euler}
-
 
 class _Engine:
     """Column reduction with deterministic largest-row pivots.

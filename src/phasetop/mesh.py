@@ -28,6 +28,7 @@ __all__ = [
     "MeshValidityError",
     "SimplicialComplex",
     "MeshChart",
+    "mesh_chart",
     "FullSpacePieces",
     "slice_pieces",
     "assemble_slice",

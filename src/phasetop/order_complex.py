@@ -17,7 +17,6 @@ import math
 import operator
 import random
 from fractions import Fraction
-from typing import Iterable
 
 from .covectors import PhaseVector, support, zero_in_sum
 from .phase import (Angle, ORIGIN, Phase, ZERO, _new, _over_lcm, _ratio_hash,
@@ -30,7 +29,6 @@ __all__ = [
     "join_to_model",
     "model_to_join",
     "delta_member",
-    "rotate",
     "rescale_model",
     "parse_model_point",
     "format_model_point",
@@ -121,10 +119,6 @@ class ModelPoint:
 
     coords: tuple[DiscPoint, ...]
 
-    @staticmethod
-    def of(pairs: Iterable) -> "ModelPoint":
-        return ModelPoint(tuple(DiscPoint.of(r, a) for r, a in pairs))
-
     def __len__(self) -> int:
         return len(self.coords)
 
@@ -166,18 +160,10 @@ class JoinPoint:
         """The chain of vectors with weights nums[k]/whole, for ints."""
         return _fill_join(_new(JoinPoint), nums, whole, vectors)
 
-    @staticmethod
-    def of(terms: Iterable[tuple]) -> "JoinPoint":
-        return JoinPoint(tuple((Fraction(w), x) for w, x in terms))
-
     @property
     def terms(self) -> tuple[tuple[Fraction, PhaseVector], ...]:
         return tuple((Fraction(w, self.whole), x)
                      for w, x in zip(self.nums, self.vectors))
-
-    @property
-    def dimension(self) -> int:
-        return len(self.nums)
 
     def __hash__(self) -> int:
         return hash((self.terms,))
@@ -286,11 +272,6 @@ def delta_member(v: PhaseVector, z: ModelPoint) -> bool:
     """
     return all(support(x) and zero_in_sum(x)
                for x in model_to_join(rescale_model(v, z)).vectors)
-
-
-def rotate(y: Angle, z: ModelPoint) -> ModelPoint:
-    """Rotate every nonzero coordinate of z by the angle y."""
-    return rescale_model(PhaseVector((Phase(y),) * len(z)), z)
 
 
 def rescale_model(v: PhaseVector, z: ModelPoint) -> ModelPoint:

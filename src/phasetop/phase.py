@@ -31,12 +31,12 @@ __all__ = [
     "Arc",
     "PhaseSet",
     "mul",
-    "hyper_sum",
     "hyper_sum_list",
     "min_enclosing_arc",
     "sign_hyper_sum_list",
     "parse_fraction",
     "format_fraction",
+    "value_type",
 ]
 
 NIL = Fraction(0)
@@ -185,10 +185,6 @@ class Phase:
     def of(turns) -> "Phase":
         return Phase(Angle(turns))
 
-    @staticmethod
-    def zero() -> "Phase":
-        return Phase(None)
-
     @property
     def is_zero(self) -> bool:
         return self.angle is None
@@ -264,35 +260,10 @@ class PhaseSet:
     contains_zero: bool
     arcs: tuple[Arc, ...]
 
-    @staticmethod
-    def just_zero() -> "PhaseSet":
-        """The set {0}: the one shared frozen `JUST_ZERO`, which refuses
-        assignment with FrozenInstanceError like every value type."""
-        return JUST_ZERO
-
-    @staticmethod
-    def point(p: Phase) -> "PhaseSet":
-        if p.is_zero:
-            return JUST_ZERO
-        return PhaseSet(False, (Arc(p.angle, NIL),))
-
-    @property
-    def is_full_circle(self) -> bool:
-        return len(self.arcs) == 1 and self.arcs[0].is_full_circle
-
     def contains(self, p: Phase) -> bool:
         if p.is_zero:
             return self.contains_zero
         return any(a.contains(p.angle) for a in self.arcs)
-
-    def phases(self) -> list[Phase]:
-        """The elements of the set, when it is finite (points only)."""
-        if any(a.length > 0 for a in self.arcs):
-            raise ValueError("phase set is infinite")
-        out = [Phase(a.start) for a in self.arcs]
-        if self.contains_zero:
-            out.append(ZERO)
-        return out
 
     def __str__(self) -> str:
         parts = []
@@ -319,15 +290,6 @@ def mul(a: Phase, b: Phase) -> Phase:
     if a.is_zero or b.is_zero:
         return ZERO
     return Phase(a.angle + b.angle)
-
-
-def hyper_sum(a: Phase, b: Phase) -> PhaseSet:
-    """Hyperaddition of two phases.
-
-    x + 0 = {x}; x + (-x) is the whole circle together with zero; any
-    other pair gives the smallest closed arc joining the two points.
-    """
-    return hyper_sum_list([a, b])
 
 
 def hyper_sum_list(xs: Sequence[Phase]) -> PhaseSet:

@@ -14,6 +14,7 @@ from phasetop.cells import (
     _POINTS,
     _down_sets,
     _region,
+    _upper,
     CellLabel,
     PLabel,
     bx_member,
@@ -29,7 +30,6 @@ from phasetop.cells import (
     parse_cell_label,
     pn_elements,
     ul_label,
-    upper_param,
     verify_meet_glb,
 )
 from phasetop.order_complex import DiscPoint, ModelPoint
@@ -43,7 +43,7 @@ def L(text):
 
 
 def MP(*pairs):
-    return ModelPoint.of(pairs)
+    return ModelPoint(tuple(DiscPoint.of(r, a) for r, a in pairs))
 
 
 def test_label_order_exact_relations():
@@ -206,11 +206,11 @@ def test_nu_strictly_monotone():
 
 
 def test_half_circle_params():
-    assert upper_param(DiscPoint.of(1, "1/4")) == F(1, 2)
-    assert upper_param(DiscPoint.of(1, 0)) == 0
-    assert upper_param(DiscPoint.of(1, "1/2")) == 1
-    assert upper_param(DiscPoint.of(1, "5/8")) is None
-    assert upper_param(DiscPoint.of("1/2", "1/4")) is None
+    assert F(*_upper(DiscPoint.of(1, "1/4"))) == F(1, 2)
+    assert F(*_upper(DiscPoint.of(1, 0))) == 0
+    assert F(*_upper(DiscPoint.of(1, "1/2"))) == 1
+    assert _upper(DiscPoint.of(1, "5/8")) is None
+    assert _upper(DiscPoint.of("1/2", "1/4")) is None
     assert lower_param(DiscPoint.of(1, "5/8")) == F(1, 4)
     assert lower_param(DiscPoint.of(1, "1/2")) == 0
     assert lower_param(DiscPoint.of(1, 0)) == 1
@@ -491,7 +491,8 @@ def test_half_circle_params_match_the_reference_on_mixed_denominators():
     rng = random.Random("half-circle-params")
     for _ in range(3000):
         c = _mixed_disc_point(rng)
-        assert upper_param(c) == reference_upper_param(c), str(c)
+        t = _upper(c)
+        assert (t if t is None else F(*t)) == reference_upper_param(c), str(c)
         assert lower_param(c) == reference_lower_param(c), str(c)
 
 

@@ -6,14 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from phasetop.covectors import (
     PhaseVector,
-    all_ones,
     enumerate_covectors,
     find_zero_triple,
     format_phase_vector,
     format_sign_vector,
     is_covector,
     iter_covectors,
-    leq_vec,
     parse_phase_vector,
     parse_sign_vector,
     rescale,
@@ -65,7 +63,7 @@ def test_zero_in_sum_agrees_with_fold_oracle():
 
 
 def test_is_covector_basics():
-    ones = all_ones(3)
+    ones = PhaseVector.of([0] * 3)
     assert is_covector(ones, V(0, "1/2", None))
     assert not is_covector(ones, V(0, None, None))  # |supp| = 1
     assert is_covector(ones, V(None, None, None))  # zero vector
@@ -80,29 +78,7 @@ def test_is_covector_twisted_units():
     with pytest.raises(ValueError):
         is_covector(V(0, None), V(0, 0))
     with pytest.raises(ValueError):
-        is_covector(all_ones(2), V(0, 0, 0))
-
-
-def test_leq_vec():
-    assert leq_vec(V(None, 0), V("1/3", 0))
-    assert not leq_vec(V(0, None), V("1/2", 0))
-    x = V("1/5", None, "2/3")
-    assert leq_vec(x, x)
-    with pytest.raises(ValueError):
-        leq_vec(V(0), V(0, 0))
-
-
-def test_leq_vec_is_partial_order_on_grid():
-    grid = [ZERO] + [Phase.of(F(k, 2)) for k in range(2)]
-    vecs = [PhaseVector(c) for c in itertools.product(grid, repeat=2)]
-    for x in vecs:
-        assert leq_vec(x, x)
-        for y in vecs:
-            if leq_vec(x, y) and leq_vec(y, x):
-                assert x == y
-            for z in vecs:
-                if leq_vec(x, y) and leq_vec(y, z):
-                    assert leq_vec(x, z)
+        is_covector(PhaseVector.of([0] * 2), V(0, 0, 0))
 
 
 def test_support_is_one_based():
@@ -121,7 +97,7 @@ def test_find_zero_triple_examples():
 
 
 def test_find_zero_triple_on_enumerated_covectors():
-    ones = all_ones(4)
+    ones = PhaseVector.of([0] * 4)
     for x in enumerate_covectors("phase", 4, 4):
         t = find_zero_triple(x)
         if len(support(x)) >= 3:
@@ -136,7 +112,7 @@ def test_find_zero_triple_on_enumerated_covectors():
 def test_rescale_round_trip_and_covector_transport():
     v = PhaseVector.of(["1/3", "1/5", "1/7"])
     v_inv = PhaseVector.of([-e.angle.turns for e in v])
-    ones = all_ones(3)
+    ones = PhaseVector.of([0] * 3)
     for x in enumerate_covectors("phase", 3, 4):
         assert rescale(v_inv, rescale(v, x)) == x
         assert is_covector(v, x) == is_covector(ones, rescale(v, x))
@@ -148,11 +124,12 @@ def test_rescale_round_trip_and_covector_transport():
 def test_covector_up_closure_within_support():
     # smaller covectors extend: if x <= y, x has a zero triple through the
     # last coordinate, and x_n is nonzero, then y has zero in the same triple
-    ones = all_ones(3)
+    ones = PhaseVector.of([0] * 3)
     covs = [x for x in enumerate_covectors("phase", 3, 2)]
     for y in covs:
         for x in covs:
-            if not leq_vec(x, y) or x == y:
+            # x <= y: each x_k is zero or equals y_k
+            if x == y or not all(a.is_zero or a == b for a, b in zip(x, y)):
                 continue
             if x[2].is_zero or len(support(x)) < 2:
                 continue

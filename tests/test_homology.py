@@ -316,7 +316,6 @@ def test_report_rendering():
     r = betti(circle(), "f2")
     assert r == BettiReport("f2", (1, 1), 0)
     assert str(r) == "betti (1,1) euler 0 over F2"
-    assert r.to_doc() == {"field": "f2", "betti": [1, 1], "euler": 0}
 
 
 def test_euler_matches_alternating_betti_sum():

@@ -9,7 +9,7 @@ import pytest
 from fractions import Fraction
 
 from phasetop.cells import bx_member, parse_cell_label, ul_label
-from phasetop.covectors import all_ones
+from phasetop.covectors import PhaseVector
 from phasetop.mesh import (
     FullSpacePieces,
     MeshValidityError,
@@ -282,11 +282,11 @@ def test_probe_of_one_rank4_chart_stays_in_cell():
 
 
 def test_probe_of_every_full_face_is_a_covector_point(full32):
-    v3 = all_ones(3)
+    v3 = PhaseVector.of([0] * 3)
     for face in _all_faces(full32):
         probe = simplex_probe([full32.vertices[i] for i in face])
         assert delta_member(v3, probe), face
-    v2 = all_ones(2)
+    v2 = PhaseVector.of([0] * 2)
     K2 = assemble_full(2, 4)
     for face in _all_faces(K2):
         probe = simplex_probe([K2.vertices[i] for i in face])

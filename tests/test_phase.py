@@ -20,7 +20,6 @@ from phasetop.phase import (
     PhaseSet,
     ZERO,
     format_fraction,
-    hyper_sum,
     hyper_sum_list,
     min_enclosing_arc,
     mul,
@@ -59,33 +58,32 @@ def test_neg_is_antipode():
 
 
 def test_hyper_sum_with_zero_is_singleton():
-    s = hyper_sum(P("1/3"), ZERO)
-    assert s.phases() == [P("1/3")]
-    s = hyper_sum(ZERO, ZERO)
+    s = hyper_sum_list([P("1/3"), ZERO])
+    assert s == PhaseSet(False, (Arc(Angle(F(1, 3)), NIL),))
+    s = hyper_sum_list([ZERO, ZERO])
     assert s.contains_zero and not s.arcs
 
 
 def test_hyper_sum_of_equal_points():
-    s = hyper_sum(P("2/3"), P("2/3"))
-    assert s.phases() == [P("2/3")]
+    s = hyper_sum_list([P("2/3"), P("2/3")])
+    assert s == PhaseSet(False, (Arc(Angle(F(2, 3)), NIL),))
 
 
 def test_hyper_sum_antipodal_is_everything():
-    s = hyper_sum(P("1/8"), P("5/8"))
-    assert s.is_full_circle
-    assert s.contains_zero
+    s = hyper_sum_list([P("1/8"), P("5/8")])
+    assert s == EVERYTHING
     assert s.contains(P("9/13"))
     assert s.contains(ZERO)
 
 
 def test_hyper_sum_generic_is_short_arc():
-    s = hyper_sum(P(0), P("1/4"))
+    s = hyper_sum_list([P(0), P("1/4")])
     assert not s.contains_zero
     assert s.arcs == (Arc(Angle(F(0)), F(1, 4)),)
     # order independent
-    assert hyper_sum(P("1/4"), P(0)) == s
+    assert hyper_sum_list([P("1/4"), P(0)]) == s
     # arc crossing the origin
-    s = hyper_sum(P("7/8"), P("1/8"))
+    s = hyper_sum_list([P("7/8"), P("1/8")])
     assert s.arcs == (Arc(Angle(F(7, 8)), F(1, 4)),)
     assert s.contains(P(0))
     assert not s.contains(P("1/2"))
@@ -101,34 +99,31 @@ def test_hyper_sum_list_blowup():
     # three points spread exactly far enough that some pair of points of
     # the running arc and the next summand are antipodal
     s = hyper_sum_list([P(0), P("3/8"), P("3/4")])
-    assert s.is_full_circle and s.contains_zero
+    assert s == EVERYTHING
 
 
 def test_hyper_sum_list_with_zeros_and_empty():
-    assert hyper_sum_list([]) == PhaseSet.just_zero()
-    assert hyper_sum_list([ZERO, ZERO]) == PhaseSet.just_zero()
+    assert hyper_sum_list([]) == PhaseSet(True, ())
+    assert hyper_sum_list([ZERO, ZERO]) == PhaseSet(True, ())
     s = hyper_sum_list([ZERO, P("1/3"), ZERO])
-    assert s.phases() == [P("1/3")]
+    assert s == PhaseSet(False, (Arc(Angle(F(1, 3)), NIL),))
 
 
 def test_fixed_sums_are_shared_frozen_values():
     assert EVERYTHING == PhaseSet(True, (Arc(Angle(0), 1),))
     assert str(EVERYTHING) == "{S^1, z}" and str(JUST_ZERO) == "{z}"
     assert JUST_ZERO == PhaseSet(True, ())
-    assert PhaseSet.just_zero() is JUST_ZERO
-    assert PhaseSet.point(ZERO) is JUST_ZERO
     assert hyper_sum_list([]) is JUST_ZERO
     assert hyper_sum_list((ZERO, ZERO)) is JUST_ZERO
     assert hyper_sum_list([P(0), P("1/2")]) is EVERYTHING
     assert hyper_sum_list([P("1/3"), ZERO, P("1/6"), P("5/6")]) is EVERYTHING
-    assert hyper_sum(P("1/7"), -P("1/7")) is EVERYTHING
+    assert hyper_sum_list([P("1/7"), -P("1/7")]) is EVERYTHING
     # a proper arc is built fresh each time
     assert hyper_sum_list([P(0)]) is not hyper_sum_list([P(0)])
     # every full-circle arc starts at the one shared angle 0
     assert Arc(Angle(F(1, 3)), F(5, 4)).start is ORIGIN
     assert EVERYTHING.arcs[0].start is ORIGIN
     assert (ORIGIN.num, ORIGIN.den) == (0, 1)
-    assert PhaseSet.point(P("1/5")).arcs[0].length is NIL
 
 
 @pytest.mark.parametrize("turns", [
@@ -325,14 +320,19 @@ def _reference_arc_plus_point(ps: PhaseSet, p: Phase) -> PhaseSet:
     return PhaseSet(False, (Arc(p.angle, arc.length + bwd),))
 
 
+def _reference_point(p):
+    """The set {p} of a nonzero phase p: one arc of length 0."""
+    return PhaseSet(False, (Arc(p.angle, NIL),))
+
+
 def reference_hyper_sum_list(xs):
     """The Fraction fold that the tick fold replaced."""
     nonzero = [x for x in xs if not x.is_zero]
     if not nonzero:
-        return PhaseSet.just_zero()
-    acc = PhaseSet.point(nonzero[0])
+        return PhaseSet(True, ())
+    acc = _reference_point(nonzero[0])
     for p in nonzero[1:]:
-        if acc.is_full_circle and acc.contains_zero:
+        if acc.arcs[0].is_full_circle and acc.contains_zero:
             return acc  # absorbing state
         acc = _reference_arc_plus_point(acc, p)
     return acc
@@ -344,8 +344,8 @@ def _reference_fold_step(acc, p):
     if p.is_zero:
         return acc
     if acc is None:
-        return PhaseSet.point(p)
-    if acc.is_full_circle and acc.contains_zero:
+        return _reference_point(p)
+    if acc.arcs[0].is_full_circle and acc.contains_zero:
         return acc  # absorbing state
     return _reference_arc_plus_point(acc, p)
 
@@ -362,7 +362,7 @@ def reference_prefix_folds(alphabet, max_n):
         folds = [_reference_fold_step(folds[i // len(alphabet)], xs[-1])
                  for i, xs in enumerate(walk)]
         for xs, acc in zip(walk, folds):
-            yield xs, PhaseSet.just_zero() if acc is None else acc
+            yield xs, PhaseSet(True, ()) if acc is None else acc
 
 
 @pytest.mark.parametrize("m", [2, 4])
@@ -438,6 +438,7 @@ def test_hyper_sum_list_on_odd_denominators(turns, text):
 
 
 def test_hyper_sum_is_the_two_term_fold():
+    # every two-term sum, on the 12-tick grid and off it
     grid = _phase_alphabet(12)
     rng = random.Random(9)
     odd = [ZERO] + [P(F(rng.randrange(q), q))
@@ -445,5 +446,5 @@ def test_hyper_sum_is_the_two_term_fold():
     odd += [-x for x in odd]
     pairs = itertools.chain(itertools.product(grid, repeat=2),
                             itertools.product(odd, repeat=2))
-    for a, b in pairs:
-        assert hyper_sum(a, b) == reference_hyper_sum_list([a, b]), (a, b)
+    for xs in pairs:
+        assert hyper_sum_list(xs) == reference_hyper_sum_list(xs), xs

@@ -66,7 +66,7 @@ def reference_tick_scale(xs):
 def reference_hyper_sum_list(xs):
     turns = [x.angle.turns for x in xs if x.angle is not None]
     if not turns:
-        return PhaseSet.just_zero()
+        return PhaseSet(True, ())
     ticks, d = reference_over_lcm([HALF, *turns])
     half, start, length = ticks[0], ticks[1], 0
     for p in ticks[2:]:

@@ -43,7 +43,7 @@ def _examples():
         CellLabel.of(["U", "L", "1"]),
         DiscPoint(F(2, 3), a),
         ModelPoint((DiscPoint(F(2, 3), a), DiscPoint.center())),
-        JoinPoint.of([(F(1, 4), x), (F(3, 4), y)]),
+        JoinPoint([(F(1, 4), x), (F(3, 4), y)]),
     ]
 
 
@@ -212,11 +212,11 @@ def _join_points(draw):
     again from its terms, from ints over a multiple of its lcm, or as is."""
     p = random_join_point(random.Random(draw(st.integers(0, 15))),
                           draw(st.integers(1, 3)))
-    form = draw(st.sampled_from(["as drawn", "terms", "of", "scaled"]))
+    form = draw(st.sampled_from(["as drawn", "terms", "text", "scaled"]))
     if form == "terms":
         return JoinPoint(p.terms)
-    if form == "of":
-        return JoinPoint.of([(str(w), x) for w, x in p.terms])
+    if form == "text":
+        return JoinPoint([(str(w), x) for w, x in p.terms])
     if form == "scaled":
         k = draw(st.integers(2, 7))
         return JoinPoint.of_ratios([k * w for w in p.nums], k * p.whole,
@@ -247,7 +247,7 @@ def test_int_builders_are_the_fraction_constructors():
         with pytest.raises(ValueError, match=r"^disc radius must lie in "):
             DiscPoint.of_ratio(num, den, a)
     p = JoinPoint.of_ratios([2, 6], 8, [x, y])
-    assert p == JoinPoint.of([(F(1, 4), x), (F(3, 4), y)])
+    assert p == JoinPoint([(F(1, 4), x), (F(3, 4), y)])
     assert (p.nums, p.whole, p.vectors) == ((1, 3), 4, (x, y))
     for nums, whole, vectors, message in [
             ([], 1, [], "join point needs at least one term"),
