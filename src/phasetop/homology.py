@@ -4,7 +4,8 @@ Betti numbers come from sparse column reduction of boundary matrices
 with a deterministic pivot order, in exact arithmetic.  Also here: the
 order complex of a finite poset, and a Mayer-Vietoris assembly that
 computes the homology of a union from two pieces and their common
-subcomplex, used as a cross-check of the direct computation.
+subcomplex, as the Betti numbers of one mapping cone, used as a
+cross-check of the direct computation.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import partial
 from heapq import heapify, heappop, heappush
 from math import gcd
 from typing import Callable, Sequence
@@ -54,17 +56,16 @@ class _Engine:
     those, and the result is divided by the gcd of its entries whenever
     that step scaled it, and once more before it is kept.  Over F2 a
     working column is a set of rows, reduced by symmetric difference,
-    and every pivot is kept as a tuple of its rows.  With log, every
-    column carries the combination of input tags it equals, and the
-    combination of each column that reduces to zero is kept in `cycles`.
+    and every pivot is kept as a tuple of its rows.
 
-    A boundary column may come as its facet row, a tuple of rows in
-    ascending order (see _boundary_columns), whose low is its last
-    entry.  When no pivot has that low, the tuple is kept as the pivot
-    as it stands (Ripser's emergent pairs).  The working set or dict is
-    built only for a column whose low is taken.  Over Q a tuple pivot
-    that a later column meets is built into its dict and kept built;
-    over F2 the set takes the tuple as it is, so no pivot is ever built.
+    A column may come as a tuple of rows in ascending order, whose low
+    is its last entry: over Q a facet row (see _boundary_columns), over
+    F2 any column.  When no pivot has that low, the tuple is kept as
+    the pivot as it stands (Ripser's emergent pairs).  The working set
+    or dict is built only for a column whose low is taken.  Over Q a
+    tuple pivot that a later column meets is built into its dict and
+    kept built; over F2 the set takes the tuple as it is, so no pivot
+    is ever built.
 
     Once a column has met a pivot, its low comes from a lazy max-heap of
     its rows (as in PHAT's heap columns): each step pushes the rows of
@@ -72,24 +73,18 @@ class _Engine:
     step costs the pivot column's length, not the working column's.
     """
 
-    def __init__(self, f2: bool, log: bool = False):
+    def __init__(self, f2: bool):
         self.f2 = f2
-        self.log = log
         self.pivots: dict = {}
-        self.combs: dict = {}
-        self.cycles: list = []
 
-    def add(self, col, tag=None) -> None:
-        """Reduce col, a facet row or a built column (reduced in place),
-        then keep it as a pivot or log its cycle."""
-        comb = None
-        if self.log:
-            comb = {tag} if self.f2 else {tag: 1}
+    def add(self, col) -> None:
+        """Reduce col, a tuple or a built column (reduced in place), and
+        keep it as a pivot unless it reduces to zero."""
         heap = None  # negated rows, a superset of col's
         dirty = False  # over Q: col may hold a common factor
         while col:
             if heap is None:
-                # a facet row is ascending: its low is its last entry
+                # a tuple is ascending: its low is its last entry
                 low = col[-1] if type(col) is tuple else max(col)
             else:
                 while -heap[0] not in col:
@@ -98,12 +93,10 @@ class _Engine:
             other = self.pivots.get(low)
             if other is None:
                 if dirty:
-                    _divide_content(col, comb)
+                    _divide_content(col)
                 if self.f2 and type(col) is not tuple:
                     col = tuple(col)
                 self.pivots[low] = col
-                if comb is not None:
-                    self.combs[low] = comb
                 return
             if type(other) is tuple and not self.f2:
                 other = self.pivots[low] = _column(other, False)
@@ -114,57 +107,46 @@ class _Engine:
                 heapify(heap)
             if self.f2:
                 col.symmetric_difference_update(other)
-                if comb is not None:
-                    comb ^= self.combs[low]
             else:
-                dirty = _eliminate(col, comb, other, self.combs.get(low), low)
+                dirty = _eliminate(col, other, low)
             for r in other:
                 if r in col:
                     heappush(heap, -r)
-        if comb is not None:
-            if dirty:
-                _divide_content(col, comb)
-            self.cycles.append(comb)
 
 
-def _eliminate(col: dict, comb, other: dict, ocomb, low) -> bool:
+def _eliminate(col: dict, other: dict, low) -> bool:
     """col <- b col - a other, a and b the entries at low, over their gcd.
 
-    A logged comb takes the same steps against ocomb, so col stays the
-    combination comb describes.  A step that scaled col (by b over the
-    gcd, made positive) ends with a content pass over both; the result
-    is True when col may still hold a common factor.
+    A step that scaled col (by b over the gcd, made positive) ends with
+    a content pass; the result is True when col may still hold a common
+    factor.
     """
     a, b = col[low], other[low]
     g = gcd(a, b)
     ka, kb = b // g, a // g
     if ka < 0:
         ka, kb = -ka, -kb
-    for vec, ovec in ((col, other), (comb, ocomb)):
-        if vec is None:
-            continue
-        if ka != 1:
-            for r in vec:
-                vec[r] *= ka
-        for r, v in ovec.items():
-            nv = vec.get(r, 0) - kb * v
-            if nv:
-                vec[r] = nv
-            else:
-                del vec[r]
+    if ka != 1:
+        for r in col:
+            col[r] *= ka
+    for r, v in other.items():
+        nv = col.get(r, 0) - kb * v
+        if nv:
+            col[r] = nv
+        else:
+            del col[r]
     if ka == 1:
         return True
-    _divide_content(col, comb)
+    _divide_content(col)
     return False
 
 
-def _divide_content(col: dict, comb) -> None:
-    """Divide col and comb by the gcd of all their entries."""
-    g = gcd(*col.values(), *(comb.values() if comb else ()))
+def _divide_content(col: dict) -> None:
+    """Divide col by the gcd of its entries."""
+    g = gcd(*col.values())
     if g > 1:
-        for vec in (col, comb or {}):
-            for r in vec:
-                vec[r] //= g
+        for r in col:
+            col[r] //= g
 
 
 def _column(facets: tuple, f2: bool):
@@ -205,29 +187,26 @@ def _boundary_columns(parts: Sequence[SimplicialComplex], d: int, skip=()):
         shift += len(faces.get(d - 1, ()))
 
 
-def _reductions(parts: Sequence[SimplicialComplex], f2: bool, top: int,
-                log: bool = False):
-    """Reduce the boundary maps of the union of parts from top down to 0.
+def _reductions(columns: Callable, f2: bool, top: int):
+    """Reduce a chain complex's boundary maps from dimension top down to 0.
 
-    Yields (d, engine) once the engine holds the reduced columns of the
-    map from dimension d; the caller may add more cycles to it before
-    resuming.  Clearing: the row of every pivot at dimension d + 1 is
-    the leading simplex of a cycle, so its own column would reduce to
-    zero and is skipped.  Only those rows cross to dimension d - 1:
-    once the caller resumes, the engine's pivot columns and their
-    logged combinations are released, and its cycles are kept.  With
-    log, the cycles an engine keeps are then a basis of homology in its
-    dimension.
+    columns(d, skip) yields (index, column) for each basis element of
+    dimension d whose index is not in skip; the rows of its column are
+    the indices of dimension d - 1.  Yields (d, engine) once the engine
+    holds the reduced columns of the map from dimension d.  Clearing:
+    the row of every pivot at dimension d + 1 is the leading element of
+    a cycle, so its own column would reduce to zero and is skipped.
+    Only those rows cross to dimension d - 1: once the caller resumes,
+    the engine's pivot columns are released.
     """
     cleared: set = set()
     for d in range(top, -1, -1):
-        eng = _Engine(f2, log)
-        for j, facets in _boundary_columns(parts, d, cleared):
-            eng.add(facets, j)
+        eng = _Engine(f2)
+        for _, col in columns(d, cleared):
+            eng.add(col)
         yield d, eng
         cleared = set(eng.pivots)
         eng.pivots.clear()
-        eng.combs.clear()
 
 
 def _betti_numbers(counts: Sequence[int], ranks: dict) -> tuple:
@@ -241,8 +220,8 @@ def betti(K: SimplicialComplex, field="q") -> BettiReport:
     faces = K.faces()
     if not faces:
         return BettiReport(tag, (), 0)
-    ranks = {d: len(eng.pivots)
-             for d, eng in _reductions((K,), tag == "f2", len(faces) - 1)}
+    ranks = {d: len(eng.pivots) for d, eng in _reductions(
+        partial(_boundary_columns, (K,)), tag == "f2", len(faces) - 1)}
     return BettiReport(tag, _betti_numbers(list(map(len, faces.values())),
                                            ranks), euler_characteristic(K))
 
@@ -333,9 +312,10 @@ def mayer_vietoris_assemble(ka: SimplicialComplex, kb: SimplicialComplex,
     """Homology of the union of two complexes glued along a subcomplex.
 
     map_a and map_b send vertex indices of the intersection complex into
-    the two pieces; both inclusions must be simplicial.  Betti numbers
-    of the union come from the long exact sequence, with the connecting
-    ranks computed from mapped cycle representatives.
+    the two pieces; both inclusions must be simplicial.  The chain map
+    C(kint) -> C(ka) + C(kb), x -> (x, -x), is injective with cokernel
+    C(ka u kb), so its mapping cone has the homology of the union: the
+    Betti numbers are the cone's, from the same reduction betti runs.
     """
     tag = _check_field(field)
     f2 = tag == "f2"
@@ -343,40 +323,39 @@ def mayer_vietoris_assemble(ka: SimplicialComplex, kb: SimplicialComplex,
     fa, fb, fi = ka.faces(), kb.faces(), kint.faces()
     _check_inclusion(kint, ka, map_a)
     _check_inclusion(kint, kb, map_b)
-    reps = {d: eng.cycles
-            for d, eng in _reductions((kint,), f2, kint.dim, log=True)}
 
-    def _mapped(cycle, d: int):
-        # image of an intersection cycle in the A (+) B chain group, the
-        # chain group of A |_| B: A's d-simplices come first
-        out = set() if f2 else {}
-        sides = ((fa[d], map_a, 0), (fb[d], map_b, len(fa[d])))
-        for p in cycle:
-            s = fi[d][p]
-            for faces, vmap, shift in sides:
-                img = [vmap[i] for i in s]
-                r = shift + bisect_left(faces, tuple(sorted(img)))
-                # the inclusions are injective: no two simplices share an
-                # image
-                if f2:
-                    out.add(r)
-                else:
-                    out[r] = cycle[p] * _sort_sign(img)
-        return out
+    def cone(d: int, skip):
+        # the d-simplices of A, then of B, then the (d-1)-simplices x of
+        # the intersection, with column (x, -x) over A's and B's rows of
+        # dimension d - 1, then -(boundary of x) over the rows after those
+        yield from _boundary_columns((ka, kb), d, skip)
+        if not d:
+            return
+        na = len(fa.get(d - 1, ()))
+        shift = na + len(fb.get(d - 1, ()))
+        base = len(fa.get(d, ())) + len(fb.get(d, ()))
+        for p, facets in _boundary_columns((kint,), d - 1):
+            if base + p in skip:
+                continue
+            rows, signs = [], []
+            for faces, vmap, off, sign in ((fa, map_a, 0, 1),
+                                           (fb, map_b, na, -1)):
+                # an injective inclusion gives each simplex its own image
+                img = [vmap[i] for i in fi[d - 1][p]]
+                rows.append(off + bisect_left(faces[d - 1],
+                                              tuple(sorted(img))))
+                signs.append(sign * _sort_sign(img))
+            rows += [shift + r for r in facets]
+            if f2:
+                yield base + p, tuple(rows)
+            else:
+                signs += [-v for v in _column(facets, False).values()]
+                yield base + p, dict(zip(rows, signs))
 
     top = max(ka.dim, kb.dim)
-    ranks, psi = {}, {}
-    for d, eng in _reductions((ka, kb), f2, top + 1):
-        ranks[d] = len(eng.pivots)
-        for cycle in reps.get(d - 1, ()):
-            eng.add(_mapped(cycle, d - 1))
-        psi[d - 1] = len(eng.pivots) - ranks[d]
-    bs = list(_betti_numbers([len(fa.get(d, ())) + len(fb.get(d, ()))
-                              for d in range(top + 1)], ranks))
-    for d in range(top + 1):
-        bs[d] -= psi[d]
-        if d >= 1:
-            bs[d] += len(reps.get(d - 1, ())) - psi[d - 1]
+    ranks = {d: len(eng.pivots) for d, eng in _reductions(cone, f2, top + 1)}
+    counts = [len(fa.get(d, ())) + len(fb.get(d, ())) + len(fi.get(d - 1, ()))
+              for d in range(top + 1)]
     euler = (euler_characteristic(ka) + euler_characteristic(kb)
              - euler_characteristic(kint))
-    return BettiReport(tag, tuple(bs), euler)
+    return BettiReport(tag, _betti_numbers(counts, ranks), euler)

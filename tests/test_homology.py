@@ -4,6 +4,7 @@ import itertools
 import json
 import os
 from fractions import Fraction
+from functools import partial
 from math import gcd
 
 import pytest
@@ -101,58 +102,42 @@ class ReferenceEngine:
     """The engine before its heap low: every step rescans the column for
     its low and, over Q, divides it by its content."""
 
-    def __init__(self, f2: bool, log: bool = False):
+    def __init__(self, f2: bool):
         self.f2 = f2
-        self.log = log
         self.pivots: dict = {}
-        self.combs: dict = {}
-        self.cycles: list = []
 
-    def add(self, col, tag=None) -> None:
-        comb = None
-        if self.log:
-            comb = {tag} if self.f2 else {tag: 1}
+    def add(self, col) -> None:
         while col:
             low = max(col)
             other = self.pivots.get(low)
             if other is None:
                 self.pivots[low] = col
-                if comb is not None:
-                    self.combs[low] = comb
                 return
             if self.f2:
                 col ^= other
-                if comb is not None:
-                    comb ^= self.combs[low]
             else:
-                reference_eliminate(col, comb, other, self.combs.get(low), low)
-        if comb is not None:
-            self.cycles.append(comb)
+                reference_eliminate(col, other, low)
 
 
-def reference_eliminate(col: dict, comb, other: dict, ocomb, low) -> None:
+def reference_eliminate(col: dict, other: dict, low) -> None:
     a, b = col[low], other[low]
     g = gcd(a, b)
     ka, kb = b // g, a // g
     if ka < 0:
         ka, kb = -ka, -kb
-    for vec, ovec in ((col, other), (comb, ocomb)):
-        if vec is None:
-            continue
-        if ka != 1:
-            for r in vec:
-                vec[r] *= ka
-        for r, v in ovec.items():
-            nv = vec.get(r, 0) - kb * v
-            if nv:
-                vec[r] = nv
-            else:
-                del vec[r]
-    g = gcd(*col.values(), *(comb.values() if comb else ()))
+    if ka != 1:
+        for r in col:
+            col[r] *= ka
+    for r, v in other.items():
+        nv = col.get(r, 0) - kb * v
+        if nv:
+            col[r] = nv
+        else:
+            del col[r]
+    g = gcd(*col.values())
     if g > 1:
-        for vec in (col, comb or {}):
-            for r in vec:
-                vec[r] //= g
+        for r in col:
+            col[r] //= g
 
 
 def reference_chain_data(*complexes: SimplicialComplex):
@@ -186,20 +171,21 @@ def reference_boundary_columns(simp, idx, d: int, f2: bool, skip=()):
         yield j, set(faces) if f2 else dict(zip(faces, signs))
 
 
-def reference_reductions(simp, idx, f2: bool, top: int, log: bool):
+def reference_reductions(simp, idx, f2: bool, top: int):
     cleared: dict = {}
     for d in range(top, -1, -1):
-        eng = ReferenceEngine(f2, log)
-        for j, col in reference_boundary_columns(simp, idx, d, f2, cleared):
-            eng.add(col, j)
+        eng = ReferenceEngine(f2)
+        for _, col in reference_boundary_columns(simp, idx, d, f2, cleared):
+            eng.add(col)
         yield d, eng
         cleared = eng.pivots
 
 
 def built(col, f2: bool):
-    """A column in the reference form.  A facet row (a tuple) lists the
-    faces of its simplex that drop vertex d, d - 1, ..., 0 in turn, and
-    over Q the face without vertex i has sign (-1)^i."""
+    """A column in the reference form.  Over Q a tuple is a facet row: it
+    lists the faces of its simplex that drop vertex d, d - 1, ..., 0 in
+    turn, and the face without vertex i has sign (-1)^i.  Over F2 a
+    tuple is the column's rows."""
     if type(col) is not tuple:
         return col
     d = len(col) - 1
@@ -213,8 +199,6 @@ def assert_same_engine_state(eng, ref):
         assert all(type(col) is tuple for col in eng.pivots.values())
     assert {low: built(col, eng.f2) for low, col in eng.pivots.items()} \
         == ref.pivots
-    assert eng.combs == ref.combs
-    assert eng.cycles == ref.cycles
 
 
 def reference_betti(K: SimplicialComplex, f2: bool) -> tuple:
@@ -354,6 +338,44 @@ def test_mv_projective_plane_from_moebius_band_and_disc(field, want, swap):
     assert r.euler == euler_characteristic(K) == 1
 
 
+def common_subcomplex(tops_a, tops_b) -> list:
+    """The tops of the faces that lie in a top of each list: the maximal
+    simplices of their common faces."""
+    def closure(tops):
+        return {s for t in tops for d in range(len(t))
+                for s in itertools.combinations(t, d + 1)}
+
+    common = closure(tops_a) & closure(tops_b)
+    return [s for s in common
+            if not any(len(t) > len(s) and set(s) <= set(t) for t in common)]
+
+
+def shuffled_piece(K: SimplicialComplex, tops, rnd) -> SimplicialComplex:
+    """sub_complex of the tops, its vertices listed in a drawn order, so
+    the inclusion of the common subcomplex reverses some simplices."""
+    used = sorted(set().union(*tops))
+    rnd.shuffle(used)
+    return SimplicialComplex([K.vertices[v] for v in used],
+                             [tuple(used.index(v) for v in t) for t in tops])
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(complexes(), st.randoms(use_true_random=True))
+def test_mv_of_a_drawn_split_is_the_betti_numbers_of_the_whole(K, rnd):
+    # the tops go to A or B at random; A and B meet in their common
+    # faces, and Mayer-Vietoris of the two gives the whole complex's
+    # Betti numbers and Euler characteristic over both fields
+    side = [rnd.random() < 0.5 for _ in K.tops]
+    tops_a = [t for t, a in zip(K.tops, side) if a]
+    tops_b = [t for t, a in zip(K.tops, side) if not a]
+    ka, kb = shuffled_piece(K, tops_a, rnd), shuffled_piece(K, tops_b, rnd)
+    kint = shuffled_piece(K, common_subcomplex(tops_a, tops_b), rnd)
+    ma, mb = vertex_inclusion_map(kint, ka), vertex_inclusion_map(kint, kb)
+    for field in ("q", "f2"):
+        assert mayer_vietoris_assemble(ka, kb, kint, ma, mb, field) \
+            == betti(K, field)
+
+
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(complexes())
 def test_engine_matches_fraction_reference(K):
@@ -370,18 +392,11 @@ def test_engine_matches_fraction_reference(K):
                 max_size=8))
 def test_engine_matches_fraction_reference_on_integer_columns(cols):
     for f2 in (False, True):
-        eng, ref = _Engine(f2, log=True), FractionReducer(f2)
-        for j, col in enumerate(cols):
-            eng.add(set(col) if f2 else dict(col), j)
+        eng, ref = _Engine(f2), FractionReducer(f2)
+        for col in cols:
+            eng.add(set(col) if f2 else dict(col))
             ref.add({r: 1 if f2 else Fraction(v) for r, v in col.items()})
         assert len(eng.pivots) == ref.rank
-        assert len(eng.cycles) == len(cols) - ref.rank
-        for cycle in eng.cycles:  # the logged combination sums to zero
-            total: dict = {}
-            for j, c in (dict.fromkeys(cycle, 1) if f2 else cycle).items():
-                for r, v in cols[j].items():
-                    total[r] = total.get(r, 0) + c * (1 if f2 else v)
-            assert all(v % 2 == 0 if f2 else v == 0 for v in total.values())
 
 
 @st.composite
@@ -416,13 +431,12 @@ def chained_columns(draw):
     return chain + [dense] + tail
 
 
-def _run_both(cols, f2: bool, log: bool):
-    eng, ref = _Engine(f2, log), ReferenceEngine(f2, log)
-    for j, col in enumerate(cols):
-        eng.add(set(col) if f2 else dict(col), j)
-        ref.add(set(col) if f2 else dict(col), j)
+def _run_both(cols, f2: bool):
+    eng, ref = _Engine(f2), ReferenceEngine(f2)
+    for col in cols:
+        eng.add(set(col) if f2 else dict(col))
+        ref.add(set(col) if f2 else dict(col))
     assert_same_engine_state(eng, ref)
-    return eng
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -431,19 +445,14 @@ def _run_both(cols, f2: bool, log: bool):
                 max_size=10))
 def test_engine_matches_reference_engine_on_integer_columns(cols):
     for f2 in (False, True):
-        for log in (False, True):
-            _run_both(cols, f2, log)
+        _run_both(cols, f2)
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(chained_columns())
 def test_engine_matches_reference_engine_on_long_chains(cols):
     for f2 in (False, True):
-        for log in (False, True):
-            eng = _run_both(cols, f2, log)
-            if log and not f2:
-                # the cycles' content is taken at the end of a chain
-                assert all(gcd(*c.values()) == 1 for c in eng.cycles)
+        _run_both(cols, f2)
 
 
 @pytest.mark.parametrize("build", [
@@ -457,22 +466,20 @@ def test_engine_matches_reference_engine_on_meshes(build):
 
 def _assert_same_reductions(*parts):
     """The engines on the face tables of parts, one dimension above
-    their top as Mayer-Vietoris reduces, equal the reference engines on
-    the parent's chain data of their disjoint union.  Each is compared
-    when it is yielded, before the generator resumes and releases its
-    pivots."""
+    their top, equal the reference engines on the parent's chain data of
+    their disjoint union.  Each is compared when it is yielded, before
+    the generator resumes and releases its pivots."""
     simp, idx = reference_chain_data(*parts)
     top = max(simp) + 1
     for f2 in (False, True):
-        for log in (False, True):
-            dims = []
-            for (d, eng), (d_ref, ref) in zip(
-                    _reductions(parts, f2, top, log),
-                    reference_reductions(simp, idx, f2, top, log)):
-                assert d == d_ref
-                assert_same_engine_state(eng, ref)
-                dims.append(d)
-            assert dims == list(range(top, -1, -1))
+        dims = []
+        for (d, eng), (d_ref, ref) in zip(
+                _reductions(partial(_boundary_columns, parts), f2, top),
+                reference_reductions(simp, idx, f2, top)):
+            assert d == d_ref
+            assert_same_engine_state(eng, ref)
+            dims.append(d)
+        assert dims == list(range(top, -1, -1))
 
 
 @pytest.mark.parametrize("m", [2, 4])
@@ -486,33 +493,33 @@ def test_engine_matches_parent_chain_data_on_full_space_pieces(m):
 class RecordingEngine(_Engine):
     """The engine, logging each column it is given (a copy), the row of
     each pivot it keeps, and, for each column whose low was a tuple
-    pivot's, that low, the tuple, and whether the column came as a facet
-    row."""
+    pivot's, that low, the tuple, and whether the column came as a
+    tuple."""
 
     runs: list = []
 
-    def __init__(self, f2: bool, log: bool = False):
-        super().__init__(f2, log)
+    def __init__(self, f2: bool):
+        super().__init__(f2)
         self.given: list = []
         self.hits: list = []
         self.rows: set = set()
         self.runs.append(self)
 
-    def add(self, col, tag=None) -> None:
+    def add(self, col) -> None:
         low = max(col, default=None)
         if type(self.pivots.get(low)) is tuple:
             self.hits.append((low, self.pivots[low], type(col) is tuple))
-        self.given.append((col if type(col) is tuple else col.copy(), tag))
+        self.given.append(col if type(col) is tuple else col.copy())
         kept = len(self.pivots)
-        super().add(col, tag)
+        super().add(col)
         if len(self.pivots) > kept:  # a new pivot is the last one inserted
             self.rows.add(next(reversed(self.pivots)))
 
 
 def _run_betti_and_mayer_vietoris(field: str):
     """Direct Betti numbers of the boundary of slice(4, 2), then
-    Mayer-Vietoris on full_space_pieces(3, 2): its logged interface run,
-    and the mapped cycles it adds to the pieces' engines."""
+    Mayer-Vietoris on full_space_pieces(3, 2): the reduction of the
+    mapping cone of the interface's inclusion into the two pieces."""
     assert betti(boundary_subcomplex(assemble_slice(4, 2)), field).betti \
         == (1, 0, 0, 1)
     P = full_space_pieces(3, 2)
@@ -527,70 +534,74 @@ def _run_betti_and_mayer_vietoris(field: str):
 def test_columns_that_meet_a_tuple_pivot_build_it(f2, monkeypatch):
     # over Q a column that meets a tuple pivot builds it into its dict;
     # over F2 the tuple is kept as it stands, and no pivot is ever a set.
-    # Each engine is checked when its caller resumes the generator: after
-    # any mapped cycles are added, before the pivots are released
+    # Each engine is checked when its caller resumes the generator,
+    # before the pivots are released
     monkeypatch.setattr(RecordingEngine, "runs", [])
     monkeypatch.setattr(homology_module, "_Engine", RecordingEngine)
     kinds, checked = set(), []
 
     def check(eng):
-        ref = ReferenceEngine(f2, eng.log)
-        for col, tag in eng.given:
-            ref.add(built(col, f2), tag)
+        ref = ReferenceEngine(f2)
+        for col in eng.given:
+            ref.add(built(col, f2))
         assert_same_engine_state(eng, ref)
-        for low, row, facet_row in eng.hits:
+        for low, row, tuple_col in eng.hits:
             if f2:
                 assert eng.pivots[low] is row
             else:
                 assert type(eng.pivots[low]) is dict
                 assert eng.pivots[low] == built(row, f2) == _column(row, f2)
-            kinds.add((facet_row, eng.log))
+            kinds.add(tuple_col)
         checked.append(eng)
 
     reductions = homology_module._reductions
 
-    def checking(*args, **kwargs):
-        for d, eng in reductions(*args, **kwargs):
+    def checking(*args):
+        for d, eng in reductions(*args):
             yield d, eng
             check(eng)
 
     monkeypatch.setattr(homology_module, "_reductions", checking)
     _run_betti_and_mayer_vietoris("f2" if f2 else "q")
     assert checked == RecordingEngine.runs
-    # later facet rows meet tuple pivots with and without the log, and a
-    # mapped cycle (no facet row) meets one in an unlogged engine
-    assert kinds == {(True, False), (True, True), (False, False)}
+    # over Q both facet rows and the cone's intersection columns (dicts)
+    # meet tuple pivots; over F2 every column comes as a tuple
+    assert kinds == ({True} if f2 else {True, False})
 
 
 @pytest.mark.parametrize("field", ["q", "f2"])
 def test_only_pivot_rows_cross_to_the_next_dimension(field, monkeypatch):
     # when the engine for dimension d - 1 starts, the one for dimension d
-    # holds no pivot columns and no logged combinations, and the rows
-    # skipped by clearing are its pivot rows, those of mapped cycles too
+    # holds no pivot columns, and the rows skipped by clearing are its
+    # pivot rows, those of the cone's intersection columns too
     monkeypatch.setattr(RecordingEngine, "runs", [])
     monkeypatch.setattr(homology_module, "_Engine", RecordingEngine)
-    above: dict = {}  # the engine of the last dimension, per run's parts
     crossed = []
-    columns = homology_module._boundary_columns
+    reductions = homology_module._reductions
 
-    def watching(parts, d, skip=()):
-        old = above.get(parts)
-        if old is None:
-            assert not skip
-        else:
-            assert not old.pivots and not old.combs
-            assert skip == old.rows
-            crossed.append((d, len(skip)))
-        above[parts] = RecordingEngine.runs[-1]
-        return columns(parts, d, skip)
+    def watching(columns, f2, top):
+        above = []  # the engines of the dimensions above
 
-    monkeypatch.setattr(homology_module, "_boundary_columns", watching)
+        def watched(d, skip):
+            if not above:
+                assert not skip
+            else:
+                assert not above[-1].pivots
+                assert skip == above[-1].rows
+                crossed.append((d, len(skip)))
+            above.append(RecordingEngine.runs[-1])
+            return columns(d, skip)
+
+        return reductions(watched, f2, top)
+
+    monkeypatch.setattr(homology_module, "_reductions", watching)
     _run_betti_and_mayer_vietoris(field)
-    # betti from 3 down, the interface from 2 down, the pieces from 4 down;
-    # only the pieces' engine one dimension above their top has no pivots
-    assert crossed == [(2, 239), (1, 241), (0, 47), (1, 31), (0, 15),
-                       (3, 0), (2, 240), (1, 274), (0, 63)]
-    assert not any(eng.pivots or eng.combs for eng in RecordingEngine.runs)
+    # betti from 3 down, the cone from 4 down.  A cone dimension d has
+    # the pieces' rank with the interface's cycles mapped in (240, 274 and
+    # 63) plus the interface's own rank in dimension d - 1 (31, 15, 0)
+    assert crossed == [(2, 239), (1, 241), (0, 47),
+                       (3, 0), (2, 271), (1, 289), (0, 63)]
+    assert not any(eng.pivots for eng in RecordingEngine.runs)
 
 
 @pytest.mark.parametrize("f2", [False, True])
@@ -710,25 +721,6 @@ def test_boundary_of_boundary_is_zero(K):
             for r in _column(col, True):
                 total ^= below_f2[r]
             assert not total
-
-
-@settings(derandomize=True, max_examples=100, deadline=None)
-@given(complexes())
-def test_logged_cycles_are_cycles_one_per_betti_number(K):
-    parts = (K,)
-    for field, f2 in (("q", False), ("f2", True)):
-        bs = betti(K, field).betti
-        for d, eng in _reductions(parts, f2, len(bs) - 1, log=True):
-            assert len(eng.cycles) == bs[d]
-            cols = {j: _column(col, False)
-                    for j, col in _boundary_columns(parts, d)}
-            for cycle in eng.cycles:
-                total: dict = {}
-                for j, c in (dict.fromkeys(cycle, 1) if f2 else cycle).items():
-                    for r, v in cols[j].items():
-                        total[r] = total.get(r, 0) + c * v
-                assert all(v % 2 == 0 if f2 else v == 0
-                           for v in total.values())
 
 
 def test_betti_rejects_invalid_complex():
