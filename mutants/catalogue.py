@@ -81,11 +81,32 @@ MUTANTS = [
         ("tests/test_homology.py::"
          "test_mv_projective_plane_from_moebius_band_and_disc",)),
     Mutant(
+        # the bound over all ids decides; the per-top loop only names the
+        # first bad top once it has
         "face_table-index-range-off-by-one",
         "src/phasetop/mesh.py",
-        "any(i < 0 or i >= nv for i in t)",
-        "any(i < 0 or i > nv for i in t)",
-        ("tests/test_mesh.py::test_incidence_checks_validate_the_complex",)),
+        "max(ids(tops), default=-1) < nv",
+        "max(ids(tops), default=-1) <= nv",
+        ("tests/test_mesh.py::test_incidence_checks_validate_the_complex",
+         "tests/test_mesh.py::"
+         "test_the_face_table_names_the_first_bad_top_as_the_loop_did")),
+    Mutant(
+        # _reductions keeps a facet row whose low is free without calling
+        # the engine; keyed by its first facet, it is a pivot at a row it
+        # does not end in
+        "reductions-emergent-low-read-as-first-facet",
+        "src/phasetop/homology.py",
+        "claim(col[-1], col)",
+        "claim(col[0], col)",
+        ("tests/test_homology.py::test_engine_matches_reference_engine_on_meshes",)),
+    Mutant(
+        # the same ridges in a pseudomanifold, whose ridges lie in one or
+        # two tops; a ridge in three tops tells them apart
+        "boundary-ridges-in-other-than-two-tops",
+        "src/phasetop/mesh.py",
+        "if c == 1)",
+        "if c != 2)",
+        ("tests/test_mesh.py::test_the_boundary_table_is_the_rebuilt_table",)),
     Mutant(
         "slice-vertex-keys-unsorted",
         "src/phasetop/mesh.py",
@@ -265,6 +286,13 @@ EQUIVALENT = [
         "turns x -> (x, -x) into x -> (x, x), so it carries one mapping "
         "cone onto the other: every boundary rank, and so every Betti "
         "number over Q and F2, is the same"),
+    Equivalent(
+        "boundary-ridges-in-at-most-one-top",
+        "src/phasetop/mesh.py",
+        "if c == 1)",
+        "if c <= 1)",
+        "the counts come from the top facet rows of a pure complex, whose "
+        "every ridge lies in some top, so no count is 0"),
     Equivalent(
         "hyper_sum_list-tie-reached-backward",
         "src/phasetop/phase.py",

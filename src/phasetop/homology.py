@@ -11,6 +11,7 @@ cross-check of the direct computation.
 from __future__ import annotations
 
 import itertools
+import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import partial
@@ -61,11 +62,12 @@ class _Engine:
     A column may come as a tuple of rows in ascending order, whose low
     is its last entry: over Q a facet row (see _boundary_columns), over
     F2 any column.  When no pivot has that low, the tuple is kept as
-    the pivot as it stands (Ripser's emergent pairs).  The working set
-    or dict is built only for a column whose low is taken.  Over Q a
-    tuple pivot that a later column meets is built into its dict and
-    kept built; over F2 the set takes the tuple as it is, so no pivot
-    is ever built.
+    the pivot as it stands (Ripser's emergent pairs); _reductions claims
+    that low itself, with one dict call, and calls add only when the low
+    is taken.  The working set or dict is built only for such a column.
+    Over Q a tuple pivot that a later column meets is built into its
+    dict and kept built; over F2 the set takes the tuple as it is, so
+    no pivot is ever built.
 
     Once a column has met a pivot, its low comes from a lazy max-heap of
     its rows (as in PHAT's heap columns): each step pushes the rows of
@@ -162,48 +164,60 @@ def _column(facets: tuple, f2: bool):
     return dict(zip(facets, ((1, -1) * (d // 2 + 1))[d::-1]))
 
 
+def _unskipped(items, skip, start: int = 0):
+    """The items whose index, counting from start, is not in skip."""
+    if not skip:
+        return items
+    return itertools.compress(items, map(operator.not_, map(
+        skip.__contains__, itertools.count(start))))
+
+
 def _boundary_columns(parts: Sequence[SimplicialComplex], d: int, skip=()):
-    """(index, facet row) of each d-simplex whose index is not in skip.
+    """The facet row of each d-simplex whose index is not in skip.
 
     The simplices are those of the disjoint union of parts: each part's
     simplices, and the facet rows of its columns, are numbered after
     those of the parts before it.  A facet row is the tuple of the
     simplex's facet indices in the order of the face table, which is
     ascending (see _column for its column); a vertex has the empty row.
+    The rows come as one iterator, cut from the tables in C.
     """
-    j = shift = 0
+    pieces, shift = [], 0
     for K in parts:
         faces, rows = K.faces(), K.facet_rows()
         if d:
             cols = zip(*[iter(rows[d] if d < len(rows) else ())] * (d + 1))
+            if shift:
+                cols = map(tuple, map(map, itertools.repeat(shift.__add__),
+                                      cols))
         else:
             cols = itertools.repeat((), len(faces.get(0, ())))
-        for facets in cols:
-            if j not in skip:
-                if shift:
-                    facets = tuple(map(shift.__add__, facets))
-                yield j, facets
-            j += 1
+        pieces.append(cols)
         shift += len(faces.get(d - 1, ()))
+    return _unskipped(itertools.chain.from_iterable(pieces), skip)
 
 
 def _reductions(columns: Callable, f2: bool, top: int):
     """Reduce a chain complex's boundary maps from dimension top down to 0.
 
-    columns(d, skip) yields (index, column) for each basis element of
-    dimension d whose index is not in skip; the rows of its column are
-    the indices of dimension d - 1.  Yields (d, engine) once the engine
-    holds the reduced columns of the map from dimension d.  Clearing:
-    the row of every pivot at dimension d + 1 is the leading element of
-    a cycle, so its own column would reduce to zero and is skipped.
-    Only those rows cross to dimension d - 1: once the caller resumes,
-    the engine's pivot columns are released.
+    columns(d, skip) gives the column of each basis element of dimension
+    d whose index is not in skip, in index order; the rows of a column
+    are the indices of dimension d - 1.  Yields (d, engine) once the
+    engine holds the reduced columns of the map from dimension d.  A
+    column that comes as an ascending tuple whose low no pivot has is
+    kept as it stands, with no call into the engine (see _Engine).
+    Clearing: the row of every pivot at dimension d + 1 is the leading
+    element of a cycle, so its own column would reduce to zero and is
+    skipped.  Only those rows cross to dimension d - 1: once the caller
+    resumes, the engine's pivot columns are released.
     """
     cleared: set = set()
     for d in range(top, -1, -1):
         eng = _Engine(f2)
-        for _, col in columns(d, cleared):
-            eng.add(col)
+        claim = eng.pivots.setdefault
+        for col in columns(d, cleared):
+            if type(col) is not tuple or col and claim(col[-1], col) is not col:
+                eng.add(col)
         yield d, eng
         cleared = set(eng.pivots)
         eng.pivots.clear()
@@ -328,15 +342,14 @@ def mayer_vietoris_assemble(ka: SimplicialComplex, kb: SimplicialComplex,
         # the d-simplices of A, then of B, then the (d-1)-simplices x of
         # the intersection, with column (x, -x) over A's and B's rows of
         # dimension d - 1, then -(boundary of x) over the rows after those
-        yield from _boundary_columns((ka, kb), d, skip)
+        own = _boundary_columns((ka, kb), d, skip)
         if not d:
-            return
+            return own
         na = len(fa.get(d - 1, ()))
         shift = na + len(fb.get(d - 1, ()))
         base = len(fa.get(d, ())) + len(fb.get(d, ()))
-        for p, facets in _boundary_columns((kint,), d - 1):
-            if base + p in skip:
-                continue
+
+        def glued(p: int, facets: tuple):
             rows, signs = [], []
             for faces, vmap, off, sign in ((fa, map_a, 0, 1),
                                            (fb, map_b, na, -1)):
@@ -347,10 +360,12 @@ def mayer_vietoris_assemble(ka: SimplicialComplex, kb: SimplicialComplex,
                 signs.append(sign * _sort_sign(img))
             rows += [shift + r for r in facets]
             if f2:
-                yield base + p, tuple(rows)
-            else:
-                signs += [-v for v in _column(facets, False).values()]
-                yield base + p, dict(zip(rows, signs))
+                return tuple(rows)
+            signs += [-v for v in _column(facets, False).values()]
+            return dict(zip(rows, signs))
+
+        return itertools.chain(own, itertools.starmap(glued, _unskipped(
+            enumerate(_boundary_columns((kint,), d - 1)), skip, base)))
 
     top = max(ka.dim, kb.dim)
     ranks = {d: len(eng.pivots) for d, eng in _reductions(cone, f2, top + 1)}

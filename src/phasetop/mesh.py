@@ -79,9 +79,15 @@ def _face_table(vertices: Sequence, tops: Sequence) -> tuple:
     nv = len(vertices)
     if len(set(vertices)) != nv:
         raise MeshValidityError("complex repeats a vertex")
-    for t in tops:
-        if not t or len(set(t)) != len(t) or any(i < 0 or i >= nv for i in t):
-            raise MeshValidityError(f"bad simplex {t!r}")
+    ids = itertools.chain.from_iterable
+    if not (all(tops) and min(ids(tops), default=0) >= 0
+            and max(ids(tops), default=-1) < nv
+            and list(map(len, tops)) == list(map(len, map(set, tops)))):
+        # the passes above only tell that some top is bad; name the first
+        for t in tops:
+            if not t or len(set(t)) != len(t) or any(
+                    i < 0 or i >= nv for i in t):
+                raise MeshValidityError(f"bad simplex {t!r}")
     keys = _top_keys(tops)
     top = max(map(len, keys), default=0) - 1
     faces = {}
@@ -109,10 +115,11 @@ class SimplicialComplex:
     the construction; lower faces are implied.  On first use the complex
     validates itself and builds one face table: the faces of each
     dimension as a sorted list, which is the chain basis `homology`
-    reduces over, and their facet rows.  Homology, the f-vector and the
-    codimension-1 incidence behind the pseudomanifold and boundary
-    checks all read that one table.  It is kept on the complex, so the
-    vertex and top lists must not be mutated after that.
+    reduces over, and their facet rows.  Homology, the f-vector, the
+    codimension-1 incidence behind the pseudomanifold check and the
+    boundary all read that one table; a boundary gets its own table
+    read off it.  It is kept on the complex, so the vertex and top lists
+    must not be mutated after that.
     """
 
     vertices: list
@@ -359,12 +366,14 @@ def _interface_faces(tops: list, inside: set) -> set:
     `tops` are the chart's tops as ascending tuples of slice ids, and
     `inside` holds the ids of the points in the other cell.  Such a face
     is a nonempty subset of the vertices of some top that lie inside,
-    so the faces come from the tops, as ascending id tuples; the
-    chart's face set is never built.  Every span is cut at every size
-    up to the widest; a size above a span's length gives nothing.
+    so the faces come from the tops that meet the cell, as ascending id
+    tuples; the chart's face set is never built.  Every span is cut at
+    every size up to the widest; a size above a span's length gives
+    nothing.
     """
-    spans = set(map(tuple, map(itertools.compress, tops, map(
-        map, itertools.repeat(inside.__contains__), tops))))
+    met = list(itertools.filterfalse(inside.isdisjoint, tops))
+    spans = set(map(tuple, map(itertools.compress, met, map(
+        map, itertools.repeat(inside.__contains__), met))))
     width = max(map(len, spans), default=0)
     return set(itertools.chain.from_iterable(itertools.starmap(
         itertools.combinations, itertools.product(spans, range(1, width + 1)))))
@@ -434,20 +443,40 @@ def boundary_subcomplex(K: SimplicialComplex) -> SimplicialComplex:
     The input must be well formed (see _face_table) and pure, or have
     no tops; a closed, empty or 0-dimensional complex yields the empty
     complex.  The boundary keeps the vertex order of K, and each of its
-    tops lists its vertices in ascending order.
+    tops lists its vertices in ascending order.  Its face table is read
+    off K's, never rebuilt: the ridges in one top, then in each
+    dimension below the faces their facet rows reach, each renumbered in
+    order.  Renumbering in order keeps faces sorted and ascending, and
+    keeps the facet rows in `combinations` order.
     """
     if not K.tops:
         return SimplicialComplex([], [])
-    K.faces()
+    faces, rows = K.faces(), K.facet_rows()
     if not K.is_pure():
         raise MeshValidityError("boundary of a non-pure complex")
-    # the incidence lists its faces as ascending tuples in sorted order, and
-    # renumbering the vertices in order keeps both; the empty face is dropped
-    faces = [f for f, c in K.codim1_incidence().items() if c == 1 and f]
-    used = sorted(set(itertools.chain.from_iterable(faces)))
-    new = {v: i for i, v in enumerate(used)}
-    return SimplicialComplex([K.vertices[v] for v in used],
-                             [tuple(map(new.__getitem__, f)) for f in faces])
+    d = K.dim
+    # kept[k]: the indices of K's k-faces that lie in the boundary
+    kept = {d - 1: sorted(r for r, c in Counter(rows[d]).items() if c == 1)}
+    if not kept[d - 1]:
+        return SimplicialComplex([], [])
+    table_rows = [array("i") for _ in range(d)]
+    for k in range(d - 1, 0, -1):
+        row = rows[k]
+        below = array("i", itertools.chain.from_iterable(
+            row[(k + 1) * i:(k + 1) * (i + 1)] for i in kept[k]))
+        kept[k - 1] = sorted(set(below))
+        table_rows[k] = array("i", map(
+            dict(zip(kept[k - 1], itertools.count())).__getitem__, below))
+    used = [faces[0][i][0] for i in kept[0]]
+    vid = dict(zip(used, itertools.count()))
+    table = {0: list(zip(range(len(used))))}
+    for k in range(1, d):
+        table[k] = list(map(tuple, map(map, itertools.repeat(vid.__getitem__),
+                                       map(faces[k].__getitem__, kept[k]))))
+    B = SimplicialComplex(list(map(K.vertices.__getitem__, used)),
+                          list(table[d - 1]))
+    B._table = (table, table_rows)
+    return B
 
 
 # ---------------------------------------------------------------------------
@@ -673,9 +702,14 @@ def complex_from_doc(doc: dict):
     parsed: dict = {}
     verts = [ModelPoint(tuple(_doc_disc_point(c, parsed) for c in z))
              for z in doc["vertices"]]
-    for s in simplices:
-        if not isinstance(s, list) or not s or not all(map(_doc_int, s)):
-            raise ValueError(f"bad simplex {s!r}")
+    if not (all(map(isinstance, simplices, itertools.repeat(list)))
+            and all(simplices) and set(map(
+                type, itertools.chain.from_iterable(simplices))) <= {int}):
+        # the passes above take plain ints only; this loop also takes an
+        # int subclass, and names the first bad simplex
+        for s in simplices:
+            if not isinstance(s, list) or not s or not all(map(_doc_int, s)):
+                raise ValueError(f"bad simplex {s!r}")
     K = SimplicialComplex(verts, list(map(tuple, simplices)))
     try:
         K._table = _face_table(verts, K.tops)

@@ -491,10 +491,11 @@ def test_engine_matches_parent_chain_data_on_full_space_pieces(m):
 
 
 class RecordingEngine(_Engine):
-    """The engine, logging each column it is given (a copy), the row of
-    each pivot it keeps, and, for each column whose low was a tuple
+    """The engine, logging, for each column whose low was a tuple
     pivot's, that low, the tuple, and whether the column came as a
-    tuple."""
+    tuple.  Every such column reaches add; _reductions keeps a tuple
+    whose low is free without calling add, so the columns an engine is
+    given are logged from its stream (see logging_columns)."""
 
     runs: list = []
 
@@ -502,18 +503,26 @@ class RecordingEngine(_Engine):
         super().__init__(f2)
         self.given: list = []
         self.hits: list = []
-        self.rows: set = set()
         self.runs.append(self)
 
     def add(self, col) -> None:
         low = max(col, default=None)
         if type(self.pivots.get(low)) is tuple:
             self.hits.append((low, self.pivots[low], type(col) is tuple))
-        self.given.append(col if type(col) is tuple else col.copy())
-        kept = len(self.pivots)
         super().add(col)
-        if len(self.pivots) > kept:  # a new pivot is the last one inserted
-            self.rows.add(next(reversed(self.pivots)))
+
+
+def logging_columns(columns):
+    """columns, with each column also logged (a copy) on the engine made
+    last, which is the one that reduces it."""
+
+    def logged(d, skip):
+        eng = RecordingEngine.runs[-1]
+        for col in columns(d, skip):
+            eng.given.append(col if type(col) is tuple else col.copy())
+            yield col
+
+    return logged
 
 
 def _run_betti_and_mayer_vietoris(field: str):
@@ -556,8 +565,8 @@ def test_columns_that_meet_a_tuple_pivot_build_it(f2, monkeypatch):
 
     reductions = homology_module._reductions
 
-    def checking(*args):
-        for d, eng in reductions(*args):
+    def checking(columns, f2, top):
+        for d, eng in reductions(logging_columns(columns), f2, top):
             yield d, eng
             check(eng)
 
@@ -572,27 +581,30 @@ def test_columns_that_meet_a_tuple_pivot_build_it(f2, monkeypatch):
 @pytest.mark.parametrize("field", ["q", "f2"])
 def test_only_pivot_rows_cross_to_the_next_dimension(field, monkeypatch):
     # when the engine for dimension d - 1 starts, the one for dimension d
-    # holds no pivot columns, and the rows skipped by clearing are its
-    # pivot rows, those of the cone's intersection columns too
+    # holds no pivot columns, and the rows skipped by clearing are the
+    # pivot rows it held when it was yielded, those of the cone's
+    # intersection columns too
     monkeypatch.setattr(RecordingEngine, "runs", [])
     monkeypatch.setattr(homology_module, "_Engine", RecordingEngine)
     crossed = []
     reductions = homology_module._reductions
 
     def watching(columns, f2, top):
-        above = []  # the engines of the dimensions above
+        above = []  # the engines of the dimensions above, and their rows
 
         def watched(d, skip):
             if not above:
                 assert not skip
             else:
-                assert not above[-1].pivots
-                assert skip == above[-1].rows
+                eng, rows = above[-1]
+                assert not eng.pivots
+                assert skip == rows
                 crossed.append((d, len(skip)))
-            above.append(RecordingEngine.runs[-1])
             return columns(d, skip)
 
-        return reductions(watched, f2, top)
+        for d, eng in reductions(watched, f2, top):
+            above.append((eng, set(eng.pivots)))
+            yield d, eng
 
     monkeypatch.setattr(homology_module, "_reductions", watching)
     _run_betti_and_mayer_vietoris(field)
@@ -693,7 +705,10 @@ def _assert_same_boundary_columns(parts, simp, idx, d: int, f2: bool):
         got = list(_boundary_columns(parts, d, cut))
         want = list(reference_boundary_columns(simp, idx, d, f2, cut))
         assert len(got) == len(want) == len(simp[d]) - len(cut)
-        for (j, col), (j_ref, col_ref) in zip(got, want):
+        # the stream is bare: a column's index is its place among the
+        # indices that are not cut
+        kept = [j for j in range(len(simp[d])) if j not in cut]
+        for j, col, (j_ref, col_ref) in zip(kept, got, want):
             # the engine reads a facet row's low as its last entry
             assert type(col) is tuple and list(col) == sorted(col)
             assert j == j_ref and built(col, f2) == col_ref
@@ -706,17 +721,17 @@ def test_boundary_of_boundary_is_zero(K):
     parts = (K,)
     for d in range(2, len(K.faces())):
         below = {j: _column(col, False)
-                 for j, col in _boundary_columns(parts, d - 1)}
+                 for j, col in enumerate(_boundary_columns(parts, d - 1))}
         below_f2 = {j: _column(col, True)
-                    for j, col in _boundary_columns(parts, d - 1)}
-        for j, col in _boundary_columns(parts, d):
+                    for j, col in enumerate(_boundary_columns(parts, d - 1))}
+        for col in _boundary_columns(parts, d):
             col = _column(col, False)
             total: dict = {}
             for r, v in col.items():
                 for q, w in below[r].items():
                     total[q] = total.get(q, 0) + v * w
             assert not any(total.values())
-        for j, col in _boundary_columns(parts, d):
+        for col in _boundary_columns(parts, d):
             total = set()
             for r in _column(col, True):
                 total ^= below_f2[r]

@@ -4,6 +4,7 @@ import json
 import math
 import random
 import re
+from collections import Counter
 
 import pytest
 from fractions import Fraction
@@ -16,6 +17,7 @@ from phasetop.mesh import (
     SimplicialComplex,
     _build_regions,
     _chart,
+    _face_table,
     _factor_cells,
     _interface_faces,
     _keyed,
@@ -202,6 +204,57 @@ def test_boundary_matches_circle_after_dropping_pin():
                                       drop_last_coordinate)
         assert ok, vmap
         assert len(vmap) == len(B.vertices)
+
+
+def _drawn_pure_complexes(seed: int, count: int):
+    """Seeded pure complexes of dimension 0 to 3 on up to 7 vertices, not
+    all of them used, each top listed in a shuffled vertex order; many
+    have ridges in three or more tops."""
+    rnd = random.Random(seed)
+    for _ in range(count):
+        nv = rnd.randint(1, 7)
+        pool = list(itertools.combinations(range(nv),
+                                           min(rnd.randint(1, 4), nv)))
+        tops = [tuple(rnd.sample(t, len(t)))
+                for t in rnd.sample(pool, rnd.randint(1, min(len(pool), 12)))]
+        yield SimplicialComplex([f"v{i}" for i in range(nv)], tops)
+
+
+def _assert_boundary_table_is_rebuilt_table(K):
+    """The boundary's tops are K's ridges in exactly one top, on K's
+    vertex objects in K's order, and the table read off K's equals the
+    one _face_table builds from the boundary's vertices and tops."""
+    count = Counter(f for t in K.tops
+                    for f in itertools.combinations(sorted(t), len(t) - 1))
+    B = boundary_subcomplex(K)
+    want = {tuple(K.vertices[i] for i in f) for f, c in count.items()
+            if c == 1 and f}
+    assert {tuple(B.vertices[i] for i in t) for t in B.tops} == want
+    used = {K.vertices[i] for f in count if count[f] == 1 for i in f}
+    assert B.vertices == [v for v in K.vertices if v in used]
+    faces, rows = _face_table(B.vertices, B.tops)
+    assert B.faces() == faces
+    assert B.facet_rows() == rows
+    return B
+
+
+def test_the_boundary_table_is_the_rebuilt_table(slice32, slice42):
+    drawn = list(_drawn_pure_complexes(0, 300))
+    # the draws reach ridges in three tops and boundaries of dimension 0
+    assert any(max(Counter(K.facet_rows()[K.dim]).values(), default=0) > 2
+               for K in drawn)
+    assert any(boundary_subcomplex(K).dim == 0 for K in drawn)
+    P = full_space_pieces(3, 2)
+    for K in (*drawn, slice32, assemble_slice(3, 4), slice42, P.rotation,
+              P.base):
+        _assert_boundary_table_is_rebuilt_table(K)
+    # closed, empty and 0-dimensional complexes give the empty complex
+    for K in (SimplicialComplex(["a", "b", "c"], [(0, 1), (1, 2), (0, 2)]),
+              assemble_full(3, 2), SimplicialComplex([], []),
+              SimplicialComplex(["a", "b"], []),
+              SimplicialComplex(["a", "b"], [(1,), (0,)])):
+        B = _assert_boundary_table_is_rebuilt_table(K)
+        assert (B.vertices, B.tops, B.f_vector()) == ([], [], ())
 
 
 def test_complex_isomorphic_rejects_mismatch():
@@ -844,3 +897,82 @@ def test_incidence_checks_validate_before_asking_for_purity():
     for ask in (K.codim1_incidence, K.is_closed_pseudomanifold):
         with pytest.raises(MeshValidityError, match=r"bad simplex \(0, 1, 5\)$"):
             ask()
+
+
+def reference_bad_top(vertices, tops):
+    """The message of the per-top loop that once validated every complex:
+    it names the first empty top, top with a repeated id or top with an
+    id out of range, in list order; None when every top is good."""
+    nv = len(vertices)
+    for t in tops:
+        if not t or len(set(t)) != len(t) or any(i < 0 or i >= nv for i in t):
+            return f"bad simplex {t!r}"
+    return None
+
+
+def reference_bad_simplex(simplices):
+    """The message of the per-simplex loop that once checked every mesh
+    document: it names the first simplex that is not a nonempty list of
+    integers other than bools; None when every simplex is good."""
+    for s in simplices:
+        if not isinstance(s, list) or not s or not all(
+                isinstance(i, int) and not isinstance(i, bool) for i in s):
+            return f"bad simplex {s!r}"
+    return None
+
+
+_BAD_TOPS = {"empty": (), "repeated-id": (1, 2, 1), "negative-id": (0, -1),
+             "id-equal-to-the-vertex-count": (2, 4)}
+
+
+@pytest.mark.parametrize("first", sorted(_BAD_TOPS))
+@pytest.mark.parametrize("second", sorted(_BAD_TOPS))
+def test_the_face_table_names_the_first_bad_top_as_the_loop_did(first, second):
+    # each bad top, alone and before every other kind, anywhere in the list
+    vertices = ["a", "b", "c", "d"]
+    good = [(0, 1, 2), (3, 2), (1, 3)]
+    bad = [_BAD_TOPS[first], _BAD_TOPS[second]]
+    for k in range(len(good) + 1):
+        for tops in (good[:k] + bad[:1] + good[k:],
+                     good[:k] + bad + good[k:], bad[:1] + good[:k] + bad[1:]):
+            want = reference_bad_top(vertices, tops)
+            assert want == f"bad simplex {bad[0]!r}"
+            with pytest.raises(MeshValidityError) as got:
+                _face_table(vertices, tops)
+            assert str(got.value) == want
+    assert reference_bad_top(vertices, good) is None
+    _face_table(vertices, good)
+
+
+class Ordinal(int):
+    """An int subclass, as a document built in Python may hold."""
+
+
+_BAD_SIMPLICES = {"bool": [0, True], "float": [0, 1.0], "str": [0, "1"],
+                  "nested-list": [0, [1]], "empty": [], "not-a-list": 3,
+                  "a-tuple": (0, 1)}
+
+
+@pytest.mark.parametrize("first", sorted(_BAD_SIMPLICES))
+@pytest.mark.parametrize("second", ["bool", "nested-list", "not-a-list"])
+def test_the_document_reader_names_the_first_bad_simplex_as_the_loop_did(
+        slice32, first, second):
+    doc = json.loads(json.dumps(complex_to_doc(slice32, 3, 2)))
+    for k in (0, 7, len(doc["simplices"])):
+        for bad in ([_BAD_SIMPLICES[first]],
+                    [_BAD_SIMPLICES[first], _BAD_SIMPLICES[second]]):
+            listed = dict(doc, simplices=doc["simplices"][:k] + bad
+                          + doc["simplices"][k:])
+            want = reference_bad_simplex(listed["simplices"])
+            assert want == f"bad simplex {bad[0]!r}"
+            with pytest.raises(ValueError) as got:
+                complex_from_doc(listed)
+            assert str(got.value) == want
+
+
+def test_the_document_reader_takes_int_subclasses(slice32):
+    doc = json.loads(json.dumps(complex_to_doc(slice32, 3, 2)))
+    doc["simplices"] = [list(map(Ordinal, s)) for s in doc["simplices"]]
+    assert reference_bad_simplex(doc["simplices"]) is None
+    K, _, _ = complex_from_doc(doc)
+    assert K.tops == slice32.tops and K.faces() == slice32.faces()
