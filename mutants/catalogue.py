@@ -153,6 +153,36 @@ MUTANTS = [
         ("tests/test_mesh.py::test_interface_mismatch_is_an_error_naming_points",
          "tests/test_mesh.py::"
          "test_interface_witness_is_the_smallest_disputed_face")),
+    Mutant(
+        # a facet row is read as it stands, +1 at its low; read as -1 there,
+        # the step adds the row where it must subtract it
+        "engine-tuple-row-low-read-as-minus-one",
+        "src/phasetop/homology.py",
+        "ka, kb, entries = 1, a, zip(",
+        "ka, kb, entries = 1, -a, zip(",
+        ("tests/test_homology.py::"
+         "test_eliminating_a_facet_row_is_eliminating_its_column",)),
+    Mutant(
+        # the regions share the torus: without de-duplication its faces
+        # are listed twice in the glued full space
+        "union-face-lists-merged-with-repeats",
+        "src/phasetop/mesh.py",
+        "faces = {d: sorted(dict.fromkeys(fs)) for d, fs in faces.items()}",
+        "faces = {d: sorted(fs) for d, fs in faces.items()}",
+        ("tests/test_mesh.py::"
+         "test_the_full_space_is_glued_from_its_regions_tables",
+         "tests/test_mesh.py::test_drawn_pairs_glue_as_the_keyed_union")),
+    Mutant(
+        # the key-first numbering keeps a repeated key as a repeated id;
+        # only the whole-list length pass refuses it
+        "keyed-repeated-key-check-dropped",
+        "src/phasetop/mesh.py",
+        "if list(map(len, tops)) != list(map(len, map(set, tops))):",
+        "if False:",
+        ("tests/test_mesh.py::"
+         "test_keyed_refuses_a_repeated_key_naming_the_simplex",
+         "tests/test_mesh.py::"
+         "test_keyed_names_the_offender_the_key_loop_named")),
     # -- rules written once -------------------------------------------------
     Mutant(
         "label-order-missing-a-pair",

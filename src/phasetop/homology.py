@@ -14,7 +14,7 @@ import itertools
 import operator
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from heapq import heapify, heappop, heappush
 from math import gcd
 from typing import Callable, Sequence
@@ -65,9 +65,8 @@ class _Engine:
     the pivot as it stands (Ripser's emergent pairs); _reductions claims
     that low itself, with one dict call, and calls add only when the low
     is taken.  The working set or dict is built only for such a column.
-    Over Q a tuple pivot that a later column meets is built into its
-    dict and kept built; over F2 the set takes the tuple as it is, so
-    no pivot is ever built.
+    A tuple pivot that a later column meets is read as it stands, over
+    Q by _eliminate and over F2 by the set, so no pivot is ever built.
 
     Once a column has met a pivot, its low comes from a lazy max-heap of
     its rows (as in PHAT's heap columns): each step pushes the rows of
@@ -100,8 +99,6 @@ class _Engine:
                     col = tuple(col)
                 self.pivots[low] = col
                 return
-            if type(other) is tuple and not self.f2:
-                other = self.pivots[low] = _column(other, False)
             if heap is None:
                 if type(col) is tuple:
                     col = _column(col, self.f2)
@@ -116,22 +113,28 @@ class _Engine:
                     heappush(heap, -r)
 
 
-def _eliminate(col: dict, other: dict, low) -> bool:
+def _eliminate(col: dict, other, low) -> bool:
     """col <- b col - a other, a and b the entries at low, over their gcd.
 
-    A step that scaled col (by b over the gcd, made positive) ends with
-    a content pass; the result is True when col may still hold a common
-    factor.
+    A facet row other is read as it stands: its entries are _signs, +1
+    at its low, so its step is unscaled.  A step that scaled col (by b
+    over the gcd, made positive) ends with a content pass; the result
+    is True when col may still hold a common factor.
     """
-    a, b = col[low], other[low]
-    g = gcd(a, b)
-    ka, kb = b // g, a // g
-    if ka < 0:
-        ka, kb = -ka, -kb
+    a = col[low]
+    if type(other) is tuple:
+        ka, kb, entries = 1, a, zip(other, _signs(len(other)))
+    else:
+        b = other[low]
+        g = gcd(a, b)
+        ka, kb = b // g, a // g
+        if ka < 0:
+            ka, kb = -ka, -kb
+        entries = other.items()
     if ka != 1:
         for r in col:
             col[r] *= ka
-    for r, v in other.items():
+    for r, v in entries:
         nv = col.get(r, 0) - kb * v
         if nv:
             col[r] = nv
@@ -151,17 +154,18 @@ def _divide_content(col: dict) -> None:
             col[r] //= g
 
 
+@cache
+def _signs(n: int) -> tuple:
+    """The entries of a facet row of n faces: the row drops the simplex's
+    last vertex first, and the face without vertex i has sign (-1)^i, so
+    the signs run from i = n - 1 down to 0 and end in +1 at the low."""
+    return ((-1, 1) * n)[n:]
+
+
 def _column(facets: tuple, f2: bool):
     """The column of a facet row: its set of rows over F2, and over Q
-    the {row: +-1} dict of the boundary of the simplex it lists.
-
-    The row drops the simplex's last vertex first, and the face without
-    vertex i has sign (-1)^i, so the signs run from i = d down to 0.
-    """
-    if f2:
-        return set(facets)
-    d = len(facets) - 1
-    return dict(zip(facets, ((1, -1) * (d // 2 + 1))[d::-1]))
+    the {row: +-1} dict of the boundary of the simplex it lists."""
+    return set(facets) if f2 else dict(zip(facets, _signs(len(facets))))
 
 
 def _unskipped(items, skip, start: int = 0):
@@ -361,7 +365,7 @@ def mayer_vietoris_assemble(ka: SimplicialComplex, kb: SimplicialComplex,
             rows += [shift + r for r in facets]
             if f2:
                 return tuple(rows)
-            signs += [-v for v in _column(facets, False).values()]
+            signs += [-v for v in _signs(len(facets))]
             return dict(zip(rows, signs))
 
         return itertools.chain(own, itertools.starmap(glued, _unskipped(

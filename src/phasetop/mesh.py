@@ -96,6 +96,11 @@ def _face_table(vertices: Sequence, tops: Sequence) -> tuple:
         faces[d] = sorted(set(itertools.chain.from_iterable(subsets)))
     if top >= 0:
         faces[top] = sorted(k for k in keys if len(k) == top + 1)
+    return faces, _facet_rows(faces)
+
+
+def _facet_rows(faces: dict) -> list:
+    """The facet rows of sorted face lists (see _face_table)."""
     rows = [array("i")]
     for d in range(1, len(faces)):
         # the index of the faces below is needed only while rows[d] is made
@@ -103,7 +108,7 @@ def _face_table(vertices: Sequence, tops: Sequence) -> tuple:
         facets = itertools.chain.from_iterable(
             map(itertools.combinations, faces[d], itertools.repeat(d)))
         rows.append(array("i", map(index.__getitem__, facets)))
-    return faces, rows
+    return rows
 
 
 @dataclass(eq=False)
@@ -214,20 +219,55 @@ def _emit(K: SimplicialComplex, m: int) -> SimplicialComplex:
 def _keyed(simplices: Sequence) -> SimplicialComplex:
     """The complex of a list of simplices over tick keys.
 
-    The keys are numbered once, in sorted order; each top keeps its
-    given vertex order, and the tops are sorted by vertex set.  Raises
-    MeshValidityError, naming the simplex, on one that repeats a key or
-    the key set of an earlier one (see _top_keys).
+    The keys are numbered first, once, in sorted order, so the checks and
+    the sort run on int tuples; each top keeps its given vertex order,
+    and the tops are sorted by vertex set.  Raises MeshValidityError,
+    naming the simplex by its keys, on one that repeats a key or the key
+    set of an earlier one (see _top_keys).
     """
-    for k, s in enumerate(simplices):
-        if len(set(s)) != len(s):
-            raise MeshValidityError(f"simplex {k} {s!r} repeats a key")
-    first = _top_keys(simplices)
-    order = sorted(set(itertools.chain.from_iterable(first)))
-    vid = {key: i for i, key in enumerate(order)}
-    # numbering in key order keeps the order of the sorted key tuples
-    return SimplicialComplex(order, [tuple(map(vid.__getitem__, simplices[k]))
-                                     for _, k in sorted(first.items())])
+    order = sorted(set(itertools.chain.from_iterable(simplices)))
+    vid = dict(zip(order, itertools.count()))
+    tops = [tuple(map(vid.__getitem__, s)) for s in simplices]
+    if list(map(len, tops)) != list(map(len, map(set, tops))):
+        for k, s in enumerate(simplices):
+            if len(set(s)) != len(s):
+                raise MeshValidityError(f"simplex {k} {s!r} repeats a key")
+    try:
+        keys = _top_keys(tops)
+    except MeshValidityError:
+        _top_keys(simplices)  # raises, naming the simplices by their keys
+        raise
+    return SimplicialComplex(order, [tops[k] for _, k in sorted(keys.items())])
+
+
+def _union(A: SimplicialComplex, B: SimplicialComplex) -> SimplicialComplex:
+    """_keyed of the key tops of A and B, two complexes that _keyed made,
+    glued from their face tables and carrying the union's table.
+
+    The union numbers its keys once, and each complex's numbering maps
+    into it in order, so faces stay sorted and ascending: the union's
+    faces of each dimension are the two sorted lists merged, the shared
+    faces kept once, its tops the two top lists merged by vertex set, and
+    its facet rows are derived from those faces.  A top that A and B
+    share falls back to _keyed, which refuses it with its message.
+    """
+    order = sorted(set(A.vertices).union(B.vertices))
+    vid = dict(zip(order, itertools.count()))
+    tops, faces = {}, {}
+    for K in (A, B):
+        to = itertools.repeat([vid[key] for key in K.vertices].__getitem__)
+        mapped = list(map(tuple, map(map, to, K.tops)))
+        tops.update(zip(map(tuple, map(sorted, mapped)), mapped))
+        for d, fs in K.faces().items():
+            # each list is sorted, so the merge sort finds two runs
+            faces.setdefault(d, []).extend(map(tuple, map(map, to, fs)))
+    if len(tops) < len(A.tops) + len(B.tops):
+        return _keyed([tuple(map(K.vertices.__getitem__, t))
+                       for K in (A, B) for t in K.tops])
+    faces = {d: sorted(dict.fromkeys(fs)) for d, fs in faces.items()}
+    U = SimplicialComplex(order, [tops[k] for k in sorted(tops)])
+    U._table = (faces, _facet_rows(faces))
+    return U
 
 
 # ---------------------------------------------------------------------------
@@ -550,17 +590,17 @@ def full_space_pieces(n: int, m: int) -> FullSpacePieces:
 def assemble_full(n: int, m: int) -> SimplicialComplex:
     """Triangulation of the whole compact space for n = 2 or n = 3.
 
-    For n = 3 the rotation and base regions are glued along their torus;
-    MeshValidityError is raised if they triangulate it differently, or
-    if they share a top.
+    For n = 3 the two cached regions of _build_regions are glued along
+    their torus from their face tables (see _union), and the complex
+    carries the union's table; MeshValidityError is raised if they
+    triangulate the torus differently, or if they share a top.
     """
     _check_m(m)
     if n == 2:
         return _emit(_keyed(_full2_cells(m)), m)
     if n != 3:
         raise ValueError("full-space meshes exist for n = 2 and n = 3 only")
-    return _emit(_keyed([tuple(R.vertices[i] for i in t)
-                         for R in _build_regions(m)[:2] for t in R.tops]), m)
+    return _emit(_union(*_build_regions(m)[:2]), m)
 
 
 # ---------------------------------------------------------------------------

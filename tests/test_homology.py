@@ -3,6 +3,7 @@ import faulthandler
 import itertools
 import json
 import os
+import random
 from fractions import Fraction
 from functools import partial
 from math import gcd
@@ -28,6 +29,7 @@ from phasetop.homology import (
     _Engine,
     _boundary_columns,
     _column,
+    _eliminate,
     _reductions,
     betti,
     euler_characteristic,
@@ -540,11 +542,11 @@ def _run_betti_and_mayer_vietoris(field: str):
 
 
 @pytest.mark.parametrize("f2", [False, True])
-def test_columns_that_meet_a_tuple_pivot_build_it(f2, monkeypatch):
-    # over Q a column that meets a tuple pivot builds it into its dict;
-    # over F2 the tuple is kept as it stands, and no pivot is ever a set.
-    # Each engine is checked when its caller resumes the generator,
-    # before the pivots are released
+def test_no_tuple_pivot_is_ever_built(f2, monkeypatch):
+    # a column that meets a tuple pivot reads it as it stands, over both
+    # fields: the pivot stays the very tuple it was kept as, and no pivot
+    # is ever a set.  Each engine is checked when its caller resumes the
+    # generator, before the pivots are released
     monkeypatch.setattr(RecordingEngine, "runs", [])
     monkeypatch.setattr(homology_module, "_Engine", RecordingEngine)
     kinds, checked = set(), []
@@ -555,11 +557,8 @@ def test_columns_that_meet_a_tuple_pivot_build_it(f2, monkeypatch):
             ref.add(built(col, f2))
         assert_same_engine_state(eng, ref)
         for low, row, tuple_col in eng.hits:
-            if f2:
-                assert eng.pivots[low] is row
-            else:
-                assert type(eng.pivots[low]) is dict
-                assert eng.pivots[low] == built(row, f2) == _column(row, f2)
+            assert eng.pivots[low] is row
+            assert built(row, f2) == _column(row, f2)
             kinds.add(tuple_col)
         checked.append(eng)
 
@@ -576,6 +575,23 @@ def test_columns_that_meet_a_tuple_pivot_build_it(f2, monkeypatch):
     # over Q both facet rows and the cone's intersection columns (dicts)
     # meet tuple pivots; over F2 every column comes as a tuple
     assert kinds == ({True} if f2 else {True, False})
+
+
+def test_eliminating_a_facet_row_is_eliminating_its_column():
+    # a facet row is read as it stands, +1 at its low, so its step is
+    # unscaled; it must give the column and dirty flag its signed dict
+    # gives.  Entries up to +-5 at the low reach a != +-1
+    rnd = random.Random(20261020)
+    for _ in range(2000):
+        row = tuple(sorted(rnd.sample(range(12), rnd.randint(1, 8))))
+        rows = rnd.sample(range(12), rnd.randint(0, 6)) + [row[-1]]
+        col = {r: rnd.choice((-5, -4, -3, -2, -1, 1, 2, 3, 4, 5))
+               for r in rows}
+        got, want = dict(col), dict(col)
+        assert _eliminate(got, row, row[-1]) \
+            == _eliminate(want, _column(row, False), row[-1])
+        assert got == want
+        assert row[-1] not in got
 
 
 @pytest.mark.parametrize("field", ["q", "f2"])

@@ -23,6 +23,7 @@ from phasetop.mesh import (
     _keyed,
     _point_of,
     _slice,
+    _union,
     assemble_full,
     assemble_slice,
     boundary_subcomplex,
@@ -725,6 +726,101 @@ def test_full_space_regions_that_share_a_top_are_refused(monkeypatch):
     with pytest.raises(MeshValidityError, match=re.escape(
             f"{shared!r} repeats the vertices of simplex 0 {shared!r}") + "$"):
         assemble_full(3, 2)
+
+
+def _assert_union_is_keyed(A: SimplicialComplex, B: SimplicialComplex):
+    """_union of two key complexes is _keyed of their concatenated key
+    tops, and carries the face table rebuilt from its own tops."""
+    want, got = _keyed(_key_tops(A) + _key_tops(B)), _union(A, B)
+    assert (got.vertices, got.tops) == (want.vertices, want.tops)
+    assert got._table == _face_table(want.vertices, want.tops)
+
+
+@pytest.mark.parametrize("m", [2, 4, 6])
+def test_the_full_space_is_glued_from_its_regions_tables(m):
+    region_a, region_b, _ = _build_regions(m)
+    _assert_union_is_keyed(region_a, region_b)
+    K = assemble_full(3, m)
+    assert K._table == _face_table(K.vertices, K.tops)
+
+
+def _drawn_pair(rnd: random.Random, shared_top: bool):
+    """Two key complexes on overlapping keys that share a subcomplex: B
+    takes some faces of A's tops, and new simplices; with shared_top, B
+    also takes one of A's tops, in a drawn vertex order."""
+    ta = _random_key_simplices(rnd)
+    while not ta:
+        ta = _random_key_simplices(rnd)
+    faces = {frozenset(f) for t in ta for d in range(1, len(t))
+             for f in itertools.combinations(t, d)}
+    seen = {frozenset(t) for t in ta}
+    tb = []
+    for s in rnd.sample(sorted(faces, key=sorted), min(len(faces), 3)) \
+            + _random_key_simplices(rnd):
+        if frozenset(s) not in seen:
+            seen.add(frozenset(s))
+            tb.append(tuple(rnd.sample(sorted(s), len(s))))
+    if shared_top:
+        t = rnd.choice(ta)
+        tb.insert(rnd.randint(0, len(tb)), tuple(rnd.sample(t, len(t))))
+    return _keyed(ta), _keyed(tb)
+
+
+def test_drawn_pairs_glue_as_the_keyed_union():
+    rnd = random.Random(20261020)
+    for _ in range(300):
+        _assert_union_is_keyed(*_drawn_pair(rnd, False))
+
+
+def test_drawn_pairs_that_share_a_top_raise_the_keyed_message():
+    rnd = random.Random(20261021)
+    for _ in range(100):
+        A, B = _drawn_pair(rnd, True)
+        with pytest.raises(MeshValidityError) as want:
+            _keyed(_key_tops(A) + _key_tops(B))
+        with pytest.raises(MeshValidityError, match=re.escape(
+                str(want.value)) + "$"):
+            _union(A, B)
+
+
+def reference_keyed_offender(simplices: list):
+    """The message _keyed gave when it checked the key tuples first: the
+    first simplex that repeats a key, else the first that repeats an
+    earlier one's key set; None when there is neither."""
+    for k, s in enumerate(simplices):
+        if len(set(s)) != len(s):
+            return f"simplex {k} {s!r} repeats a key"
+    first: dict = {}
+    for k, s in enumerate(simplices):
+        j = first.setdefault(frozenset(s), k)
+        if j != k:
+            return (f"simplex {k} {s!r} repeats the vertices of simplex {j} "
+                    f"{simplices[j]!r}")
+    return None
+
+
+def test_keyed_names_the_offender_the_key_loop_named():
+    rnd = random.Random(20261022)
+    kinds = Counter()
+    for _ in range(400):
+        simplices = _random_key_simplices(rnd)
+        for _ in range(rnd.randint(0, 2)):
+            if not simplices:
+                break
+            s = list(rnd.choice(simplices))
+            if rnd.random() < 0.5:  # a repeated key
+                s.insert(rnd.randint(0, len(s)), rnd.choice(s))
+            else:  # a repeated key set, in a drawn order
+                rnd.shuffle(s)
+            simplices.insert(rnd.randint(0, len(simplices)), tuple(s))
+        want = reference_keyed_offender(simplices)
+        kinds[want and ("key" if want.endswith("a key") else "set")] += 1
+        if want is None:
+            _keyed(simplices)
+            continue
+        with pytest.raises(MeshValidityError, match=re.escape(want) + "$"):
+            _keyed(simplices)
+    assert set(kinds) == {None, "key", "set"}
 
 
 def test_a_top_two_charts_share_is_an_error_naming_both(monkeypatch):
