@@ -15,10 +15,10 @@ The catalogue holds one mutant per kernel of the certifier and one per
 rule that is written in one place only (the label order, the sign
 tokens, the signs' phases, the sign alphabet of the covector loop, the
 covector loop's one zero test per set of ticks, the fraction format, the
-value-type refusals, and the integer rules of the order-complex points:
-the lcm form of the weights, Fraction's hash of a radius, the centre's
-angle and phase, the reduced radius of each chain term), and the
-mutants that past changes' mutation checks killed by hand.  A new entry
+value-type refusals, and the integer rules of the value types: the
+reduced ratio of an angle and of a radius, the lcm form of the weights,
+the centre's angle and phase, the reduced radius of each chain term),
+and the mutants that past changes' mutation checks killed by hand.  A new entry
 should be one that a past change's mutation check once found, or that a
 new kernel or rule needs.
 """
@@ -234,12 +234,23 @@ MUTANTS = [
          "tests/test_ratio_kernels.py::"
          "test_join_point_sampler_is_the_draw_over_64ths")),
     Mutant(
-        "disc_point-hash-not-the-fraction-hash",
+        # equality and the hash are those of the fields, so they rely on
+        # every constructor reducing its ratio
+        "angle-of_ratio-not-reduced",
+        "src/phasetop/phase.py",
+        "        g = math.gcd(num, den)\n",
+        "        g = 1\n",
+        ("tests/test_order_complex.py::"
+         "test_every_disc_point_constructor_sets_its_phase",)),
+    Mutant(
+        "disc_point-of_ratio-not-reduced",
         "src/phasetop/order_complex.py",
-        "return hash((_ratio_hash(self.num, self.den), self.angle))",
-        "return hash(((self.num, self.den), self.angle))",
-        ("tests/test_value_types.py::"
-         "test_disc_point_keeps_the_contract_of_its_fraction_form",)),
+        "        g = math.gcd(num, den)\n",
+        "        g = 1\n",
+        ("tests/test_order_complex.py::"
+         "test_every_disc_point_constructor_sets_its_phase",
+         "tests/test_value_types.py::"
+         "test_int_builders_are_the_fraction_constructors")),
     Mutant(
         # every constructor fills a disc point through the one centre rule
         "disc_point-of_ratio-centre-keeps-its-angle",
@@ -253,8 +264,8 @@ MUTANTS = [
          "tests/test_order_complex.py::"
          "test_every_disc_point_constructor_sets_its_phase")),
     Mutant(
-        # an unreduced radius compares, hashes and reprs as the reduced one
-        # does; only its ratio and its text differ
+        # an unreduced radius reprs as the reduced one does; its ratio,
+        # its text, its equality and its hash differ
         "join_to_model-radius-not-reduced",
         "src/phasetop/order_complex.py",
         "        g = math.gcd(left, whole)\n",

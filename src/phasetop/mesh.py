@@ -67,18 +67,24 @@ def _top_keys(tops: Sequence) -> dict:
 def _face_table(vertices: Sequence, tops: Sequence) -> tuple:
     """Validate a complex, then list its faces and their facet rows.
 
-    Raises MeshValidityError on a repeated vertex, an empty top, a top
-    with an index out of range or repeated, or a top that repeats an
-    earlier one's vertex set.  Returns (faces, rows): faces[d] lists the
-    d-simplices in sorted order, the basis of the d-chains; rows[d]
-    holds the d + 1 facet indices of each d-simplex in that order, flat
-    in one array, in `combinations` order (the last vertex is dropped
-    first).  rows[0] is empty.  The faces of the top dimension are the
-    keys of _top_keys, not a second copy cut from them.
+    Raises MeshValidityError on a repeated vertex, naming both indices
+    and the point, an empty top, a top with an index out of range or
+    repeated, or a top that repeats an earlier one's vertex set.
+    Returns (faces, rows): faces[d] lists the d-simplices in sorted
+    order, the basis of the d-chains; rows[d] holds the d + 1 facet
+    indices of each d-simplex in that order, flat in one array, in
+    `combinations` order (the last vertex is dropped first).  rows[0] is
+    empty.  The faces of the top dimension are the keys of _top_keys,
+    not a second copy cut from them.
     """
     nv = len(vertices)
     if len(set(vertices)) != nv:
-        raise MeshValidityError("complex repeats a vertex")
+        first: dict = {}
+        for i, v in enumerate(vertices):
+            j = first.setdefault(v, i)
+            if j != i:
+                raise MeshValidityError(f"complex repeats a vertex: "
+                                        f"vertices {j} and {i} are both {v}")
     ids = itertools.chain.from_iterable
     if not (all(tops) and min(ids(tops), default=0) >= 0
             and max(ids(tops), default=-1) < nv
@@ -728,7 +734,8 @@ def complex_from_doc(doc: dict):
     out of range or repeated, and a simplex whose vertex set repeats an
     earlier one's, naming the simplices as the document lists them.  The
     face table is built from the complex's own tops and kept on it, so an
-    ascending top is its own top face.
+    ascending top is its own top face.  Last, the first vertex that lies
+    in no simplex is refused: the table's 0-faces are the vertices in use.
     """
     if not isinstance(doc, dict):
         raise ValueError("mesh document must be a JSON object")
@@ -756,4 +763,8 @@ def complex_from_doc(doc: dict):
     except MeshValidityError:
         _face_table(verts, simplices)  # raises, naming the listed simplices
         raise
+    used = K.faces().get(0, [])
+    if len(used) != len(verts):  # sorted, so the first gap is unused
+        k = next((k for k, (i,) in enumerate(used) if i != k), len(used))
+        raise ValueError(f"vertex {k} lies in no simplex")
     return K, n, m

@@ -14,13 +14,12 @@ rational radius r and angle a in turns ("0@0" is the disc center).
 from __future__ import annotations
 
 import math
-import operator
 import random
 from fractions import Fraction
 
 from .covectors import PhaseVector, support, zero_in_sum
-from .phase import (Angle, ORIGIN, Phase, ZERO, _new, _over_lcm, _ratio_hash,
-                    _format_ratio, _set, parse_fraction, value_type)
+from .phase import (Angle, ORIGIN, Phase, ZERO, _new, _over_lcm, _format_ratio,
+                    _set, parse_fraction, value_type)
 
 __all__ = [
     "DiscPoint",
@@ -37,20 +36,21 @@ __all__ = [
 ]
 
 
-@value_type(init=False, repr=False, eq=False)
+@value_type(init=False, repr=False)
 class DiscPoint:
     """A point of the closed unit disc in polar form (radius, angle).
 
     The radius is held as its reduced ratio ``num``/``den``, and the
     direction also as ``phase``, the `Phase` of the angle.  The center
     is represented uniquely: radius 0 forces angle 0 and the zero phase.
+    Every constructor reduces the ratio, so equality and the hash are
+    those of the fields.
     """
 
     num: int
     den: int
     angle: Angle
     phase: Phase
-    __match_args__ = ("radius", "angle")
 
     def __init__(self, radius, angle: Angle) -> None:
         r = radius if isinstance(radius, Fraction) else Fraction(radius)
@@ -73,21 +73,6 @@ class DiscPoint:
     @property
     def radius(self) -> Fraction:
         return Fraction(self.num, self.den)
-
-    def _by_point(op):  # (radius, angle) in tuple order, on the ints
-        def compare(self, other):
-            if other.__class__ is not self.__class__:
-                return NotImplemented
-            r, s = self.num * other.den, other.num * self.den
-            return op(r, s) if r != s else op(self.angle, other.angle)
-        return compare
-
-    __eq__, __lt__, __le__, __gt__, __ge__ = map(_by_point, (
-        operator.eq, operator.lt, operator.le, operator.gt, operator.ge))
-    del _by_point
-
-    def __hash__(self) -> int:
-        return hash((_ratio_hash(self.num, self.den), self.angle))
 
     def __repr__(self) -> str:
         return f"DiscPoint(radius={self.radius!r}, angle={self.angle!r})"
@@ -137,13 +122,13 @@ class JoinPoint:
     sum to 1 and vectors forming a strict chain in the specialization
     order, so support sizes strictly increase term by term.  Zero
     weights are disallowed, so the representation is canonical.  The
-    weights are held as ints, ``nums`` over ``whole``, their lcm.
+    weights are held as ints, ``nums`` over ``whole``, their lcm, so
+    equality and the hash are those of the fields.
     """
 
     nums: tuple[int, ...]
     whole: int
     vectors: tuple[PhaseVector, ...]
-    __match_args__ = ("terms",)
 
     def __init__(self, terms) -> None:
         terms = tuple(terms) if terms else ()  # none: refused in _fill_join
@@ -164,9 +149,6 @@ class JoinPoint:
     def terms(self) -> tuple[tuple[Fraction, PhaseVector], ...]:
         return tuple((Fraction(w, self.whole), x)
                      for w, x in zip(self.nums, self.vectors))
-
-    def __hash__(self) -> int:
-        return hash((self.terms,))
 
     def __repr__(self) -> str:
         return f"JoinPoint(terms={self.terms!r})"

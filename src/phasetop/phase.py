@@ -17,7 +17,6 @@ integer arithmetic: no floating point is used anywhere.
 from __future__ import annotations
 
 import math
-import operator
 import re
 import sys
 from dataclasses import FrozenInstanceError, dataclass
@@ -54,16 +53,6 @@ def _over_lcm(qs: Sequence) -> tuple[list, int]:
 
 # builds and fills an Angle past its refusing __setattr__
 _new, _set = object.__new__, object.__setattr__
-_HASH = sys.hash_info
-
-
-def _ratio_hash(num: int, den: int) -> int:
-    """Fraction's hash of num/den for ints num >= 0, den > 0: num times
-    the inverse of den modulo the hash modulus, inf when den has none."""
-    try:
-        return hash(num * pow(den, -1, _HASH.modulus))
-    except ValueError:
-        return _HASH.inf
 
 
 def _refuse_setattr(self, name, value):
@@ -91,7 +80,7 @@ def value_type(cls=None, /, **options):
     return cls
 
 
-@value_type(init=False, repr=False, eq=False)
+@value_type(init=False, repr=False)
 class Angle:
     """A point on the circle, measured in turns and reduced mod 1.
 
@@ -100,15 +89,12 @@ class Angle:
     ints.  The one constructor argument is the turns, as any value
     `Fraction` accepts; the ``turns`` property gives them back as a new
     Fraction, and `Angle.of_ratio` builds an angle from ints without
-    one.  Equality and order are those of the turns, and
-    ``hash(a) == hash((a.turns,))``, a dataclass's hash of the turns, so
-    the iteration order of sets and dicts of angles, and with it every
-    report, does not depend on how an angle holds its value.
+    one.  Every constructor reduces the ratio, so equality and the hash
+    are those of the two ints.
     """
 
     num: int
     den: int
-    __match_args__ = ("turns",)
 
     def __init__(self, turns) -> None:
         t = turns if isinstance(turns, Fraction) else Fraction(turns)
@@ -132,20 +118,6 @@ class Angle:
 
     def as_integer_ratio(self) -> tuple[int, int]:  # as Fraction's does
         return self.num, self.den
-
-    def _by_turns(op):
-        def compare(self, other):
-            if other.__class__ is not self.__class__:
-                return NotImplemented
-            return op(self.num * other.den, other.num * self.den)
-        return compare
-
-    __eq__, __lt__, __le__, __gt__, __ge__ = map(_by_turns, (
-        operator.eq, operator.lt, operator.le, operator.gt, operator.ge))
-    del _by_turns
-
-    def __hash__(self) -> int:
-        return hash((_ratio_hash(self.num, self.den),))
 
     def __repr__(self) -> str:
         return f"Angle(turns={self.turns!r})"
@@ -205,7 +177,7 @@ class Phase:
 ZERO = Phase(None)
 
 
-@value_type(order=True)
+@value_type
 class Arc:
     """A closed arc of the circle: start angle plus nonnegative length.
 

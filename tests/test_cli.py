@@ -289,11 +289,27 @@ def test_homology_accepts_the_good_doc():
     assert r.output.strip() == "betti (1,0) euler 1 over Q"
 
 
-def test_homology_of_vertices_without_simplices_is_empty():
-    r = _homology_of({"n": 1, "m": 2, "vertices": [[["1", "0"]]],
-                      "simplices": []})
+def test_homology_of_the_empty_document_is_empty():
+    r = _homology_of({"n": 1, "m": 2, "vertices": [], "simplices": []})
     assert r.exit_code == 0
     assert r.output.strip() == "betti () euler 0 over Q"
+
+
+@pytest.mark.parametrize("command", [["mesh", "stats"], ["homology"]])
+@pytest.mark.parametrize("simplices,first", [
+    ([[0, 1], [3]], 2), ([], 0), ([[1], [0, 2]], 3)])
+def test_vertex_in_no_simplex_is_one_error_line(command, simplices, first):
+    # read back, the complex would leave it out of its f-vector and its
+    # Betti numbers without a word
+    doc = {"n": 1, "m": 2, "simplices": simplices,
+           "vertices": [[[r, "0"]] for r in ("0", "1/3", "1/2", "1")]}
+    runner = CliRunner()
+    with runner.isolated_filesystem():
+        with open("doc.json", "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        r = runner.invoke(main, [*command, "--in", "doc.json"])
+    assert_clean_error(r, f"vertex {first} lies in no simplex")
+    assert r.output.splitlines() == [r.output.strip()]
 
 
 def test_homology_rejects_non_object_document():

@@ -376,8 +376,17 @@ def test_doc_rejects_duplicates_and_bad_indices(slice32):
     doc = complex_to_doc(slice32, 3, 2)
     dup = json.loads(json.dumps(doc))
     dup["vertices"].append(dup["vertices"][0])
-    with pytest.raises(ValueError):
+    want = (f"complex repeats a vertex: vertices 0 and {len(doc['vertices'])}"
+            f" are both {slice32.vertices[0]}")
+    with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
         complex_from_doc(dup)
+    # every radius-0 coordinate is the centre, whatever its angle
+    centre = {"n": 1, "m": 2, "vertices": [[["1", "0"]], [["0", "0"]],
+                                           [["0", "1/3"]]],
+              "simplices": [[0, 1], [1, 2]]}
+    with pytest.raises(ValueError, match=re.escape(
+            "complex repeats a vertex: vertices 1 and 2 are both 0@0") + "$"):
+        complex_from_doc(centre)
     bad = json.loads(json.dumps(doc))
     bad["simplices"][0] = [0, 10 ** 6]
     with pytest.raises(ValueError, match=re.escape("bad simplex [0, 1000000]")):
@@ -412,6 +421,26 @@ def test_doc_bad_coordinate_after_a_repeated_good_one(slice32, bad, msg):
     doc["vertices"][-1][-1] = bad
     with pytest.raises(ValueError, match=re.escape(msg) + "$"):
         complex_from_doc(doc)
+
+
+def test_doc_refuses_a_vertex_in_no_simplex(slice32):
+    # read back, the complex would leave it out of its f-vector and its
+    # Betti numbers without a word
+    doc = json.loads(json.dumps(complex_to_doc(slice32, 3, 2)))
+    nv = len(doc["vertices"])
+    doc["vertices"].append([["1", "1/3"], ["0", "0"], ["1/3", "0"]])
+    with pytest.raises(ValueError, match=f"^vertex {nv} lies in no simplex$"):
+        complex_from_doc(doc)
+    # the first unused index is named, and a document with no simplices
+    # uses none of its vertices
+    doc = {"n": 1, "m": 2, "vertices": [[["0", "0"]], [["1", "0"]],
+                                        [["1", "1/2"]]]}
+    for simplices, first in (([[0, 1]], 2), ([[2], [0, 2]], 1), ([], 0)):
+        with pytest.raises(ValueError,
+                           match=f"^vertex {first} lies in no simplex$"):
+            complex_from_doc(dict(doc, simplices=simplices))
+    K, _, _ = complex_from_doc(dict(doc, simplices=[[2], [0, 1]]))
+    assert K.f_vector() == (3, 1)
 
 
 def test_doc_rejects_a_repeated_simplex(slice32):
@@ -976,7 +1005,8 @@ def test_repeated_top_is_malformed_not_a_closed_pseudomanifold():
     # a negative index: once read as the last vertex
     (["a", "b", "c"], [(0, 1, -1)], r"bad simplex \(0, 1, -1\)$"),
     # a 3-cycle over a repeated vertex: once a closed pseudomanifold
-    (["a", "a", "c"], [(0, 1), (1, 2), (0, 2)], "complex repeats a vertex$"),
+    (["a", "a", "c"], [(0, 1), (1, 2), (0, 2)],
+     "complex repeats a vertex: vertices 0 and 1 are both a$"),
 ], ids=["index-out-of-range", "index-one-past-the-table", "negative-index",
         "repeated-vertex"])
 def test_incidence_checks_validate_the_complex(vertices, tops, msg):

@@ -481,13 +481,25 @@ def _holds_its_phase(c):
     return c.phase.angle is c.angle and c.phase == Phase(c.angle)
 
 
+def _reduced(c):
+    """c's radius and angle are reduced ratios, the angle in [0, 1):
+    equality and the hash read the fields, so they rely on this."""
+    a = c.angle
+    return (math.gcd(c.num, c.den) == 1 and math.gcd(a.num, a.den) == 1
+            and 0 <= a.num < a.den)
+
+
 def test_every_disc_point_constructor_sets_its_phase():
+    # each point also holds reduced ratios, however unreduced its ints
     rng = random.Random("disc-phase")
     points = [DiscPoint.center(), cells._ONE_POINT, cells._MINUS_ONE_POINT]
     for _ in range(200):
         r, a = _mixed_fraction(rng), _mixed_fraction(rng)
+        (rn, rd), (an, ad) = r.as_integer_ratio(), a.as_integer_ratio()
         points += [DiscPoint(r, Angle(a)), DiscPoint.of(r, a),
                    DiscPoint.of_ratio(*r.as_integer_ratio(), Angle(a)),
+                   DiscPoint.of_ratio(3 * rn, 3 * rd, Angle.of_ratio(
+                       6 * an - 12 * ad, 6 * ad)),
                    DiscPoint(0, Angle(a))]
     for _ in range(100):
         n = rng.randint(1, 5)
@@ -503,8 +515,9 @@ def test_every_disc_point_constructor_sets_its_phase():
     points += [cells._upper_at(u) for u in range(17)]
     points += [cells._lower_at(t) for t in range(0, 257, 8)]
     points += [cells._disc_at(r, a) for r in range(17) for a in range(16)]
+    points += [c for k in range(65) for c in _disc_row(k)]
     for c in points:
-        assert _holds_its_phase(c), repr(c)
+        assert _holds_its_phase(c) and _reduced(c), repr(c)
 
 
 @pytest.mark.parametrize("sampler", [random_join_point, _mixed_join_point])
@@ -516,6 +529,12 @@ def test_round_trip_hands_back_the_chains_own_phases(sampler):
         assert all(math.gcd(c.num, c.den) == 1 for c in z), str(z)
         q = model_to_join(z)
         assert q == p and len(q.vectors) == len(p.vectors)
+        # every constructor divides the weights by their gcd
+        scaled = JoinPoint.of_ratios([3 * w for w in p.nums], 3 * p.whole,
+                                     p.vectors)
+        for r in (p, q, JoinPoint(p.terms), scaled):
+            assert math.gcd(*r.nums) == 1 and sum(r.nums) == r.whole, str(r)
+            assert r == p and hash(r) == hash(p), str(r)
         for x, y in zip(q.vectors, p.vectors):
             assert all(a is b for a, b in zip(x.entries, y.entries)), str(p)
 
