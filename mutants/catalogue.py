@@ -183,6 +183,25 @@ MUTANTS = [
          "test_keyed_refuses_a_repeated_key_naming_the_simplex",
          "tests/test_mesh.py::"
          "test_keyed_names_the_offender_the_key_loop_named")),
+    Mutant(
+        # a pivot kept with 2 at its low (RP^2, the Klein bottle) would
+        # hand its Q ranks to F2, which differ there
+        "engine-certifies-a-non-unit-low",
+        "src/phasetop/homology.py",
+        "elif type(col) is dict and col[low] not in (1, -1):",
+        "elif False:",
+        ("tests/test_homology.py::test_the_certificate_of_a_reduction",
+         "tests/test_homology.py::"
+         "test_torsion_refuses_the_certificate_and_f2_reduces",
+         "tests/test_homology.py::test_f2_after_q_is_the_f2_engine_alone")),
+    Mutant(
+        # a column divided by its content is no integer combination of
+        # the columns it was reduced from, whatever its low
+        "engine-certifies-a-divided-column",
+        "src/phasetop/homology.py",
+        "if dirty and _divide_content(col) > 1:",
+        "if dirty and not _divide_content(col):",
+        ("tests/test_homology.py::test_the_certificate_of_a_reduction",)),
     # -- rules written once -------------------------------------------------
     Mutant(
         "label-order-missing-a-pair",

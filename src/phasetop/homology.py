@@ -72,11 +72,19 @@ class _Engine:
     its rows (as in PHAT's heap columns): each step pushes the rows of
     the pivot column that stay in it, and stale tops are popped, so a
     step costs the pivot column's length, not the working column's.
+
+    Over Q, unimodular stays True while every kept pivot has +-1 at its
+    low (so no step scales col) and no content pass divides by more than
+    1.  Then every step is col - c other: the reduced columns are D V, V
+    integer and unitriangular, and mod 2 they keep their lows, so the F2
+    rank is the pivot count.  A cleared column i is mod 2 a sum of
+    earlier ones: a pivot R one dimension up has R[i] = +-1, D R = 0.
     """
 
     def __init__(self, f2: bool):
         self.f2 = f2
         self.pivots: dict = {}
+        self.unimodular = not f2
 
     def add(self, col) -> None:
         """Reduce col, a tuple or a built column (reduced in place), and
@@ -93,10 +101,12 @@ class _Engine:
                 low = -heap[0]
             other = self.pivots.get(low)
             if other is None:
-                if dirty:
-                    _divide_content(col)
+                if dirty and _divide_content(col) > 1:
+                    self.unimodular = False
                 if self.f2 and type(col) is not tuple:
                     col = tuple(col)
+                elif type(col) is dict and col[low] not in (1, -1):
+                    self.unimodular = False
                 self.pivots[low] = col
                 return
             if heap is None:
@@ -146,12 +156,13 @@ def _eliminate(col: dict, other, low) -> bool:
     return False
 
 
-def _divide_content(col: dict) -> None:
-    """Divide col by the gcd of its entries."""
+def _divide_content(col: dict) -> int:
+    """Divide col by the gcd of its entries, and return that gcd."""
     g = gcd(*col.values())
     if g > 1:
         for r in col:
             col[r] //= g
+    return g
 
 
 @cache
@@ -233,13 +244,26 @@ def _betti_numbers(counts: Sequence[int], ranks: dict) -> tuple:
 
 
 def betti(K: SimplicialComplex, field="q") -> BettiReport:
-    """Betti numbers of K in every dimension, by exact rank computation."""
+    """Betti numbers of K in every dimension, by exact rank computation.
+
+    The ranks are kept on K.  When every dimension's Q reduction is
+    unimodular (see _Engine), its ranks are also K's F2 ranks, by the
+    universal coefficient theorem; otherwise F2 runs its own reduction.
+    """
     tag = _check_field(field)
     faces = K.faces()
     if not faces:
         return BettiReport(tag, (), 0)
-    ranks = {d: len(eng.pivots) for d, eng in _reductions(
-        partial(_boundary_columns, (K,)), tag == "f2", len(faces) - 1)}
+    ranks = K._ranks.get(tag)
+    if ranks is None:
+        ranks, unimodular = {}, True
+        for d, eng in _reductions(partial(_boundary_columns, (K,)),
+                                  tag == "f2", len(faces) - 1):
+            ranks[d] = len(eng.pivots)
+            unimodular = unimodular and eng.unimodular
+        K._ranks[tag] = ranks
+        if unimodular:
+            K._ranks["f2"] = ranks
     return BettiReport(tag, _betti_numbers(list(map(len, faces.values())),
                                            ranks), euler_characteristic(K))
 

@@ -129,13 +129,15 @@ class SimplicialComplex:
     reduces over, and their facet rows.  Homology, the f-vector, the
     codimension-1 incidence behind the pseudomanifold check and the
     boundary all read that one table; a boundary gets its own table
-    read off it.  It is kept on the complex, so the vertex and top lists
-    must not be mutated after that.
+    read off it.  It is kept on the complex, beside the boundary ranks
+    that `homology.betti` finds over each field, so the vertex and top
+    lists must not be mutated after that.
     """
 
     vertices: list
     tops: list
     _table: Optional[tuple] = field(default=None, init=False, repr=False)
+    _ranks: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def dim(self) -> int:
@@ -680,12 +682,16 @@ def simplex_probe(points: Sequence[ModelPoint]) -> ModelPoint:
 def complex_to_doc(K: SimplicialComplex, n: int, m: int) -> dict:
     """The mesh document: exact vertex coordinates plus top simplices.
     ValueError on vertices that are not model points, and, with the
-    reader's message, on a shape the reader refuses (_check_doc_shape)."""
+    reader's message, on a shape the reader refuses (_check_doc_shape)
+    or a vertex that lies in no simplex."""
     if not all(isinstance(v, ModelPoint) for v in K.vertices):
         raise ValueError("only model-point complexes serialize")
     vertices = [[[_format_ratio(c.num, c.den), str(c.angle)]
                  for c in z] for z in K.vertices]
     _check_doc_shape(n, m, vertices)
+    unused = set(range(len(vertices))).difference(*K.tops)
+    if unused:
+        raise ValueError(f"vertex {min(unused)} lies in no simplex")
     return {"n": n, "m": m, "vertices": vertices,
             "simplices": [list(t) for t in K.tops]}
 

@@ -4,6 +4,7 @@ import itertools
 import json
 import os
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import partial
 from math import gcd
@@ -242,6 +243,22 @@ def rp2():
                              [tuple(v - 1 for v in f) for f in faces])
 
 
+def klein_bottle():
+    """The twisted 3 x 3 grid: 9 vertices, 18 triangles.  The square at
+    (i, j) has corners (i, j) to (i + 1, j + 1), i taken mod 3, and a
+    corner at j = 3 is the vertex (-i, 0)."""
+    def v(i, j):
+        if j == 3:
+            i, j = -i, 0
+        return i % 3 * 3 + j
+
+    tops = []
+    for i, j in itertools.product(range(3), repeat=2):
+        a, b, c, d = v(i, j), v(i + 1, j), v(i, j + 1), v(i + 1, j + 1)
+        tops += [tuple(sorted((a, b, d))), tuple(sorted((a, c, d)))]
+    return SimplicialComplex(list(range(9)), tops)
+
+
 def sub_complex(K: SimplicialComplex, tops) -> SimplicialComplex:
     """The subcomplex spanned by the given tops of K, on its own vertices."""
     used = sorted(set().union(*tops))
@@ -317,6 +334,96 @@ def test_projective_plane_torsion_shows_only_mod_2():
     assert betti(K, "f2").betti == (1, 1, 1)
     for f2 in (False, True):
         assert reference_betti(K, f2) == betti(K, "f2" if f2 else "q").betti
+
+
+def test_the_klein_bottle_is_a_surface():
+    K = klein_bottle()
+    assert K.f_vector() == (9, 27, 18) and K.is_closed_pseudomanifold()
+    for x in range(9):  # every vertex link is one cycle
+        link = [tuple(y for y in t if y != x) for t in K.tops if x in t]
+        assert betti(SimplicialComplex(list(range(9)), link)).betti \
+            == (1, 1)
+        assert set(Counter(itertools.chain(*link)).values()) == {2}
+
+
+def reductions_run(monkeypatch) -> list:
+    """The field of every reduction betti runs from now on (True: F2)."""
+    runs = []
+    reductions = homology_module._reductions
+
+    def logging(columns, f2, top):
+        runs.append(f2)
+        return reductions(columns, f2, top)
+
+    monkeypatch.setattr(homology_module, "_reductions", logging)
+    return runs
+
+
+def unimodular(K: SimplicialComplex) -> list:
+    """Whether each dimension's Q reduction of K is unimodular."""
+    return [eng.unimodular for _, eng in _reductions(
+        partial(_boundary_columns, (K,)), False, K.dim)]
+
+
+@pytest.mark.parametrize("build,q,f2", [(rp2, (1, 0, 0), (1, 1, 1)),
+                                        (klein_bottle, (1, 1, 0), (1, 2, 1))],
+                         ids=["rp2", "klein-bottle"])
+def test_torsion_refuses_the_certificate_and_f2_reduces(build, q, f2,
+                                                         monkeypatch):
+    # a pivot of the top dimension keeps 2 at its low, so the Q ranks are
+    # not the F2 ranks, and F2 after Q runs its own reduction
+    K = build()
+    assert unimodular(K) == [False, True, True]
+    runs = reductions_run(monkeypatch)
+    assert betti(K, "q").betti == q == reference_betti(K, False)
+    assert "f2" not in K._ranks
+    assert betti(K, "f2").betti == f2 == reference_betti(K, True)
+    assert betti(build(), "f2").betti == f2
+    assert runs == [False, True, True]
+
+
+@pytest.mark.parametrize("build", [
+    circle, disc, lambda: assemble_full(2, 4),
+    lambda: boundary_subcomplex(assemble_slice(4, 2)),
+], ids=["circle", "disc", "full(2,4)", "boundary of slice(4,2)"])
+def test_a_unimodular_q_reduction_gives_the_f2_ranks(build, monkeypatch):
+    # F2 after Q reads the Q ranks, with no second reduction; F2 first,
+    # on a fresh complex, runs the F2 engine to the same numbers
+    K = build()
+    assert all(unimodular(K))
+    runs = reductions_run(monkeypatch)
+    r = betti(K, "q")
+    assert K._ranks["f2"] is K._ranks["q"]
+    assert betti(K, "f2") == BettiReport("f2", r.betti, r.euler) \
+        == betti(build(), "f2")
+    assert runs == [False, True]
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(complexes())
+@example(rp2())
+@example(klein_bottle())
+def test_f2_after_q_is_the_f2_engine_alone(drawn):
+    K = SimplicialComplex(drawn.vertices, drawn.tops)
+    alone = SimplicialComplex(drawn.vertices, drawn.tops)
+    betti(K, "q")
+    assert betti(K, "f2") == betti(alone, "f2")
+
+
+@pytest.mark.parametrize("cols,pivots,certified", [
+    ([(0, 1)], {1: (0, 1)}, True),
+    ([{1: 1}, {0: 1, 1: 3}], {1: {1: 1}, 0: {0: 1}}, True),
+    # col - 2 other leaves {0: 2}: divided by its content, its low is 1
+    ([{1: 1}, {0: 2, 1: 2}], {1: {1: 1}, 0: {0: 1}}, False),
+    ([{0: 1, 1: 2}], {1: {0: 1, 1: 2}}, False),
+], ids=["facet-row", "unit-steps", "content-divided", "low-of-two"])
+def test_the_certificate_of_a_reduction(cols, pivots, certified):
+    def columns(d, skip):
+        return [c if type(c) is tuple else dict(c) for c in cols]
+
+    d, eng = next(_reductions(columns, False, 0))
+    assert (d, eng.pivots, eng.unimodular) == (0, pivots, certified)
+    assert not _Engine(True).unimodular  # F2 certifies nothing
 
 
 @pytest.mark.parametrize("swap", [False, True])

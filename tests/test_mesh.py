@@ -443,6 +443,22 @@ def test_doc_refuses_a_vertex_in_no_simplex(slice32):
     assert K.f_vector() == (3, 1)
 
 
+@pytest.mark.parametrize("tops,first", [([(0, 1)], 2), ([(2,), (0, 2)], 1),
+                                        ([], 0)])
+def test_doc_writer_refuses_a_vertex_in_no_simplex(tops, first):
+    # written, the document would be refused when read back: the writer
+    # refuses the complex with the reader's message
+    doc = {"n": 1, "m": 2, "vertices": [[["0", "0"]], [["1", "0"]],
+                                        [["1", "1/2"]]]}
+    points = complex_from_doc(dict(doc, simplices=[[0, 1, 2]]))[0].vertices
+    with pytest.raises(ValueError) as read:
+        complex_from_doc(dict(doc, simplices=list(map(list, tops))))
+    with pytest.raises(ValueError) as write:
+        complex_to_doc(SimplicialComplex(points, tops), 1, 2)
+    assert str(write.value) == str(read.value) \
+        == f"vertex {first} lies in no simplex"
+
+
 def test_doc_rejects_a_repeated_simplex(slice32):
     doc = json.loads(json.dumps(complex_to_doc(slice32, 3, 2)))
     doc["simplices"].append(doc["simplices"][5][::-1])
