@@ -82,7 +82,8 @@ MUTANTS = [
          "test_mv_projective_plane_from_moebius_band_and_disc",)),
     Mutant(
         # the bound over all ids decides; the per-top loop only names the
-        # first bad top once it has
+        # first bad top once it has.  The closedness and boundary checks
+        # refuse the first index past the table, and so does the loop
         "face_table-index-range-off-by-one",
         "src/phasetop/mesh.py",
         "max(ids(tops), default=-1) < nv",
@@ -107,6 +108,26 @@ MUTANTS = [
         "if c == 1)",
         "if c != 2)",
         ("tests/test_mesh.py::test_the_boundary_table_is_the_rebuilt_table",)),
+    Mutant(
+        # closedness counts ridges in the top facet rows; a ridge in three
+        # tops is a branch, not a closed pseudomanifold
+        "closedness-ridges-in-two-or-more-tops",
+        "src/phasetop/mesh.py",
+        "all(c == 2 for c in Counter(",
+        "all(c >= 2 for c in Counter(",
+        ("tests/test_mesh.py::test_closedness_of_small_complexes",
+         "tests/test_homology.py::"
+         "test_closedness_matches_the_brute_force_ridge_count")),
+    Mutant(
+        # the empty face of a 0-dimensional complex lies in every point;
+        # only two points make it closed
+        "closedness-of-two-or-more-points",
+        "src/phasetop/mesh.py",
+        "return len(self.tops) == 2",
+        "return len(self.tops) >= 2",
+        ("tests/test_mesh.py::test_closedness_of_small_complexes",
+         "tests/test_homology.py::"
+         "test_closedness_matches_the_brute_force_ridge_count")),
     Mutant(
         "slice-vertex-keys-unsorted",
         "src/phasetop/mesh.py",

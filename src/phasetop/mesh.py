@@ -47,29 +47,35 @@ class MeshValidityError(ValueError):
     on a shared interface."""
 
 
-def _top_keys(tops: Sequence) -> dict:
+def _top_keys(tops: Sequence, listed: Callable) -> dict:
     """The sorted vertex tuple of each top, mapped to its position; a
     top that is already a sorted tuple is its own key.
 
     Raises MeshValidityError if a top spans the vertex set of an earlier
-    one; the message names both positions and both tops.
+    one; the message names both positions and both simplices as the
+    caller lists them: listed(k) is tops[k] in the caller's terms (the
+    top itself, a key simplex, or a document's simplex).  It is called
+    only to word a refusal, so a caller need not build its listing.
     """
     first: dict = {}
     for k, t in enumerate(tops):
         key = tuple(sorted(t))
         j = first.setdefault(t if key == t else key, k)
         if j != k:
-            raise MeshValidityError(f"simplex {k} {t!r} repeats the vertices "
-                                    f"of simplex {j} {tops[j]!r}")
+            raise MeshValidityError(f"simplex {k} {listed(k)!r} repeats the "
+                                    f"vertices of simplex {j} {listed(j)!r}")
     return first
 
 
-def _face_table(vertices: Sequence, tops: Sequence) -> tuple:
+def _face_table(vertices: Sequence, tops: Sequence,
+                listed: Optional[Callable] = None) -> tuple:
     """Validate a complex, then list its faces and their facet rows.
 
     Raises MeshValidityError on a repeated vertex, naming both indices
     and the point, an empty top, a top with an index out of range or
-    repeated, or a top that repeats an earlier one's vertex set.
+    repeated, or a top that repeats an earlier one's vertex set.  A bad
+    top is named as `listed` gives it (see _top_keys), by default as
+    the top itself.
     Returns (faces, rows): faces[d] lists the d-simplices in sorted
     order, the basis of the d-chains; rows[d] holds the d + 1 facet
     indices of each d-simplex in that order, flat in one array, in
@@ -77,6 +83,7 @@ def _face_table(vertices: Sequence, tops: Sequence) -> tuple:
     empty.  The faces of the top dimension are the keys of _top_keys,
     not a second copy cut from them.
     """
+    listed = listed or tops.__getitem__
     nv = len(vertices)
     if len(set(vertices)) != nv:
         first: dict = {}
@@ -90,11 +97,11 @@ def _face_table(vertices: Sequence, tops: Sequence) -> tuple:
             and max(ids(tops), default=-1) < nv
             and list(map(len, tops)) == list(map(len, map(set, tops)))):
         # the passes above only tell that some top is bad; name the first
-        for t in tops:
+        for k, t in enumerate(tops):
             if not t or len(set(t)) != len(t) or any(
                     i < 0 or i >= nv for i in t):
-                raise MeshValidityError(f"bad simplex {t!r}")
-    keys = _top_keys(tops)
+                raise MeshValidityError(f"bad simplex {listed(k)!r}")
+    keys = _top_keys(tops, listed)
     top = max(map(len, keys), default=0) - 1
     faces = {}
     for d in range(top):
@@ -127,11 +134,11 @@ class SimplicialComplex:
     validates itself and builds one face table: the faces of each
     dimension as a sorted list, which is the chain basis `homology`
     reduces over, and their facet rows.  Homology, the f-vector, the
-    codimension-1 incidence behind the pseudomanifold check and the
-    boundary all read that one table; a boundary gets its own table
-    read off it.  It is kept on the complex, beside the boundary ranks
-    that `homology.betti` finds over each field, so the vertex and top
-    lists must not be mutated after that.
+    pseudomanifold check and the boundary all read that one table (the
+    last two count ridges in the top facet rows); a boundary gets its
+    own table read off it.  It is kept on the complex, beside the
+    boundary ranks that `homology.betti` finds over each field, so the
+    vertex and top lists must not be mutated after that.
     """
 
     vertices: list
@@ -162,34 +169,21 @@ class SimplicialComplex:
     def is_pure(self) -> bool:
         return bool(self.tops) and len({len(t) for t in self.tops}) == 1
 
-    def codim1_incidence(self) -> dict:
-        """Count of top simplices containing each codimension-1 face.
-
-        The counts are those of the facet rows of the top dimension in
-        the face table, keyed by face in sorted order; a 0-dimensional
-        complex has one codimension-1 face, the empty one.  Raises
-        MeshValidityError on a malformed complex (see _face_table) or
-        one that is not pure.
-        """
-        self.faces()
-        if not self.is_pure():
-            raise MeshValidityError("incidence counting needs a pure complex")
-        faces, rows = self._table
-        d = self.dim
-        if d == 0:
-            return {(): len(self.tops)}
-        count = Counter(rows[d])
-        return {f: count[i] for i, f in enumerate(faces[d - 1])}
-
     def is_closed_pseudomanifold(self) -> bool:
         """Pure, and each codimension-1 face lies in exactly two tops.
 
-        Malformed input is not a no: the MeshValidityError of the face
-        table propagates, whether the complex is pure or not.
+        The counts are those of the facet rows of the top dimension, as
+        boundary_subcomplex reads them; a 0-dimensional complex has one
+        codimension-1 face, the empty one, so it is closed when it has two
+        points.  Malformed input is not a no: the MeshValidityError of the
+        face table propagates, whether the complex is pure or not.
         """
-        self.faces()
-        return self.is_pure() and all(
-            c == 2 for c in self.codim1_incidence().values())
+        rows = self.facet_rows()
+        if not self.is_pure():
+            return False
+        if self.dim == 0:
+            return len(self.tops) == 2
+        return all(c == 2 for c in Counter(rows[self.dim]).values())
 
 
 # ---------------------------------------------------------------------------
@@ -229,9 +223,9 @@ def _keyed(simplices: Sequence) -> SimplicialComplex:
 
     The keys are numbered first, once, in sorted order, so the checks and
     the sort run on int tuples; each top keeps its given vertex order,
-    and the tops are sorted by vertex set.  Raises MeshValidityError,
-    naming the simplex by its keys, on one that repeats a key or the key
-    set of an earlier one (see _top_keys).
+    and the tops are sorted by vertex set.  Raises MeshValidityError on
+    a simplex that repeats a key or the key set of an earlier one, in
+    one pass, naming the simplices by their keys (see _top_keys).
     """
     order = sorted(set(itertools.chain.from_iterable(simplices)))
     vid = dict(zip(order, itertools.count()))
@@ -240,11 +234,7 @@ def _keyed(simplices: Sequence) -> SimplicialComplex:
         for k, s in enumerate(simplices):
             if len(set(s)) != len(s):
                 raise MeshValidityError(f"simplex {k} {s!r} repeats a key")
-    try:
-        keys = _top_keys(tops)
-    except MeshValidityError:
-        _top_keys(simplices)  # raises, naming the simplices by their keys
-        raise
+    keys = _top_keys(tops, simplices.__getitem__)
     return SimplicialComplex(order, [tops[k] for _, k in sorted(keys.items())])
 
 
@@ -256,24 +246,22 @@ def _union(A: SimplicialComplex, B: SimplicialComplex) -> SimplicialComplex:
     into it in order, so faces stay sorted and ascending: the union's
     faces of each dimension are the two sorted lists merged, the shared
     faces kept once, its tops the two top lists merged by vertex set, and
-    its facet rows are derived from those faces.  A top that A and B
-    share falls back to _keyed, which refuses it with its message.
+    its facet rows are derived from those faces.  _top_keys of the
+    merged tops refuses a top that A and B share with _keyed's message,
+    naming both by their keys.
     """
     order = sorted(set(A.vertices).union(B.vertices))
     vid = dict(zip(order, itertools.count()))
-    tops, faces = {}, {}
+    tops, faces = [], {}
     for K in (A, B):
         to = itertools.repeat([vid[key] for key in K.vertices].__getitem__)
-        mapped = list(map(tuple, map(map, to, K.tops)))
-        tops.update(zip(map(tuple, map(sorted, mapped)), mapped))
+        tops += map(tuple, map(map, to, K.tops))
         for d, fs in K.faces().items():
             # each list is sorted, so the merge sort finds two runs
             faces.setdefault(d, []).extend(map(tuple, map(map, to, fs)))
-    if len(tops) < len(A.tops) + len(B.tops):
-        return _keyed([tuple(map(K.vertices.__getitem__, t))
-                       for K in (A, B) for t in K.tops])
+    keys = _top_keys(tops, lambda k: tuple(map(order.__getitem__, tops[k])))
     faces = {d: sorted(dict.fromkeys(fs)) for d, fs in faces.items()}
-    U = SimplicialComplex(order, [tops[k] for k in sorted(tops)])
+    U = SimplicialComplex(order, [tops[k] for _, k in sorted(keys.items())])
     U._table = (faces, _facet_rows(faces))
     return U
 
@@ -738,10 +726,11 @@ def complex_from_doc(doc: dict):
     simplex that is not a nonempty list of integers.  The complex's own
     validation then refuses a repeated vertex, a simplex with an index
     out of range or repeated, and a simplex whose vertex set repeats an
-    earlier one's, naming the simplices as the document lists them.  The
-    face table is built from the complex's own tops and kept on it, so an
-    ascending top is its own top face.  Last, the first vertex that lies
-    in no simplex is refused: the table's 0-faces are the vertices in use.
+    earlier one's, in one pass, naming the simplices as the document
+    lists them.  The face table is built from the complex's own tops and
+    kept on it, so an ascending top is its own top face.  Last, the
+    first vertex that lies in no simplex is refused: the table's 0-faces
+    are the vertices in use.
     """
     if not isinstance(doc, dict):
         raise ValueError("mesh document must be a JSON object")
@@ -764,11 +753,7 @@ def complex_from_doc(doc: dict):
             if not isinstance(s, list) or not s or not all(map(_doc_int, s)):
                 raise ValueError(f"bad simplex {s!r}")
     K = SimplicialComplex(verts, list(map(tuple, simplices)))
-    try:
-        K._table = _face_table(verts, K.tops)
-    except MeshValidityError:
-        _face_table(verts, simplices)  # raises, naming the listed simplices
-        raise
+    K._table = _face_table(verts, K.tops, simplices.__getitem__)
     used = K.faces().get(0, [])
     if len(used) != len(verts):  # sorted, so the first gap is unused
         k = next((k for k, (i,) in enumerate(used) if i != k), len(used))

@@ -51,6 +51,7 @@ from .homology import (
     betti,
     euler_characteristic,
     mayer_vietoris_assemble,
+    order_complex_of_poset,
     vertex_inclusion_map,
 )
 from .report import VerificationReport, run_check
@@ -119,8 +120,6 @@ def _suite_pieces(rep, ns, m_cap, samples, seed):
 
 
 def _suite_sign_spheres(rep, ns, m_cap, samples, seed):
-    from .homology import order_complex_of_poset
-
     for n in ns:
         vs = [v for v in enumerate_covectors("sign", n)
               if len(sign_support(v)) >= 2]

@@ -208,9 +208,9 @@ def test_mesh_stats_walks_the_tops_once_per_complex(monkeypatch):
 
     walked = []
 
-    def counting(tops):
+    def counting(tops, listed):
         walked.append(len(tops))
-        return top_keys(tops)
+        return top_keys(tops, listed)
 
     top_keys = mesh_module._top_keys
     runner = CliRunner()

@@ -790,36 +790,35 @@ def test_the_top_faces_are_the_sorted_tops_themselves():
     assert sorted(map(id, B.faces()[B.dim])) == sorted(map(id, B.tops))
 
 
-def brute_codim1_incidence(tops) -> dict:
-    """Each top's codimension-1 vertex subsets, counted one by one."""
-    count: dict = {}
-    for t in tops:
-        for f in itertools.combinations(sorted(t), len(t) - 1):
-            count[f] = count.get(f, 0) + 1
-    return count
+def brute_ridge_count(tops) -> Counter:
+    """Each top's codimension-1 vertex subsets, counted one by one; a
+    0-dimensional top has one, the empty face."""
+    return Counter(f for t in tops
+                   for f in itertools.combinations(sorted(t), len(t) - 1))
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(complexes())
-def test_codim1_incidence_matches_the_brute_force_count(K):
-    # the incidence read off the face table, on the drawn complex and on
-    # the pure complex of its d-faces for d = 0..3, each top listed in
-    # descending vertex order so the table must sort it
-    if K.is_pure():
-        assert K.codim1_incidence() == brute_codim1_incidence(K.tops)
-    else:
-        with pytest.raises(MeshValidityError, match="pure complex"):
-            K.codim1_incidence()
-    for d in range(4):
-        tops = sorted({s[::-1] for t in K.tops
+def test_closedness_matches_the_brute_force_ridge_count(K):
+    # closedness and the boundary's tops, both read off the top facet
+    # rows, on the drawn complex and on the pure complex of its d-faces
+    # for d = 0..3, each top listed in descending vertex order so the
+    # table must sort it
+    skeleta = [sorted({s[::-1] for t in K.tops
                        for s in itertools.combinations(sorted(t), d + 1)})
-        if not tops:
+               for d in range(4)]
+    for L in [K] + [SimplicialComplex(K.vertices, t) for t in skeleta if t]:
+        count = brute_ridge_count(L.tops)
+        assert L.is_closed_pseudomanifold() == (
+            L.is_pure() and all(c == 2 for c in count.values()))
+        if not L.is_pure():
+            with pytest.raises(MeshValidityError, match="non-pure"):
+                boundary_subcomplex(L)
             continue
-        L = SimplicialComplex(K.vertices, tops)
-        want = brute_codim1_incidence(tops)
-        assert L.codim1_incidence() == want
-        assert L.is_closed_pseudomanifold() == all(
-            c == 2 for c in want.values())
+        B = boundary_subcomplex(L)
+        assert {frozenset(map(B.vertices.__getitem__, t)) for t in B.tops} \
+            == {frozenset(map(L.vertices.__getitem__, f))
+                for f, c in count.items() if c == 1 and f}
 
 
 def _assert_same_boundary_columns(parts, simp, idx, d: int, f2: bool):
@@ -874,7 +873,7 @@ def test_repeated_top_is_refused_naming_both_positions():
     # one edge listed twice, in both vertex orders
     K = SimplicialComplex([0, 1], [(0, 1), (1, 0)])
     msg = r"simplex 1 \(1, 0\) repeats the vertices of simplex 0 \(0, 1\)$"
-    # the one validator raises the one type codim1_incidence raises
+    # the one validator raises the one type the pseudomanifold check raises
     for field in ("q", "f2"):
         with pytest.raises(MeshValidityError, match=msg):
             betti(K, field)
@@ -890,9 +889,9 @@ def test_chain_data_is_built_once_per_complex(monkeypatch):
     # torus check, and carried to the emitted pieces
     built = []
 
-    def counting(vertices, tops):
+    def counting(vertices, tops, listed=None):
         built.append(vertices)
-        return build(vertices, tops)
+        return build(vertices, tops, listed)
 
     build = mesh_module._face_table
     monkeypatch.setattr(mesh_module, "_face_table", counting)

@@ -117,12 +117,39 @@ def test_slice_4_counts(slice42):
     assert slice42.is_pure()
 
 
-def test_slice_codim1_incidence(slice32, slice42):
+def test_slice_ridges_lie_in_one_or_two_tops(slice32, slice42):
     for K in (slice32, slice42):
-        inc = K.codim1_incidence()
-        assert max(inc.values()) == 2
-        assert min(inc.values()) >= 1
-        assert any(c == 1 for c in inc.values())  # the slice has boundary
+        # every ridge is a facet of some top, so the counts cover them all
+        count = Counter(K.facet_rows()[K.dim])
+        assert len(count) == len(K.faces()[K.dim - 1])
+        assert set(count.values()) == {1, 2}  # the slice has boundary
+        assert not K.is_closed_pseudomanifold()
+
+
+def test_closedness_of_small_complexes():
+    # a 0-dimensional complex is closed exactly when it has two points:
+    # its one ridge, the empty face, lies in each of them
+    for k in (1, 2, 3):
+        K = SimplicialComplex(list("abc")[:k], [(i,) for i in range(k)])
+        assert K.is_closed_pseudomanifold() is (k == 2)
+    # no tops, or tops of two dimensions: not pure, a no and not an error
+    for K in (SimplicialComplex([], []),
+              SimplicialComplex(list("abcd"), [(0, 1, 2), (2, 3)])):
+        assert K.is_closed_pseudomanifold() is False
+    # ridges in three tops and every other ridge in two: two vertices
+    # joined by three paths, and three discs on one circle
+    theta = SimplicialComplex(list("abcde"), [(0, 2), (2, 1), (0, 3), (3, 1),
+                                              (0, 4), (4, 1)])
+    discs = SimplicialComplex(list(range(6)), [
+        e + (a,) for a in (3, 4, 5) for e in ((0, 1), (1, 2), (0, 2))])
+    for K, d in ((theta, 1), (discs, 2)):
+        assert max(Counter(K.facet_rows()[d]).values()) == 3
+        assert min(Counter(K.facet_rows()[d]).values()) == 2
+        assert not K.is_closed_pseudomanifold()
+    # the tetrahedron's boundary: every edge in two triangles
+    sphere = SimplicialComplex(list("abcd"),
+                               list(itertools.combinations(range(4), 3)))
+    assert sphere.is_closed_pseudomanifold()
 
 
 def test_complex_caches_are_not_constructor_arguments():
@@ -175,7 +202,7 @@ def test_the_boundary_of_a_point_is_empty():
 def test_an_empty_top_is_refused():
     # once read as a complex with f-vector (2, 1)
     K = SimplicialComplex(["a", "b"], [(0, 1), ()])
-    for ask in (K.f_vector, K.codim1_incidence, K.is_closed_pseudomanifold,
+    for ask in (K.f_vector, K.is_closed_pseudomanifold,
                 lambda: boundary_subcomplex(K)):
         with pytest.raises(MeshValidityError, match=r"bad simplex \(\)$"):
             ask()
@@ -828,6 +855,52 @@ def test_drawn_pairs_that_share_a_top_raise_the_keyed_message():
             _union(A, B)
 
 
+def _spy_on_validators(monkeypatch) -> list:
+    """Record each call of the two validators, by name, in a list."""
+    import phasetop.mesh as mesh_module
+
+    calls = []
+    for name in ("_top_keys", "_face_table"):
+        def spy(*args, _name=name, _real=getattr(mesh_module, name)):
+            calls.append(_name)
+            return _real(*args)
+        monkeypatch.setattr(mesh_module, name, spy)
+    return calls
+
+
+def test_each_refusal_is_one_validator_pass(monkeypatch):
+    # each validator names the offender in its caller's terms, so no
+    # refusal runs a validator a second time to word its message
+    A = _keyed([((0,), (1,)), ((1,), (2,))])
+    B = _keyed([((2,), (3,)), ((2,), (1,))])
+    A.faces(), B.faces()
+    doc = {"n": 1, "m": 2, "vertices": [[["0", "0"]], [["1", "0"]],
+                                        [["1", "1/2"]]]}
+    cases = [
+        (lambda: _keyed([((0,), (1,), (2,)), ((3,), (1,)),
+                         ((2,), (0,), (1,))]),
+         "simplex 2 ((2,), (0,), (1,)) repeats the vertices of simplex 0 "
+         "((0,), (1,), (2,))", ["_top_keys"]),
+        (lambda: _union(A, B),
+         "simplex 2 ((2,), (1,)) repeats the vertices of simplex 1 "
+         "((1,), (2,))", ["_top_keys"]),
+        (lambda: complex_from_doc(dict(doc, simplices=[[0, 1], [1, 2],
+                                                       [2, 1]])),
+         "simplex 2 [2, 1] repeats the vertices of simplex 1 [1, 2]",
+         ["_face_table", "_top_keys"]),
+        (lambda: complex_from_doc(dict(doc, simplices=[[0, 1], [1, 2],
+                                                       [2, 3]])),
+         "bad simplex [2, 3]", ["_face_table"]),
+    ]
+    calls, walked = _spy_on_validators(monkeypatch), []
+    for refuse, msg, _ in cases:
+        calls.clear()
+        with pytest.raises(MeshValidityError, match=re.escape(msg) + "$"):
+            refuse()
+        walked.append(list(calls))
+    assert walked == [walks for _, _, walks in cases]
+
+
 def reference_keyed_offender(simplices: list):
     """The message _keyed gave when it checked the key tuples first: the
     first simplex that repeats a key, else the first that repeats an
@@ -1002,8 +1075,7 @@ def test_interface_witness_is_the_smallest_disputed_face(monkeypatch):
 def test_repeated_top_is_malformed_not_a_closed_pseudomanifold():
     K = SimplicialComplex([0, 1], [(0, 1), (1, 0)])
     msg = r"simplex 1 \(1, 0\) repeats the vertices of simplex 0 \(0, 1\)$"
-    for ask in (K.codim1_incidence, K.is_closed_pseudomanifold,
-                lambda: boundary_subcomplex(K)):
+    for ask in (K.is_closed_pseudomanifold, lambda: boundary_subcomplex(K)):
         with pytest.raises(MeshValidityError, match=msg):
             ask()
     # a sphere with one top listed twice
@@ -1026,8 +1098,7 @@ def test_repeated_top_is_malformed_not_a_closed_pseudomanifold():
 ], ids=["index-out-of-range", "index-one-past-the-table", "negative-index",
         "repeated-vertex"])
 def test_incidence_checks_validate_the_complex(vertices, tops, msg):
-    for ask in (SimplicialComplex.codim1_incidence,
-                SimplicialComplex.is_closed_pseudomanifold,
+    for ask in (SimplicialComplex.is_closed_pseudomanifold,
                 boundary_subcomplex):
         with pytest.raises(MeshValidityError, match=msg):
             ask(SimplicialComplex(vertices, tops))
@@ -1036,7 +1107,7 @@ def test_incidence_checks_validate_the_complex(vertices, tops, msg):
 def test_incidence_checks_validate_before_asking_for_purity():
     # a malformed complex is refused, not reported as not pure
     K = SimplicialComplex(["a", "b", "c"], [(0, 1, 5), (0, 1)])
-    for ask in (K.codim1_incidence, K.is_closed_pseudomanifold):
+    for ask in (K.is_closed_pseudomanifold, lambda: boundary_subcomplex(K)):
         with pytest.raises(MeshValidityError, match=r"bad simplex \(0, 1, 5\)$"):
             ask()
 
