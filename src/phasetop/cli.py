@@ -268,13 +268,12 @@ def mesh_stats(in_path):
     yes_no = {True: "yes", False: "no"}
     click.echo(f"dimension: {K.dim}")
     click.echo(f"f-vector: {K.f_vector()}")
-    click.echo(f"pure: {yes_no[K.is_pure()]}")
+    pure = K.is_pure()
+    click.echo(f"pure: {yes_no[pure]}")
     click.echo(f"closed pseudomanifold: {yes_no[K.is_closed_pseudomanifold()]}")
     click.echo(f"euler characteristic: {euler_characteristic(K)}")
-    if K.is_pure():
-        click.echo(f"boundary f-vector: {boundary_subcomplex(K).f_vector()}")
-    else:
-        click.echo("boundary f-vector: undefined (not pure)")
+    bd = boundary_subcomplex(K).f_vector() if pure else "undefined (not pure)"
+    click.echo(f"boundary f-vector: {bd}")
 
 
 @main.command("homology")

@@ -21,7 +21,7 @@ import itertools
 import math
 import operator
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .phase import (
     Angle,
@@ -45,7 +45,6 @@ __all__ = [
     "format_phase_vector",
     "parse_sign_vector",
     "format_sign_vector",
-    "sign_support",
     "sign_leq_vec",
 ]
 
@@ -54,19 +53,6 @@ class PhaseVector:
     """A tuple of tropical phase hyperfield elements."""
 
     entries: tuple[Phase, ...]
-
-    @staticmethod
-    def of(items: Iterable) -> "PhaseVector":
-        """Build from Phase values, None (zero), or rational angles."""
-        out = []
-        for it in items:
-            if it is None:
-                out.append(ZERO)
-            elif isinstance(it, Phase):
-                out.append(it)
-            else:
-                out.append(Phase.of(Fraction(it)))
-        return PhaseVector(tuple(out))
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -269,10 +255,6 @@ def format_sign_vector(v: Sequence[int]) -> str:
 # ---------------------------------------------------------------------------
 # Sign hyperfield counterparts
 # ---------------------------------------------------------------------------
-
-
-def sign_support(x: Sequence[int]) -> tuple[int, ...]:
-    return tuple(i + 1 for i, e in enumerate(x) if e != 0)
 
 
 def sign_leq_vec(x: Sequence[int], y: Sequence[int]) -> bool:

@@ -147,7 +147,9 @@ class SimplicialComplex:
     _ranks: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
-    def dim(self) -> int:
+    def dim(self) -> int:  # off the face table once it is built
+        if self._table:
+            return len(self._table[0]) - 1
         return max((len(t) for t in self.tops), default=0) - 1
 
     def faces(self) -> dict:
@@ -163,10 +165,11 @@ class SimplicialComplex:
         return self._table[1]
 
     def f_vector(self) -> tuple:
-        fs = self.faces()
-        return tuple(len(fs[d]) for d in range(self.dim + 1))
+        return tuple(map(len, self.faces().values()))
 
-    def is_pure(self) -> bool:
+    def is_pure(self) -> bool:  # the table lists a top face per top iff pure
+        if self._table:
+            return len(self._table[0].get(self.dim, ())) == len(self.tops) > 0
         return bool(self.tops) and len({len(t) for t in self.tops}) == 1
 
     def is_closed_pseudomanifold(self) -> bool:

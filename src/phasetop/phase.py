@@ -126,16 +126,6 @@ class Angle:
         return Angle.of_ratio(self.num * other.den + other.num * self.den,
                               self.den * other.den)
 
-    def __neg__(self) -> "Angle":
-        return Angle.of_ratio(-self.num, self.den)
-
-    def __sub__(self, other: "Angle") -> "Angle":
-        return Angle.of_ratio(self.num * other.den - other.num * self.den,
-                              self.den * other.den)
-
-    def antipode(self) -> "Angle":
-        return Angle.of_ratio(2 * self.num + self.den, 2 * self.den)
-
     def __str__(self) -> str:
         return format_fraction(self)
 
@@ -160,11 +150,6 @@ class Phase:
     @property
     def is_zero(self) -> bool:
         return self.angle is None
-
-    def __neg__(self) -> "Phase":
-        if self.angle is None:
-            return self
-        return Phase(self.angle.antipode())
 
     def __str__(self) -> str:
         # "z" is the zero token; a bare fraction is an angle in turns, so

@@ -22,7 +22,6 @@ from .covectors import (
     find_zero_triple,
     iter_covectors,
     sign_leq_vec,
-    sign_support,
     support,
     zero_in_sum,
 )
@@ -121,8 +120,7 @@ def _suite_pieces(rep, ns, m_cap, samples, seed):
 
 def _suite_sign_spheres(rep, ns, m_cap, samples, seed):
     for n in ns:
-        vs = [v for v in enumerate_covectors("sign", n)
-              if len(sign_support(v)) >= 2]
+        vs = enumerate_covectors("sign", n)
         K = order_complex_of_poset(vs, sign_leq_vec)
         _betti_checks(rep, f"sign-sphere:n={n}", K,
                       (1,) + (0,) * (n - 3) + (1,),

@@ -200,6 +200,28 @@ def test_mesh_stats_of_the_slice():
     ]
 
 
+def test_mesh_stats_of_a_complex_that_is_not_pure():
+    # an edge and a point: the dimension and purity come off the face
+    # table that reading the document built, and no boundary is asked for
+    runner = CliRunner()
+    points = [[["1", "0"], ["1", "1/2"]], [["1", "1/2"], ["1", "0"]],
+              [["0", "0"], ["0", "0"]]]
+    with runner.isolated_filesystem():
+        with open("k.json", "w", encoding="utf-8") as fh:
+            json.dump({"n": 2, "m": 2, "vertices": points,
+                       "simplices": [[0, 1], [2]]}, fh)
+        r = runner.invoke(main, ["mesh", "stats", "--in", "k.json"])
+    assert r.exit_code == 0, r.output
+    assert r.output.splitlines() == [
+        "dimension: 1",
+        "f-vector: (3, 1)",
+        "pure: no",
+        "closed pseudomanifold: no",
+        "euler characteristic: 2",
+        "boundary f-vector: undefined (not pure)",
+    ]
+
+
 def test_mesh_stats_walks_the_tops_once_per_complex(monkeypatch):
     # once, for the document's own face table: the pseudomanifold and
     # boundary checks read that table, and the boundary's own table is

@@ -24,8 +24,7 @@ from phasetop.phase import Phase, ZERO, hyper_sum_list, sign_hyper_sum_list
 F = Fraction
 
 
-def V(*ts):
-    return PhaseVector.of(ts)
+V = parse_phase_vector  # a literal vector, read as the CLI reads one
 
 
 def test_zero_in_sum_edge_cases():
@@ -63,41 +62,41 @@ def test_zero_in_sum_agrees_with_fold_oracle():
 
 
 def test_is_covector_basics():
-    ones = PhaseVector.of([0] * 3)
-    assert is_covector(ones, V(0, "1/2", None))
-    assert not is_covector(ones, V(0, None, None))  # |supp| = 1
-    assert is_covector(ones, V(None, None, None))  # zero vector
-    assert is_covector(ones, V(0, "1/3", "2/3"))
-    assert not is_covector(ones, V(0, "1/8", "1/4"))
+    ones = V("0,0,0")
+    assert is_covector(ones, V("0,1/2,z"))
+    assert not is_covector(ones, V("0,z,z"))  # |supp| = 1
+    assert is_covector(ones, V("z,z,z"))  # zero vector
+    assert is_covector(ones, V("0,1/3,2/3"))
+    assert not is_covector(ones, V("0,1/8,1/4"))
 
 
 def test_is_covector_twisted_units():
-    v = PhaseVector.of([0, "1/4"])
+    v = V("0,1/4")
     # products have phases (1/2, 0): antipodal
-    assert is_covector(v, V("1/2", "3/4"))
+    assert is_covector(v, V("1/2,3/4"))
     with pytest.raises(ValueError):
-        is_covector(V(0, None), V(0, 0))
+        is_covector(V("0,z"), V("0,0"))
     with pytest.raises(ValueError):
-        is_covector(PhaseVector.of([0] * 2), V(0, 0, 0))
+        is_covector(V("0,0"), V("0,0,0"))
 
 
 def test_support_is_one_based():
-    assert support(V(None, "1/2", 0)) == (2, 3)
-    assert support(V(None, None)) == ()
+    assert support(V("z,1/2,0")) == (2, 3)
+    assert support(V("z,z")) == ()
 
 
 def test_find_zero_triple_examples():
-    assert find_zero_triple(V(0, "3/8", "3/4", "1/16")) == (1, 2, 3)
-    assert find_zero_triple(V(0, "1/8", "1/4")) is None
+    assert find_zero_triple(V("0,3/8,3/4,1/16")) == (1, 2, 3)
+    assert find_zero_triple(V("0,1/8,1/4")) is None
     # a support-3 covector yields its own support
-    x = V(None, 0, "1/3", "2/3")
+    x = V("z,0,1/3,2/3")
     assert find_zero_triple(x) == (2, 3, 4)
     # vectors shorter than 3 have no triples at all
-    assert find_zero_triple(V(0, "1/2")) is None
+    assert find_zero_triple(V("0,1/2")) is None
 
 
 def test_find_zero_triple_on_enumerated_covectors():
-    ones = PhaseVector.of([0] * 4)
+    ones = V("0,0,0,0")
     for x in enumerate_covectors("phase", 4, 4):
         t = find_zero_triple(x)
         if len(support(x)) >= 3:
@@ -110,21 +109,21 @@ def test_find_zero_triple_on_enumerated_covectors():
 
 
 def test_rescale_round_trip_and_covector_transport():
-    v = PhaseVector.of(["1/3", "1/5", "1/7"])
-    v_inv = PhaseVector.of([-e.angle.turns for e in v])
-    ones = PhaseVector.of([0] * 3)
+    v = V("1/3,1/5,1/7")
+    v_inv = PhaseVector(tuple(Phase.of(-e.angle.turns) for e in v))
+    ones = V("0,0,0")
     for x in enumerate_covectors("phase", 3, 4):
         assert rescale(v_inv, rescale(v, x)) == x
         assert is_covector(v, x) == is_covector(ones, rescale(v, x))
-    assert rescale(ones, V(0, "1/4", None)) == V(0, "1/4", None)
+    assert rescale(ones, V("0,1/4,z")) == V("0,1/4,z")
     with pytest.raises(ValueError):
-        rescale(V(0, None), V(0, 0))
+        rescale(V("0,z"), V("0,0"))
 
 
 def test_covector_up_closure_within_support():
     # smaller covectors extend: if x <= y, x has a zero triple through the
     # last coordinate, and x_n is nonzero, then y has zero in the same triple
-    ones = PhaseVector.of([0] * 3)
+    ones = V("0,0,0")
     covs = [x for x in enumerate_covectors("phase", 3, 2)]
     for y in covs:
         for x in covs:
@@ -148,6 +147,10 @@ def test_enumerate_covectors_phase_n2():
 def test_enumerate_covectors_excludes_zero_and_singles():
     for x in enumerate_covectors("phase", 3, 2):
         assert len(support(x)) >= 2
+    # so every sign covector is an element of its sign sphere's poset
+    for n in range(2, 7):
+        for v in iter_covectors("sign", n):
+            assert sum(e != 0 for e in v) >= 2, v
 
 
 def test_enumerate_covectors_rejects_bad_args():
@@ -174,7 +177,7 @@ def test_enumerate_covectors_sign_counts():
 
 def test_vector_text_round_trip():
     x = parse_phase_vector("0, 1/2, z")
-    assert x == V(0, "1/2", None)
+    assert x == PhaseVector((Phase.of(0), Phase.of(F(1, 2)), ZERO))
     assert format_phase_vector(x) == "0,1/2,z"
     s = parse_sign_vector("+,-,0")
     assert s == (1, -1, 0)
@@ -187,8 +190,8 @@ def test_vector_text_round_trip():
 
 def test_sign_predicates():
     # the sign twist (1,-1) of (1,1) as phases: twisting by 1/2 flips a sign
-    assert is_covector(V(0, "1/2"), V(0, 0))
-    assert not is_covector(V(0, 0), V(0, 0))
+    assert is_covector(V("0,1/2"), V("0,0"))
+    assert not is_covector(V("0,0"), V("0,0"))
     assert sign_leq_vec((0, 1), (1, 1))
     assert not sign_leq_vec((-1, 1), (1, 1))
 

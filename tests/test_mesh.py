@@ -10,7 +10,7 @@ import pytest
 from fractions import Fraction
 
 from phasetop.cells import bx_member, parse_cell_label, ul_label
-from phasetop.covectors import PhaseVector
+from phasetop.covectors import parse_phase_vector
 from phasetop.mesh import (
     FullSpacePieces,
     MeshValidityError,
@@ -150,6 +150,42 @@ def test_closedness_of_small_complexes():
     sphere = SimplicialComplex(list("abcd"),
                                list(itertools.combinations(range(4), 3)))
     assert sphere.is_closed_pseudomanifold()
+    # the same sphere and a lone point: every edge is still in two
+    # triangles, but the complex is not pure
+    sphere_and_point = SimplicialComplex(list("abcde"),
+                                         sphere.tops + [(4,)])
+    assert not sphere_and_point.is_closed_pseudomanifold()
+
+
+class _CountingTops(list):
+    """A list of tops that counts the walks over it."""
+
+    walks = 0
+
+    def __iter__(self):
+        self.walks += 1
+        return super().__iter__()
+
+
+def test_the_built_table_answers_dimension_and_purity():
+    # once the face table is built, closedness and the boundary read the
+    # top dimension and purity off it, and walk the tops no more
+    disc = [e + (3,) for e in ((0, 1), (1, 2), (0, 2))]
+    sphere = list(itertools.combinations(range(4), 3))
+    for tops, pure, closed in ((sphere, True, True), (disc, True, False),
+                               (disc + [(4,)], False, False)):
+        K = SimplicialComplex(list("abcde"), _CountingTops(tops))
+        assert (K.dim, K.is_pure()) == (2, pure)  # walks, as before
+        K.faces()
+        K.tops.walks = 0
+        assert (K.dim, K.is_pure()) == (2, pure)
+        assert K.is_closed_pseudomanifold() is closed
+        if pure:
+            assert len(boundary_subcomplex(K).tops) == 3 * (not closed)
+        else:
+            with pytest.raises(MeshValidityError, match="non-pure"):
+                boundary_subcomplex(K)
+        assert K.tops.walks == 0
 
 
 def test_complex_caches_are_not_constructor_arguments():
@@ -363,11 +399,11 @@ def test_probe_of_one_rank4_chart_stays_in_cell():
 
 
 def test_probe_of_every_full_face_is_a_covector_point(full32):
-    v3 = PhaseVector.of([0] * 3)
+    v3 = parse_phase_vector("0,0,0")
     for face in _all_faces(full32):
         probe = simplex_probe([full32.vertices[i] for i in face])
         assert delta_member(v3, probe), face
-    v2 = PhaseVector.of([0] * 2)
+    v2 = parse_phase_vector("0,0")
     K2 = assemble_full(2, 4)
     for face in _all_faces(K2):
         probe = simplex_probe([K2.vertices[i] for i in face])

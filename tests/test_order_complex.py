@@ -13,6 +13,7 @@ from phasetop import cells, mesh
 from phasetop.covectors import (
     PhaseVector,
     is_covector,
+    parse_phase_vector,
     support,
 )
 from phasetop.order_complex import (
@@ -43,7 +44,7 @@ def MP(*pairs):
 def turn(y, z):
     """z with every coordinate turned by y turns: a twist by a constant
     vector."""
-    return rescale_model(PhaseVector.of([y] * len(z)), z)
+    return rescale_model(PhaseVector((Phase.of(y),) * len(z)), z)
 
 
 def model_point_over(rng, n, den):
@@ -71,57 +72,57 @@ def test_disc_point_center_is_canonical():
 
 def test_join_point_validation():
     ok = JoinPoint([
-        (F(1, 4), PhaseVector.of([0, "1/2", None])),
-        (F(3, 4), PhaseVector.of([0, "1/2", "1/4"])),
+        (F(1, 4), parse_phase_vector("0,1/2,z")),
+        (F(3, 4), parse_phase_vector("0,1/2,1/4")),
     ])
     assert len(ok.nums) == 2
     with pytest.raises(ValueError):  # weights must sum to 1
-        JoinPoint([(F(1, 2), PhaseVector.of([0]))])
+        JoinPoint([(F(1, 2), parse_phase_vector("0"))])
     with pytest.raises(ValueError):  # not a chain
         JoinPoint([
-            (F(1, 2), PhaseVector.of([0, None])),
-            (F(1, 2), PhaseVector.of(["1/2", "1/4"])),
+            (F(1, 2), parse_phase_vector("0,z")),
+            (F(1, 2), parse_phase_vector("1/2,1/4")),
         ])
     with pytest.raises(ValueError):  # zero weight
         JoinPoint([
-            (F(0), PhaseVector.of([None, None])),
-            (F(1), PhaseVector.of([0, None])),
+            (F(0), parse_phase_vector("z,z")),
+            (F(1), parse_phase_vector("0,z")),
         ])
     with pytest.raises(ValueError):  # repeated grade
         JoinPoint([
-            (F(1, 2), PhaseVector.of([0, None])),
-            (F(1, 2), PhaseVector.of([0, None])),
+            (F(1, 2), parse_phase_vector("0,z")),
+            (F(1, 2), parse_phase_vector("0,z")),
         ])
 
 
 def test_join_to_model_examples():
-    p = JoinPoint([(F(1), PhaseVector.of([None, None]))])
+    p = JoinPoint([(F(1), parse_phase_vector("z,z"))])
     assert join_to_model(p) == MP((0, 0), (0, 0))
 
     p = JoinPoint([
-        (F(1, 2), PhaseVector.of([None, None])),
-        (F(1, 2), PhaseVector.of([0, "1/2"])),
+        (F(1, 2), parse_phase_vector("z,z")),
+        (F(1, 2), parse_phase_vector("0,1/2")),
     ])
     assert join_to_model(p) == MP(("1/2", 0), ("1/2", "1/2"))
 
     p = JoinPoint([
-        (F(1, 4), PhaseVector.of([0, "1/2", None])),
-        (F(3, 4), PhaseVector.of([0, "1/2", "1/4"])),
+        (F(1, 4), parse_phase_vector("0,1/2,z")),
+        (F(3, 4), parse_phase_vector("0,1/2,1/4")),
     ])
     assert join_to_model(p) == MP((1, 0), (1, "1/2"), ("3/4", "1/4"))
 
 
 def test_model_to_join_examples():
     assert model_to_join(MP((0, 0), (0, 0))) == JoinPoint(
-        [(F(1), PhaseVector.of([None, None]))]
+        [(F(1), parse_phase_vector("z,z"))]
     )
     assert model_to_join(MP((1, 0), (1, "1/2"))) == JoinPoint(
-        [(F(1), PhaseVector.of([0, "1/2"]))]
+        [(F(1), parse_phase_vector("0,1/2"))]
     )
     got = model_to_join(MP((1, 0), (1, "1/2"), ("3/4", "1/4")))
     assert got == JoinPoint([
-        (F(1, 4), PhaseVector.of([0, "1/2", None])),
-        (F(3, 4), PhaseVector.of([0, "1/2", "1/4"])),
+        (F(1, 4), parse_phase_vector("0,1/2,z")),
+        (F(3, 4), parse_phase_vector("0,1/2,1/4")),
     ])
 
 
@@ -136,10 +137,10 @@ def test_round_trips_random():
 
 
 def test_delta_member_examples():
-    ones2 = PhaseVector.of([0] * 2)
+    ones2 = parse_phase_vector("0,0")
     assert delta_member(ones2, MP((1, 0), (1, "1/2")))
     assert not delta_member(ones2, MP((1, 0), ("3/4", "1/2")))
-    ones3 = PhaseVector.of([0] * 3)
+    ones3 = parse_phase_vector("0,0,0")
     assert delta_member(ones3, MP((1, 0), (1, "1/2"), ("3/4", "1/4")))
     # max radius below 1: the chain has slack at the bottom
     assert not delta_member(ones3, MP(("3/4", 0), ("3/4", "1/2"), (0, 0)))
@@ -154,9 +155,9 @@ def test_delta_member_refuses_a_zero_unit_at_the_centre():
     centre = MP((0, 0), (0, 0))
     for z in (centre, MP((1, 0), (1, "1/2"))):
         with pytest.raises(ValueError, match="no zero entries"):
-            delta_member(PhaseVector.of([None, 0]), z)
+            delta_member(parse_phase_vector("z,0"), z)
     with pytest.raises(ValueError, match="lengths differ"):
-        delta_member(PhaseVector.of([0] * 3), centre)
+        delta_member(parse_phase_vector("0,0,0"), centre)
 
 
 def test_rotate():
@@ -170,7 +171,7 @@ def test_rotate():
 
 def test_delta_member_rotation_invariant():
     rng = random.Random("rotation-invariance")
-    ones = PhaseVector.of([0] * 3)
+    ones = parse_phase_vector("0,0,0")
     hits = 0
     for _ in range(300):
         z = model_point_over(rng, 3, 8)
@@ -183,13 +184,13 @@ def test_delta_member_rotation_invariant():
 
 def test_rescale_model_transports_membership():
     rng = random.Random("rescale-transport")
-    v = PhaseVector.of(["1/8", "3/8", "3/4"])
-    ones = PhaseVector.of([0] * 3)
+    v = parse_phase_vector("1/8,3/8,3/4")
+    ones = parse_phase_vector("0,0,0")
     for _ in range(200):
         z = model_point_over(rng, 3, 8)
         assert delta_member(v, z) == delta_member(ones, rescale_model(v, z))
     with pytest.raises(ValueError):
-        rescale_model(PhaseVector.of([None, 0, 0]), random_model_point(rng, 3))
+        rescale_model(parse_phase_vector("z,0,0"), random_model_point(rng, 3))
 
 
 def test_model_point_text_round_trip():
@@ -217,8 +218,8 @@ def reference_delta_member(v, z):
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_delta_member_matches_the_level_set_reference(n):
     rng = random.Random(f"delta-reference:{n}")
-    twisted = PhaseVector.of([Fraction(2 * k + 1, 8) for k in range(n)])
-    for v in (PhaseVector.of([0] * n), twisted):
+    twisted = PhaseVector(tuple(Phase.of(F(2 * k + 1, 8)) for k in range(n)))
+    for v in (PhaseVector((Phase.of(0),) * n), twisted):
         seen = set()
         for _ in range(500):
             z = model_point_over(rng, n, 8)
@@ -358,26 +359,26 @@ def _error(build):
     return None
 
 
-V = PhaseVector.of
+V = parse_phase_vector
 
 
 @pytest.mark.parametrize("terms", [
     [],
-    [(F(1, 2), V([0]))],  # weights sum to 1/2
-    [(F(1, 3), V([0, None])), (F(1, 2), V([0, "1/3"]))],  # sum 5/6
-    [(F(1, 999_983), V([0, None])), (F(999_983, 1_000_001), V([0, "1/3"]))],
-    [(F(0), V([None, None])), (F(1), V([0, None]))],  # zero weight
-    [(F(-1, 7), V([None, None])), (F(8, 7), V([0, None]))],  # negative
-    [(F(1, 2), V([0, None])), (F(1, 2), V(["1/2", "1/4"]))],  # not a chain
-    [(F(1, 2), V([0, None])), (F(1, 2), V([None, "1/4"]))],  # not a chain
-    [(F(1, 2), V([0, None])), (F(1, 2), V([0, None]))],  # equal supports
-    [(F(1, 2), V([None, None])), (F(1, 2), V([None, None]))],  # both zero
-    [(F(1, 3), V([0, None, None])), (F(1, 3), V([0, "1/5", None])),
-     (F(1, 3), V([0, "1/4", "1/2"]))],  # chain broken at the third term
-    [(F(1, 2), V([0, None])), (F(1, 2), V([0, None, None]))],  # lengths
-    [(F(1, 2), V([0, None])), (F(1, 2), V([0, "1/4"]))],  # valid
-    [(F(1, 4), V([0, None])), (F(0), V([0, "1/4"])),
-     (F(3, 4), V([0, "1/4"]))],  # zero weight before a repeat
+    [(F(1, 2), V("0"))],  # weights sum to 1/2
+    [(F(1, 3), V("0,z")), (F(1, 2), V("0,1/3"))],  # sum 5/6
+    [(F(1, 999_983), V("0,z")), (F(999_983, 1_000_001), V("0,1/3"))],
+    [(F(0), V("z,z")), (F(1), V("0,z"))],  # zero weight
+    [(F(-1, 7), V("z,z")), (F(8, 7), V("0,z"))],  # negative
+    [(F(1, 2), V("0,z")), (F(1, 2), V("1/2,1/4"))],  # not a chain
+    [(F(1, 2), V("0,z")), (F(1, 2), V("z,1/4"))],  # not a chain
+    [(F(1, 2), V("0,z")), (F(1, 2), V("0,z"))],  # equal supports
+    [(F(1, 2), V("z,z")), (F(1, 2), V("z,z"))],  # both zero
+    [(F(1, 3), V("0,z,z")), (F(1, 3), V("0,1/5,z")),
+     (F(1, 3), V("0,1/4,1/2"))],  # chain broken at the third term
+    [(F(1, 2), V("0,z")), (F(1, 2), V("0,z,z"))],  # lengths
+    [(F(1, 2), V("0,z")), (F(1, 2), V("0,1/4"))],  # valid
+    [(F(1, 4), V("0,z")), (F(0), V("0,1/4")),
+     (F(3, 4), V("0,1/4"))],  # zero weight before a repeat
 ])
 def test_join_point_checks_match_the_reference(terms):
     assert _error(lambda: JoinPoint(tuple(terms))) == (
@@ -394,7 +395,7 @@ def test_disc_point_checks_match_the_reference(radius):
 
 
 def test_join_point_converts_weights_as_disc_point_converts_radii():
-    x, y = V([0, None]), V([0, "1/4"])
+    x, y = V("0,z"), V("0,1/4")
     p = JoinPoint(((0.5, x), ("1/2", y)))
     assert p == JoinPoint([(F(1, 2), x), (F(1, 2), y)])
     assert all(type(w) is Fraction for w, _ in p.terms)
@@ -504,7 +505,8 @@ def test_every_disc_point_constructor_sets_its_phase():
     for _ in range(100):
         n = rng.randint(1, 5)
         z = _mixed_model_point(rng, n)
-        v = PhaseVector.of([_mixed_fraction(rng) for _ in range(n)])
+        v = PhaseVector(tuple(Phase.of(_mixed_fraction(rng))
+                              for _ in range(n)))
         points += parse_model_point(format_model_point(z)).coords
         points += rescale_model(v, z).coords
         points += join_to_model(random_join_point(rng, n)).coords

@@ -22,7 +22,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from phasetop.cells import CellLabel
-from phasetop.covectors import PhaseVector
+from phasetop.covectors import PhaseVector, parse_phase_vector
 from phasetop.order_complex import (DiscPoint, JoinPoint, ModelPoint,
                                     random_join_point)
 from phasetop.phase import (Angle, Arc, Phase, PhaseSet, ZERO, _over_lcm,
@@ -33,8 +33,8 @@ F = Fraction
 
 def _examples():
     a = Angle(F(3, 8))
-    x = PhaseVector.of([0, None, "1/3"])
-    y = PhaseVector.of([0, "1/2", "1/3"])
+    x = parse_phase_vector("0,z,1/3")
+    y = parse_phase_vector("0,1/2,1/3")
     return [
         a,
         Phase(a),
@@ -238,7 +238,8 @@ def test_join_point_keeps_the_contract_of_its_fraction_form(p, q):
 
 
 def test_int_builders_are_the_fraction_constructors():
-    a, x, y = Angle(F(1, 3)), PhaseVector.of([0, None]), PhaseVector.of([0, 0])
+    a = Angle(F(1, 3))
+    x, y = parse_phase_vector("0,z"), parse_phase_vector("0,0")
     c = DiscPoint.of_ratio(6, 8, a)
     assert c == DiscPoint(F(3, 4), a) and (c.num, c.den) == (3, 4)
     assert DiscPoint.of_ratio(0, 7, a).angle == Angle(0)  # the centre
@@ -251,7 +252,7 @@ def test_int_builders_are_the_fraction_constructors():
     assert (p.nums, p.whole, p.vectors) == ((1, 3), 4, (x, y))
     for nums, whole, vectors, message in [
             ([], 1, [], "join point needs at least one term"),
-            ([1, 1], 2, [x, PhaseVector.of([0])],
+            ([1, 1], 2, [x, parse_phase_vector("0")],
              "chain vectors must share a length"),
             ([0, 2], 2, [x, y], "weights must be positive"),
             ([1, 1], 2, [y, x], "vectors must form a strict chain"),
