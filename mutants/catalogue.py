@@ -129,13 +129,13 @@ MUTANTS = [
          "tests/test_homology.py::"
          "test_closedness_matches_the_brute_force_ridge_count")),
     Mutant(
-        # once the face table is built, purity is read off it: one face of
-        # the top dimension per top; no table has more, so "<=" reads every
-        # validated complex with tops as pure
+        # purity is read off the face table: one face of the top dimension
+        # per top; no table has more, so "<=" reads every validated complex
+        # with tops as pure
         "purity-off-the-table-for-every-complex",
         "src/phasetop/mesh.py",
-        "len(self._table[0].get(self.dim, ())) == len(self.tops) > 0",
-        "len(self._table[0].get(self.dim, ())) <= len(self.tops) > 0",
+        "len(self.faces().get(self.dim, ())) == len(self.tops) > 0",
+        "len(self.faces().get(self.dim, ())) <= len(self.tops) > 0",
         ("tests/test_mesh.py::test_closedness_of_small_complexes",
          "tests/test_mesh.py::test_boundary_requires_pure",
          "tests/test_mesh.py::"

@@ -147,10 +147,8 @@ class SimplicialComplex:
     _ranks: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
-    def dim(self) -> int:  # off the face table once it is built
-        if self._table:
-            return len(self._table[0]) - 1
-        return max((len(t) for t in self.tops), default=0) - 1
+    def dim(self) -> int:  # off the face table
+        return len(self.faces()) - 1
 
     def faces(self) -> dict:
         """All faces keyed by dimension, as sorted lists of sorted index
@@ -168,9 +166,7 @@ class SimplicialComplex:
         return tuple(map(len, self.faces().values()))
 
     def is_pure(self) -> bool:  # the table lists a top face per top iff pure
-        if self._table:
-            return len(self._table[0].get(self.dim, ())) == len(self.tops) > 0
-        return bool(self.tops) and len({len(t) for t in self.tops}) == 1
+        return len(self.faces().get(self.dim, ())) == len(self.tops) > 0
 
     def is_closed_pseudomanifold(self) -> bool:
         """Pure, and each codimension-1 face lies in exactly two tops.

@@ -168,15 +168,14 @@ class _CountingTops(list):
 
 
 def test_the_built_table_answers_dimension_and_purity():
-    # once the face table is built, closedness and the boundary read the
-    # top dimension and purity off it, and walk the tops no more
+    # dimension and purity are read off the face table, so once it is
+    # built, closedness and the boundary walk the tops no more
     disc = [e + (3,) for e in ((0, 1), (1, 2), (0, 2))]
     sphere = list(itertools.combinations(range(4), 3))
     for tops, pure, closed in ((sphere, True, True), (disc, True, False),
                                (disc + [(4,)], False, False)):
         K = SimplicialComplex(list("abcde"), _CountingTops(tops))
-        assert (K.dim, K.is_pure()) == (2, pure)  # walks, as before
-        K.faces()
+        assert (K.dim, K.is_pure()) == (2, pure)  # builds the table
         K.tops.walks = 0
         assert (K.dim, K.is_pure()) == (2, pure)
         assert K.is_closed_pseudomanifold() is closed
