@@ -92,14 +92,24 @@ MUTANTS = [
          "tests/test_mesh.py::"
          "test_the_face_table_names_the_first_bad_top_as_the_loop_did")),
     Mutant(
-        # _reductions keeps a facet row whose low is free without calling
-        # the engine; keyed by its first facet, it is a pivot at a row it
-        # does not end in
+        # _reductions keeps a facet row whose low is free by its id,
+        # without calling the engine; claimed at its first facet, it is a
+        # pivot at a row it does not end in
         "reductions-emergent-low-read-as-first-facet",
         "src/phasetop/homology.py",
-        "claim(col[-1], col)",
-        "claim(col[0], col)",
+        "lows = rows[d::d + 1]",
+        "lows = rows[::d + 1]",
         ("tests/test_homology.py::test_engine_matches_reference_engine_on_meshes",)),
+    Mutant(
+        # a pivot held by its id is read as its facet row when a later
+        # column meets it; the next simplex's row is another column
+        "engine-id-resolved-one-row-off",
+        "src/phasetop/homology.py",
+        "return self.rows[j * w:j * w + w]",
+        "return self.rows[j * w + w:j * w + 2 * w]",
+        ("tests/test_homology.py::test_engine_matches_reference_engine_on_meshes",
+         "tests/test_homology.py::"
+         "test_engine_matches_parent_chain_data_on_full_space_pieces")),
     Mutant(
         # the same ridges in a pseudomanifold, whose ridges lie in one or
         # two tops; a ridge in three tops tells them apart

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import operator
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cache, partial
@@ -57,16 +58,19 @@ class _Engine:
     those, and the result is divided by the gcd of its entries whenever
     that step scaled it, and once more before it is kept.  Over F2 a
     working column is a set of rows, reduced by symmetric difference,
-    and every pivot is kept as a tuple of its rows.
+    and a reduced pivot is kept as a tuple of its rows.
 
-    A column may come as a tuple of rows in ascending order, whose low
-    is its last entry: over Q a facet row (see _boundary_columns), over
-    F2 any column.  When no pivot has that low, the tuple is kept as
-    the pivot as it stands (Ripser's emergent pairs); _reductions claims
-    that low itself, with one dict call, and calls add only when the low
-    is taken.  The working set or dict is built only for such a column.
-    A tuple pivot that a later column meets is read as it stands, over
-    Q by _eliminate and over F2 by the set, so no pivot is ever built.
+    A column may come as the int id of a facet row in rows, the flat
+    facet rows of dimension d (see _boundary_columns), or as a tuple of
+    rows in ascending order, whose low is its last entry: over Q a facet
+    row, over F2 any column.  When no pivot has that low, _reductions
+    keeps the column as the pivot as it stands (Ripser's emergent
+    pairs), a facet row by its id, and calls add only when the low is
+    taken.  The working set or dict is built only for such a column.  A
+    pivot stays as it was kept: a column that meets a pivot held by its
+    id reads its facet row as a slice of rows, and a tuple pivot as it
+    stands, over Q by _eliminate and over F2 by the set, so no pivot is
+    ever built, and an id is never turned into a tuple.
 
     Once a column has met a pivot, its low comes from a lazy max-heap of
     its rows (as in PHAT's heap columns): each step pushes the rows of
@@ -81,14 +85,22 @@ class _Engine:
     earlier ones: a pivot R one dimension up has R[i] = +-1, D R = 0.
     """
 
-    def __init__(self, f2: bool):
+    def __init__(self, f2: bool, rows: Sequence = (), d: int = 0):
         self.f2 = f2
         self.pivots: dict = {}
         self.unimodular = not f2
+        self.rows, self.width = rows, d + 1
+
+    def row(self, j: int) -> Sequence:
+        """The facet row of column id j, an ascending slice of rows."""
+        w = self.width
+        return self.rows[j * w:j * w + w]
 
     def add(self, col) -> None:
-        """Reduce col, a tuple or a built column (reduced in place), and
-        keep it as a pivot unless it reduces to zero."""
+        """Reduce col, an id, a tuple or a built column (reduced in
+        place), and keep it as a pivot unless it reduces to zero."""
+        if type(col) is int:
+            col = tuple(self.row(col))
         heap = None  # negated rows, a superset of col's
         dirty = False  # over Q: col may hold a common factor
         while col:
@@ -109,6 +121,8 @@ class _Engine:
                     self.unimodular = False
                 self.pivots[low] = col
                 return
+            if type(other) is int:
+                other = self.row(other)
             if heap is None:
                 if type(col) is tuple:
                     col = _column(col, self.f2)
@@ -126,13 +140,14 @@ class _Engine:
 def _eliminate(col: dict, other, low) -> bool:
     """col <- b col - a other, a and b the entries at low, over their gcd.
 
-    A facet row other is read as it stands: its entries are _signs, +1
-    at its low, so its step is unscaled.  A step that scaled col (by b
+    A facet row other, a tuple or a slice of facet rows, is read as it
+    stands: its entries are _signs, +1 at its low, so its step is
+    unscaled.  A step that scaled col (by b
     over the gcd, made positive) ends with a content pass; the result
     is True when col may still hold a common factor.
     """
     a = col[low]
-    if type(other) is tuple:
+    if type(other) is not dict:
         ka, kb, entries = 1, a, zip(other, _signs(len(other)))
     else:
         b = other[low]
@@ -173,7 +188,7 @@ def _signs(n: int) -> tuple:
     return ((-1, 1) * n)[n:]
 
 
-def _column(facets: tuple, f2: bool):
+def _column(facets: Sequence, f2: bool):
     """The column of a facet row: its set of rows over F2, and over Q
     the {row: +-1} dict of the boundary of the simplex it lists."""
     return set(facets) if f2 else dict(zip(facets, _signs(len(facets))))
@@ -188,50 +203,57 @@ def _unskipped(items, skip, start: int = 0):
 
 
 def _boundary_columns(parts: Sequence[SimplicialComplex], d: int, skip=()):
-    """The facet row of each d-simplex whose index is not in skip.
+    """The boundary columns of the d-simplices, as _reductions takes them.
 
     The simplices are those of the disjoint union of parts: each part's
     simplices, and the facet rows of its columns, are numbered after
-    those of the parts before it.  A facet row is the tuple of the
-    simplex's facet indices in the order of the face table, which is
-    ascending (see _column for its column); a vertex has the empty row.
-    The rows come as one iterator, cut from the tables in C.
+    those of the parts before it.  Returns (rows, ids, ()): rows holds
+    the facet row of each d-simplex, its d + 1 facet indices in the
+    order of the face table, which is ascending (see _column for its
+    column), flat in one array; ids are the indices not in skip.  A vertex's column is zero, so dimension 0 has no ids.  The
+    rows of a single part are its table's own array.
     """
-    pieces, shift = [], 0
+    rows, shift = None, 0
     for K in parts:
-        faces, rows = K.faces(), K.facet_rows()
-        if d:
-            cols = zip(*[iter(rows[d] if d < len(rows) else ())] * (d + 1))
-            if shift:
-                cols = map(tuple, map(map, itertools.repeat(shift.__add__),
-                                      cols))
+        own = K.facet_rows()
+        own = own[d] if d < len(own) else array("i")
+        if rows is None:
+            rows = own
         else:
-            cols = itertools.repeat((), len(faces.get(0, ())))
-        pieces.append(cols)
-        shift += len(faces.get(d - 1, ()))
-    return _unskipped(itertools.chain.from_iterable(pieces), skip)
+            rows = rows + array("i", map(shift.__add__, own))
+        shift += len(K.faces().get(d - 1, ()))
+    n = len(rows) // (d + 1) if d else 0
+    return rows, _unskipped(range(n), skip), ()
 
 
 def _reductions(columns: Callable, f2: bool, top: int):
     """Reduce a chain complex's boundary maps from dimension top down to 0.
 
-    columns(d, skip) gives the column of each basis element of dimension
-    d whose index is not in skip, in index order; the rows of a column
-    are the indices of dimension d - 1.  Yields (d, engine) once the
-    engine holds the reduced columns of the map from dimension d.  A
-    column that comes as an ascending tuple whose low no pivot has is
-    kept as it stands, with no call into the engine (see _Engine).
-    Clearing: the row of every pivot at dimension d + 1 is the leading
-    element of a cycle, so its own column would reduce to zero and is
-    skipped.  Only those rows cross to dimension d - 1: once the caller
-    resumes, the engine's pivot columns are released.
+    columns(d, skip) gives (rows, ids, rest) for the basis elements of
+    dimension d whose index is not in skip, in index order: the first
+    are facet rows, given by their ids into rows, the flat facet rows
+    of dimension d (see _boundary_columns), and the rest come as built
+    columns.  The rows of a column are the indices of dimension d - 1.
+    Yields (d, engine) once the engine holds the reduced columns of the
+    map from dimension d.  A facet row whose low, its last entry, no
+    pivot has is kept by its id, and an ascending tuple by itself, with
+    no call into the engine (see _Engine).  Clearing: the row of every
+    pivot at dimension d + 1 is the leading element of a cycle, so its
+    own column would reduce to zero and is skipped.  Only those rows
+    cross to dimension d - 1: once the caller resumes, the engine's
+    pivot columns are released.
     """
     cleared: set = set()
     for d in range(top, -1, -1):
-        eng = _Engine(f2)
+        rows, ids, rest = columns(d, cleared)
+        eng = _Engine(f2, rows, d)
         claim = eng.pivots.setdefault
-        for col in columns(d, cleared):
-            if type(col) is not tuple or col and claim(col[-1], col) is not col:
+        lows = rows[d::d + 1]
+        for j in ids:
+            if claim(lows[j], j) is not j:
+                eng.add(j)
+        for col in rest:
+            if type(col) is not tuple or claim(col[-1], col) is not col:
                 eng.add(col)
         yield d, eng
         cleared = set(eng.pivots)
@@ -370,14 +392,17 @@ def mayer_vietoris_assemble(ka: SimplicialComplex, kb: SimplicialComplex,
         # the d-simplices of A, then of B, then the (d-1)-simplices x of
         # the intersection, with column (x, -x) over A's and B's rows of
         # dimension d - 1, then -(boundary of x) over the rows after those
-        own = _boundary_columns((ka, kb), d, skip)
+        own, ids, _ = _boundary_columns((ka, kb), d, skip)
         if not d:
-            return own
+            return own, ids, ()
         na = len(fa.get(d - 1, ()))
         shift = na + len(fb.get(d - 1, ()))
         base = len(fa.get(d, ())) + len(fb.get(d, ()))
+        below = _boundary_columns((kint,), d - 1)[0]
 
-        def glued(p: int, facets: tuple):
+        def glued(p: int):
+            # x's facet row: d entries, none for a vertex
+            facets = below[p * d:p * d + d]
             rows, signs = [], []
             for faces, vmap, off, sign in ((fa, map_a, 0, 1),
                                            (fb, map_b, na, -1)):
@@ -392,8 +417,8 @@ def mayer_vietoris_assemble(ka: SimplicialComplex, kb: SimplicialComplex,
             signs += [-v for v in _signs(len(facets))]
             return dict(zip(rows, signs))
 
-        return itertools.chain(own, itertools.starmap(glued, _unskipped(
-            enumerate(_boundary_columns((kint,), d - 1)), skip, base)))
+        return own, ids, map(glued, _unskipped(
+            range(len(fi.get(d - 1, ()))), skip, base))
 
     top = max(ka.dim, kb.dim)
     ranks = {d: len(eng.pivots) for d, eng in _reductions(cone, f2, top + 1)}

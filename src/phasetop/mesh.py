@@ -67,21 +67,15 @@ def _top_keys(tops: Sequence, listed: Callable) -> dict:
     return first
 
 
-def _face_table(vertices: Sequence, tops: Sequence,
-                listed: Optional[Callable] = None) -> tuple:
-    """Validate a complex, then list its faces and their facet rows.
+def _validate(vertices: Sequence, tops: Sequence,
+              listed: Optional[Callable] = None) -> dict:
+    """Validate a complex; return the keys of its tops (see _top_keys).
 
     Raises MeshValidityError on a repeated vertex, naming both indices
     and the point, an empty top, a top with an index out of range or
     repeated, or a top that repeats an earlier one's vertex set.  A bad
     top is named as `listed` gives it (see _top_keys), by default as
     the top itself.
-    Returns (faces, rows): faces[d] lists the d-simplices in sorted
-    order, the basis of the d-chains; rows[d] holds the d + 1 facet
-    indices of each d-simplex in that order, flat in one array, in
-    `combinations` order (the last vertex is dropped first).  rows[0] is
-    empty.  The faces of the top dimension are the keys of _top_keys,
-    not a second copy cut from them.
     """
     listed = listed or tops.__getitem__
     nv = len(vertices)
@@ -101,7 +95,19 @@ def _face_table(vertices: Sequence, tops: Sequence,
             if not t or len(set(t)) != len(t) or any(
                     i < 0 or i >= nv for i in t):
                 raise MeshValidityError(f"bad simplex {listed(k)!r}")
-    keys = _top_keys(tops, listed)
+    return _top_keys(tops, listed)
+
+
+def _face_table(keys) -> tuple:
+    """The faces and facet rows of the complex whose tops have keys.
+
+    Returns (faces, rows): faces[d] lists the d-simplices in sorted
+    order, the basis of the d-chains; rows[d] holds the d + 1 facet
+    indices of each d-simplex in that order, flat in one array, in
+    `combinations` order (the last vertex is dropped first).  rows[0] is
+    empty.  The faces of the top dimension are the keys themselves, not
+    a second copy cut from them.
+    """
     top = max(map(len, keys), default=0) - 1
     faces = {}
     for d in range(top):
@@ -113,14 +119,15 @@ def _face_table(vertices: Sequence, tops: Sequence,
 
 
 def _facet_rows(faces: dict) -> list:
-    """The facet rows of sorted face lists (see _face_table)."""
+    """The facet rows of sorted face lists (see _face_table).  The index
+    of the faces of each dimension lives only while the rows of the
+    dimension above are made, so no two indices are held at once."""
     rows = [array("i")]
     for d in range(1, len(faces)):
-        # the index of the faces below is needed only while rows[d] is made
-        index = {s: i for i, s in enumerate(faces[d - 1])}
         facets = itertools.chain.from_iterable(
             map(itertools.combinations, faces[d], itertools.repeat(d)))
-        rows.append(array("i", map(index.__getitem__, facets)))
+        rows.append(array("i", map(dict(zip(
+            faces[d - 1], itertools.count())).__getitem__, facets)))
     return rows
 
 
@@ -133,7 +140,9 @@ class SimplicialComplex:
     the construction; lower faces are implied.  On first use the complex
     validates itself and builds one face table: the faces of each
     dimension as a sorted list, which is the chain basis `homology`
-    reduces over, and their facet rows.  Homology, the f-vector, the
+    reduces over, and their facet rows.  A complex validated already
+    (see complex_from_doc) holds the keys of its tops until then, and
+    its table is built from those.  Homology, the f-vector, the
     pseudomanifold check and the boundary all read that one table (the
     last two count ridges in the top facet rows); a boundary gets its
     own table read off it.  It is kept on the complex, beside the
@@ -144,6 +153,7 @@ class SimplicialComplex:
     vertices: list
     tops: list
     _table: Optional[tuple] = field(default=None, init=False, repr=False)
+    _keys: Optional[dict] = field(default=None, init=False, repr=False)
     _ranks: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
@@ -154,7 +164,10 @@ class SimplicialComplex:
         """All faces keyed by dimension, as sorted lists of sorted index
         tuples; MeshValidityError on a malformed complex."""
         if self._table is None:
-            self._table = _face_table(self.vertices, self.tops)
+            keys = self._keys
+            if keys is None:
+                keys = _validate(self.vertices, self.tops)
+            self._table, self._keys = _face_table(keys), None
         return self._table[0]
 
     def facet_rows(self) -> list:
@@ -475,7 +488,7 @@ def _slice(n: int, m: int) -> SimplicialComplex:
 def boundary_subcomplex(K: SimplicialComplex) -> SimplicialComplex:
     """Closure of the codimension-1 faces lying in exactly one top.
 
-    The input must be well formed (see _face_table) and pure, or have
+    The input must be well formed (see _validate) and pure, or have
     no tops; a closed, empty or 0-dimensional complex yields the empty
     complex.  The boundary keeps the vertex order of K, and each of its
     tops lists its vertices in ascending order.  Its face table is read
@@ -726,10 +739,12 @@ def complex_from_doc(doc: dict):
     validation then refuses a repeated vertex, a simplex with an index
     out of range or repeated, and a simplex whose vertex set repeats an
     earlier one's, in one pass, naming the simplices as the document
-    lists them.  The face table is built from the complex's own tops and
-    kept on it, so an ascending top is its own top face.  Last, the
-    first vertex that lies in no simplex is refused: the table's 0-faces
-    are the vertices in use.
+    lists them.  Last, the first vertex that lies in no simplex is
+    refused.  The face table is not built here: the complex keeps the
+    keys that validation returned, and its first faces() call builds
+    the table from them, once the caller has let the document go.  The
+    keys are the complex's own tops where those ascend, so such a top
+    is its own top face.
     """
     if not isinstance(doc, dict):
         raise ValueError("mesh document must be a JSON object")
@@ -752,9 +767,8 @@ def complex_from_doc(doc: dict):
             if not isinstance(s, list) or not s or not all(map(_doc_int, s)):
                 raise ValueError(f"bad simplex {s!r}")
     K = SimplicialComplex(verts, list(map(tuple, simplices)))
-    K._table = _face_table(verts, K.tops, simplices.__getitem__)
-    used = K.faces().get(0, [])
-    if len(used) != len(verts):  # sorted, so the first gap is unused
-        k = next((k for k, (i,) in enumerate(used) if i != k), len(used))
-        raise ValueError(f"vertex {k} lies in no simplex")
+    K._keys = _validate(verts, K.tops, simplices.__getitem__)
+    unused = set(range(len(verts))).difference(*K.tops)
+    if unused:
+        raise ValueError(f"vertex {min(unused)} lies in no simplex")
     return K, n, m

@@ -174,6 +174,13 @@ def reference_boundary_columns(simp, idx, d: int, f2: bool, skip=()):
         yield j, set(faces) if f2 else dict(zip(faces, signs))
 
 
+def reference_facet_row(simp, idx, d: int, j: int) -> tuple:
+    """The facet row of the d-simplex j, by slicing: the indices of its
+    faces that drop vertex d, d - 1, ..., 0 in turn."""
+    s = simp[d][j]
+    return tuple(idx[d - 1][s[:i] + s[i + 1:]] for i in range(d, -1, -1))
+
+
 def reference_reductions(simp, idx, f2: bool, top: int):
     cleared: dict = {}
     for d in range(top, -1, -1):
@@ -195,12 +202,15 @@ def built(col, f2: bool):
     return set(col) if f2 else {r: (-1) ** (d - p) for p, r in enumerate(col)}
 
 
-def assert_same_engine_state(eng, ref):
-    """The engine equals the reference once its tuple pivots are built;
-    over F2 every pivot is a tuple."""
+def assert_same_engine_state(eng, ref, row=None):
+    """The engine equals the reference once each pivot it holds by its
+    id is resolved by row(id) and its tuple pivots are built; over F2
+    every other pivot is a tuple."""
+    pivots = {low: row(col) if type(col) is int else col
+              for low, col in eng.pivots.items()}
     if eng.f2:
-        assert all(type(col) is tuple for col in eng.pivots.values())
-    assert {low: built(col, eng.f2) for low, col in eng.pivots.items()} \
+        assert all(type(col) is tuple for col in pivots.values())
+    assert {low: built(col, eng.f2) for low, col in pivots.items()} \
         == ref.pivots
 
 
@@ -419,7 +429,8 @@ def test_f2_after_q_is_the_f2_engine_alone(drawn):
 ], ids=["facet-row", "unit-steps", "content-divided", "low-of-two"])
 def test_the_certificate_of_a_reduction(cols, pivots, certified):
     def columns(d, skip):
-        return [c if type(c) is tuple else dict(c) for c in cols]
+        # no facet rows: every column comes built, a tuple kept as it stands
+        return (), (), [c if type(c) is tuple else dict(c) for c in cols]
 
     d, eng = next(_reductions(columns, False, 0))
     assert (d, eng.pivots, eng.unimodular) == (0, pivots, certified)
@@ -576,17 +587,24 @@ def test_engine_matches_reference_engine_on_meshes(build):
 def _assert_same_reductions(*parts):
     """The engines on the face tables of parts, one dimension above
     their top, equal the reference engines on the parent's chain data of
-    their disjoint union.  Each is compared when it is yielded, before
-    the generator resumes and releases its pivots."""
+    their disjoint union, each pivot held by its id read as the facet
+    row of the simplex it names.  First, the engine must read every id
+    as that same facet row, so a wrong row fails here, not in a
+    reduction that no longer ends.  Each engine is compared when it is yielded,
+    before the generator resumes and releases its pivots."""
     simp, idx = reference_chain_data(*parts)
     top = max(simp) + 1
+    for d in range(1, top):
+        assert list(map(tuple, facet_row_list(parts, d))) == [
+            reference_facet_row(simp, idx, d, j) for j in range(len(simp[d]))]
     for f2 in (False, True):
         dims = []
         for (d, eng), (d_ref, ref) in zip(
                 _reductions(partial(_boundary_columns, parts), f2, top),
                 reference_reductions(simp, idx, f2, top)):
             assert d == d_ref
-            assert_same_engine_state(eng, ref)
+            assert_same_engine_state(
+                eng, ref, partial(reference_facet_row, simp, idx, d))
             dims.append(d)
         assert dims == list(range(top, -1, -1))
 
@@ -600,36 +618,58 @@ def test_engine_matches_parent_chain_data_on_full_space_pieces(m):
 
 
 class RecordingEngine(_Engine):
-    """The engine, logging, for each column whose low was a tuple
-    pivot's, that low, the tuple, and whether the column came as a
-    tuple.  Every such column reaches add; _reductions keeps a tuple
-    whose low is free without calling add, so the columns an engine is
-    given are logged from its stream (see logging_columns)."""
+    """The engine, logging, for each column whose low was a pivot held
+    by its id or as a tuple, that low, the pivot as it was held, and
+    the kind of the column (an id, a tuple or a dict); and logging each
+    id whose facet row is read for a pivot held by that id.  Every
+    such column reaches add; _reductions keeps a column whose low is
+    free without calling add, so the columns an engine is given are
+    logged from its stream (see logging_columns)."""
 
     runs: list = []
 
-    def __init__(self, f2: bool):
-        super().__init__(f2)
+    def __init__(self, f2: bool, rows=(), d: int = 0):
+        super().__init__(f2, rows, d)
         self.given: list = []
         self.hits: list = []
+        self.read: list = []
         self.runs.append(self)
 
+    def facets(self, j: int) -> tuple:
+        """The facet row of id j, cut from rows here."""
+        w = self.width
+        return tuple(self.rows[j * w:j * w + w])
+
+    def row(self, j: int):
+        if self.pivots.get(self.facets(j)[-1]) == j:
+            self.read.append(j)
+        return super().row(j)
+
     def add(self, col) -> None:
-        low = max(col, default=None)
-        if type(self.pivots.get(low)) is tuple:
-            self.hits.append((low, self.pivots[low], type(col) is tuple))
+        low = max(self.facets(col) if type(col) is int else col,
+                  default=None)
+        if type(self.pivots.get(low)) in (int, tuple):
+            self.hits.append((low, self.pivots[low], type(col)))
         super().add(col)
 
 
 def logging_columns(columns):
-    """columns, with each column also logged (a copy) on the engine made
-    last, which is the one that reduces it."""
+    """columns, with each column of the stream also logged (a copy of a
+    built one) on the engine made last, which is the one that reduces
+    it.  The engine is made after columns is called, so the ids and the
+    rest are logged as they are drawn."""
 
     def logged(d, skip):
-        eng = RecordingEngine.runs[-1]
-        for col in columns(d, skip):
-            eng.given.append(col if type(col) is tuple else col.copy())
-            yield col
+        rows, ids, rest = columns(d, skip)
+
+        def log(cols):
+            for col in cols:
+                eng = RecordingEngine.runs[-1]
+                eng.given.append(col if type(col) in (int, tuple)
+                                 else col.copy())
+                yield col
+
+        return rows, log(ids), log(rest)
 
     return logged
 
@@ -650,10 +690,11 @@ def _run_betti_and_mayer_vietoris(field: str):
 
 @pytest.mark.parametrize("f2", [False, True])
 def test_no_tuple_pivot_is_ever_built(f2, monkeypatch):
-    # a column that meets a tuple pivot reads it as it stands, over both
-    # fields: the pivot stays the very tuple it was kept as, and no pivot
-    # is ever a set.  Each engine is checked when its caller resumes the
-    # generator, before the pivots are released
+    # a column that meets a pivot reads it as it stands, over both
+    # fields: a pivot held by its id stays that id, a tuple pivot stays
+    # the very tuple it was kept as, and no pivot is ever a set.  Each
+    # engine is checked when its caller resumes the generator, before
+    # the pivots are released
     monkeypatch.setattr(RecordingEngine, "runs", [])
     monkeypatch.setattr(homology_module, "_Engine", RecordingEngine)
     kinds, checked = set(), []
@@ -661,12 +702,13 @@ def test_no_tuple_pivot_is_ever_built(f2, monkeypatch):
     def check(eng):
         ref = ReferenceEngine(f2)
         for col in eng.given:
-            ref.add(built(col, f2))
-        assert_same_engine_state(eng, ref)
-        for low, row, tuple_col in eng.hits:
-            assert eng.pivots[low] is row
+            ref.add(built(eng.facets(col) if type(col) is int else col, f2))
+        assert_same_engine_state(eng, ref, eng.facets)
+        for low, held, kind in eng.hits:
+            assert eng.pivots[low] is held
+            row = eng.facets(held) if type(held) is int else held
             assert built(row, f2) == _column(row, f2)
-            kinds.add(tuple_col)
+            kinds.add(kind)
         checked.append(eng)
 
     reductions = homology_module._reductions
@@ -679,9 +721,72 @@ def test_no_tuple_pivot_is_ever_built(f2, monkeypatch):
     monkeypatch.setattr(homology_module, "_reductions", checking)
     _run_betti_and_mayer_vietoris("f2" if f2 else "q")
     assert checked == RecordingEngine.runs
-    # over Q both facet rows and the cone's intersection columns (dicts)
-    # meet tuple pivots; over F2 every column comes as a tuple
-    assert kinds == ({True} if f2 else {True, False})
+    # facet rows come as ids; over Q the cone's intersection columns are
+    # dicts, and over F2 tuples, and both kinds meet kept pivots
+    assert kinds == {int, tuple if f2 else dict}
+
+
+class MeetLog(dict):
+    """Pivots that count, for each low, the steps that meet its pivot."""
+
+    def __init__(self):
+        super().__init__()
+        self.met = Counter()
+
+    def get(self, low, default=None):
+        other = super().get(low, default)
+        if other is not None:
+            self.met[low] += 1
+        return other
+
+
+@pytest.mark.parametrize("field", ["q", "f2"])
+def test_an_id_held_pivot_is_read_each_time_a_later_column_meets_it(
+        field, monkeypatch):
+    # betti on the pieces of full(3, 2), then Mayer-Vietoris: the facet
+    # rows read from ids are exactly those of the pivots kept by their
+    # id, once for each step that meets one, as the reference engine
+    # replaying the same columns counts them; no id becomes a tuple
+    monkeypatch.setattr(RecordingEngine, "runs", [])
+    monkeypatch.setattr(homology_module, "_Engine", RecordingEngine)
+    reductions = homology_module._reductions
+    counts = []
+
+    def check(eng):
+        ref = ReferenceEngine(eng.f2)
+        ref.pivots = MeetLog()
+        by_id = {}  # low -> the id kept as the pivot there
+        for col in eng.given:
+            if type(col) is int:
+                row = eng.facets(col)
+                if row[-1] not in ref.pivots:
+                    by_id[row[-1]] = col
+                col = row
+            ref.add(built(col, eng.f2))
+        want = Counter({j: ref.pivots.met[low] for low, j in by_id.items()
+                        if low in ref.pivots.met})
+        assert Counter(eng.read) == want
+        assert all(type(eng.pivots[low]) is int for low in by_id)
+        counts.append((len(want), len(by_id)))
+
+    def checking(columns, f2, top):
+        for d, eng in reductions(logging_columns(columns), f2, top):
+            yield d, eng
+            check(eng)
+
+    monkeypatch.setattr(homology_module, "_reductions", checking)
+    P = full_space_pieces(3, 2)
+    for K in (P.rotation, P.base, P.interface):
+        betti(K, field)
+    got = mayer_vietoris_assemble(
+        P.rotation, P.base, P.interface,
+        vertex_inclusion_map(P.interface, P.rotation),
+        vertex_inclusion_map(P.interface, P.base), field)
+    assert got.betti == (1, 0, 0, 1)
+    assert len(counts) == len(RecordingEngine.runs)
+    met_n, kept_n = map(sum, zip(*counts))
+    # most pivots kept by their id are never met, so never read
+    assert 0 < met_n < kept_n / 2
 
 
 def test_eliminating_a_facet_row_is_eliminating_its_column():
@@ -821,20 +926,35 @@ def test_closedness_matches_the_brute_force_ridge_count(K):
                 for f, c in count.items() if c == 1 and f}
 
 
+def facet_row_list(parts, d: int) -> list:
+    """The facet row of each d-simplex of the union of parts, as the
+    engine reads its id."""
+    rows, ids, _ = _boundary_columns(parts, d)
+    return list(map(_Engine(False, rows, d).row, ids))
+
+
 def _assert_same_boundary_columns(parts, simp, idx, d: int, f2: bool):
     skip = set(range(0, len(simp[d]), 3))
     for cut in ((), skip):
-        got = list(_boundary_columns(parts, d, cut))
+        rows, ids, rest = _boundary_columns(parts, d, cut)
         want = list(reference_boundary_columns(simp, idx, d, f2, cut))
-        assert len(got) == len(want) == len(simp[d]) - len(cut)
-        # the stream is bare: a column's index is its place among the
-        # indices that are not cut
-        kept = [j for j in range(len(simp[d])) if j not in cut]
-        for j, col, (j_ref, col_ref) in zip(kept, got, want):
-            # the engine reads a facet row's low as its last entry
-            assert type(col) is tuple and list(col) == sorted(col)
-            assert j == j_ref and built(col, f2) == col_ref
-            assert _column(col, f2) == col_ref
+        ids = list(ids)
+        assert rest == () and len(want) == len(simp[d]) - len(cut)
+        if not d:
+            # a vertex's column is zero: nothing to reduce
+            assert not rows and not ids and not any(c for _, c in want)
+            continue
+        assert len(rows) == (d + 1) * len(simp[d])
+        # an id is the column's index, and the engine cuts its row out
+        assert ids == [j for j, _ in want]
+        eng = _Engine(f2, rows, d)
+        for j, (_, col_ref) in zip(ids, want):
+            col = tuple(eng.row(j))
+            # the reduction reads a facet row's low as its last entry
+            assert len(col) == d + 1 and list(col) == sorted(col)
+            assert col[-1] == rows[j * (d + 1) + d]
+            assert built(col, f2) == col_ref
+            assert _column(eng.row(j), f2) == col_ref
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
@@ -843,17 +963,17 @@ def test_boundary_of_boundary_is_zero(K):
     parts = (K,)
     for d in range(2, len(K.faces())):
         below = {j: _column(col, False)
-                 for j, col in enumerate(_boundary_columns(parts, d - 1))}
+                 for j, col in enumerate(facet_row_list(parts, d - 1))}
         below_f2 = {j: _column(col, True)
-                    for j, col in enumerate(_boundary_columns(parts, d - 1))}
-        for col in _boundary_columns(parts, d):
+                    for j, col in enumerate(facet_row_list(parts, d - 1))}
+        for col in facet_row_list(parts, d):
             col = _column(col, False)
             total: dict = {}
             for r, v in col.items():
                 for q, w in below[r].items():
                     total[q] = total.get(q, 0) + v * w
             assert not any(total.values())
-        for col in _boundary_columns(parts, d):
+        for col in facet_row_list(parts, d):
             total = set()
             for r in _column(col, True):
                 total ^= below_f2[r]
@@ -884,21 +1004,23 @@ def test_repeated_top_is_refused_naming_both_positions():
 def test_chain_data_is_built_once_per_complex(monkeypatch):
     # one face table per complex, whichever of Q, F2, Mayer-Vietoris,
     # the f-vector and the Euler characteristic asks first; a complex
-    # read from a document gets the table its validation built.  The
-    # regions' tables are built once, on their tick-key twins by the
-    # torus check, and carried to the emitted pieces
+    # read from a document gets its table on first use, from the keys
+    # its validation returned.  The regions' tables are built once, on
+    # their tick-key twins by the torus check, and carried to the
+    # emitted pieces
     built = []
 
-    def counting(vertices, tops, listed=None):
-        built.append(vertices)
-        return build(vertices, tops, listed)
+    def counting(keys):
+        built.append(keys)
+        return build(keys)
 
     build = mesh_module._face_table
     monkeypatch.setattr(mesh_module, "_face_table", counting)
     P = full_space_pieces(3, 2)
     doc = json.loads(json.dumps(complex_to_doc(P.interface, 3, 2)))
     torus = complex_from_doc(doc)[0]
-    assert len(built) == 3
+    assert len(built) == 2 and torus._table is None
+    keys = torus._keys
     pieces = (P.rotation, P.base, torus)
     for K in pieces:
         assert betti(K, "q").betti == betti(K, "f2").betti
@@ -908,9 +1030,11 @@ def test_chain_data_is_built_once_per_complex(monkeypatch):
     for field in ("q", "f2"):
         r = mayer_vietoris_assemble(*pieces, ma, mb, field)
         assert r.betti == (1, 0, 0, 1)
-    assert len(built) == 3
+    assert len(built) == 3 and built[2] is keys and torus._keys is None
     twins = mesh_module._build_regions(2)[:2]
-    assert all(a is b.vertices for a, b in zip(built, (*twins, torus)))
+    # each table was built from the keys of its own complex's tops
+    assert [sorted(k) for k in built] == [
+        sorted(tuple(sorted(t)) for t in K.tops) for K in (*twins, torus)]
     assert all(K._table is twin._table for K, twin in zip(pieces, twins))
 
 

@@ -24,6 +24,7 @@ from phasetop.mesh import (
     _point_of,
     _slice,
     _union,
+    _validate,
     assemble_full,
     assemble_slice,
     boundary_subcomplex,
@@ -195,6 +196,9 @@ def test_complex_caches_are_not_constructor_arguments():
         SimplicialComplex(["a"], [(0,)], ({0: [(0,)]}, []))
     with pytest.raises(TypeError):
         SimplicialComplex(["a"], [(0,)], _table=None)
+    with pytest.raises(TypeError):
+        SimplicialComplex(["a"], [(0,)], _keys={(0,): 0})
+    assert tri._keys is None
     # filled on first use, and the one table holds faces and facet rows
     assert tri.faces() is tri._table[0]
     assert tri.facet_rows() is tri._table[1]
@@ -286,7 +290,7 @@ def _drawn_pure_complexes(seed: int, count: int):
 def _assert_boundary_table_is_rebuilt_table(K):
     """The boundary's tops are K's ridges in exactly one top, on K's
     vertex objects in K's order, and the table read off K's equals the
-    one _face_table builds from the boundary's vertices and tops."""
+    one _face_table builds from the boundary's validated tops."""
     count = Counter(f for t in K.tops
                     for f in itertools.combinations(sorted(t), len(t) - 1))
     B = boundary_subcomplex(K)
@@ -295,7 +299,7 @@ def _assert_boundary_table_is_rebuilt_table(K):
     assert {tuple(B.vertices[i] for i in t) for t in B.tops} == want
     used = {K.vertices[i] for f in count if count[f] == 1 for i in f}
     assert B.vertices == [v for v in K.vertices if v in used]
-    faces, rows = _face_table(B.vertices, B.tops)
+    faces, rows = _face_table(_validate(B.vertices, B.tops))
     assert B.faces() == faces
     assert B.facet_rows() == rows
     return B
@@ -464,6 +468,32 @@ def test_doc_round_trip_keeps_one_copy_of_the_top_faces(slice32):
     assert 0 < len(ascending) < len(K.tops)
     assert {id(f) for f in K.faces()[K.dim]} & {id(t) for t in K.tops} == ascending
     assert K.faces() == slice32.faces()
+
+
+def _not_pure_doc() -> dict:
+    """An edge and a lone point."""
+    return {"n": 2, "m": 2, "simplices": [[1, 0], [2]],
+            "vertices": [[["1", "0"], ["1", "1/2"]], [["1", "1/2"], ["1", "0"]],
+                         [["0", "0"], ["0", "0"]]]}
+
+
+@pytest.mark.parametrize("which", ["slice(3,2)", "torus", "not-pure"])
+@pytest.mark.parametrize("first", ["faces", "facet_rows"])
+def test_a_document_complex_builds_its_table_on_first_use(which, first):
+    # reading validates the complex and keeps the keys of its tops; the
+    # table is built from those by whichever of faces() and facet_rows()
+    # is asked first, equal to the table of the same tops validated anew
+    doc = {"slice(3,2)": lambda: complex_to_doc(assemble_slice(3, 2), 3, 2),
+           "torus": lambda: complex_to_doc(full_space_pieces(3, 2).interface,
+                                           3, 2),
+           "not-pure": _not_pure_doc}[which]()
+    K, _, _ = complex_from_doc(json.loads(json.dumps(doc)))
+    assert K._table is None and K._keys is not None
+    want = _face_table(_validate(K.vertices, K.tops))
+    getattr(K, first)()
+    assert K._keys is None
+    assert (K.faces(), K.facet_rows()) == want
+    assert K.is_pure() is (which != "not-pure")
 
 
 @pytest.mark.parametrize("bad,msg", [
@@ -840,7 +870,7 @@ def _assert_union_is_keyed(A: SimplicialComplex, B: SimplicialComplex):
     tops, and carries the face table rebuilt from its own tops."""
     want, got = _keyed(_key_tops(A) + _key_tops(B)), _union(A, B)
     assert (got.vertices, got.tops) == (want.vertices, want.tops)
-    assert got._table == _face_table(want.vertices, want.tops)
+    assert got._table == _face_table(_validate(want.vertices, want.tops))
 
 
 @pytest.mark.parametrize("m", [2, 4, 6])
@@ -848,7 +878,7 @@ def test_the_full_space_is_glued_from_its_regions_tables(m):
     region_a, region_b, _ = _build_regions(m)
     _assert_union_is_keyed(region_a, region_b)
     K = assemble_full(3, m)
-    assert K._table == _face_table(K.vertices, K.tops)
+    assert K._table == _face_table(_validate(K.vertices, K.tops))
 
 
 def _drawn_pair(rnd: random.Random, shared_top: bool):
@@ -895,7 +925,7 @@ def _spy_on_validators(monkeypatch) -> list:
     import phasetop.mesh as mesh_module
 
     calls = []
-    for name in ("_top_keys", "_face_table"):
+    for name in ("_top_keys", "_validate"):
         def spy(*args, _name=name, _real=getattr(mesh_module, name)):
             calls.append(_name)
             return _real(*args)
@@ -922,10 +952,10 @@ def test_each_refusal_is_one_validator_pass(monkeypatch):
         (lambda: complex_from_doc(dict(doc, simplices=[[0, 1], [1, 2],
                                                        [2, 1]])),
          "simplex 2 [2, 1] repeats the vertices of simplex 1 [1, 2]",
-         ["_face_table", "_top_keys"]),
+         ["_validate", "_top_keys"]),
         (lambda: complex_from_doc(dict(doc, simplices=[[0, 1], [1, 2],
                                                        [2, 3]])),
-         "bad simplex [2, 3]", ["_face_table"]),
+         "bad simplex [2, 3]", ["_validate"]),
     ]
     calls, walked = _spy_on_validators(monkeypatch), []
     for refuse, msg, _ in cases:
@@ -1186,10 +1216,10 @@ def test_the_face_table_names_the_first_bad_top_as_the_loop_did(first, second):
             want = reference_bad_top(vertices, tops)
             assert want == f"bad simplex {bad[0]!r}"
             with pytest.raises(MeshValidityError) as got:
-                _face_table(vertices, tops)
+                _validate(vertices, tops)
             assert str(got.value) == want
     assert reference_bad_top(vertices, good) is None
-    _face_table(vertices, good)
+    _validate(vertices, good)
 
 
 class Ordinal(int):
