@@ -119,6 +119,15 @@ MUTANTS = [
         "if c != 2)",
         ("tests/test_mesh.py::test_the_boundary_table_is_the_rebuilt_table",)),
     Mutant(
+        # the boundary's tops are their own keys only when its vertices
+        # keep K's order: numbered as the ridges first use them, the tops
+        # no longer ascend and the table built from them is wrong
+        "boundary-vertices-out-of-parent-order",
+        "src/phasetop/mesh.py",
+        "used = sorted(set(itertools.chain.from_iterable(ridges)))",
+        "used = list(dict.fromkeys(itertools.chain.from_iterable(ridges)))",
+        ("tests/test_mesh.py::test_the_boundary_table_is_the_rebuilt_table",)),
+    Mutant(
         # closedness counts ridges in the top facet rows; a ridge in three
         # tops is a branch, not a closed pseudomanifold
         "closedness-ridges-in-two-or-more-tops",
@@ -220,12 +229,21 @@ MUTANTS = [
         # only the whole-list length pass refuses it
         "keyed-repeated-key-check-dropped",
         "src/phasetop/mesh.py",
-        "if list(map(len, tops)) != list(map(len, map(set, tops))):",
-        "if False:",
+        "if not all(tops) or list(map(len, tops)) != "
+        "list(map(len, map(set, tops))):",
+        "if not all(tops):",
         ("tests/test_mesh.py::"
          "test_keyed_refuses_a_repeated_key_naming_the_simplex",
          "tests/test_mesh.py::"
          "test_keyed_names_the_offender_the_key_loop_named")),
+    Mutant(
+        # a keyed complex is not validated again on first use, so an
+        # empty simplex that _keyed lets through reaches the face table
+        "keyed-empty-simplex-accepted",
+        "src/phasetop/mesh.py",
+        'raise MeshValidityError(f"bad simplex {s!r}")',
+        "pass",
+        ("tests/test_mesh.py::test_each_built_complex_is_validated_once",)),
     Mutant(
         # a pivot kept with 2 at its low (RP^2, the Klein bottle) would
         # hand its Q ranks to F2, which differ there

@@ -18,7 +18,7 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Collection, Optional, Sequence
 
 from .cells import CellLabel, PLabel, bx_member, ul_label
 from .order_complex import DiscPoint, ModelPoint
@@ -141,19 +141,19 @@ class SimplicialComplex:
     validates itself and builds one face table: the faces of each
     dimension as a sorted list, which is the chain basis `homology`
     reduces over, and their facet rows.  A complex validated already
-    (see complex_from_doc) holds the keys of its tops until then, and
-    its table is built from those.  Homology, the f-vector, the
+    (see complex_from_doc, _keyed), or whose tops are their own keys
+    (see boundary_subcomplex), holds the keys of its tops until then,
+    and its table is built from those.  Homology, the f-vector, the
     pseudomanifold check and the boundary all read that one table (the
-    last two count ridges in the top facet rows); a boundary gets its
-    own table read off it.  It is kept on the complex, beside the
-    boundary ranks that `homology.betti` finds over each field, so the
-    vertex and top lists must not be mutated after that.
+    last two count ridges in the top facet rows).  It is kept on the
+    complex, beside the boundary ranks that `homology.betti` finds over
+    each field, so the vertex and top lists must not be mutated after.
     """
 
     vertices: list
     tops: list
     _table: Optional[tuple] = field(default=None, init=False, repr=False)
-    _keys: Optional[dict] = field(default=None, init=False, repr=False)
+    _keys: Optional[Collection] = field(default=None, init=False, repr=False)
     _ranks: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
@@ -221,12 +221,12 @@ def _point_of(m: int) -> Callable:
 def _emit(K: SimplicialComplex, m: int) -> SimplicialComplex:
     """The complex over model points of a complex over tick keys.
 
-    The tops list is copied.  K's face table, if built, is shared: it
-    holds only vertex indices, and distinct tick keys map to distinct
-    points, so it is the table of the emitted complex too.
+    The tops list is copied.  K's face table or top keys, if it holds
+    them, are shared: they hold only vertex indices, and distinct tick
+    keys map to distinct points, so they are the emitted complex's too.
     """
     E = SimplicialComplex(list(map(_point_of(m), K.vertices)), list(K.tops))
-    E._table = K._table
+    E._table, E._keys = K._table, K._keys
     return E
 
 
@@ -236,18 +236,24 @@ def _keyed(simplices: Sequence) -> SimplicialComplex:
     The keys are numbered first, once, in sorted order, so the checks and
     the sort run on int tuples; each top keeps its given vertex order,
     and the tops are sorted by vertex set.  Raises MeshValidityError on
-    a simplex that repeats a key or the key set of an earlier one, in
-    one pass, naming the simplices by their keys (see _top_keys).
+    an empty simplex, a simplex that repeats a key or the key set of an
+    earlier one, in one pass, naming the simplices by their keys (see
+    _top_keys); _validate refuses nothing more, so the complex keeps the
+    keys and is not validated again.
     """
     order = sorted(set(itertools.chain.from_iterable(simplices)))
     vid = dict(zip(order, itertools.count()))
     tops = [tuple(map(vid.__getitem__, s)) for s in simplices]
-    if list(map(len, tops)) != list(map(len, map(set, tops))):
+    if not all(tops) or list(map(len, tops)) != list(map(len, map(set, tops))):
         for k, s in enumerate(simplices):
+            if not s:
+                raise MeshValidityError(f"bad simplex {s!r}")
             if len(set(s)) != len(s):
                 raise MeshValidityError(f"simplex {k} {s!r} repeats a key")
     keys = _top_keys(tops, simplices.__getitem__)
-    return SimplicialComplex(order, [tops[k] for _, k in sorted(keys.items())])
+    K = SimplicialComplex(order, [tops[k] for _, k in sorted(keys.items())])
+    K._keys = keys
+    return K
 
 
 def _union(A: SimplicialComplex, B: SimplicialComplex) -> SimplicialComplex:
@@ -490,40 +496,23 @@ def boundary_subcomplex(K: SimplicialComplex) -> SimplicialComplex:
 
     The input must be well formed (see _validate) and pure, or have
     no tops; a closed, empty or 0-dimensional complex yields the empty
-    complex.  The boundary keeps the vertex order of K, and each of its
-    tops lists its vertices in ascending order.  Its face table is read
-    off K's, never rebuilt: the ridges in one top, then in each
-    dimension below the faces their facet rows reach, each renumbered in
-    order.  Renumbering in order keeps faces sorted and ascending, and
-    keeps the facet rows in `combinations` order.
+    complex.  Its tops are the ridges counted once in K's top facet rows,
+    on their vertices in K's order; that order keeps each top ascending
+    and the tops sorted, so they are their own keys, and the first
+    faces() call builds the table from them (see _face_table).
     """
     if not K.tops:
         return SimplicialComplex([], [])
     faces, rows = K.faces(), K.facet_rows()
     if not K.is_pure():
         raise MeshValidityError("boundary of a non-pure complex")
-    d = K.dim
-    # kept[k]: the indices of K's k-faces that lie in the boundary
-    kept = {d - 1: sorted(r for r, c in Counter(rows[d]).items() if c == 1)}
-    if not kept[d - 1]:
-        return SimplicialComplex([], [])
-    table_rows = [array("i") for _ in range(d)]
-    for k in range(d - 1, 0, -1):
-        row = rows[k]
-        below = array("i", itertools.chain.from_iterable(
-            row[(k + 1) * i:(k + 1) * (i + 1)] for i in kept[k]))
-        kept[k - 1] = sorted(set(below))
-        table_rows[k] = array("i", map(
-            dict(zip(kept[k - 1], itertools.count())).__getitem__, below))
-    used = [faces[0][i][0] for i in kept[0]]
+    once = sorted(r for r, c in Counter(rows[K.dim]).items() if c == 1)
+    ridges = [faces[K.dim - 1][r] for r in once]
+    used = sorted(set(itertools.chain.from_iterable(ridges)))
     vid = dict(zip(used, itertools.count()))
-    table = {0: list(zip(range(len(used))))}
-    for k in range(1, d):
-        table[k] = list(map(tuple, map(map, itertools.repeat(vid.__getitem__),
-                                       map(faces[k].__getitem__, kept[k]))))
-    B = SimplicialComplex(list(map(K.vertices.__getitem__, used)),
-                          list(table[d - 1]))
-    B._table = (table, table_rows)
+    B = SimplicialComplex(list(map(K.vertices.__getitem__, used)), [
+        tuple(map(vid.__getitem__, r)) for r in ridges])
+    B._keys = B.tops
     return B
 
 
@@ -553,9 +542,9 @@ def _build_regions(m: int) -> tuple:
 
     The rotation region is the slice times the circle, each slice vertex
     turned by the circle tick; the base region is the n = 2 space times
-    the disc fan.  The torus check builds both regions' face tables.
-    Raises MeshValidityError when the two regions induce different
-    triangulations of the torus.
+    the disc fan.  The torus check builds both regions' face tables; a
+    torus builds its own on first use, so the second never does.  Raises
+    MeshValidityError when the regions triangulate the torus differently.
 
     Built once per m and kept (for the last four m), so assemble_full
     and full_space_pieces share one validated triple; a build that

@@ -224,8 +224,8 @@ def test_mesh_stats_of_a_complex_that_is_not_pure():
 
 def test_mesh_stats_walks_the_tops_once_per_complex(monkeypatch):
     # once, for the document's own face table: the pseudomanifold and
-    # boundary checks read that table, and the boundary's own table is
-    # read off it
+    # boundary checks read that table, and the boundary builds its own
+    # from its tops, which are their own keys
     import phasetop.mesh as mesh_module
 
     walked = []

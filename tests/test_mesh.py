@@ -289,8 +289,9 @@ def _drawn_pure_complexes(seed: int, count: int):
 
 def _assert_boundary_table_is_rebuilt_table(K):
     """The boundary's tops are K's ridges in exactly one top, on K's
-    vertex objects in K's order, and the table read off K's equals the
-    one _face_table builds from the boundary's validated tops."""
+    vertex objects in K's order, and the table it builds from them as
+    their own keys equals the one _face_table builds from the boundary's
+    validated tops."""
     count = Counter(f for t in K.tops
                     for f in itertools.combinations(sorted(t), len(t) - 1))
     B = boundary_subcomplex(K)
@@ -828,12 +829,22 @@ def test_keyed_matches_the_reference_builder():
         want, got = b.complex(), _keyed(simplices)
         assert got.vertices == want.vertices
         assert got.tops == want.tops
+        _assert_table_is_validated_table(got)
     for jk, K in _key_charts(4, 2).items():
         b = ReferenceBuilder()
         for s in _chart(ul_label(*jk, 4), 2)[0]:
             b.add(s)
         want = b.complex()
         assert (K.vertices, K.tops) == (want.vertices, want.tops)
+        _assert_table_is_validated_table(K)
+
+
+def _assert_table_is_validated_table(K: SimplicialComplex):
+    """The table a keyed complex builds from the keys it kept is the one
+    built from its validated tops."""
+    faces, rows = _face_table(_validate(K.vertices, K.tops))
+    assert K.faces() == faces
+    assert K.facet_rows() == rows
 
 
 def test_keyed_refuses_a_repeated_key_naming_the_simplex():
@@ -964,6 +975,32 @@ def test_each_refusal_is_one_validator_pass(monkeypatch):
             refuse()
         walked.append(list(calls))
     assert walked == [walks for _, _, walks in cases]
+
+
+def test_each_built_complex_is_validated_once(monkeypatch):
+    # _keyed and _union each walk their tops once (the two regions, then
+    # the glued full space, which carries the union's table); the regions
+    # and the torus build their tables from kept keys, and no built
+    # complex is validated again on first use
+    import phasetop.mesh as mesh_module
+
+    _build_regions.cache_clear()
+    calls, sizes = _spy_on_validators(monkeypatch), []
+    spied = mesh_module._top_keys
+
+    def sized(tops, listed):
+        sizes.append(len(tops))
+        return spied(tops, listed)
+
+    monkeypatch.setattr(mesh_module, "_top_keys", sized)
+    full, pieces = assemble_full(3, 2), full_space_pieces(3, 2)
+    for K in (full, pieces.rotation, pieces.base, pieces.interface):
+        K.faces()
+    assert calls == ["_top_keys"] * 3
+    assert sizes == [192, 48, 240]
+    # an empty simplex, once refused on first use, is refused at once
+    with pytest.raises(MeshValidityError, match=r"^bad simplex \(\)$"):
+        _keyed([((0,), (1,)), ()])
 
 
 def reference_keyed_offender(simplices: list):
